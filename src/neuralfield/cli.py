@@ -64,7 +64,7 @@ def _write_field_csv(path, grid: Grid, values):
 
 
 def _emit_manifest(out_dir, command, cfg: RunConfig | None, started, extra=None,
-                   error=None, threads=1):
+                   error=None, threads=1, constants=None):
     manifest = {
         "command": command,
         "version": __version__,
@@ -72,10 +72,10 @@ def _emit_manifest(out_dir, command, cfg: RunConfig | None, started, extra=None,
         "threads": threads,
     }
     if cfg is not None:
-        constants = compute_constants(cfg.model, cfg.grid)
-        rho = cfg.solver.segment_rho or max_segment_length(constants, cfg.model.gamma)
         manifest["config"] = cfg.document
         manifest["seed"] = cfg.seed
+    if constants is not None:
+        rho = cfg.solver.segment_rho or max_segment_length(constants, cfg.model.gamma)
         manifest["constants"] = constants.to_json()
         manifest["rho"] = rho
         manifest["q"] = contraction_factor(constants, cfg.model.gamma, rho)
@@ -96,10 +96,9 @@ def _operator(cfg: RunConfig):
     return build_operator(cfg.model.kernel, cfg.grid, cfg.quadrature)
 
 
-def cmd_simulate(cfg: RunConfig, out_dir, threads=1):
+def cmd_simulate(cfg: RunConfig, out_dir, constants, threads=1):
     op = _operator(cfg)
     u0 = initial_state(cfg)
-    constants = compute_constants(cfg.model, cfg.grid)
     traj = solve_global(cfg.model, op, u0, cfg.solver, constants)
     report = monitor_bounds(traj, constants, cfg.model)
 
@@ -131,19 +130,19 @@ def cmd_simulate(cfg: RunConfig, out_dir, threads=1):
     }
 
 
-def cmd_stationary(cfg: RunConfig, out_dir, method=None, threads=1):
+def cmd_stationary(cfg: RunConfig, out_dir, constants, method=None, threads=1):
     op = _operator(cfg)
     u0 = initial_state(cfg)
     section = cfg.stationary_section
     method = method or section["method"]
     if method == "fp":
         result = find_stationary_fp(cfg.model, op, u0, damping=section["damping"],
-                                    tol=section["tol"], max_iter=section["max_iter"])
+                                    tol=section["tol"], max_iter=section["max_iter"],
+                                    constants=constants)
     else:
         result = stationary_via_flow(cfg.model, op, u0, t_max=section["t_max"],
                                      settle_tol=section["settle_tol"], dt=section["dt"])
     _write_field_csv(Path(out_dir) / "u_inf.csv", cfg.grid, result.u_inf)
-    constants = compute_constants(cfg.model, cfg.grid)
     payload = {
         "method": result.method,
         "residual": result.residual_sup,
@@ -156,13 +155,14 @@ def cmd_stationary(cfg: RunConfig, out_dir, method=None, threads=1):
     return {"stationary": payload}
 
 
-def cmd_gainfield(cfg: RunConfig, out_dir, threads=1):
+def cmd_gainfield(cfg: RunConfig, out_dir, constants, threads=1):
     op = _operator(cfg)
     u0 = initial_state(cfg)
     section = cfg.gainfield_section
     stat_section = cfg.stationary_section
     stationary = find_stationary_fp(cfg.model, op, u0, damping=stat_section["damping"],
-                                    tol=stat_section["tol"], max_iter=stat_section["max_iter"])
+                                    tol=stat_section["tol"], max_iter=stat_section["max_iter"],
+                                    constants=constants)
     learned = build_learned_kernel(stationary.u_inf, cfg.model, cfg.grid, sign=section["sign"])
     eig = mercer_decompose(learned, cfg.quadrature)
     gain = presynaptic_gain(eig, k_pre=section["k_pre"])
@@ -185,7 +185,7 @@ def cmd_gainfield(cfg: RunConfig, out_dir, threads=1):
     # exploratory only: frozen-gain run against the plastic run (the ordering
     # claim between them is unproved, so nothing here is asserted)
     probe_cfg = SolverConfig(method="exp-euler", dt=0.1, t_end=5.0)
-    plastic = solve_global(cfg.model, op, u0, probe_cfg)
+    plastic = solve_global(cfg.model, op, u0, probe_cfg, constants)
     gained = simulate_gainfield(op, GainField(gain.phi_pre, gain.k_pre),
                                 cfg.model.firing, u0, probe_cfg)
     tail = slice(len(plastic.times) // 2, None)
@@ -241,7 +241,7 @@ def _study_initials(cfg: RunConfig, names):
     return out
 
 
-def cmd_study(cfg: RunConfig, out_dir, study_name, threads=1):
+def cmd_study(cfg: RunConfig, out_dir, constants, study_name, threads=1):
     op = _operator(cfg)
     u0 = initial_state(cfg)
     section = cfg.study_section
@@ -250,19 +250,20 @@ def cmd_study(cfg: RunConfig, out_dir, study_name, threads=1):
         s = section["plasticity"]
         solver_cfg = SolverConfig(method=s["method"], dt=s["dt"], t_end=s["t_end"])
         result = plasticity_limit_study(cfg.model, op, s["gamma_list"], u0, s["t_end"],
-                                        cfg=solver_cfg, slack=s["slack"], threads=threads)
+                                        cfg=solver_cfg, slack=s["slack"], threads=threads,
+                                        constants=constants)
         csv_name = "plasticity-limit.csv"
     elif study_name == "dependence":
         s = section["dependence"]
         result = continuous_dependence_study(cfg.model, op, u0, s["eps_list"],
                                              rho=s["rho"], dt=s["dt"],
-                                             slack_coeff=s["slack_coeff"])
+                                             slack_coeff=s["slack_coeff"], constants=constants)
         csv_name = "dependence.csv"
     elif study_name == "contraction":
         s = section["contraction"]
         result = contraction_measure(cfg.model, op, rho=s["rho"], n_pairs=s["n_pairs"],
                                      seed=cfg.seed, time_steps=s["time_steps"],
-                                     slack=s["slack"])
+                                     slack=s["slack"], constants=constants)
         csv_name = "contraction.csv"
     elif study_name == "l1":
         s = section["l1"]
@@ -270,7 +271,7 @@ def cmd_study(cfg: RunConfig, out_dir, study_name, threads=1):
         solver_cfg = SolverConfig(method="exp-euler", dt=s["dt"], t_end=s["t_end"])
         model = cfg.model if s["gamma"] is None else replace(cfg.model, gamma=s["gamma"])
         result = l1_bound_study(model, op, initials, s["t_end"], cfg=solver_cfg,
-                                slack=s["slack"], threads=threads)
+                                slack=s["slack"], threads=threads, constants=constants)
         csv_name = "l1.csv"
     else:
         raise SchemaError([f"study: unknown study {study_name!r}"])
@@ -290,8 +291,7 @@ def cmd_study(cfg: RunConfig, out_dir, study_name, threads=1):
     return {"verdict": verdict}
 
 
-def cmd_constants(cfg: RunConfig, out_dir=None, threads=1):
-    constants = compute_constants(cfg.model, cfg.grid)
+def cmd_constants(cfg: RunConfig, constants, out_dir=None, threads=1):
     rho = cfg.solver.segment_rho or max_segment_length(constants, cfg.model.gamma)
     payload = {
         "constants": constants.to_json(),
@@ -311,37 +311,42 @@ def cmd_constants(cfg: RunConfig, out_dir=None, threads=1):
 def run(command: str, cfg: RunConfig, out_dir, study_name=None, threads=1, **kwargs) -> int:
     """Dispatch a validated config; always writes a manifest when out_dir is set."""
     started = time.time()
+    constants = None
     with output_lock(out_dir) as out:
         try:
+            # one computation serves every command and the manifest
+            constants = compute_constants(cfg.model, cfg.grid)
             if command == "simulate":
-                extra = cmd_simulate(cfg, out, threads=threads)
+                extra = cmd_simulate(cfg, out, constants, threads=threads)
             elif command == "stationary":
-                extra = cmd_stationary(cfg, out, method=kwargs.get("method"), threads=threads)
+                extra = cmd_stationary(cfg, out, constants, method=kwargs.get("method"),
+                                       threads=threads)
             elif command == "gainfield":
-                extra = cmd_gainfield(cfg, out, threads=threads)
+                extra = cmd_gainfield(cfg, out, constants, threads=threads)
             elif command == "schrodinger":
                 extra = cmd_schrodinger(cfg, out, well=kwargs.get("well"),
                                         lam=kwargs.get("lam"), threads=threads)
             elif command == "study":
-                extra = cmd_study(cfg, out, study_name, threads=threads)
+                extra = cmd_study(cfg, out, constants, study_name, threads=threads)
             elif command == "constants":
-                extra = cmd_constants(cfg, out, threads=threads)
+                extra = cmd_constants(cfg, constants, out, threads=threads)
             else:
                 raise ValueError(f"unknown command {command!r}")
         except SchemaError as exc:
             _emit_manifest(out, command, cfg, started,
                            error={"type": "SchemaError", "violations": exc.violations},
-                           threads=threads)
+                           threads=threads, constants=constants)
             for violation in exc.violations:
                 print(f"config error: {violation}", file=sys.stderr)
             return EXIT_CONFIG
         except (NeuralFieldError, FloatingPointError, ValueError, RuntimeError) as exc:
             _emit_manifest(out, command, cfg, started,
                            error={"type": type(exc).__name__, "message": str(exc)},
-                           threads=threads)
+                           threads=threads, constants=constants)
             print(f"numerical failure: {exc}", file=sys.stderr)
             return EXIT_NUMERICAL
-        _emit_manifest(out, command, cfg, started, extra=extra, threads=threads)
+        _emit_manifest(out, command, cfg, started, extra=extra, threads=threads,
+                       constants=constants)
         verdict = (extra or {}).get("verdict")
         if verdict is not None and not verdict["pass"]:
             print("study verdict: FAIL (measured exceeded bound + slack)", file=sys.stderr)
@@ -402,7 +407,7 @@ def main(argv=None) -> int:
 
     if args.command == "constants" and args.out is None:
         try:
-            cmd_constants(cfg, out_dir=None)
+            cmd_constants(cfg, compute_constants(cfg.model, cfg.grid))
         except (NeuralFieldError, ValueError) as exc:
             print(f"numerical failure: {exc}", file=sys.stderr)
             return EXIT_NUMERICAL

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .discretization import DiscreteOperator, FieldState, apply_f_values
-from .model import ModelSpec, compute_constants, contraction_factor, max_segment_length
+from .model import ModelSpec, TheoryConstants, compute_constants, contraction_factor, max_segment_length
 from .solver import SolverConfig, solve_global
 
 
@@ -77,7 +77,8 @@ def plasticity_limit_study(model: ModelSpec, op: DiscreteOperator, gamma_list,
                            u0: FieldState, t_end: float,
                            cfg: SolverConfig | None = None,
                            u0_for_gamma=None, slack: float = 0.0,
-                           threads: int = 1) -> StudyResult:
+                           threads: int = 1,
+                           constants: TheoryConstants | None = None) -> StudyResult:
     """Distance to the plasticity-free solution as gamma shrinks.
 
     All runs share the grid, stepper, and (by default) the initial state, so
@@ -94,12 +95,15 @@ def plasticity_limit_study(model: ModelSpec, op: DiscreteOperator, gamma_list,
     cfg = cfg or SolverConfig(method="rk4", dt=0.05, t_end=t_end)
     cfg = replace(cfg, t_end=t_end)
 
+    if constants is None:
+        constants = compute_constants(model, op.grid)
+
     base_model = replace(model, gamma=0.0)
-    reference = solve_global(base_model, op, u0, cfg)
+    reference = solve_global(base_model, op, u0, cfg, constants)
 
     def run_one(gamma: float) -> float:
         start = u0 if u0_for_gamma is None else u0_for_gamma(gamma)
-        traj = solve_global(replace(model, gamma=gamma), op, start, cfg)
+        traj = solve_global(replace(model, gamma=gamma), op, start, cfg, constants)
         return float(np.max(np.abs(traj.values - reference.values)))
 
     distances = _ordered_map(run_one, gammas, threads)
@@ -116,14 +120,16 @@ def plasticity_limit_study(model: ModelSpec, op: DiscreteOperator, gamma_list,
 
 def continuous_dependence_study(model: ModelSpec, op: DiscreteOperator, u0: FieldState,
                                 eps_list, rho: float | None = None,
-                                dt: float = 1e-3, slack_coeff: float = 10.0) -> StudyResult:
+                                dt: float = 1e-3, slack_coeff: float = 10.0,
+                                constants: TheoryConstants | None = None) -> StudyResult:
     """Perturbation growth over one segment against the constant 1/(1-q).
 
     Runs pairs from u0 and u0 + eps * delta with a fixed smooth unit-sup
     profile delta, and checks sup_{t <= rho} ||u - v|| <= eps / (1 - q)
     plus the declared time-discretization slack.
     """
-    constants = compute_constants(model, op.grid)
+    if constants is None:
+        constants = compute_constants(model, op.grid)
     if rho is None:
         rho = max_segment_length(constants, model.gamma)
     q = contraction_factor(constants, model.gamma, rho)
@@ -137,12 +143,12 @@ def continuous_dependence_study(model: ModelSpec, op: DiscreteOperator, u0: Fiel
     delta = np.cos(math.pi * (nodes - nodes[0]) / span)  # smooth, sup-norm 1
     cfg = SolverConfig(method="rk4", dt=dt, t_end=rho)
 
-    base = solve_global(model, op, u0, cfg)
+    base = solve_global(model, op, u0, cfg, constants)
     rows = []
     for eps in eps_list:
         eps = float(eps)
         perturbed = FieldState(u0.values + eps * delta, time=u0.time)
-        other = solve_global(model, op, perturbed, cfg)
+        other = solve_global(model, op, perturbed, cfg, constants)
         growth = float(np.max(np.abs(other.values - base.values)))
         ratio = growth / eps if eps > 0 else 0.0
         bound = amplification + slack / max(eps, 1e-300)
@@ -160,7 +166,8 @@ def continuous_dependence_study(model: ModelSpec, op: DiscreteOperator, u0: Fiel
 
 def contraction_measure(model: ModelSpec, op: DiscreteOperator, rho: float | None = None,
                         n_pairs: int = 200, seed: int = 0, time_steps: int = 8,
-                        slack: float = 0.01) -> StudyResult:
+                        slack: float = 0.01,
+                        constants: TheoryConstants | None = None) -> StudyResult:
     """Monte-Carlo estimate of the solution-operator contraction ratio.
 
     Applies the discrete integrated operator A (time-trapezoid of F) to
@@ -168,7 +175,8 @@ def contraction_measure(model: ModelSpec, op: DiscreteOperator, rho: float | Non
     ||A u1 - A u2|| / ||u1 - u2|| against the theoretical factor plus
     declared slack.  Pairs with zero separation are skipped.
     """
-    constants = compute_constants(model, op.grid)
+    if constants is None:
+        constants = compute_constants(model, op.grid)
     if rho is None:
         rho = max_segment_length(constants, model.gamma)
     q = contraction_factor(constants, model.gamma, rho)
@@ -210,13 +218,15 @@ def contraction_measure(model: ModelSpec, op: DiscreteOperator, rho: float | Non
 
 def l1_bound_study(model: ModelSpec, op: DiscreteOperator, u0_list, t_end: float,
                    cfg: SolverConfig | None = None, slack: float = 1e-6,
-                   threads: int = 1) -> StudyResult:
+                   threads: int = 1,
+                   constants: TheoryConstants | None = None) -> StudyResult:
     """sup over time of the quadrature L1 norm against ||u0||_1 + Cw |Omega|.
 
     Discontinuous initial data (step functions) are legitimate inputs here;
     the integral formulation smooths them immediately.
     """
-    constants = compute_constants(model, op.grid)
+    if constants is None:
+        constants = compute_constants(model, op.grid)
     quad = op.quadrature
     volume = op.grid.volume
     bound_offset = constants.kernel_l1_sup * volume
@@ -225,7 +235,7 @@ def l1_bound_study(model: ModelSpec, op: DiscreteOperator, u0_list, t_end: float
 
     def run_one(item) -> dict:
         label, u0 = item
-        traj = solve_global(model, op, u0, cfg)
+        traj = solve_global(model, op, u0, cfg, constants)
         l1_per_time = (np.abs(traj.values) * quad.weights[None, :]).sum(axis=1)
         sup_l1 = float(l1_per_time.max())
         u0_l1 = quad.l1_norm(u0.values)

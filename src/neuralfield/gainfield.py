@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh, eigh_tridiagonal
 
-from .discretization import DiscreteOperator, FieldState, Grid, Quadrature
+from .discretization import DiscreteOperator, FieldState, Grid, Quadrature, convolve, kernel_spectrum
 from .errors import BoxTooSmallError, NoBoundStateError, NotPSDError
 from .model import FiringRate, ModelSpec
 from .solver import SolverConfig, Trajectory, solve_global
@@ -232,9 +232,11 @@ def simulate_gainfield(op: DiscreteOperator, gain: GainField, firing: FiringRate
     return solve_global(model, effective, u0, cfg)
 
 
-def greens_kernel(lam: float, distance) -> np.ndarray:
-    """Green's function of (lambda^2 - d^2/dx^2): exp(-lambda|x|) / (2 lambda)."""
-    return np.exp(-lam * np.abs(distance)) / (2.0 * lam)
+def greens_convolve(lam: float, grid: Grid, values: np.ndarray) -> np.ndarray:
+    """sum_j G(x_i - x_j) values_j for the Green's function of
+    (lambda^2 - d^2/dx^2), G(x) = exp(-lambda|x|) / (2 lambda)."""
+    spectrum = kernel_spectrum(lambda d: np.exp(-lam * d) / (2.0 * lam), grid)
+    return convolve(spectrum, grid, values)
 
 
 def greens_identity_check(lam: float, grid: Grid, quad: Quadrature, test_values=None) -> float:
@@ -250,7 +252,7 @@ def greens_identity_check(lam: float, grid: Grid, quad: Quadrature, test_values=
         raise ValueError("lambda must be positive")
     nodes = grid.axis_nodes[0]
     h_vals = np.exp(-nodes ** 2) if test_values is None else np.asarray(test_values, dtype=float)
-    conv = greens_kernel(lam, nodes[:, None] - nodes[None, :]) @ (quad.weights * h_vals)
+    conv = greens_convolve(lam, grid, quad.weights * h_vals)
     dx = grid.spacing[0]
     second = (conv[:-2] - 2.0 * conv[1:-1] + conv[2:]) / (dx * dx)
     residual = lam * lam * conv[1:-1] - second - h_vals[1:-1]
@@ -381,7 +383,7 @@ def schrodinger_cross_check(lam: float, half_width: float, grid: Grid, quad: Qua
     pot = PotentialSpec(shape="square-well", half_width=half_width, height=v0,
                         k_squared=v0, lam=lam)
     gain_profile = pot.gain_profile(nodes)  # compactly supported
-    image = greens_kernel(lam, nodes[:, None] - nodes[None, :]) @ (quad.weights * gain_profile * psi)
+    image = greens_convolve(lam, grid, quad.weights * gain_profile * psi)
     residual_l2 = quad.l2_norm(psi - image) / quad.l2_norm(psi)
 
     dx = grid.spacing[0]

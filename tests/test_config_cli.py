@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import numpy as np
@@ -184,6 +185,21 @@ class TestRun:
             cfg = build_config(doc, environ={})
             out = tmp_path / name
             assert run("simulate", cfg, out) == 0
+            sums.append(json.loads((out / "manifest.json").read_text())["checksums"])
+        assert sums[0] == sums[1]
+
+    def test_checksums_independent_of_blas_threads(self, tmp_path):
+        path = write_config(tmp_path, {**small_sim_doc(t_end=0.5), "grid": {"nodes": [201]}})
+        sums = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"blas-{threads}"
+            result = subprocess.run(
+                [sys.executable, "-m", "neuralfield.cli", "simulate",
+                 "--config", path, "--out", str(out)],
+                capture_output=True, text=True,
+                env={**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads},
+            )
+            assert result.returncode == 0, result.stderr
             sums.append(json.loads((out / "manifest.json").read_text())["checksums"])
         assert sums[0] == sums[1]
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neuralfield import (
+    DiscreteOperator,
     FieldState,
     FiringRate,
     Grid,
@@ -17,6 +18,18 @@ from neuralfield import (
     build_operator,
     make_quadrature,
 )
+from neuralfield.discretization import (
+    PLASTICITY_TOL,
+    apply_j_values,
+    chebyshev_bound,
+    chebyshev_nodes,
+    chebyshev_rank,
+    dense_apply_j,
+    j_error_bound,
+    plasticity_rank,
+    separable_apply_j,
+)
+from neuralfield.model import FIRING_KINDS
 from conftest import exponential_kernel, make_model, zero_firing
 from oracles import brute_force_apply_j
 
@@ -248,3 +261,198 @@ class TestApplyF:
         out1 = apply_F(model, op_201, bump_201)
         out2 = apply_F(model, op_201, bump_201.values)
         assert np.array_equal(out1, out2)
+
+
+# (dimension, boundary, rule) of every grid kind the operator supports
+GRID_KINDS = [
+    (1, "compact", "trapezoid"), (1, "compact", "simpson"), (1, "periodic", "trapezoid"),
+    (2, "compact", "trapezoid"), (2, "compact", "simpson"), (2, "periodic", "trapezoid"),
+]
+
+
+def small_grid(kind, sizes, half_length):
+    """1-D grids take sizes[0] nodes, 2-D grids 3..20 nodes per axis."""
+    dim, boundary, rule = kind
+    npts = sizes[:1] if dim == 1 else [3 + k % 18 for k in sizes]
+    npts = [2 * (k // 2) + 1 if rule == "simpson" else k for k in npts]
+    grid = Grid(bounds=[(-half_length, half_length)] * dim, npts=npts, boundary=boundary)
+    return grid, make_quadrature(grid, rule)
+
+
+def any_model(kernel_kind, firing_kind, gamma, width):
+    kernel = (exponential_kernel(amplitude=0.7, decay=0.8) if kernel_kind == "exponential"
+              else SynapticKernel("mexican-hat", {"scale": 1.5}))
+    mode = "gain-field" if firing_kind == "linear" else "well-posed"
+    return ModelSpec(kernel, FiringRate(firing_kind), LearningKernel("gaussian", {"width": width}),
+                     gamma=gamma, mode=mode)
+
+
+def random_field(n, seed, span, on_nodes):
+    """A random field with max - min = span; with ``on_nodes`` some values
+    sit exactly on the Chebyshev points of the rank J picks for it."""
+    rng = np.random.default_rng(seed)
+    u = 0.3 + span * rng.uniform(size=n)
+    if span > 0:
+        u[rng.permutation(n)[:2]] = 0.3, 0.3 + span
+    if on_nodes and span > 0:
+        nodes = chebyshev_nodes(float(u.min()), float(u.max()), chebyshev_rank(0.5 * span))
+        picks = rng.permutation(n)[: min(n, nodes.size)]
+        u[picks] = nodes[: picks.size]
+    return u
+
+
+def interpolated(u, width):
+    # spans apply_j_values interpolates: wider than 1e-8 learning widths
+    return np.ptp(u) > 1e-8 * width
+
+
+def rounding_allowance(model, op, u):
+    # FFT and summation-order rounding, relative to the scale of |W| f
+    return 1e-13 * (1.0 + model.gamma) * float(np.max(np.abs(op.matrix) @ np.abs(model.firing(u))))
+
+
+fast_j_cases = dict(
+    kind=st.sampled_from(GRID_KINDS),
+    sizes=st.lists(st.integers(3, 120), min_size=2, max_size=2),
+    half_length=st.floats(1.0, 10.0),
+    kernel_kind=st.sampled_from(["exponential", "mexican-hat"]),
+    firing_kind=st.sampled_from(FIRING_KINDS),
+    gamma=st.floats(0.0, 4.0),
+    width=st.floats(0.25, 4.0),
+    span_over_width=st.one_of(st.just(0.0), st.floats(0.0, 16.0)),
+    on_nodes=st.booleans(),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+
+
+class TestFastJ:
+    @given(**fast_j_cases)
+    @settings(max_examples=300, deadline=None)
+    def test_against_dense_formula_within_bound(self, kind, sizes, half_length, kernel_kind,
+                                                firing_kind, gamma, width, span_over_width,
+                                                on_nodes, seed):
+        grid, quad = small_grid(kind, sizes, half_length)
+        model = any_model(kernel_kind, firing_kind, gamma, width)
+        op = build_operator(model.kernel, grid, quad)
+        u = random_field(grid.n_total, seed, span_over_width * width, on_nodes)
+        dense = dense_apply_j(model, op, u)
+        allowance = rounding_allowance(model, op, u)
+
+        rank = plasticity_rank(model, op, u)
+        observed = np.max(np.abs(apply_j_values(model, op, u) - dense))
+        assert observed <= j_error_bound(model, op, u, rank) + allowance
+
+        # the separable factor itself, also where apply_j_values would
+        # take the dense fallback at this small n
+        if interpolated(u, width) and gamma > 0:
+            rank = chebyshev_rank(0.5 * float(np.ptp(u)) / width)
+            observed = np.max(np.abs(separable_apply_j(model, op, u, rank) - dense))
+            assert observed <= j_error_bound(model, op, u, rank) + allowance
+
+    @given(**{**fast_j_cases, "kind": st.sampled_from(
+        [kind for kind in GRID_KINDS if kind[1] == "compact"])})
+    @settings(max_examples=60, deadline=None)
+    def test_against_brute_force_oracle(self, kind, sizes, half_length, kernel_kind,
+                                        firing_kind, gamma, width, span_over_width,
+                                        on_nodes, seed):
+        # the oracle measures plain distances, so it covers compact grids only
+        grid, quad = small_grid(kind, [k % 23 + 3 if kind[0] == 1 else k % 4 for k in sizes],
+                                half_length)
+        model = any_model(kernel_kind, firing_kind, gamma, width)
+        op = build_operator(model.kernel, grid, quad)
+        u = random_field(grid.n_total, seed, span_over_width * width, on_nodes)
+        if interpolated(u, width):
+            rank = chebyshev_rank(0.5 * float(np.ptp(u)) / width)
+            fast = separable_apply_j(model, op, u, rank)
+        else:
+            rank = plasticity_rank(model, op, u)
+            fast = apply_j_values(model, op, u)
+        expected = brute_force_apply_j(model, grid, quad, u)
+        bound = j_error_bound(model, op, u, rank)
+        assert np.max(np.abs(fast - expected)) <= bound + rounding_allowance(model, op, u)
+
+    @given(kind=st.sampled_from(GRID_KINDS), sizes=st.lists(st.integers(3, 40), min_size=2, max_size=2),
+           kernel_kind=st.sampled_from(["exponential", "mexican-hat"]),
+           gained=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_operator_product_matches_matrix(self, kind, sizes, kernel_kind, gained, seed):
+        grid, quad = small_grid(kind, sizes, 5.0)
+        model = any_model(kernel_kind, "sigmoid", 0.0, 1.0)
+        op = build_operator(model.kernel, grid, quad)
+        rng = np.random.default_rng(seed)
+        if gained:
+            op = op.scaled_by_gain(rng.uniform(-1.0, 2.0, size=grid.n_total))
+        v = rng.standard_normal((3, grid.n_total))
+        scale = np.max(np.abs(op.matrix) @ np.abs(v.T))
+        assert np.max(np.abs(op.apply(v) - (op.matrix @ v.T).T)) <= 1e-14 * scale
+        assert np.max(np.abs(op.abs_apply(v[0]) - np.abs(op.matrix) @ np.abs(v[0]))) <= 1e-14 * scale
+
+    def test_gain_scaled_matrix_is_lazy_product(self, op_201):
+        gain = np.linspace(0.5, 1.5, 201)
+        scaled = op_201.scaled_by_gain(gain)
+        assert "matrix" not in scaled.__dict__
+        assert np.array_equal(scaled.matrix, op_201.matrix * gain[None, :])
+        assert np.array_equal(scaled.scaled_by_gain(gain).gain, gain * gain)
+
+    @pytest.mark.parametrize("span_over_width, rank", [
+        (0.5, 13), (1.0, 17), (2.0, 23), (4.0, 34), (8.0, 56), (16.0, 100)])
+    def test_rank_rule(self, span_over_width, rank):
+        r = 0.5 * span_over_width
+        assert chebyshev_rank(r) == rank
+        assert chebyshev_bound(r, rank) <= PLASTICITY_TOL < chebyshev_bound(r, rank - 1)
+
+    @pytest.mark.parametrize("kernel_kind", ["exponential", "mexican-hat"])
+    @pytest.mark.parametrize("rank", [2, 4, 8, 16, 24])
+    def test_bound_holds_where_interpolation_error_dominates(self, kernel_kind, rank):
+        grid = Grid(bounds=[(-10.0, 10.0)], npts=[301])
+        model = any_model(kernel_kind, "sigmoid", 2.0, 1.0)
+        op = build_operator(model.kernel, grid, make_quadrature(grid))
+        u = np.random.default_rng(rank).uniform(-3.0, 3.0, size=301)
+        observed = np.max(np.abs(separable_apply_j(model, op, u, rank) - dense_apply_j(model, op, u)))
+        assert 1e-9 < observed <= j_error_bound(model, op, u, rank)
+
+    def test_gamma_zero_is_the_operator_product(self, op_201, bump_201):
+        model = make_model(gamma=0.0)
+        u = bump_201.values
+        assert plasticity_rank(model, op_201, u) == 0
+        assert np.array_equal(apply_J(model, op_201, u), op_201.apply(model.firing(u)))
+
+    def test_constant_field_is_one_plus_gamma_times_product(self, op_201):
+        model = make_model(gamma=0.6)
+        u = np.full(201, 0.4)
+        assert np.array_equal(apply_J(model, op_201, u), 1.6 * op_201.apply(model.firing(u)))
+
+    def test_dense_fallback_when_rank_exceeds_quarter_n(self):
+        grid = Grid(bounds=[(-5.0, 5.0)], npts=[61])
+        model = make_model(gamma=1.0)
+        op = build_operator(model.kernel, grid, make_quadrature(grid))
+        u = np.linspace(-4.0, 4.0, 61)
+        assert plasticity_rank(model, op, u) is None
+        assert np.array_equal(apply_J(model, op, u), dense_apply_j(model, op, u))
+
+    def test_tabulated_kernel_takes_dense_formula(self):
+        grid = Grid(bounds=[(0.0, 1.0)], npts=[41])
+        kern = SynapticKernel("tabulated", {"matrix": np.full((41, 41), 0.3), "nodes": grid.points})
+        model = ModelSpec(kern, FiringRate("sigmoid"), LearningKernel(), gamma=0.5)
+        op = build_operator(kern, grid, make_quadrature(grid))
+        u = np.sin(grid.points[:, 0])
+        assert op.spectrum is None and plasticity_rank(model, op, u) is None
+        assert np.array_equal(apply_J(model, op, u), dense_apply_j(model, op, u))
+
+    def test_no_dense_matrix_for_isotropic_kernels(self):
+        import tracemalloc
+
+        n = 2001
+        grid = Grid(bounds=[(-10.0, 10.0)], npts=[n])
+        model = make_model(gamma=1.0)
+        u = np.random.default_rng(5).uniform(-2.0, 2.0, size=n)
+        tracemalloc.start()
+        try:
+            op = build_operator(model.kernel, grid, make_quadrature(grid))
+            apply_J(model, op, u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(op, DiscreteOperator) and "matrix" not in op.__dict__
+        assert plasticity_rank(model, op, u) > 0
+        assert peak < n * n * 8 / 4

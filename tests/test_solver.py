@@ -133,11 +133,14 @@ class TestSolveGlobal:
         traj = solve_global(model, op_201, bump_201, cfg)
 
         u = bump_201.values.copy()
+        dense = bump_201.values.copy()
         decay = math.exp(-0.1)
         for n in range(20):
-            rates = model.firing(u)
-            u = decay * u + (1.0 - decay) * (op_201.matrix * rates[None, :]).sum(axis=1)
+            u = decay * u + (1.0 - decay) * op_201.apply(model.firing(u))
+            dense = decay * dense + (1.0 - decay) * (op_201.matrix @ model.firing(dense))
         assert np.array_equal(traj.values[-1], u)
+        # the FFT product matches the dense one to rounding
+        assert np.max(np.abs(traj.values[-1] - dense)) <= 1e-14
 
     def test_instability_aborts_with_snapshot(self):
         # runaway linear gain-field model overflows; the guard must trip
