@@ -10,8 +10,8 @@ from .discretization import (
     FieldState,
     Grid,
     Quadrature,
-    apply_F,
-    apply_J,
+    apply_f_values,
+    apply_j_values,
     build_operator,
     kernel_matrix,
     make_quadrature,
@@ -24,9 +24,6 @@ from .model import (
     TheoryConstants,
     compute_constants,
     contraction_factor,
-    eval_firing,
-    eval_kernel,
-    eval_learning,
     max_segment_length,
 )
 from .solver import (
@@ -62,15 +59,12 @@ __all__ = [
     "SynapticKernel",
     "TheoryConstants",
     "Trajectory",
-    "apply_F",
-    "apply_J",
+    "apply_f_values",
+    "apply_j_values",
     "build_operator",
     "compute_constants",
     "contraction_factor",
     "equicontinuity_probe",
-    "eval_firing",
-    "eval_kernel",
-    "eval_learning",
     "find_stationary_fp",
     "kernel_matrix",
     "make_quadrature",

@@ -1,11 +1,14 @@
 """Command-line entry points.
 
 Subcommands: simulate, stationary, gainfield, schrodinger, study <name>,
-constants, validate.  Every run that writes artifacts owns its output
-directory exclusively, emits CSV series plus a manifest.json with the full
-config echo, the computed constants, contraction data, wall time, and a
-checksum per emitted file.  The manifest is written even when the run
-fails, with an error section.
+constants, validate.  ``run`` dispatches every command but validate from a
+name -> ``cmd_*`` table; each ``cmd_*`` takes the config, the output
+directory and the constants, plus its own options.  Every run that writes
+artifacts owns its output directory exclusively, emits CSV series plus a
+manifest.json with the full config echo, the computed constants,
+contraction data, wall time, and a checksum per emitted file.  The manifest
+is written even when the run fails, with an error section.  ``constants``
+may run without an output directory; it then only prints.
 
 Exit codes: 0 success, 1 numerical failure, 2 config error.
 """
@@ -15,7 +18,9 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from contextlib import nullcontext
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -96,7 +101,7 @@ def _operator(cfg: RunConfig):
     return build_operator(cfg.model.kernel, cfg.grid, cfg.quadrature)
 
 
-def cmd_simulate(cfg: RunConfig, out_dir, constants, threads=1):
+def cmd_simulate(cfg: RunConfig, out_dir, constants):
     op = _operator(cfg)
     u0 = initial_state(cfg)
     traj = solve_global(cfg.model, op, u0, cfg.solver, constants)
@@ -130,10 +135,10 @@ def cmd_simulate(cfg: RunConfig, out_dir, constants, threads=1):
     }
 
 
-def cmd_stationary(cfg: RunConfig, out_dir, constants, method=None, threads=1):
+def cmd_stationary(cfg: RunConfig, out_dir, constants, method=None):
     op = _operator(cfg)
     u0 = initial_state(cfg)
-    section = cfg.stationary_section
+    section = cfg.document["stationary"]
     method = method or section["method"]
     if method == "fp":
         result = find_stationary_fp(cfg.model, op, u0, damping=section["damping"],
@@ -155,11 +160,11 @@ def cmd_stationary(cfg: RunConfig, out_dir, constants, method=None, threads=1):
     return {"stationary": payload}
 
 
-def cmd_gainfield(cfg: RunConfig, out_dir, constants, threads=1):
+def cmd_gainfield(cfg: RunConfig, out_dir, constants):
     op = _operator(cfg)
     u0 = initial_state(cfg)
-    section = cfg.gainfield_section
-    stat_section = cfg.stationary_section
+    section = cfg.document["gainfield"]
+    stat_section = cfg.document["stationary"]
     stationary = find_stationary_fp(cfg.model, op, u0, damping=stat_section["damping"],
                                     tol=stat_section["tol"], max_iter=stat_section["max_iter"],
                                     constants=constants)
@@ -201,8 +206,8 @@ def cmd_gainfield(cfg: RunConfig, out_dir, constants, threads=1):
     }
 
 
-def cmd_schrodinger(cfg: RunConfig, out_dir, well=None, lam=None, threads=1):
-    section = cfg.schrodinger_section
+def cmd_schrodinger(cfg: RunConfig, out_dir, constants, well=None, lam=None):
+    section = cfg.document["schrodinger"]
     half_width = section["half_width"]
     height = section["height"]
     if well is not None:
@@ -244,7 +249,7 @@ def _study_initials(cfg: RunConfig, names):
 def cmd_study(cfg: RunConfig, out_dir, constants, study_name, threads=1):
     op = _operator(cfg)
     u0 = initial_state(cfg)
-    section = cfg.study_section
+    section = cfg.document["study"]
 
     if study_name == "plasticity-limit":
         s = section["plasticity"]
@@ -291,7 +296,7 @@ def cmd_study(cfg: RunConfig, out_dir, constants, study_name, threads=1):
     return {"verdict": verdict}
 
 
-def cmd_constants(cfg: RunConfig, constants, out_dir=None, threads=1):
+def cmd_constants(cfg: RunConfig, out_dir, constants):
     rho = cfg.solver.segment_rho or max_segment_length(constants, cfg.model.gamma)
     payload = {
         "constants": constants.to_json(),
@@ -308,50 +313,48 @@ def cmd_constants(cfg: RunConfig, constants, out_dir=None, threads=1):
     return {"constants_report": payload}
 
 
-def run(command: str, cfg: RunConfig, out_dir, study_name=None, threads=1, **kwargs) -> int:
-    """Dispatch a validated config; always writes a manifest when out_dir is set."""
+def run(command: str, cfg: RunConfig, out_dir, study_name=None, threads=1, **options) -> int:
+    """Dispatch a validated config; writes a manifest whenever out_dir is set.
+
+    ``options`` are the command's own keywords (``method`` for stationary,
+    ``well`` and ``lam`` for schrodinger).
+    """
+    # built per call, so the table holds the module's current cmd_* bindings
+    commands = {
+        "simulate": cmd_simulate,
+        "stationary": cmd_stationary,
+        "gainfield": cmd_gainfield,
+        "schrodinger": cmd_schrodinger,
+        "study": partial(cmd_study, study_name=study_name, threads=threads),
+        "constants": cmd_constants,
+    }
     started = time.time()
-    constants = None
-    with output_lock(out_dir) as out:
+    constants = extra = error = None
+    status = EXIT_OK
+    with output_lock(out_dir) if out_dir is not None else nullcontext() as out:
         try:
+            if command not in commands:
+                raise SchemaError([f"command: unknown command {command!r}"])
             # one computation serves every command and the manifest
             constants = compute_constants(cfg.model, cfg.grid)
-            if command == "simulate":
-                extra = cmd_simulate(cfg, out, constants, threads=threads)
-            elif command == "stationary":
-                extra = cmd_stationary(cfg, out, constants, method=kwargs.get("method"),
-                                       threads=threads)
-            elif command == "gainfield":
-                extra = cmd_gainfield(cfg, out, constants, threads=threads)
-            elif command == "schrodinger":
-                extra = cmd_schrodinger(cfg, out, well=kwargs.get("well"),
-                                        lam=kwargs.get("lam"), threads=threads)
-            elif command == "study":
-                extra = cmd_study(cfg, out, constants, study_name, threads=threads)
-            elif command == "constants":
-                extra = cmd_constants(cfg, constants, out, threads=threads)
-            else:
-                raise ValueError(f"unknown command {command!r}")
+            extra = commands[command](cfg, out, constants, **options)
         except SchemaError as exc:
-            _emit_manifest(out, command, cfg, started,
-                           error={"type": "SchemaError", "violations": exc.violations},
-                           threads=threads, constants=constants)
+            error = {"type": "SchemaError", "violations": exc.violations}
             for violation in exc.violations:
                 print(f"config error: {violation}", file=sys.stderr)
-            return EXIT_CONFIG
+            status = EXIT_CONFIG
         except (NeuralFieldError, FloatingPointError, ValueError, RuntimeError) as exc:
-            _emit_manifest(out, command, cfg, started,
-                           error={"type": type(exc).__name__, "message": str(exc)},
-                           threads=threads, constants=constants)
+            error = {"type": type(exc).__name__, "message": str(exc)}
             print(f"numerical failure: {exc}", file=sys.stderr)
-            return EXIT_NUMERICAL
-        _emit_manifest(out, command, cfg, started, extra=extra, threads=threads,
-                       constants=constants)
-        verdict = (extra or {}).get("verdict")
-        if verdict is not None and not verdict["pass"]:
-            print("study verdict: FAIL (measured exceeded bound + slack)", file=sys.stderr)
-            return EXIT_NUMERICAL
-    return EXIT_OK
+            status = EXIT_NUMERICAL
+        if out is not None:
+            _emit_manifest(out, command, cfg, started, extra=extra, error=error,
+                           threads=threads, constants=constants)
+    verdict = (extra or {}).get("verdict")
+    if verdict is not None and not verdict["pass"]:
+        print("study verdict: FAIL (measured exceeded bound + slack)", file=sys.stderr)
+        return EXIT_NUMERICAL
+    return status
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -405,28 +408,14 @@ def main(argv=None) -> int:
         print("config ok")
         return EXIT_OK
 
-    if args.command == "constants" and args.out is None:
-        try:
-            cmd_constants(cfg, compute_constants(cfg.model, cfg.grid))
-        except (NeuralFieldError, ValueError) as exc:
-            print(f"numerical failure: {exc}", file=sys.stderr)
-            return EXIT_NUMERICAL
-        return EXIT_OK
-
-    if args.out is None:
+    if args.out is None and args.command != "constants":
         print("error: --out is required for this command", file=sys.stderr)
         return EXIT_CONFIG
 
-    kwargs = {}
-    if args.command == "stationary":
-        kwargs["method"] = args.method
-    if args.command == "schrodinger":
-        kwargs["well"] = args.well
-        kwargs["lam"] = args.lam
-    study_name = args.name if args.command == "study" else None
+    options = {key: getattr(args, key) for key in ("method", "well", "lam") if hasattr(args, key)}
     try:
-        return run(args.command, cfg, args.out, study_name=study_name,
-                   threads=args.threads, **kwargs)
+        return run(args.command, cfg, args.out, study_name=getattr(args, "name", None),
+                   threads=args.threads, **options)
     except RuntimeError as exc:
         # lock contention surfaces here, before any manifest can exist
         print(f"error: {exc}", file=sys.stderr)

@@ -1,10 +1,13 @@
-"""Run configuration: JSON schema, defaults, env overrides, validation.
+"""Run configuration: one schema table of keys, defaults and rules.
 
-A config document is merged over the defaults below, checked key by key
-(unknown keys are errors, every violation is collected before failing), and
-turned into constructed model/grid/solver objects.  Environment variables
-prefixed ``NF_`` override single values by their uppercased key path, e.g.
-``NF_MODEL_GAMMA=0.5`` or ``NF_SOLVER_PICARD_TOL=1e-8``.
+``SCHEMA`` is the single list of config keys, each with its default and its
+rule; ``DEFAULT_CONFIG`` is derived from it.  One walk over the table fills
+defaults, applies ``NF_`` environment overrides named by the uppercased key
+path (``NF_MODEL_GAMMA=0.5``, ``NF_SOLVER_PICARD_TOL=1e-8``), reports unknown
+keys and checks every leaf.  A section that sets ``kind`` without ``params``
+takes that kind's default params.  Rules tying keys together live only in
+the model, grid, quadrature and solver constructors, whose errors become
+violations too.
 """
 
 from __future__ import annotations
@@ -17,103 +20,192 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretization import FieldState, Grid, Quadrature, make_quadrature
+from .discretization import (BOUNDARIES, QUADRATURE_RULES, FieldState, Grid, Quadrature,
+                             make_quadrature)
 from .errors import ParseError, SchemaError
-from .model import (
-    FIRING_KINDS,
-    KERNEL_KINDS,
-    LEARNING_KINDS,
-    MODEL_MODES,
-    FiringRate,
-    LearningKernel,
-    ModelSpec,
-    SynapticKernel,
-)
+from .model import FIRING_KINDS, KERNEL_KINDS, LEARNING_KINDS, MODEL_MODES, ModelSpec
 from .solver import SOLVER_METHODS, SolverConfig
 
 ENV_PREFIX = "NF_"
 
-DEFAULT_CONFIG = {
-    "model": {
-        "kernel": {"kind": "exponential", "params": {"amplitude": 0.5, "decay": 1.0}},
-        "firing": {"kind": "sigmoid", "params": {"slope": 1.0, "threshold": 0.0}},
-        "learning": {"kind": "gaussian", "params": {"width": 1.0}},
-        "gamma": 1.0,
-        "mode": "well-posed",
-    },
-    "grid": {"bounds": [[-10.0, 10.0]], "nodes": [401], "boundary": "compact"},
-    "quadrature": "trapezoid",
-    "solver": {
-        "method": "exp-euler",
-        "dt": 0.05,
-        "t_end": 10.0,
-        "segment_rho": None,
-        "picard_tol": 1e-10,
-        "picard_max_iter": 200,
-    },
-    "initial": {"kind": "gaussian-bump", "params": {"amplitude": 0.5, "center": 0.0, "width": 2.0}},
-    "seed": 12345,
-    "stationary": {
-        "method": "fp",
-        "damping": 0.5,
-        "tol": 1e-9,
-        "max_iter": 5000,
-        "t_max": 500.0,
-        "settle_tol": 1e-8,
-        "dt": 0.1,
-    },
-    "gainfield": {
-        "lambda": 1.0,
-        "half_width": 1.0,
-        "k_pre": 1.0,
-        "sign": "plus",
-        "n_eigs": 12,
-        "crosscheck_box": 20.0,
-        "crosscheck_nodes": 2001,
-    },
-    "schrodinger": {
-        "half_width": 1.0,
-        "height": 2.0,
-        "box": 20.0,
-        "nodes": 2001,
-        "n_states": 4,
-        "lambda": None,
-    },
-    "study": {
-        "plasticity": {
-            "gamma_list": [0.4, 0.2, 0.1, 0.05, 0.025],
-            "t_end": 10.0,
-            "dt": 0.05,
-            "method": "rk4",
-            "slack": 0.0,
-        },
-        "dependence": {"eps_list": [0.2, 0.1, 0.05], "rho": None, "dt": 0.001, "slack_coeff": 10.0},
-        "contraction": {"n_pairs": 200, "rho": None, "time_steps": 8, "slack": 0.01},
-        # the stated L1 bound carries no (1 + gamma) factor, so it is a theorem
-        # only without plasticity or below firing saturation; the default study
-        # isolates the unconditional case (set "gamma": null to inherit the
-        # model's value)
-        "l1": {"t_end": 20.0, "dt": 0.05, "slack": 1e-6, "gamma": 0.0,
-               "initials": ["zero", "step", "initial"]},
-    },
-}
 
-# keys whose values are free-form and are validated by the constructors instead
-_OPEN_SECTIONS = {
-    ("model", "kernel", "params"),
-    ("model", "firing", "params"),
-    ("model", "learning", "params"),
-    ("initial", "params"),
-}
+def _is_number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
-INITIAL_KINDS = ("zero", "constant", "gaussian-bump", "step")
 
-_INITIAL_DEFAULTS = {
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+# A rule is (predicate, what): a value failing the predicate is reported as
+# "<dotted path>: must be <what>".
+POSITIVE = (lambda x: _is_number(x) and x > 0, "a positive number")
+NONNEGATIVE = (lambda x: _is_number(x) and x >= 0, "a nonnegative number")
+UNIT_INTERVAL = (lambda x: _is_number(x) and 0 < x <= 1, "a number in (0, 1]")
+COUNT = (lambda x: _is_int(x) and x >= 1, "a positive integer")
+NODE_COUNT = (lambda x: _is_int(x) and x >= 3, "an integer >= 3")
+SEED = (lambda x: _is_int(x) and x >= 0, "a nonnegative integer")
+PAIR = (lambda x: isinstance(x, list) and len(x) == 2 and all(_is_number(v) for v in x),
+        "a pair of numbers [lo, hi]")
+# free-form params, checked by the constructors of their kind
+OPEN = (lambda x: isinstance(x, dict), "an object")
+
+
+def _one_of(options):
+    return (lambda x: x in options, f"one of {list(options)}")
+
+
+def _nullable(rule):
+    predicate, what = rule
+    return (lambda x: x is None or predicate(x), f"null or {what}")
+
+
+def _list_of(rule):
+    predicate, what = rule
+    return (lambda x: isinstance(x, list) and len(x) > 0 and all(predicate(v) for v in x),
+            f"a nonempty list, each entry {what}")
+
+
+DESCENDING = (lambda x: isinstance(x, list) and len(x) >= 2 and all(POSITIVE[0](v) for v in x)
+              and x == sorted(x, reverse=True),
+              "a descending list of at least two positive numbers")
+
+INITIAL_DEFAULTS = {
     "zero": {},
     "constant": {"value": 0.2},
     "gaussian-bump": {"amplitude": 0.5, "center": 0.0, "width": 2.0},
     "step": {"low": 0.0, "high": 1.0, "split": None},
 }
+
+SCHEMA = {
+    "model": {
+        "kernel": {"kind": ("exponential", _one_of(KERNEL_KINDS)),
+                   "params": ({"amplitude": 0.5, "decay": 1.0}, OPEN)},
+        "firing": {"kind": ("sigmoid", _one_of(FIRING_KINDS)),
+                   "params": ({"slope": 1.0, "threshold": 0.0}, OPEN)},
+        "learning": {"kind": ("gaussian", _one_of(LEARNING_KINDS)),
+                     "params": ({"width": 1.0}, OPEN)},
+        "gamma": (1.0, NONNEGATIVE),
+        "mode": ("well-posed", _one_of(MODEL_MODES)),
+    },
+    "grid": {
+        "bounds": ([[-10.0, 10.0]], _list_of(PAIR)),
+        "nodes": ([401], _list_of(NODE_COUNT)),
+        "boundary": ("compact", _one_of(BOUNDARIES)),
+    },
+    "quadrature": ("trapezoid", _one_of(QUADRATURE_RULES)),
+    "solver": {
+        "method": ("exp-euler", _one_of(SOLVER_METHODS)),
+        "dt": (0.05, POSITIVE),
+        "t_end": (10.0, POSITIVE),
+        "segment_rho": (None, _nullable(POSITIVE)),
+        "picard_tol": (1e-10, POSITIVE),
+        "picard_max_iter": (200, COUNT),
+    },
+    "initial": {"kind": ("gaussian-bump", _one_of(tuple(INITIAL_DEFAULTS))),
+                "params": (dict(INITIAL_DEFAULTS["gaussian-bump"]), OPEN)},
+    "seed": (12345, SEED),
+    "stationary": {
+        "method": ("fp", _one_of(("fp", "flow"))),
+        "damping": (0.5, UNIT_INTERVAL),
+        "tol": (1e-9, POSITIVE),
+        "max_iter": (5000, COUNT),
+        "t_max": (500.0, POSITIVE),
+        "settle_tol": (1e-8, POSITIVE),
+        "dt": (0.1, POSITIVE),
+    },
+    "gainfield": {
+        "lambda": (1.0, POSITIVE),
+        "half_width": (1.0, POSITIVE),
+        "k_pre": (1.0, POSITIVE),
+        "sign": ("plus", _one_of(("plus", "minus"))),
+        "n_eigs": (12, COUNT),
+        "crosscheck_box": (20.0, POSITIVE),
+        "crosscheck_nodes": (2001, NODE_COUNT),
+    },
+    "schrodinger": {
+        "half_width": (1.0, POSITIVE),
+        "height": (2.0, NONNEGATIVE),
+        "box": (20.0, POSITIVE),
+        "nodes": (2001, NODE_COUNT),
+        "n_states": (4, COUNT),
+        "lambda": (None, _nullable(POSITIVE)),
+    },
+    "study": {
+        "plasticity": {
+            "gamma_list": ([0.4, 0.2, 0.1, 0.05, 0.025], DESCENDING),
+            "t_end": (10.0, POSITIVE),
+            "dt": (0.05, POSITIVE),
+            "method": ("rk4", _one_of(SOLVER_METHODS)),
+            "slack": (0.0, NONNEGATIVE),
+        },
+        "dependence": {
+            "eps_list": ([0.2, 0.1, 0.05], _list_of(NONNEGATIVE)),
+            "rho": (None, _nullable(POSITIVE)),
+            "dt": (0.001, POSITIVE),
+            "slack_coeff": (10.0, NONNEGATIVE),
+        },
+        "contraction": {
+            "n_pairs": (200, COUNT),
+            "rho": (None, _nullable(POSITIVE)),
+            "time_steps": (8, COUNT),
+            "slack": (0.01, NONNEGATIVE),
+        },
+        # the L1 bound has no (1 + gamma) factor, so the default isolates the
+        # unconditional gamma = 0 case; null inherits the model's gamma
+        "l1": {
+            "t_end": (20.0, POSITIVE),
+            "dt": (0.05, POSITIVE),
+            "slack": (1e-6, NONNEGATIVE),
+            "gamma": (0.0, _nullable(NONNEGATIVE)),
+            "initials": (["zero", "step", "initial"], _list_of(_one_of(("zero", "step", "initial")))),
+        },
+    },
+}
+
+
+def _overrides(env, path, keys):
+    """The NF_ overrides of the children ``keys`` of ``path``, parsed as JSON
+    where possible; each variable used is removed from ``env``."""
+    found = {}
+    for key in keys:
+        raw = env.pop(ENV_PREFIX + "_".join(path + (key,)).upper(), None)
+        if raw is not None:
+            try:
+                found[key] = json.loads(raw)
+            except json.JSONDecodeError:
+                found[key] = raw
+    return found
+
+
+def _walk(schema, given, path, env, violations):
+    """``given`` merged over the defaults of ``schema`` with the NF_ overrides
+    in ``env`` applied; unknown keys and failed leaf rules become violations."""
+    if not isinstance(given, dict):
+        violations.append(f"{'.'.join(path) or '<root>'}: expected an object")
+        given = {}
+    given = {**given, **_overrides(env, path, schema)}
+    if "kind" in given and "params" in schema and "params" not in given:
+        given["params"] = {}  # the constructors fill the new kind's defaults
+    for key in sorted(set(given) - set(schema)):
+        violations.append(f"{'.'.join(path + (key,))}: unknown key")
+    doc = {}
+    for key, spec in schema.items():
+        here = path + (key,)
+        if isinstance(spec, dict):
+            doc[key] = _walk(spec, given.get(key, {}), here, env, violations)
+            continue
+        default, (predicate, what) = spec
+        value = copy.deepcopy(given.get(key, default))
+        if spec[1] is OPEN and isinstance(value, dict):
+            value.update(_overrides(env, here, value))
+        if not predicate(value):
+            violations.append(f"{'.'.join(here)}: must be {what}")
+        doc[key] = value
+    return doc
+
+
+DEFAULT_CONFIG = _walk(SCHEMA, {}, (), {}, [])
 
 
 @dataclass
@@ -127,255 +219,39 @@ class RunConfig:
     seed: int
     document: dict
 
-    @property
-    def initial_section(self) -> dict:
-        return self.document["initial"]
 
-    @property
-    def stationary_section(self) -> dict:
-        return self.document["stationary"]
-
-    @property
-    def gainfield_section(self) -> dict:
-        return self.document["gainfield"]
-
-    @property
-    def schrodinger_section(self) -> dict:
-        return self.document["schrodinger"]
-
-    @property
-    def study_section(self) -> dict:
-        return self.document["study"]
-
-
-def _merge(defaults, user, path, violations):
-    """Defaults overlaid with the user document; unknown keys are violations."""
-    if not isinstance(user, dict):
-        violations.append(f"{'.'.join(path) or '<root>'}: expected an object")
-        return copy.deepcopy(defaults)
-    merged = {}
-    for key, default_value in defaults.items():
-        if key in user:
-            value = user[key]
-            here = path + (key,)
-            if isinstance(default_value, dict) and here not in _OPEN_SECTIONS:
-                merged[key] = _merge(default_value, value, here, violations)
-            else:
-                merged[key] = copy.deepcopy(value)
-        else:
-            merged[key] = copy.deepcopy(default_value)
-    for key in user:
-        if key not in defaults:
-            dotted = ".".join(path + (key,))
-            violations.append(f"{dotted}: unknown key")
-    return merged
-
-
-def _env_overrides(doc, environ, violations):
-    for name, raw in sorted(environ.items()):
-        if not name.startswith(ENV_PREFIX):
-            continue
-        tokens = name[len(ENV_PREFIX):].lower().split("_")
-        node = doc
-        parents = []
-        while tokens:
-            if not isinstance(node, dict):
-                break
-            # greedy longest match against keys containing underscores
-            match = None
-            for take in range(len(tokens), 0, -1):
-                candidate = "_".join(tokens[:take])
-                if candidate in node:
-                    match = (candidate, take)
-                    break
-            if match is None:
-                break
-            key, take = match
-            parents.append((node, key))
-            node = node[key]
-            tokens = tokens[take:]
-        if tokens or not parents:
-            violations.append(f"environment override {name}: no matching config key")
-            continue
-        holder, key = parents[-1]
-        try:
-            holder[key] = json.loads(raw)
-        except json.JSONDecodeError:
-            holder[key] = raw
-    return doc
-
-
-def _require(cond, violations, path, message):
-    if not cond:
-        violations.append(f"{path}: {message}")
-    return cond
-
-
-def _is_number(x):
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
-
-
-def validate_document(doc: dict) -> list:
-    """Every schema violation in the merged document, as 'path: message' strings."""
-    v = []
-
-    model = doc["model"]
-    _require(model["kernel"]["kind"] in KERNEL_KINDS, v, "model.kernel.kind",
-             f"must be one of {list(KERNEL_KINDS)}")
-    _require(model["firing"]["kind"] in FIRING_KINDS, v, "model.firing.kind",
-             f"must be one of {list(FIRING_KINDS)}")
-    _require(model["learning"]["kind"] in LEARNING_KINDS, v, "model.learning.kind",
-             f"must be one of {list(LEARNING_KINDS)}")
-    _require(_is_number(model["gamma"]) and model["gamma"] >= 0, v, "model.gamma",
-             "must be a nonnegative number")
-    mode_ok = _require(model["mode"] in MODEL_MODES, v, "model.mode",
-                       f"must be one of {list(MODEL_MODES)}")
-    if mode_ok and model["mode"] == "well-posed" and model["firing"]["kind"] == "linear":
-        v.append("model.firing.kind: linear firing is unbounded and only admitted "
-                 "when model.mode is 'gain-field'")
-
-    grid = doc["grid"]
-    bounds = grid["bounds"]
-    nodes = grid["nodes"]
-    bounds_ok = _require(isinstance(bounds, list) and 1 <= len(bounds) <= 2
-                         and all(isinstance(b, list) and len(b) == 2
-                                 and all(_is_number(x) for x in b) and b[0] < b[1]
-                                 for b in bounds),
-                         v, "grid.bounds", "must be 1 or 2 pairs [lo, hi] with lo < hi")
-    nodes_ok = _require(isinstance(nodes, list)
-                        and all(isinstance(n, int) and n >= 3 for n in nodes),
-                        v, "grid.nodes", "must be integers >= 3, one per axis")
-    if bounds_ok and nodes_ok:
-        _require(len(nodes) == len(bounds), v, "grid.nodes", "needs one entry per axis")
-    _require(grid["boundary"] in ("compact", "periodic"), v, "grid.boundary",
-             "must be 'compact' or 'periodic'")
-
-    quad = doc["quadrature"]
-    quad_ok = _require(quad in ("trapezoid", "simpson"), v, "quadrature",
-                       "must be 'trapezoid' or 'simpson'")
-    if quad_ok and quad == "simpson":
-        if grid["boundary"] == "periodic":
-            v.append("quadrature: simpson is not defined on periodic grids")
-        elif nodes_ok and any(n % 2 == 0 for n in nodes):
-            v.append("quadrature: simpson requires an odd node count per axis")
-
-    solver = doc["solver"]
-    _require(solver["method"] in SOLVER_METHODS, v, "solver.method",
-             f"must be one of {list(SOLVER_METHODS)}")
-    dt_ok = _require(_is_number(solver["dt"]) and solver["dt"] > 0, v, "solver.dt",
-                     "must be a positive number")
-    _require(_is_number(solver["t_end"]) and solver["t_end"] > 0, v, "solver.t_end",
-             "must be a positive number")
-    rho = solver["segment_rho"]
-    if rho is not None:
-        rho_ok = _require(_is_number(rho) and rho > 0, v, "solver.segment_rho",
-                          "must be null or a positive number")
-        if rho_ok and dt_ok and solver["dt"] > rho:
-            v.append("solver.dt: must not exceed solver.segment_rho")
-    _require(_is_number(solver["picard_tol"]) and solver["picard_tol"] > 0, v,
-             "solver.picard_tol", "must be a positive number")
-    _require(isinstance(solver["picard_max_iter"], int) and solver["picard_max_iter"] >= 1,
-             v, "solver.picard_max_iter", "must be a positive integer")
-
-    initial = doc["initial"]
-    _require(initial["kind"] in INITIAL_KINDS, v, "initial.kind",
-             f"must be one of {list(INITIAL_KINDS)}")
-
-    _require(isinstance(doc["seed"], int), v, "seed", "must be an integer")
-
-    stat = doc["stationary"]
-    _require(stat["method"] in ("fp", "flow"), v, "stationary.method", "must be 'fp' or 'flow'")
-    _require(_is_number(stat["damping"]) and 0 < stat["damping"] <= 1, v,
-             "stationary.damping", "must lie in (0, 1]")
-    for key in ("tol", "settle_tol", "t_max", "dt"):
-        _require(_is_number(stat[key]) and stat[key] > 0, v, f"stationary.{key}",
-                 "must be a positive number")
-    _require(isinstance(stat["max_iter"], int) and stat["max_iter"] >= 1, v,
-             "stationary.max_iter", "must be a positive integer")
-
-    gf = doc["gainfield"]
-    _require(_is_number(gf["lambda"]) and gf["lambda"] > 0, v, "gainfield.lambda",
-             "must be a positive number")
-    _require(_is_number(gf["half_width"]) and gf["half_width"] > 0, v,
-             "gainfield.half_width", "must be a positive number")
-    _require(_is_number(gf["k_pre"]) and gf["k_pre"] > 0, v, "gainfield.k_pre",
-             "must be a positive number")
-    _require(gf["sign"] in ("plus", "minus"), v, "gainfield.sign", "must be 'plus' or 'minus'")
-    _require(isinstance(gf["n_eigs"], int) and gf["n_eigs"] >= 1, v, "gainfield.n_eigs",
-             "must be a positive integer")
-    _require(_is_number(gf["crosscheck_box"]) and gf["crosscheck_box"] > 0, v,
-             "gainfield.crosscheck_box", "must be a positive number")
-    _require(isinstance(gf["crosscheck_nodes"], int) and gf["crosscheck_nodes"] >= 3, v,
-             "gainfield.crosscheck_nodes", "must be an integer >= 3")
-
-    sch = doc["schrodinger"]
-    _require(_is_number(sch["half_width"]) and sch["half_width"] > 0, v,
-             "schrodinger.half_width", "must be a positive number")
-    _require(_is_number(sch["height"]) and sch["height"] >= 0, v, "schrodinger.height",
-             "must be a nonnegative number")
-    _require(_is_number(sch["box"]) and sch["box"] > 0, v, "schrodinger.box",
-             "must be a positive number")
-    _require(isinstance(sch["nodes"], int) and sch["nodes"] >= 3, v, "schrodinger.nodes",
-             "must be an integer >= 3")
-    _require(isinstance(sch["n_states"], int) and sch["n_states"] >= 1, v,
-             "schrodinger.n_states", "must be a positive integer")
-    if sch["lambda"] is not None:
-        _require(_is_number(sch["lambda"]) and sch["lambda"] > 0, v, "schrodinger.lambda",
-                 "must be null or a positive number")
-
-    study = doc["study"]
-    pl = study["plasticity"]
-    gl = pl["gamma_list"]
-    gl_ok = _require(isinstance(gl, list) and len(gl) >= 2
-                     and all(_is_number(g) and g > 0 for g in gl),
-                     v, "study.plasticity.gamma_list", "must be a list of positive numbers")
-    if gl_ok:
-        _require(sorted(gl, reverse=True) == gl, v, "study.plasticity.gamma_list",
-                 "must be descending")
-    _require(pl["method"] in SOLVER_METHODS, v, "study.plasticity.method",
-             f"must be one of {list(SOLVER_METHODS)}")
-    ep = study["dependence"]["eps_list"]
-    _require(isinstance(ep, list) and all(_is_number(e) and e >= 0 for e in ep), v,
-             "study.dependence.eps_list", "must be a list of nonnegative numbers")
-    _require(isinstance(study["contraction"]["n_pairs"], int)
-             and study["contraction"]["n_pairs"] >= 1, v,
-             "study.contraction.n_pairs", "must be a positive integer")
-    _require(isinstance(study["contraction"]["time_steps"], int)
-             and study["contraction"]["time_steps"] >= 1, v,
-             "study.contraction.time_steps", "must be a positive integer")
-    inits = study["l1"]["initials"]
-    _require(isinstance(inits, list)
-             and all(i in ("zero", "step", "initial") for i in inits), v,
-             "study.l1.initials", "entries must be 'zero', 'step' or 'initial'")
-    l1_gamma = study["l1"]["gamma"]
-    if l1_gamma is not None:
-        _require(_is_number(l1_gamma) and l1_gamma >= 0, v, "study.l1.gamma",
-                 "must be null or a nonnegative number")
-
-    return v
+def _construct(section, violations, build, *args):
+    """build(*args), or None with its error recorded as a violation of ``section``."""
+    try:
+        return build(*args)
+    except (ValueError, TypeError) as exc:
+        violations.append(f"{section}: {exc}")
+        return None
 
 
 def build_config(user_doc: dict, environ=None) -> RunConfig:
     """Merge, override, validate, and construct a RunConfig."""
     violations = []
-    doc = _merge(DEFAULT_CONFIG, user_doc, (), violations)
-    if environ is None:
-        environ = os.environ
-    _env_overrides(doc, environ, violations)
-    violations.extend(validate_document(doc))
+    env = {name.upper(): raw for name, raw in (os.environ if environ is None else environ).items()
+           if name.startswith(ENV_PREFIX)}
+    doc = _walk(SCHEMA, user_doc, (), env, violations)
+    violations.extend(f"environment override {name}: no matching config key" for name in sorted(env))
     if violations:
         raise SchemaError(violations)
 
-    model = ModelSpec.from_json(doc["model"])
-    grid = Grid(bounds=doc["grid"]["bounds"], npts=doc["grid"]["nodes"],
-                boundary=doc["grid"]["boundary"])
-    quadrature = make_quadrature(grid, doc["quadrature"])
-    s = doc["solver"]
-    solver = SolverConfig(method=s["method"], dt=s["dt"], t_end=s["t_end"],
-                          segment_rho=s["segment_rho"], picard_tol=s["picard_tol"],
-                          picard_max_iter=s["picard_max_iter"])
-    return RunConfig(model=model, grid=grid, quadrature=quadrature, solver=solver,
-                     seed=doc["seed"], document=doc)
+    g = doc["grid"]
+    model = _construct("model", violations, ModelSpec.from_json, doc["model"])
+    grid = _construct("grid", violations, Grid, g["bounds"], g["nodes"], g["boundary"])
+    solver = _construct("solver", violations, lambda s: SolverConfig(**s), doc["solver"])
+    cfg = RunConfig(model=model, grid=grid, quadrature=None, solver=solver,
+                    seed=doc["seed"], document=doc)
+    if grid is not None:
+        cfg.quadrature = _construct("quadrature", violations, make_quadrature, grid,
+                                    doc["quadrature"])
+        _construct("initial", violations, initial_state, cfg)
+    if violations:
+        raise SchemaError(violations)
+    return cfg
 
 
 def parse_config(path, environ=None) -> RunConfig:
@@ -396,13 +272,12 @@ def parse_config(path, environ=None) -> RunConfig:
 
 def initial_state(cfg: RunConfig, kind: str | None = None, params: dict | None = None) -> FieldState:
     """Build the initial field from the config's initial section (or overrides)."""
-    section = cfg.initial_section
+    section = cfg.document["initial"]
     kind = kind or section["kind"]
-    if kind not in INITIAL_KINDS:
+    if kind not in INITIAL_DEFAULTS:
         raise ValueError(f"unknown initial kind {kind!r}")
-    merged = dict(_INITIAL_DEFAULTS[kind])
-    merged.update(section.get("params", {}) if params is None else params)
-    extra = set(merged) - set(_INITIAL_DEFAULTS[kind])
+    merged = {**INITIAL_DEFAULTS[kind], **(section["params"] if params is None else params)}
+    extra = set(merged) - set(INITIAL_DEFAULTS[kind])
     if extra:
         raise ValueError(f"initial kind {kind!r} got unexpected params {sorted(extra)}")
     pts = cfg.grid.points

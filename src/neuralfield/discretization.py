@@ -90,7 +90,7 @@ class Grid:
         pts.flags.writeable = False
         return pts
 
-    @property
+    @cached_property
     def n_total(self) -> int:
         return int(np.prod(self.npts))
 
@@ -332,13 +332,6 @@ def build_operator(kernel: SynapticKernel, grid: Grid, quad: Quadrature) -> Disc
     return DiscreteOperator(kernel=kernel, grid=grid, quadrature=quad, spectrum=spectrum)
 
 
-def _as_values(state, n: int) -> np.ndarray:
-    values = state.values if isinstance(state, FieldState) else np.asarray(state, dtype=float)
-    if values.shape != (n,):
-        raise ValueError(f"state has {values.shape} values, grid has {n} nodes")
-    return values
-
-
 # Bernstein-ellipse parameters rho over which the interpolation bound is
 # minimised, and the error the plasticity rank is chosen to reach.
 _RHO = 1.0 + np.geomspace(1e-3, 1e4, 600)
@@ -448,6 +441,8 @@ def separable_apply_j(model: ModelSpec, op: DiscreteOperator, values: np.ndarray
 
 def apply_j_values(model: ModelSpec, op: DiscreteOperator, values: np.ndarray) -> np.ndarray:
     """Nonlinear input term: sum_j W[i,j] * (1 + gamma*g(u_i - u_j)) * f(u_j)."""
+    if values.shape != (op.grid.n_total,):
+        raise ValueError(f"state has {values.shape} values, grid has {op.grid.n_total} nodes")
     rank = plasticity_rank(model, op, values)
     if rank is None:
         return dense_apply_j(model, op, values)
@@ -459,12 +454,3 @@ def apply_j_values(model: ModelSpec, op: DiscreteOperator, values: np.ndarray) -
 def apply_f_values(model: ModelSpec, op: DiscreteOperator, values: np.ndarray) -> np.ndarray:
     """Right-hand side of the evolution: -u + (input term)."""
     return apply_j_values(model, op, values) - values
-
-
-def apply_J(model: ModelSpec, op: DiscreteOperator, state) -> np.ndarray:
-    """Public entry point; accepts a FieldState or a plain vector."""
-    return apply_j_values(model, op, _as_values(state, op.grid.n_total))
-
-
-def apply_F(model: ModelSpec, op: DiscreteOperator, state) -> np.ndarray:
-    return apply_f_values(model, op, _as_values(state, op.grid.n_total))

@@ -56,19 +56,40 @@ def sha256_file(path) -> str:
     return digest.hexdigest()
 
 
+def _holder_is_dead(lock_path) -> bool:
+    """True when the lock file names a process that no longer exists."""
+    try:
+        os.kill(int(Path(lock_path).read_text()), 0)
+    except ProcessLookupError:
+        return True
+    except (OSError, ValueError, OverflowError):
+        pass  # unreadable, still being written, or a live process of another user
+    return False
+
+
 @contextlib.contextmanager
 def output_lock(out_dir):
-    """Exclusive ownership of an output directory via a lock file."""
+    """Exclusive ownership of an output directory via a lock file.
+
+    A lock whose recorded pid is dead was left by a killed run and is taken
+    over.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     lock_path = out_dir / ".lock"
-    try:
-        fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        raise RuntimeError(
-            f"output directory {out_dir} is locked by another run "
-            f"(remove {lock_path} if that run is dead)"
-        ) from None
+    for attempt in range(2):
+        try:
+            fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            break
+        except FileExistsError:
+            if attempt == 0 and _holder_is_dead(lock_path):
+                with contextlib.suppress(FileNotFoundError):
+                    os.unlink(lock_path)
+                continue
+            raise RuntimeError(
+                f"output directory {out_dir} is locked by another run "
+                f"(remove {lock_path} if that run is dead)"
+            ) from None
     try:
         os.write(fd, str(os.getpid()).encode())
         os.close(fd)

@@ -13,6 +13,7 @@ need (sup norms, L1 norms, Lipschitz constants) lives here.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -49,6 +50,8 @@ def _fill_params(kind, params, defaults, what):
         raise ValueError(f"{what} {kind!r} got unexpected params {sorted(extra)}")
     merged = dict(known)
     merged.update(params)
+    if kind != "tabulated" and not all(isinstance(v, numbers.Real) for v in merged.values()):
+        raise ValueError(f"{what} {kind!r} params must be numbers")
     return merged
 
 
@@ -266,7 +269,6 @@ class TheoryConstants:
 
     kernel_sup          sup |w|
     kernel_l1_sup       sup over x of the L1 norm of w(x, .) on the domain
-    kernel_l1_lipschitz Lipschitz constant of x -> w(x, .) in L1 (diagnostic)
     firing_lipschitz    sup |f'|
     learning_lipschitz  sup |g'|
     method              'analytic' when every constant with a closed form used
@@ -275,14 +277,12 @@ class TheoryConstants:
 
     kernel_sup: float
     kernel_l1_sup: float
-    kernel_l1_lipschitz: float
     firing_lipschitz: float
     learning_lipschitz: float
     method: str = "analytic"
 
     def __post_init__(self):
-        for name in ("kernel_sup", "kernel_l1_sup", "kernel_l1_lipschitz",
-                     "firing_lipschitz", "learning_lipschitz"):
+        for name in ("kernel_sup", "kernel_l1_sup", "firing_lipschitz", "learning_lipschitz"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
 
@@ -290,26 +290,10 @@ class TheoryConstants:
         return {
             "kernel_sup": self.kernel_sup,
             "kernel_l1_sup": self.kernel_l1_sup,
-            "kernel_l1_lipschitz": self.kernel_l1_lipschitz,
             "firing_lipschitz": self.firing_lipschitz,
             "learning_lipschitz": self.learning_lipschitz,
             "method": self.method,
         }
-
-
-def eval_firing(firing: FiringRate, s):
-    """Evaluate the firing rate at potential s."""
-    return firing(s)
-
-
-def eval_learning(learning: LearningKernel, d):
-    """Evaluate the learning kernel at potential difference d."""
-    return learning(d)
-
-
-def eval_kernel(kernel: SynapticKernel, x, y):
-    """Evaluate the synaptic kernel at a pair of points."""
-    return kernel.evaluate(x, y)
 
 
 def _analytic_l1_sup(kernel: SynapticKernel, grid) -> float | None:
@@ -375,47 +359,28 @@ def compute_constants(model: ModelSpec, grid) -> TheoryConstants:
 
     Closed forms are preferred whenever the kind admits one (they remove
     discretization bias from the bound checks); everything else falls back
-    to grid suprema, which under-approximate the true values.
+    to grid suprema, which under-approximate the true values.  The n x n
+    kernel matrix is formed only for those fallbacks.
     """
-    from .discretization import kernel_matrix
-
-    w = kernel_matrix(model.kernel, grid)
-    absw = np.abs(w)
-
-    sup_analytic = _analytic_sup(model.kernel)
-    kernel_sup = sup_analytic if sup_analytic is not None else float(absw.max())
-
+    kernel_sup = _analytic_sup(model.kernel)
     l1_analytic = _analytic_l1_sup(model.kernel, grid)
-    kernel_l1_sup = l1_analytic if l1_analytic is not None else _grid_l1_lower_sum(absw, grid)
+    kernel_l1_sup = l1_analytic
+    if kernel_sup is None or l1_analytic is None:
+        from .discretization import kernel_matrix
 
-    # L1-Lipschitz constant of x -> w(x,.), estimated from adjacent node rows;
-    # reported as a diagnostic, never consumed by a bound.
-    quad_w = _plain_weights(grid)
-    pts = grid.points
-    l1_diffs = (np.abs(w[1:] - w[:-1]) * quad_w[None, :]).sum(axis=1)
-    step = np.linalg.norm(pts[1:] - pts[:-1], axis=1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratios = np.where(step > 0, l1_diffs / step, 0.0)
-    kernel_l1_lipschitz = float(ratios.max()) if ratios.size else 0.0
+        absw = np.abs(kernel_matrix(model.kernel, grid))
+        if kernel_sup is None:
+            kernel_sup = float(absw.max())
+        if kernel_l1_sup is None:
+            kernel_l1_sup = _grid_l1_lower_sum(absw, grid)
 
-    firing_lipschitz = model.firing.lipschitz
-    learning_lipschitz = model.learning.lipschitz
-
-    method = "analytic" if l1_analytic is not None else "grid-estimated"
     return TheoryConstants(
         kernel_sup=kernel_sup,
         kernel_l1_sup=kernel_l1_sup,
-        kernel_l1_lipschitz=kernel_l1_lipschitz,
-        firing_lipschitz=firing_lipschitz,
-        learning_lipschitz=learning_lipschitz,
-        method=method,
+        firing_lipschitz=model.firing.lipschitz,
+        learning_lipschitz=model.learning.lipschitz,
+        method="analytic" if l1_analytic is not None else "grid-estimated",
     )
-
-
-def _plain_weights(grid) -> np.ndarray:
-    from .discretization import make_quadrature
-
-    return make_quadrature(grid, "trapezoid").weights
 
 
 def estimate_lipschitz(fn, lo: float, hi: float, n: int = 4001) -> float:

@@ -10,21 +10,55 @@ import math
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from neuralfield.model import eval_firing, eval_kernel, eval_learning
+
+def _kernel(kernel, x, y, index):
+    """w(x, y) from the closed form of the kind; tabulated by node index."""
+    p = kernel.params
+    if kernel.kind == "tabulated":
+        return float(p["matrix"][index[tuple(x)], index[tuple(y)]])
+    d = math.dist(x, y)
+    if kernel.kind == "exponential":
+        return p["amplitude"] * math.exp(-p["decay"] * d)
+    z = d / p["scale"]
+    return (1.0 - z) * math.exp(-z)
+
+
+def _firing(firing, s):
+    p = firing.params
+    if firing.kind == "sigmoid":
+        z = p["slope"] * (s - p["threshold"])
+        return 1.0 / (1.0 + math.exp(-z)) if z >= 0 else math.exp(z) / (1.0 + math.exp(z))
+    if firing.kind == "scaled-arctan":
+        return 0.5 + math.atan(p["scale"] * s) / math.pi
+    if firing.kind == "linear":
+        return s
+    return min(max(p["slope"] * (s - p["threshold"]), 0.0), 1.0)
+
+
+def _learning(learning, d):
+    z = d / learning.params["width"]
+    return math.exp(-z * z)
 
 
 def brute_force_apply_j(model, grid, quad, u):
-    """O(n^2) direct summation with unfused scalar arithmetic."""
+    """O(n^2) direct summation with unfused scalar arithmetic.
+
+    w, f and g come from scalar ``math`` closed forms of their kinds, not
+    from the package's callables.
+    """
     n = grid.n_total
-    pts = grid.points
+    pts = [tuple(float(c) for c in p) for p in grid.points]
+    index = {}
+    if model.kernel.kind == "tabulated":
+        nodes = np.atleast_2d(np.asarray(model.kernel.params["nodes"], dtype=float).T).T
+        index = {tuple(float(c) for c in node): k for k, node in enumerate(nodes)}
     out = []
     for i in range(n):
         acc = 0.0
         for j in range(n):
-            wij = eval_kernel(model.kernel, pts[i], pts[j])
-            term = wij * float(quad.weights[j])
-            term = term * (1.0 + model.gamma * eval_learning(model.learning, float(u[i] - u[j])))
-            term = term * eval_firing(model.firing, float(u[j]))
+            term = _kernel(model.kernel, pts[i], pts[j], index) * float(quad.weights[j])
+            term = term * (1.0 + model.gamma * _learning(model.learning, float(u[i] - u[j])))
+            term = term * _firing(model.firing, float(u[j]))
             acc += term
         out.append(acc)
     return np.array(out)

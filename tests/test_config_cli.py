@@ -87,8 +87,8 @@ class TestSchema:
     def test_env_override_reaches_study_sections(self):
         cfg = build_config({}, environ={"NF_STUDY_L1_GAMMA": "null",
                                         "NF_STUDY_CONTRACTION_N_PAIRS": "25"})
-        assert cfg.study_section["l1"]["gamma"] is None
-        assert cfg.study_section["contraction"]["n_pairs"] == 25
+        assert cfg.document["study"]["l1"]["gamma"] is None
+        assert cfg.document["study"]["contraction"]["n_pairs"] == 25
 
     def test_env_override_unknown_key_is_violation(self):
         with pytest.raises(SchemaError) as err:
@@ -118,6 +118,89 @@ class TestSchema:
         assert np.all(const.values == 0.7)
 
 
+# the defaults as documented in README; the schema table must keep them
+EXPECTED_DEFAULTS = {
+    "model": {
+        "kernel": {"kind": "exponential", "params": {"amplitude": 0.5, "decay": 1.0}},
+        "firing": {"kind": "sigmoid", "params": {"slope": 1.0, "threshold": 0.0}},
+        "learning": {"kind": "gaussian", "params": {"width": 1.0}},
+        "gamma": 1.0,
+        "mode": "well-posed",
+    },
+    "grid": {"bounds": [[-10.0, 10.0]], "nodes": [401], "boundary": "compact"},
+    "quadrature": "trapezoid",
+    "solver": {"method": "exp-euler", "dt": 0.05, "t_end": 10.0, "segment_rho": None,
+               "picard_tol": 1e-10, "picard_max_iter": 200},
+    "initial": {"kind": "gaussian-bump", "params": {"amplitude": 0.5, "center": 0.0, "width": 2.0}},
+    "seed": 12345,
+    "stationary": {"method": "fp", "damping": 0.5, "tol": 1e-9, "max_iter": 5000, "t_max": 500.0,
+                   "settle_tol": 1e-8, "dt": 0.1},
+    "gainfield": {"lambda": 1.0, "half_width": 1.0, "k_pre": 1.0, "sign": "plus", "n_eigs": 12,
+                  "crosscheck_box": 20.0, "crosscheck_nodes": 2001},
+    "schrodinger": {"half_width": 1.0, "height": 2.0, "box": 20.0, "nodes": 2001, "n_states": 4,
+                    "lambda": None},
+    "study": {
+        "plasticity": {"gamma_list": [0.4, 0.2, 0.1, 0.05, 0.025], "t_end": 10.0, "dt": 0.05,
+                       "method": "rk4", "slack": 0.0},
+        "dependence": {"eps_list": [0.2, 0.1, 0.05], "rho": None, "dt": 0.001, "slack_coeff": 10.0},
+        "contraction": {"n_pairs": 200, "rho": None, "time_steps": 8, "slack": 0.01},
+        "l1": {"t_end": 20.0, "dt": 0.05, "slack": 1e-6, "gamma": 0.0,
+               "initials": ["zero", "step", "initial"]},
+    },
+}
+
+# a section that switches kind without params takes the new kind's defaults
+KIND_SWITCHES = [
+    {"model": {"kernel": {"kind": "mexican-hat"}}},
+    {"model": {"firing": {"kind": "scaled-arctan"}}},
+    {"initial": {"kind": "zero"}},
+    {"initial": {"kind": "step"}},
+]
+
+
+class TestSchemaTable:
+    def test_default_config_unchanged(self):
+        assert DEFAULT_CONFIG == EXPECTED_DEFAULTS
+        assert build_config({}, environ={}).document == EXPECTED_DEFAULTS
+
+    @pytest.mark.parametrize("doc", KIND_SWITCHES)
+    def test_kind_switch_validates_and_runs(self, tmp_path, doc):
+        path = write_config(tmp_path, {**small_sim_doc(t_end=0.5), **doc})
+        assert main(["validate", "--config", path]) == 0
+        assert main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 0
+
+    def test_kind_switch_takes_the_new_kinds_defaults(self):
+        cfg = build_config({"model": {"kernel": {"kind": "mexican-hat"}}}, environ={})
+        assert cfg.model.kernel.params == {"scale": 1.0}
+        cfg = build_config({}, environ={"NF_MODEL_FIRING_KIND": "scaled-arctan"})
+        assert cfg.model.firing.params == {"scale": 1.0}
+
+    @pytest.mark.parametrize("doc,needle", [
+        ({"model": {"kernel": {"params": {"decay": -1}}}}, "model: exponential kernel decay"),
+        ({"model": {"firing": {"params": {"slope": 1.0, "gain": 2.0}}}}, "model: firing rate"),
+        ({"model": {"firing": {"params": {"slope": "steep"}}}}, "model: firing rate"),
+        ({"model": {"learning": {"params": {"width": "wide"}}}}, "model: "),
+        ({"initial": {"kind": "zero", "params": {"amplitude": 1.0}}}, "initial: initial kind 'zero'"),
+        ({"initial": {"params": {"amplitude": "tall"}}}, "initial: "),
+        ({"grid": {"bounds": [[0.0, 1.0]], "nodes": [5, 5]}}, "grid: need one node count"),
+        ({"quadrature": "simpson", "grid": {"boundary": "periodic"}}, "quadrature: simpson"),
+    ])
+    def test_constructor_errors_exit_2_with_section(self, tmp_path, capsys, doc, needle):
+        path = write_config(tmp_path, doc)
+        assert main(["validate", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {needle}" in err and "Traceback" not in err
+
+    def test_leaf_rules_are_collected_before_constructors_run(self):
+        doc = {"model": {"gamma": -1.0, "firing": {"kind": "linear", "params": {}}},
+               "stationary": {"damping": 2.0}, "study": {"plasticity": {"gamma_list": [0.1, 0.2]}},
+               "seed": -1}
+        with pytest.raises(SchemaError) as err:
+            build_config(doc, environ={})
+        assert sorted(v.split(":")[0] for v in err.value.violations) == [
+            "model.gamma", "seed", "stationary.damping", "study.plasticity.gamma_list"]
+
+
 class TestIO:
     def test_fmt_round_trip(self):
         for x in (1.0 / 3.0, 1e-300, 123456.789, -0.1):
@@ -143,6 +226,24 @@ class TestIO:
         # released afterwards
         with output_lock(tmp_path / "run"):
             pass
+
+    def test_lock_of_dead_process_is_taken_over(self, tmp_path):
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child.wait()
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / ".lock").write_text(str(child.pid))
+        cfg = build_config({"schrodinger": {"nodes": 101, "n_states": 1}}, environ={})
+        assert run("schrodinger", cfg, out) == 0
+        assert not (out / ".lock").exists()
+
+    def test_lock_of_live_process_still_blocks(self, tmp_path):
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / ".lock").write_text(str(os.getpid()))
+        with pytest.raises(RuntimeError, match="locked"):
+            with output_lock(out):
+                pass
 
 
 def small_sim_doc(t_end=2.0):

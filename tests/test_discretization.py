@@ -13,13 +13,12 @@ from neuralfield import (
     LearningKernel,
     ModelSpec,
     SynapticKernel,
-    apply_F,
-    apply_J,
     build_operator,
     make_quadrature,
 )
 from neuralfield.discretization import (
     PLASTICITY_TOL,
+    apply_f_values,
     apply_j_values,
     chebyshev_bound,
     chebyshev_nodes,
@@ -165,21 +164,21 @@ class TestApplyJ:
     def test_zero_firing_gives_zero(self, grid_201, quad_201, op_201):
         model = ModelSpec(exponential_kernel(), zero_firing(), LearningKernel(), gamma=0.8)
         u = np.sin(grid_201.points[:, 0])
-        assert np.all(apply_J(model, op_201, u) == 0.0)
+        assert np.all(apply_j_values(model, op_201, u) == 0.0)
 
     def test_constant_state_factors_out(self, op_201):
         model = make_model(gamma=0.0)
         u = np.full(201, 0.7)
         expected = model.firing(0.7) * op_201.matrix.sum(axis=1)
-        assert np.allclose(apply_J(model, op_201, u), expected, rtol=1e-14)
+        assert np.allclose(apply_j_values(model, op_201, u), expected, rtol=1e-14)
 
     def test_plasticity_factor_exact_on_constant_state(self, op_201):
         # g(0) = 1 makes the modulation (1 + gamma) exactly
         base = make_model(gamma=0.0)
         plastic = make_model(gamma=0.5)
         u = np.full(201, 0.3)
-        j0 = apply_J(base, op_201, u)
-        j1 = apply_J(plastic, op_201, u)
+        j0 = apply_j_values(base, op_201, u)
+        j1 = apply_j_values(plastic, op_201, u)
         assert np.allclose(j1, 1.5 * j0, rtol=1e-14)
 
     def test_against_brute_force_oracle(self):
@@ -189,7 +188,7 @@ class TestApplyJ:
         model = make_model(gamma=0.7)
         u = np.exp(-grid.points[:, 0] ** 2 / 2.0)
         expected = brute_force_apply_j(model, grid, quad, u)
-        assert np.max(np.abs(apply_J(model, op, u) - expected)) < 1e-13
+        assert np.max(np.abs(apply_j_values(model, op, u) - expected)) < 1e-13
 
     def test_brute_force_oracle_2d(self):
         grid = Grid(bounds=[(0.0, 2.0), (0.0, 2.0)], npts=[7, 7])
@@ -199,7 +198,7 @@ class TestApplyJ:
         pts = grid.points
         u = np.exp(-((pts[:, 0] - 1) ** 2 + (pts[:, 1] - 1) ** 2))
         expected = brute_force_apply_j(model, grid, quad, u)
-        assert np.max(np.abs(apply_J(model, op, u) - expected)) < 1e-13
+        assert np.max(np.abs(apply_j_values(model, op, u) - expected)) < 1e-13
 
     def test_sup_bound(self, op_201):
         # discrete analogue of the (1 + gamma) Cw estimate
@@ -208,12 +207,12 @@ class TestApplyJ:
         cap = (1.0 + model.gamma) * np.max(op_201.abs_row_sums)
         for _ in range(25):
             u = rng.uniform(-5, 5, size=201)
-            assert np.max(np.abs(apply_J(model, op_201, u))) <= cap + 1e-12
+            assert np.max(np.abs(apply_j_values(model, op_201, u))) <= cap + 1e-12
 
     def test_dimension_mismatch(self, op_201):
         model = make_model()
         with pytest.raises(ValueError, match="nodes"):
-            apply_J(model, op_201, np.zeros(100))
+            apply_j_values(model, op_201, np.zeros(100))
 
     def test_rotation_equivariance_on_ring(self):
         # gamma = 0 input term commutes with grid rotations on a periodic ring
@@ -223,8 +222,8 @@ class TestApplyJ:
         rng = np.random.default_rng(11)
         u = rng.uniform(-1, 1, size=32)
         for shift in (1, 5, 17):
-            lhs = apply_J(model, op, np.roll(u, shift))
-            rhs = np.roll(apply_J(model, op, u), shift)
+            lhs = apply_j_values(model, op, np.roll(u, shift))
+            rhs = np.roll(apply_j_values(model, op, u), shift)
             assert np.max(np.abs(lhs - rhs)) < 1e-14
 
     def test_trapezoid_vs_simpson_refinement(self):
@@ -237,8 +236,8 @@ class TestApplyJ:
             kern = SynapticKernel("tabulated", {"matrix": wmat, "nodes": grid.points})
             model = ModelSpec(kern, FiringRate("sigmoid"), LearningKernel(), gamma=0.5)
             u = np.exp(-x * x / 2.0)
-            j_trap = apply_J(model, build_operator(kern, grid, make_quadrature(grid, "trapezoid")), u)
-            j_simp = apply_J(model, build_operator(kern, grid, make_quadrature(grid, "simpson")), u)
+            j_trap = apply_j_values(model, build_operator(kern, grid, make_quadrature(grid, "trapezoid")), u)
+            j_simp = apply_j_values(model, build_operator(kern, grid, make_quadrature(grid, "simpson")), u)
             diffs.append(np.max(np.abs(j_trap - j_simp)))
         assert diffs[0] / diffs[1] > 3.0
         assert diffs[1] / diffs[2] > 3.0
@@ -249,18 +248,12 @@ class TestApplyF:
         model = make_model(gamma=0.0)
         u = np.zeros(201)
         expected = 0.5 * op_201.matrix.sum(axis=1)
-        assert np.allclose(apply_F(model, op_201, u), expected, rtol=1e-13)
+        assert np.allclose(apply_f_values(model, op_201, u), expected, rtol=1e-13)
 
     def test_zero_firing_is_pure_decay(self, grid_201, op_201):
         model = ModelSpec(exponential_kernel(), zero_firing(), LearningKernel(), gamma=0.3)
         u = np.cos(grid_201.points[:, 0])
-        assert np.array_equal(apply_F(model, op_201, u), -u)
-
-    def test_accepts_field_state(self, op_201, bump_201):
-        model = make_model()
-        out1 = apply_F(model, op_201, bump_201)
-        out2 = apply_F(model, op_201, bump_201.values)
-        assert np.array_equal(out1, out2)
+        assert np.array_equal(apply_f_values(model, op_201, u), -u)
 
 
 # (dimension, boundary, rule) of every grid kind the operator supports
@@ -415,12 +408,12 @@ class TestFastJ:
         model = make_model(gamma=0.0)
         u = bump_201.values
         assert plasticity_rank(model, op_201, u) == 0
-        assert np.array_equal(apply_J(model, op_201, u), op_201.apply(model.firing(u)))
+        assert np.array_equal(apply_j_values(model, op_201, u), op_201.apply(model.firing(u)))
 
     def test_constant_field_is_one_plus_gamma_times_product(self, op_201):
         model = make_model(gamma=0.6)
         u = np.full(201, 0.4)
-        assert np.array_equal(apply_J(model, op_201, u), 1.6 * op_201.apply(model.firing(u)))
+        assert np.array_equal(apply_j_values(model, op_201, u), 1.6 * op_201.apply(model.firing(u)))
 
     def test_dense_fallback_when_rank_exceeds_quarter_n(self):
         grid = Grid(bounds=[(-5.0, 5.0)], npts=[61])
@@ -428,7 +421,7 @@ class TestFastJ:
         op = build_operator(model.kernel, grid, make_quadrature(grid))
         u = np.linspace(-4.0, 4.0, 61)
         assert plasticity_rank(model, op, u) is None
-        assert np.array_equal(apply_J(model, op, u), dense_apply_j(model, op, u))
+        assert np.array_equal(apply_j_values(model, op, u), dense_apply_j(model, op, u))
 
     def test_tabulated_kernel_takes_dense_formula(self):
         grid = Grid(bounds=[(0.0, 1.0)], npts=[41])
@@ -437,7 +430,7 @@ class TestFastJ:
         op = build_operator(kern, grid, make_quadrature(grid))
         u = np.sin(grid.points[:, 0])
         assert op.spectrum is None and plasticity_rank(model, op, u) is None
-        assert np.array_equal(apply_J(model, op, u), dense_apply_j(model, op, u))
+        assert np.array_equal(apply_j_values(model, op, u), dense_apply_j(model, op, u))
 
     def test_no_dense_matrix_for_isotropic_kernels(self):
         import tracemalloc
@@ -449,7 +442,7 @@ class TestFastJ:
         tracemalloc.start()
         try:
             op = build_operator(model.kernel, grid, make_quadrature(grid))
-            apply_J(model, op, u)
+            apply_j_values(model, op, u)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -14,9 +14,6 @@ from neuralfield import (
     TheoryConstants,
     compute_constants,
     contraction_factor,
-    eval_firing,
-    eval_kernel,
-    eval_learning,
     max_segment_length,
 )
 from neuralfield.errors import KernelInterpolationError
@@ -31,15 +28,15 @@ SQRT_2_OVER_E = math.sqrt(2.0 / math.e)
 class TestFiringRate:
     def test_sigmoid_symmetry(self):
         f = FiringRate("sigmoid", {"slope": 1.0, "threshold": 0.0})
-        assert eval_firing(f, 0.0) == 0.5
+        assert f(0.0) == 0.5
 
     def test_sigmoid_saturation(self):
         f = FiringRate("sigmoid")
-        assert eval_firing(f, 40.0) > 1.0 - 1e-12
+        assert f(40.0) > 1.0 - 1e-12
 
     def test_linear_identity(self):
         f = FiringRate("linear")
-        assert eval_firing(f, 0.3) == 0.3
+        assert f(0.3) == 0.3
 
     def test_arctan_bounded_and_centered(self):
         f = FiringRate("scaled-arctan", {"scale": 2.0})
@@ -91,19 +88,19 @@ class TestFiringRate:
 class TestLearningKernel:
     def test_value_at_zero(self):
         g = LearningKernel()
-        assert eval_learning(g, 0.0) == 1.0
+        assert g(0.0) == 1.0
 
     def test_value_at_one(self):
         g = LearningKernel()
-        assert eval_learning(g, 1.0) == pytest.approx(math.exp(-1.0), abs=1e-15)
+        assert g(1.0) == pytest.approx(math.exp(-1.0), abs=1e-15)
 
     def test_even(self):
         g = LearningKernel()
-        assert eval_learning(g, -1.0) == eval_learning(g, 1.0)
+        assert g(-1.0) == g(1.0)
 
     def test_decay_at_large_arguments(self):
         g = LearningKernel()
-        assert eval_learning(g, 30.0) < 1e-300 or eval_learning(g, 30.0) == 0.0
+        assert g(30.0) < 1e-300 or g(30.0) == 0.0
 
     @given(st.floats(-30, 30), st.floats(-30, 30))
     @settings(max_examples=300)
@@ -118,32 +115,32 @@ class TestLearningKernel:
 class TestSynapticKernel:
     def test_exponential_at_zero_distance(self):
         k = exponential_kernel()
-        assert eval_kernel(k, 0.3, 0.3) == 0.5
+        assert k.evaluate(0.3, 0.3) == 0.5
 
     def test_exponential_at_unit_distance(self):
         k = exponential_kernel()
-        assert eval_kernel(k, 1.0, 0.0) == pytest.approx(0.5 * math.exp(-1.0), abs=1e-15)
+        assert k.evaluate(1.0, 0.0) == pytest.approx(0.5 * math.exp(-1.0), abs=1e-15)
 
     def test_mexican_hat_zero_crossing(self):
         k = SynapticKernel("mexican-hat", {"scale": 1.0})
-        assert eval_kernel(k, 1.0, 0.0) == 0.0
+        assert k.evaluate(1.0, 0.0) == 0.0
 
     def test_mexican_hat_not_positive(self):
         k = SynapticKernel("mexican-hat", {"scale": 1.0})
         assert not k.positive
-        assert eval_kernel(k, 3.0, 0.0) < 0.0
+        assert k.evaluate(3.0, 0.0) < 0.0
 
     def test_tabulated_off_grid_rejected(self):
         nodes = np.linspace(0, 1, 5)
         k = SynapticKernel("tabulated", {"matrix": np.eye(5), "nodes": nodes})
-        assert eval_kernel(k, nodes[2], nodes[2]) == 1.0
+        assert k.evaluate(nodes[2], nodes[2]) == 1.0
         with pytest.raises(KernelInterpolationError):
-            eval_kernel(k, 0.31, 0.0)
+            k.evaluate(0.31, 0.0)
 
     def test_isotropy(self):
         k = exponential_kernel()
-        assert eval_kernel(k, 2.0, 5.0) == eval_kernel(k, 5.0, 2.0)
-        assert eval_kernel(k, 1.0, 4.0) == eval_kernel(k, -3.0, 0.0)
+        assert k.evaluate(2.0, 5.0) == k.evaluate(5.0, 2.0)
+        assert k.evaluate(1.0, 4.0) == k.evaluate(-3.0, 0.0)
 
 
 class TestModelSpec:
@@ -211,14 +208,27 @@ class TestConstants:
         assert c.kernel_l1_sup == pytest.approx(4.0 / math.e, rel=0.015)
         assert c.kernel_sup == 1.0
 
+    def test_kernel_matrix_formed_only_without_closed_forms(self, monkeypatch):
+        import neuralfield.discretization as discretization
+
+        def refuse(kernel, grid):
+            raise AssertionError("kernel matrix formed")
+
+        monkeypatch.setattr(discretization, "kernel_matrix", refuse)
+        model = ModelSpec(exponential_kernel(), FiringRate("sigmoid"), LearningKernel())
+        for boundary in ("compact", "periodic"):
+            assert compute_constants(model, Grid([(-5, 5)], [41], boundary)).method == "analytic"
+        with pytest.raises(AssertionError, match="kernel matrix"):
+            compute_constants(model, Grid([(0, 1), (0, 1)], [5, 5]))
+
     def test_constants_reject_negative(self):
         with pytest.raises(ValueError):
-            TheoryConstants(kernel_sup=-1.0, kernel_l1_sup=1.0, kernel_l1_lipschitz=0.0,
+            TheoryConstants(kernel_sup=-1.0, kernel_l1_sup=1.0,
                             firing_lipschitz=0.25, learning_lipschitz=0.5)
 
 
 def reference_constants(cw=1.0):
-    return TheoryConstants(kernel_sup=0.5, kernel_l1_sup=cw, kernel_l1_lipschitz=1.0,
+    return TheoryConstants(kernel_sup=0.5, kernel_l1_sup=cw,
                            firing_lipschitz=0.25, learning_lipschitz=SQRT_2_OVER_E)
 
 

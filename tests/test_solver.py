@@ -10,7 +10,6 @@ from neuralfield import (
     LearningKernel,
     ModelSpec,
     SynapticKernel,
-    apply_F,
     build_operator,
     compute_constants,
     contraction_factor,
@@ -233,7 +232,7 @@ class TestMonitorBounds:
 
         model = make_model(gamma=1.0)
         constants = TheoryConstants(kernel_sup=0.5, kernel_l1_sup=1.0,
-                                    kernel_l1_lipschitz=1.0, firing_lipschitz=0.25,
+                                    firing_lipschitz=0.25,
                                     learning_lipschitz=0.85)
         cfg = SolverConfig(method="exp-euler", dt=0.1, t_end=1.0)
         traj = solve_global(model, op_201, FieldState(np.full(201, 0.2)), cfg)

@@ -8,7 +8,7 @@ from neuralfield import (
     LearningKernel,
     ModelSpec,
     SynapticKernel,
-    apply_F,
+    apply_f_values,
     build_operator,
     make_quadrature,
 )
@@ -52,7 +52,7 @@ class TestFixedPoint:
         result = find_stationary_fp(model, op_201, bump_201, tol=1e-9)
         assert result.converged
         assert result.residual_sup < 1e-8
-        assert np.max(np.abs(apply_F(model, op_201, result.u_inf))) < 1e-8
+        assert np.max(np.abs(apply_f_values(model, op_201, result.u_inf))) < 1e-8
 
     def test_residual_recomputed_at_exit(self, op_201, bump_201):
         model = make_model(gamma=0.2)
