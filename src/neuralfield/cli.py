@@ -3,12 +3,13 @@
 Subcommands: simulate, stationary, gainfield, schrodinger, study <name>,
 constants, validate.  ``run`` dispatches every command but validate from a
 name -> ``cmd_*`` table; each ``cmd_*`` takes the config, the output
-directory and the constants, plus its own options.  Every run that writes
-artifacts owns its output directory exclusively, emits CSV series plus a
-manifest.json with the full config echo, the computed constants,
-contraction data, wall time, and a checksum per emitted file.  The manifest
-is written even when the run fails, with an error section.  ``constants``
-may run without an output directory; it then only prints.
+directory and the constants (None for schrodinger, which reads no model),
+plus its own options.  Every run that writes artifacts owns its output
+directory exclusively, emits CSV series plus a manifest.json with the full
+config echo, the computed constants and contraction data (not for
+schrodinger), wall time, and a checksum per emitted file.  The manifest is
+written even when the run fails, with an error section.  ``constants`` may
+run without an output directory; it then only prints.
 
 Exit codes: 0 success, 1 numerical failure, 2 config error.
 """
@@ -45,7 +46,7 @@ from .gainfield import (
     schrodinger_fd,
     simulate_gainfield,
 )
-from .io import fmt, output_lock, sha256_file, write_csv, write_json
+from .io import fmt, node_rows, output_lock, sha256_file, write_csv, write_json
 from .model import compute_constants, contraction_factor, max_segment_length
 from .solver import SolverConfig, monitor_bounds, solve_global
 from .stationary import find_stationary_fp, stationary_via_flow
@@ -61,11 +62,8 @@ def _coordinate_header(grid: Grid):
     return ["x"] if grid.dimension == 1 else ["x", "y"]
 
 
-def _write_field_csv(path, grid: Grid, values):
-    header = _coordinate_header(grid) + ["u"]
-    pts = grid.points
-    rows = [list(pts[i]) + [values[i]] for i in range(grid.n_total)]
-    write_csv(path, header, rows)
+def _write_field_csv(path, grid: Grid, values, name="u"):
+    write_csv(path, _coordinate_header(grid) + [name], node_rows(grid.points.tolist(), values))
 
 
 def _emit_manifest(out_dir, command, cfg: RunConfig | None, started, extra=None,
@@ -107,14 +105,10 @@ def cmd_simulate(cfg: RunConfig, out_dir, constants):
     traj = solve_global(cfg.model, op, u0, cfg.solver, constants)
     report = monitor_bounds(traj, constants, cfg.model)
 
-    coord_names = _coordinate_header(cfg.grid)
-    pts = cfg.grid.points
-    rows = []
-    for n in range(len(traj)):
-        t = traj.times[n]
-        for i in range(cfg.grid.n_total):
-            rows.append([t, i] + list(pts[i]) + [traj.values[n, i]])
-    write_csv(Path(out_dir) / "trajectory.csv", ["t", "node_index"] + coord_names + ["u"], rows)
+    nodes = [[i, *point] for i, point in enumerate(cfg.grid.points.tolist())]
+    write_csv(Path(out_dir) / "trajectory.csv",
+              ["t", "node_index"] + _coordinate_header(cfg.grid) + ["u"],
+              node_rows(nodes, traj.values, traj.times))
 
     sup_per_time = np.max(np.abs(traj.values), axis=1)
     min_per_time = np.min(traj.values, axis=1)
@@ -175,9 +169,7 @@ def cmd_gainfield(cfg: RunConfig, out_dir, constants):
     n_eigs = min(section["n_eigs"], eig.values.shape[0])
     write_csv(Path(out_dir) / "eigs.csv", ["i", "sigma_i"],
               [[i, eig.values[i]] for i in range(n_eigs)])
-    write_csv(Path(out_dir) / "phi_pre.csv", _coordinate_header(cfg.grid) + ["phi"],
-              [list(cfg.grid.points[i]) + [gain.phi_pre[i]]
-               for i in range(cfg.grid.n_total)])
+    _write_field_csv(Path(out_dir) / "phi_pre.csv", cfg.grid, gain.phi_pre, "phi")
 
     lam = section["lambda"]
     box = section["crosscheck_box"]
@@ -336,7 +328,8 @@ def run(command: str, cfg: RunConfig, out_dir, study_name=None, threads=1, **opt
             if command not in commands:
                 raise SchemaError([f"command: unknown command {command!r}"])
             # one computation serves every command and the manifest
-            constants = compute_constants(cfg.model, cfg.grid)
+            if command != "schrodinger":
+                constants = compute_constants(cfg.model, cfg.grid)
             extra = commands[command](cfg, out, constants, **options)
         except SchemaError as exc:
             error = {"type": "SchemaError", "violations": exc.violations}

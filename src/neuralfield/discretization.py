@@ -106,6 +106,21 @@ class Grid:
             return self.npts
         return tuple(_fft_length(2 * n - 1) for n in self.npts)
 
+    def lag_distance(self) -> np.ndarray:
+        """Length of every node lag: lags -(n-1)..n-1 on compact axes, the
+        minimal images of lags 0..n-1 on periodic axes, one array axis per
+        grid axis."""
+        sq = 0.0
+        for ax, (n, h) in enumerate(zip(self.npts, self.spacing)):
+            if self.boundary == "periodic":
+                lag = np.minimum(np.arange(n), n - np.arange(n))
+            else:
+                lag = np.abs(np.arange(1 - n, n))
+            shape = [1] * self.dimension
+            shape[ax] = lag.shape[0]
+            sq = sq + ((lag * h) ** 2).reshape(shape)
+        return np.sqrt(sq)
+
     def pairwise_distance(self) -> np.ndarray:
         """Distances |x_i - x_j|; periodic grids use the minimal image per axis."""
         pts = self.points
@@ -232,19 +247,15 @@ def kernel_matrix(kernel: SynapticKernel, grid: Grid) -> np.ndarray:
 def kernel_spectrum(profile, grid: Grid) -> np.ndarray:
     """Real FFT of a radial profile sampled at every node lag of the grid.
 
-    Lag k on an axis of n nodes sits at FFT index k and m - k (m the FFT
+    Lag k on an axis of n nodes sits at FFT index k mod m (m the FFT
     length); on periodic axes that is the minimal image, on compact axes the
-    indices in between are zero padding.
+    m - (2n - 1) indices between lags n - 1 and -(n - 1) are zero padding.
     """
-    sq = np.zeros(grid.fft_shape)
-    inside = np.ones(grid.fft_shape, dtype=bool)
-    for ax, (n, m, h) in enumerate(zip(grid.npts, grid.fft_shape, grid.spacing)):
-        lag = np.minimum(np.arange(m), m - np.arange(m))
-        shape = [1] * grid.dimension
-        shape[ax] = m
-        sq = sq + ((lag * h) ** 2).reshape(shape)
-        inside = inside & (lag < n).reshape(shape)
-    column = np.where(inside, profile(np.sqrt(sq)), 0.0)
+    column = profile(grid.lag_distance())
+    if grid.boundary == "compact":
+        pad = [(0, m - (2 * n - 1)) for n, m in zip(grid.npts, grid.fft_shape)]
+        column = np.roll(np.pad(column, pad), [1 - n for n in grid.npts],
+                         axis=tuple(range(grid.dimension)))
     return np.fft.rfftn(column, axes=tuple(range(grid.dimension)))
 
 

@@ -1,9 +1,12 @@
 """Atomic file output, checksums, and the output-directory lock.
 
 All floating-point values are written with 17 significant digits so files
-round-trip exactly and reruns can be compared checksum to checksum.  Files
-are written to a temporary sibling and renamed into place, so a crash never
-leaves a partial artifact behind.
+round-trip exactly and reruns can be compared checksum to checksum.  Small
+tables are formatted cell by cell (:func:`fmt`), node tables from arrays
+(:func:`node_rows`); ``"%.17g" % v`` and ``f"{v:.17g}"`` give the same
+bytes, so both paths write the same file.  Files are written to a temporary
+sibling and renamed into place, so a crash never leaves a partial artifact
+behind.
 """
 
 from __future__ import annotations
@@ -38,9 +41,31 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
+def node_rows(nodes, values, times=None):
+    """Text blocks of the CSV rows ``[t,]<node cells>,<value>``, one per time.
+
+    ``nodes`` holds the leading numeric cells of each node's row, ``values``
+    the (T, n) values at ``times``, or n values when ``times`` is None.
+    Node cells and times are formatted once; a time slice's values by one
+    ``%.17g`` format.
+    """
+    body = [",".join(map(fmt, cells)) + ",%.17g" for cells in nodes]
+    if times is None:
+        yield "\n".join(body) % tuple(values.tolist())
+        return
+    template = "\n".join("%s," + row for row in body)
+    for t, row in zip(times.tolist(), values.tolist()):
+        cells = [fmt(t)] * (2 * len(body))
+        cells[1::2] = row
+        yield template % tuple(cells)
+
+
 def write_csv(path, header, rows) -> None:
+    """Rows are cell lists, formatted by :func:`fmt`, or text blocks of
+    already formatted lines such as :func:`node_rows` yields."""
     lines = [",".join(header)]
-    lines.extend(",".join(fmt(cell) for cell in row) for row in rows)
+    lines.extend(row if isinstance(row, str) else ",".join(fmt(cell) for cell in row)
+                 for row in rows)
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import KernelInterpolationError
 
@@ -320,38 +321,26 @@ def _analytic_sup(kernel: SynapticKernel) -> float | None:
 
 
 def _grid_l1_lower_sum(absw: np.ndarray, grid) -> float:
-    """Lower Riemann sum of each row of |w|, then the max over rows.
+    """Largest lower Riemann sum of |w| over the cells of one row.
 
-    Per-cell minima make the estimate a true lower bound of the row integral
-    whenever |w| is monotone on each cell, which holds for the built-in
-    kernels once the kink sits on a node.
+    ``absw`` has one trailing axis per grid axis: the dense rows (n, *npts)
+    of a tabulated kernel, or the node-lag table of an isotropic one, whose
+    rows are windows sliding over its 2n - 2 cells per compact axis.  Cells
+    take the minimum of their 2^d corners (wrapping on periodic axes), a
+    true lower bound whenever |w| is monotone on each cell, which holds for
+    the built-in kernels once the kink sits on a node.
     """
-    n_rows = absw.shape[0]
-    if grid.dimension == 1:
-        h = grid.spacing[0]
-        if grid.boundary == "periodic":
-            rolled = np.roll(absw, -1, axis=1)
-            sums = (h * np.minimum(absw, rolled)).sum(axis=1)
-        else:
-            sums = (h * np.minimum(absw[:, :-1], absw[:, 1:])).sum(axis=1)
-        return float(sums.max())
-    n1, n2 = grid.npts
-    cell = grid.spacing[0] * grid.spacing[1]
-    best = 0.0
-    for i in range(n_rows):
-        tile = absw[i].reshape(n1, n2)
-        if grid.boundary == "periodic":
-            corners = np.minimum.reduce([
-                tile, np.roll(tile, -1, 0), np.roll(tile, -1, 1),
-                np.roll(np.roll(tile, -1, 0), -1, 1),
-            ])
-            best = max(best, float(cell * corners.sum()))
-        else:
-            corners = np.minimum.reduce([
-                tile[:-1, :-1], tile[1:, :-1], tile[:-1, 1:], tile[1:, 1:],
-            ])
-            best = max(best, float(cell * corners.sum()))
-    return best
+    periodic = grid.boundary == "periodic"
+    axes = range(-grid.dimension, 0)
+    table = absw
+    for ax in axes:
+        if periodic:
+            table = np.concatenate([table, table.take([0], axis=ax)], axis=ax)
+        pair = sliding_window_view(table, 2, axis=ax)
+        table = np.minimum(pair[..., 0], pair[..., 1])
+    for n, ax in zip(grid.npts, axes):
+        table = sliding_window_view(table, n if periodic else n - 1, axis=ax).sum(axis=-1)
+    return float(np.prod(grid.spacing) * table.max())
 
 
 def compute_constants(model: ModelSpec, grid) -> TheoryConstants:
@@ -359,27 +348,29 @@ def compute_constants(model: ModelSpec, grid) -> TheoryConstants:
 
     Closed forms are preferred whenever the kind admits one (they remove
     discretization bias from the bound checks); everything else falls back
-    to grid suprema, which under-approximate the true values.  The n x n
-    kernel matrix is formed only for those fallbacks.
+    to grid estimates, which under-approximate the true values.  Isotropic
+    kernels take them from |w| at the node lags (``Grid.lag_distance``);
+    only tabulated kernels form the n x n kernel matrix.
     """
     kernel_sup = _analytic_sup(model.kernel)
-    l1_analytic = _analytic_l1_sup(model.kernel, grid)
-    kernel_l1_sup = l1_analytic
-    if kernel_sup is None or l1_analytic is None:
-        from .discretization import kernel_matrix
+    kernel_l1_sup = _analytic_l1_sup(model.kernel, grid)
+    method = "analytic" if kernel_l1_sup is not None else "grid-estimated"
+    if kernel_l1_sup is None:
+        if model.kernel.isotropic:
+            absw = np.abs(model.kernel.profile(grid.lag_distance()))
+        else:
+            from .discretization import kernel_matrix
 
-        absw = np.abs(kernel_matrix(model.kernel, grid))
-        if kernel_sup is None:
+            absw = np.abs(kernel_matrix(model.kernel, grid)).reshape((-1,) + grid.npts)
             kernel_sup = float(absw.max())
-        if kernel_l1_sup is None:
-            kernel_l1_sup = _grid_l1_lower_sum(absw, grid)
+        kernel_l1_sup = _grid_l1_lower_sum(absw, grid)
 
     return TheoryConstants(
         kernel_sup=kernel_sup,
         kernel_l1_sup=kernel_l1_sup,
         firing_lipschitz=model.firing.lipschitz,
         learning_lipschitz=model.learning.lipschitz,
-        method="analytic" if l1_analytic is not None else "grid-estimated",
+        method=method,
     )
 
 

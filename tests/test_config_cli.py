@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,8 +14,12 @@ from neuralfield.config import (
     parse_config,
 )
 from neuralfield.errors import ParseError, SchemaError
-from neuralfield.io import atomic_write_text, fmt, output_lock, sha256_file, write_csv
+from neuralfield.discretization import Grid, build_operator
+from neuralfield.gainfield import PotentialSpec, schrodinger_fd
+from neuralfield.io import atomic_write_text, fmt, node_rows, output_lock, sha256_file, write_csv
 from neuralfield.model import compute_constants
+from neuralfield.solver import solve_global
+from neuralfield.stationary import find_stationary_fp
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -237,6 +242,30 @@ class TestIO:
         assert run("schrodinger", cfg, out) == 0
         assert not (out / ".lock").exists()
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("n_times", [None, 1, 4])
+    def test_node_rows_match_per_cell_fmt(self, tmp_path, dim, n_times):
+        special = [-0.0, 5e-324, 3.0, float(2**53 + 1), 1e16, 0.1, 1.0 / 3.0,
+                   math.nan, math.inf, -math.inf]
+        n = len(special)
+        coords = [np.linspace(-2.5, 1.0, n), -np.geomspace(1e-3, 7.0, n)]
+        points = np.column_stack(coords[:dim])
+        values = np.array([np.roll(special, k) * (-1.0) ** k for k in range(n_times or 1)])
+        pts = list(points)
+        if n_times is None:
+            header = ["x", "y"][:dim] + ["u"]
+            expected = [list(pts[i]) + [values[0, i]] for i in range(n)]
+            fast = node_rows(points.tolist(), values[0])
+        else:
+            header = ["t", "node_index"] + ["x", "y"][:dim] + ["u"]
+            times = np.array([0.0, 5e-324, 0.1, 1.0 / 3.0])[:n_times]
+            expected = [[times[k], i] + list(pts[i]) + [values[k, i]]
+                        for k in range(n_times) for i in range(n)]
+            fast = node_rows([[i, *p] for i, p in enumerate(points.tolist())], values, times)
+        write_csv(tmp_path / "cells.csv", header, expected)
+        write_csv(tmp_path / "arrays.csv", header, fast)
+        assert (tmp_path / "arrays.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
+
     def test_lock_of_live_process_still_blocks(self, tmp_path):
         out = tmp_path / "run"
         out.mkdir()
@@ -303,6 +332,89 @@ class TestRun:
             assert result.returncode == 0, result.stderr
             sums.append(json.loads((out / "manifest.json").read_text())["checksums"])
         assert sums[0] == sums[1]
+
+    def test_2d_checksums_independent_of_blas_threads_and_reruns(self, tmp_path):
+        doc = {
+            "grid": {"bounds": [[-5.0, 5.0], [-5.0, 5.0]], "nodes": [21, 21]},
+            "model": {"kernel": {"kind": "mexican-hat", "params": {"scale": 1.5}}, "gamma": 0.5},
+            "solver": {"method": "exp-euler", "dt": 0.1, "t_end": 0.5},
+            "initial": {"kind": "gaussian-bump",
+                        "params": {"amplitude": 0.5, "center": [-1.0, 0.5], "width": 1.5}},
+        }
+        path = write_config(tmp_path, doc)
+        sums = []
+        for run_name, threads in (("a", "1"), ("b", "2"), ("c", "1")):
+            out = tmp_path / f"blas-{run_name}"
+            result = subprocess.run(
+                [sys.executable, "-m", "neuralfield.cli", "simulate",
+                 "--config", path, "--out", str(out)],
+                capture_output=True, text=True,
+                env={**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads},
+            )
+            assert result.returncode == 0, result.stderr
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["constants"]["method"] == "grid-estimated"
+            sums.append(manifest["checksums"])
+        assert sums[0] == sums[1] == sums[2]
+
+    @pytest.mark.parametrize("command, doc", [
+        ("simulate", {"grid": {"bounds": [[-5.0, 5.0]], "nodes": [64], "boundary": "periodic"},
+                      "model": {"gamma": 0.0},
+                      "solver": {"method": "picard", "dt": 0.05, "t_end": 0.5}}),
+        ("simulate", {"grid": {"bounds": [[-3.0, 2.0], [-1.0, 4.0]], "nodes": [9, 11]},
+                      "model": {"gamma": 0.5},
+                      "solver": {"method": "exp-euler", "dt": 0.1, "t_end": 0.5},
+                      "initial": {"kind": "gaussian-bump",
+                                  "params": {"amplitude": 0.5, "center": [-0.5, 1.0],
+                                             "width": 1.0}}}),
+        ("stationary", {"grid": {"nodes": [101]}, "model": {"gamma": 0.4}}),
+        ("schrodinger", {"schrodinger": {"nodes": 301, "n_states": 2}}),
+    ])
+    def test_node_csvs_equal_per_cell_rows(self, tmp_path, command, doc):
+        cfg = build_config(doc, environ={})
+        out = tmp_path / "run"
+        assert run(command, cfg, out) == 0
+        coords = ["x"] if cfg.grid.dimension == 1 else ["x", "y"]
+        op = build_operator(cfg.model.kernel, cfg.grid, cfg.quadrature)
+        pts = cfg.grid.points
+        if command == "simulate":
+            name, header = "trajectory.csv", ["t", "node_index"] + coords + ["u"]
+            traj = solve_global(cfg.model, op, initial_state(cfg), cfg.solver,
+                                compute_constants(cfg.model, cfg.grid))
+            rows = [[traj.times[n], i] + list(pts[i]) + [traj.values[n, i]]
+                    for n in range(len(traj)) for i in range(cfg.grid.n_total)]
+        elif command == "stationary":
+            s = cfg.document["stationary"]
+            u_inf = find_stationary_fp(cfg.model, op, initial_state(cfg), damping=s["damping"],
+                                       tol=s["tol"], max_iter=s["max_iter"]).u_inf
+            name, header = "u_inf.csv", coords + ["u"]
+            rows = [list(pts[i]) + [u_inf[i]] for i in range(cfg.grid.n_total)]
+        else:
+            s = cfg.document["schrodinger"]
+            grid = Grid(bounds=[(-s["box"], s["box"])], npts=[s["nodes"]])
+            pot = PotentialSpec(shape="square-well", half_width=s["half_width"],
+                                height=s["height"])
+            ground = schrodinger_fd(pot, grid, n_states=s["n_states"]).functions[:, 0]
+            name, header = "ground_state.csv", ["x", "u"]
+            rows = [list(grid.points[i]) + [ground[i]] for i in range(grid.n_total)]
+        write_csv(tmp_path / name, header, rows)
+        assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
+
+    def test_schrodinger_computes_no_constants(self, tmp_path, monkeypatch):
+        import neuralfield.cli as cli
+
+        def refuse(model, grid):
+            raise AssertionError("constants computed")
+
+        monkeypatch.setattr(cli, "compute_constants", refuse)
+        doc = {"grid": {"bounds": [[-5.0, 5.0], [-5.0, 5.0]], "nodes": [31, 31]},
+               "model": {"kernel": {"kind": "mexican-hat"}},
+               "schrodinger": {"nodes": 201, "n_states": 1}}
+        out = tmp_path / "sch"
+        assert run("schrodinger", build_config(doc, environ={}), out) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert "error" not in manifest
+        assert not {"constants", "rho", "q"} & set(manifest)
 
     def test_stationary_and_gainfield(self, tmp_path):
         doc = {

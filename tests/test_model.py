@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from neuralfield.errors import KernelInterpolationError
 from neuralfield.model import _analytic_l1_sup, _grid_l1_lower_sum, estimate_lipschitz
 
 from conftest import exponential_kernel
+from oracles import abs_kernel_table, dense_l1_lower_sum
 
 
 SQRT_2_OVER_E = math.sqrt(2.0 / math.e)
@@ -209,6 +211,8 @@ class TestConstants:
         assert c.kernel_sup == 1.0
 
     def test_kernel_matrix_formed_only_without_closed_forms(self, monkeypatch):
+        # isotropic kernels take their grid estimates from the node-lag
+        # table in any dimension; only tabulated kernels form the matrix
         import neuralfield.discretization as discretization
 
         def refuse(kernel, grid):
@@ -218,8 +222,63 @@ class TestConstants:
         model = ModelSpec(exponential_kernel(), FiringRate("sigmoid"), LearningKernel())
         for boundary in ("compact", "periodic"):
             assert compute_constants(model, Grid([(-5, 5)], [41], boundary)).method == "analytic"
+            assert compute_constants(model, Grid([(0, 1), (0, 1)], [5, 5], boundary)).method \
+                == "grid-estimated"
+            hat = replace(model, kernel=SynapticKernel("mexican-hat", {"scale": 1.0}))
+            assert compute_constants(hat, Grid([(-5, 5)], [41], boundary)).method \
+                == "grid-estimated"
+        tabulated = SynapticKernel("tabulated", {"matrix": np.eye(5), "nodes": np.linspace(0, 1, 5)})
         with pytest.raises(AssertionError, match="kernel matrix"):
-            compute_constants(model, Grid([(0, 1), (0, 1)], [5, 5]))
+            compute_constants(replace(model, kernel=tabulated), Grid([(0, 1)], [5]))
+
+    @pytest.mark.parametrize("kernel", [
+        SynapticKernel("exponential", {"amplitude": -0.7, "decay": 1.3}),
+        SynapticKernel("mexican-hat", {"scale": 0.6}),
+        "tabulated",
+    ])
+    @pytest.mark.parametrize("boundary", ["compact", "periodic"])
+    @pytest.mark.parametrize("bounds, npts", [
+        ([(-4.0, 6.0)], [37]),
+        ([(-1.5, 0.5)], [8]),
+        ([(-3.0, 2.0), (0.0, 7.0)], [9, 14]),
+        ([(0.0, 1.0), (-2.0, 2.0)], [12, 5]),
+    ])
+    def test_grid_estimates_match_dense_oracle(self, kernel, boundary, bounds, npts):
+        grid = Grid(bounds, npts, boundary)
+        if kernel == "tabulated":
+            # a signed, asymmetric table on this grid's nodes
+            signs = np.where(np.arange(grid.n_total) % 3 == 0, -1.0, 1.0)
+            matrix = abs_kernel_table(SynapticKernel("mexican-hat", {"scale": 0.8}), grid)
+            matrix = matrix * signs[None, :] * (1.0 + np.arange(grid.n_total))[:, None] / 7.0
+            nodes = grid.points[:, 0] if grid.dimension == 1 else grid.points
+            kernel = SynapticKernel("tabulated", {"matrix": matrix, "nodes": nodes})
+        model = ModelSpec(kernel, FiringRate("sigmoid"), LearningKernel())
+        absw = abs_kernel_table(kernel, grid)
+        expected = dense_l1_lower_sum(absw, grid)
+        c = compute_constants(model, grid)
+        assert c.kernel_sup == absw.max()
+        if c.method == "analytic":
+            # 1-D exponential: the closed form wins; check the lag table alone
+            assert _grid_l1_lower_sum(np.abs(kernel.profile(grid.lag_distance())), grid) \
+                == pytest.approx(expected, rel=1e-14, abs=0)
+        else:
+            assert c.kernel_l1_sup == pytest.approx(expected, rel=1e-14, abs=0)
+
+    def test_2d_constants_form_no_n_by_n_array(self):
+        import tracemalloc
+
+        grid = Grid([(-10.0, 10.0), (-10.0, 10.0)], [81, 81])
+        n = grid.n_total
+        for kernel in (exponential_kernel(), SynapticKernel("mexican-hat", {"scale": 1.0})):
+            model = ModelSpec(kernel, FiringRate("sigmoid"), LearningKernel())
+            tracemalloc.start()
+            try:
+                c = compute_constants(model, grid)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert c.method == "grid-estimated"
+            assert peak < n * n * 8 / 4
 
     def test_constants_reject_negative(self):
         with pytest.raises(ValueError):
