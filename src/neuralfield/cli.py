@@ -163,7 +163,7 @@ def cmd_gainfield(cfg: RunConfig, out_dir, constants):
                                     tol=stat_section["tol"], max_iter=stat_section["max_iter"],
                                     constants=constants)
     learned = build_learned_kernel(stationary.u_inf, cfg.model, cfg.grid, sign=section["sign"])
-    eig = mercer_decompose(learned, cfg.quadrature)
+    eig = mercer_decompose(learned, cfg.quadrature, n_eigs=section["n_eigs"])
     gain = presynaptic_gain(eig, k_pre=section["k_pre"])
 
     n_eigs = min(section["n_eigs"], eig.values.shape[0])
@@ -193,6 +193,7 @@ def cmd_gainfield(cfg: RunConfig, out_dir, constants):
     }
     return {
         "stationary_residual": stationary.residual_sup,
+        "mercer": {"path": eig.path, "rank": len(eig.values), "eig_error_bound": eig.error_bound},
         "crosscheck": report.to_json(),
         "exploratory": exploratory,
     }

@@ -226,10 +226,6 @@ class FieldState:
         if self.time < 0:
             raise ValueError("time must be nonnegative")
 
-    @property
-    def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.values))) if self.values.size else 0.0
-
 
 def kernel_matrix(kernel: SynapticKernel, grid: Grid) -> np.ndarray:
     """Raw kernel values w(x_i, x_j) on all node pairs."""
@@ -350,7 +346,7 @@ _LOG_RHO = np.log(_RHO)
 PLASTICITY_TOL = 1e-14
 # Spans below this fraction of the learning width give g = 1 to within
 # (span / width)^2 <= 1e-16, so the factor is the constant 1 + gamma.
-_FLAT_SPAN = 1e-8
+FLAT_SPAN = 1e-8
 
 
 def _log_envelope(r: float) -> np.ndarray:
@@ -385,7 +381,7 @@ def plasticity_rank(model: ModelSpec, op: DiscreteOperator, values: np.ndarray) 
     if op.spectrum is None:
         return None
     span = float(values.max() - values.min()) / model.learning.params["width"]
-    if model.gamma == 0.0 or span <= _FLAT_SPAN:
+    if model.gamma == 0.0 or span <= FLAT_SPAN:
         return 0
     rank = chebyshev_rank(0.5 * span)
     return None if rank + 2 > values.shape[0] / 4 else rank
@@ -407,6 +403,21 @@ def j_error_bound(model: ModelSpec, op: DiscreteOperator, values: np.ndarray,
     return model.gamma * e * scale
 
 
+def learned_factor_bound(gamma: float, span: float, rank: int) -> float:
+    """A-priori bound on max |G - F M F^T| for the learned-kernel factor.
+
+    Interpolating g in both potentials at rank + 1 Chebyshev points costs
+    gamma * e * (1 + Lambda), e the :func:`chebyshev_bound` and Lambda <=
+    1 + (2/pi) log(rank + 1); rank 0, the constant 1 +- gamma, costs
+    gamma * span^2 (span in learning widths).  Times |Omega| it bounds the
+    shift of each eigenvalue of the weighted split (Weyl).
+    """
+    if rank == 0:
+        return gamma * span * span
+    lebesgue = 1.0 + 2.0 / math.pi * math.log(rank + 1)
+    return gamma * chebyshev_bound(0.5 * span, rank) * (1.0 + lebesgue)
+
+
 def dense_apply_j(model: ModelSpec, op: DiscreteOperator, values: np.ndarray) -> np.ndarray:
     """The exact formula sum_j W[i,j] * (1 + gamma*g(u_i - u_j)) * f(u_j)."""
     rates = model.firing(values)
@@ -425,15 +436,9 @@ def chebyshev_nodes(lo: float, hi: float, rank: int) -> np.ndarray:
     return nodes
 
 
-def separable_apply_j(model: ModelSpec, op: DiscreteOperator, values: np.ndarray,
-                      rank: int) -> np.ndarray:
-    """J with g(u_i - y) interpolated in y at rank + 1 Chebyshev points t_k.
-
-    J = W f + gamma * sum_k g(u - t_k) * W(l_k(u) f), with l_k the Lagrange
-    basis on [min u, max u] evaluated by the barycentric formula; the
-    rank + 2 products share one batched FFT.
-    """
-    rates = model.firing(values)
+def chebyshev_basis(values: np.ndarray, rank: int) -> tuple:
+    """The rank + 1 Chebyshev points t_k on [min values, max values] and the
+    Lagrange basis l_k(values) as a (rank + 1, n) array, barycentric formula."""
     nodes = chebyshev_nodes(float(values.min()), float(values.max()), rank)
     bary = np.where(np.arange(rank + 1) % 2 == 0, 1.0, -1.0)
     bary[[0, -1]] *= 0.5
@@ -445,9 +450,22 @@ def separable_apply_j(model: ModelSpec, op: DiscreteOperator, values: np.ndarray
     # a value on a node (always the extremes) interpolates exactly there
     exact = hits.any(axis=0)
     basis[:, exact] = hits[:, exact]
+    return nodes, basis
+
+
+def separable_apply_j(model: ModelSpec, op: DiscreteOperator, values: np.ndarray,
+                      rank: int) -> np.ndarray:
+    """J with g(u_i - y) interpolated in y at rank + 1 Chebyshev points t_k.
+
+    J = W f + gamma * sum_k g(u - t_k) * W(l_k(u) f), with l_k the Lagrange
+    basis on [min u, max u]; the rank + 2 products share one batched FFT.
+    """
+    rates = model.firing(values)
+    nodes, basis = chebyshev_basis(values, rank)
     columns = np.concatenate([rates[None, :], basis * rates[None, :]])
     products = op.apply(columns)
-    return products[0] + model.gamma * (model.learning(diff) * products[1:]).sum(axis=0)
+    learned = model.learning(values[None, :] - nodes[:, None])
+    return products[0] + model.gamma * (learned * products[1:]).sum(axis=0)
 
 
 def apply_j_values(model: ModelSpec, op: DiscreteOperator, values: np.ndarray) -> np.ndarray:

@@ -4,7 +4,10 @@ Once the field has settled to a stationary state u_inf, the plasticity
 factor freezes into the symmetric kernel G(x, y) = 1 + gamma * g(u_inf(x) -
 u_inf(y)).  G is positive semidefinite (a constant kernel plus a gaussian
 kernel composed with the feature map x -> u_inf(x)), so it splits into
-quadrature-orthonormal eigenfunctions.  The diagonal part of that split is
+quadrature-orthonormal eigenfunctions.  The split is taken from G's
+rank-(K + 2) factor: g interpolated in u_inf at K + 1 Chebyshev points, K
+from J's rank rule and at least n_eigs - 2, then a thin QR in O(n K^2);
+a rank above n / 4 takes the dense eigh.  The diagonal part of the split is
 the pre-synaptic gain field phi_pre(y) = K_pre * sum_i sigma_i phi_i(y)^2.
 
 For gain fields of the form (k^2 - V)/lambda together with the exponential
@@ -22,9 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh, eigh_tridiagonal
 
-from .discretization import DiscreteOperator, FieldState, Grid, Quadrature, convolve, kernel_spectrum
+from .discretization import (FLAT_SPAN, DiscreteOperator, FieldState, Grid, Quadrature, chebyshev_basis,
+                             chebyshev_rank, convolve, kernel_spectrum, learned_factor_bound)
 from .errors import BoxTooSmallError, NoBoundStateError, NotPSDError
-from .model import FiringRate, ModelSpec
+from .model import FiringRate, LearningKernel, ModelSpec, SynapticKernel
 from .solver import SolverConfig, Trajectory, solve_global
 
 
@@ -36,6 +40,7 @@ class LearnedKernel:
     grid: Grid
     gamma: float
     source: np.ndarray
+    learning: LearningKernel
     sign: str = "plus"
 
     def __post_init__(self):
@@ -55,6 +60,8 @@ class EigenSystem:
     values: np.ndarray       # eigenvalues; descending for kernel splits,
     functions: np.ndarray    # ascending for Schrodinger operators
     weights: np.ndarray      # (n, k) columns are eigenfunctions on the grid
+    path: str = "dense"      # "factor" for the low-rank split of a learned kernel
+    error_bound: float = 0.0  # a-priori bound on |sigma_i - sigma_i(G)| of a factor split
 
     def gram(self) -> np.ndarray:
         return self.functions.T @ (self.weights[:, None] * self.functions)
@@ -75,8 +82,7 @@ class PotentialSpec:
     square-well: V = 0 on |x| < half_width, ``height`` outside.  With the
     base gain k^2 equal to the height, the gain profile k^2 - V is compactly
     supported, which is what makes the stationary integral well defined.
-    ``k_squared`` and ``lam`` are optional labels carrying the base gain and
-    kernel rate once known; then E = k_squared - lam^2.
+    ``k_squared`` is the base gain, needed only for the gain profile.
     """
 
     shape: str = "square-well"
@@ -84,7 +90,6 @@ class PotentialSpec:
     height: float = 2.0
     values: np.ndarray | None = None
     k_squared: float | None = None
-    lam: float | None = None
 
     def __post_init__(self):
         if self.shape not in ("square-well", "custom-tabulated"):
@@ -93,14 +98,6 @@ class PotentialSpec:
             raise ValueError("half_width must be positive")
         if self.shape == "custom-tabulated" and self.values is None:
             raise ValueError("custom-tabulated potential needs values")
-        if self.lam is not None and self.lam <= 0:
-            raise ValueError("lam must be positive")
-
-    @property
-    def energy(self) -> float:
-        if self.k_squared is None or self.lam is None:
-            raise ValueError("energy needs both k_squared and lam")
-        return self.k_squared - self.lam * self.lam
 
     def gain_profile(self, nodes: np.ndarray) -> np.ndarray:
         """P(x) = k^2 - V(x)."""
@@ -134,34 +131,71 @@ def build_learned_kernel(u_inf, model: ModelSpec, grid: Grid, sign: str = "plus"
         raise ValueError("stationary state does not match the grid")
     diff = values[:, None] - values[None, :]
     s = 1.0 if sign == "plus" else -1.0
+    # exactly symmetric: g is even and u_i - u_j = -(u_j - u_i) in floating point
     matrix = 1.0 + s * model.gamma * model.learning(diff)
-    asym = float(np.max(np.abs(matrix - matrix.T)))
-    if asym > 1e-12:
-        raise ValueError(f"learned kernel is not symmetric (max asymmetry {asym:.3g})")
-    return LearnedKernel(matrix=matrix, grid=grid, gamma=model.gamma, source=values, sign=sign)
+    return LearnedKernel(matrix=matrix, grid=grid, gamma=model.gamma, source=values,
+                         learning=model.learning, sign=sign)
+
+
+def learned_factor(kernel: LearnedKernel, n_eigs: int = 0) -> tuple | None:
+    """F, M and the :func:`learned_factor_bound` of G ~ F M F^T, or None.
+
+    F = [1, L], L the (n, K + 1) Lagrange basis at Chebyshev points on
+    [min u_inf, max u_inf], M = blockdiag(1, +-gamma g(t_k - t_l)), or
+    diag(1 +- gamma, 0, ...) for gamma = 0 or a flat field.  K is
+    max(chebyshev_rank(span / 2), n_eigs - 2); None when K + 2 > n / 4.
+    """
+    values = kernel.source
+    span = float(values.max() - values.min()) / kernel.learning.params["width"]
+    constant = kernel.gamma == 0.0 or span <= FLAT_SPAN
+    rank = max(1 if constant else chebyshev_rank(0.5 * span), n_eigs - 2)
+    if rank + 2 > values.shape[0] / 4:
+        return None
+    nodes, basis = chebyshev_basis(values, rank)
+    middle = np.zeros((rank + 2, rank + 2))
+    middle[0, 0] = kernel.diagonal_value if constant else 1.0
+    if not constant:
+        sign = 1.0 if kernel.sign == "plus" else -1.0
+        middle[1:, 1:] = sign * kernel.gamma * kernel.learning(nodes[:, None] - nodes[None, :])
+    factor = np.column_stack([np.ones_like(values), basis.T])
+    return factor, middle, learned_factor_bound(kernel.gamma, span, 0 if constant else rank)
 
 
 def mercer_decompose(kernel, quad: Quadrature, psd_tol: float = 1e-8,
-                     residual_tol: float = 1e-8) -> EigenSystem:
+                     residual_tol: float = 1e-8, n_eigs: int = 0) -> EigenSystem:
     """Split a symmetric kernel into quadrature-orthonormal eigenfunctions.
 
     Solves the symmetric eigenproblem of D^{1/2} G D^{1/2} with D the
     diagonal of quadrature weights, then maps eigenvectors back through
     D^{-1/2}; that makes sum_i sigma_i phi_i(x) phi_i(y) reproduce G and
-    <phi_i, phi_j> = delta_ij under the weighted inner product.
+    <phi_i, phi_j> = delta_ij under the weighted inner product.  A learned
+    kernel is split in O(n K^2) from its :func:`learned_factor`: with
+    D^{1/2} F = Q R and R M R^T = V diag(sigma) V^T, phi = D^{-1/2} Q V.
+    Ndarray kernels and factors above rank n / 4 take the dense eigh.
 
     Raises NotPSDError when the smallest eigenvalue is more negative than
-    psd_tol times the largest.
+    psd_tol times the largest, or when the returned pairs miss the dense G.
     """
     g_matrix = kernel.matrix if isinstance(kernel, LearnedKernel) else np.asarray(kernel, dtype=float)
     if g_matrix.shape[0] != g_matrix.shape[1]:
         raise ValueError("kernel matrix must be square")
-    if float(np.max(np.abs(g_matrix - g_matrix.T))) > 1e-10:
+    # upper-triangle row blocks, so no n x n work array
+    if max(float(np.max(np.abs(g_matrix[i:i + 128, i:] - g_matrix[i:, i:i + 128].T)))
+           for i in range(0, g_matrix.shape[0], 128)) > 1e-10:
         raise ValueError("kernel matrix must be symmetric")
     sqrt_w = np.sqrt(quad.weights)
-    symm = sqrt_w[:, None] * g_matrix * sqrt_w[None, :]
-    symm = 0.5 * (symm + symm.T)
-    eigenvalues, vectors = eigh(symm)
+    split = learned_factor(kernel, n_eigs) if isinstance(kernel, LearnedKernel) else None
+    if split is None:
+        symm = sqrt_w[:, None] * g_matrix * sqrt_w[None, :]
+        eigenvalues, vectors = eigh(0.5 * (symm + symm.T))
+        path, bound = "dense", 0.0
+    else:
+        factor, middle, bound = split
+        q, r = np.linalg.qr(sqrt_w[:, None] * factor)
+        core = r @ middle @ r.T
+        eigenvalues, small = eigh(0.5 * (core + core.T))
+        vectors = q @ small
+        path, bound = "factor", bound * float(quad.weights.sum())
     order = np.argsort(eigenvalues)[::-1]
     eigenvalues = eigenvalues[order]
     vectors = vectors[:, order]
@@ -175,7 +209,7 @@ def mercer_decompose(kernel, quad: Quadrature, psd_tol: float = 1e-8,
         )
     functions = vectors / sqrt_w[:, None]
 
-    # validate against the weighted operator: (G phi)(x_i) = sum_j q_j G_ij phi_j
+    # validate against the dense weighted operator: (G phi)(x_i) = sum_j q_j G_ij phi_j
     applied = g_matrix @ (quad.weights[:, None] * functions)
     residual = float(np.max(np.abs(applied - functions * eigenvalues[None, :])))
     scale = max(top, 1.0)
@@ -184,7 +218,8 @@ def mercer_decompose(kernel, quad: Quadrature, psd_tol: float = 1e-8,
             f"eigendecomposition residual {residual:.3g} exceeds {residual_tol:.1g} * ||G||",
             min_eigenvalue=bottom,
         )
-    return EigenSystem(values=eigenvalues, functions=functions, weights=quad.weights.copy())
+    return EigenSystem(values=eigenvalues, functions=functions, weights=quad.weights.copy(),
+                       path=path, error_bound=bound)
 
 
 def reconstruct_kernel(eig: EigenSystem, rank: int | None = None) -> np.ndarray:
@@ -197,9 +232,9 @@ def reconstruct_kernel(eig: EigenSystem, rank: int | None = None) -> np.ndarray:
 def presynaptic_gain(eig: EigenSystem, k_pre: float = 1.0) -> GainField:
     """phi_pre(y) = K_pre * sum_i sigma_i |phi_i(y)|^2.
 
-    At full rank this equals K_pre times the kernel diagonal.  Eigenvalues
-    below zero (roundoff residue of the PSD check) are clipped so the gain
-    stays nonnegative.
+    At the factor's rank this equals K_pre times the kernel diagonal (to the
+    split's error bound).  Eigenvalues below zero (roundoff residue of the
+    PSD check) are clipped so the gain stays nonnegative.
     """
     if k_pre <= 0:
         raise ValueError("k_pre must be positive")
@@ -216,8 +251,6 @@ def simulate_gainfield(op: DiscreteOperator, gain: GainField, firing: FiringRate
     Plasticity stays off (gamma = 0): the learned structure is frozen into
     the gain.  Gain-field mode admits the linear firing rate.
     """
-    from .model import LearningKernel, SynapticKernel
-
     effective = op.scaled_by_gain(gain.phi_pre)
     # tabulated metadata so contraction constants see the effective kernel
     raw = effective.matrix / op.quadrature.weights[None, :]
@@ -378,10 +411,9 @@ def schrodinger_cross_check(lam: float, half_width: float, grid: Grid, quad: Qua
         iterations += 1
     v0 = 0.5 * (lo + hi)
 
-    energy, psi = _ground_energy(v0, half_width, grid)
+    _, psi = _ground_energy(v0, half_width, grid)
     nodes = grid.axis_nodes[0]
-    pot = PotentialSpec(shape="square-well", half_width=half_width, height=v0,
-                        k_squared=v0, lam=lam)
+    pot = PotentialSpec(shape="square-well", half_width=half_width, height=v0, k_squared=v0)
     gain_profile = pot.gain_profile(nodes)  # compactly supported
     image = greens_convolve(lam, grid, quad.weights * gain_profile * psi)
     residual_l2 = quad.l2_norm(psi - image) / quad.l2_norm(psi)

@@ -91,18 +91,8 @@ class Trajectory:
         return FieldState(values=self.values[i], time=float(self.times[i]))
 
     @property
-    def initial(self) -> FieldState:
-        return self.state(0)
-
-    @property
     def final(self) -> FieldState:
         return self.state(len(self) - 1)
-
-    def sup_abs(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
-    def min_value(self) -> float:
-        return float(np.min(self.values))
 
 
 @dataclass(frozen=True)
@@ -247,10 +237,9 @@ def solve_global(model: ModelSpec, op: DiscreteOperator, state0: FieldState,
     time lattice.  States are handed across seams without copying or
     re-evaluation, so the joint values are bitwise identical.
     """
-    if constants is None:
-        constants = compute_constants(model, op.grid)
-
     if cfg.method == "picard":
+        if constants is None:
+            constants = compute_constants(model, op.grid)
         rho = cfg.segment_rho or default_segment_length(model, constants)
         segments = []
         pieces_t = []

@@ -333,6 +333,24 @@ class TestRun:
             sums.append(json.loads((out / "manifest.json").read_text())["checksums"])
         assert sums[0] == sums[1]
 
+    def test_gainfield_checksums_independent_of_blas_threads_and_reruns(self, tmp_path):
+        path = write_config(tmp_path, {"grid": {"nodes": [201]},
+                                       "gainfield": {"crosscheck_nodes": 801}})
+        sums = []
+        for run_name, threads in (("a", "1"), ("b", "2"), ("c", "1")):
+            out = tmp_path / f"blas-{run_name}"
+            result = subprocess.run(
+                [sys.executable, "-m", "neuralfield.cli", "gainfield",
+                 "--config", path, "--out", str(out)],
+                capture_output=True, text=True,
+                env={**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads},
+            )
+            assert result.returncode == 0, result.stderr
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["mercer"]["path"] == "factor"
+            sums.append({name: manifest["checksums"][name] for name in ("eigs.csv", "phi_pre.csv")})
+        assert sums[0] == sums[1] == sums[2]
+
     def test_2d_checksums_independent_of_blas_threads_and_reruns(self, tmp_path):
         doc = {
             "grid": {"bounds": [[-5.0, 5.0], [-5.0, 5.0]], "nodes": [21, 21]},

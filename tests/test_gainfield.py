@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -13,12 +14,21 @@ from neuralfield import (
     build_operator,
     make_quadrature,
 )
+from neuralfield.cli import run
+from neuralfield.config import build_config, initial_state
+from neuralfield.discretization import (
+    chebyshev_basis,
+    chebyshev_nodes,
+    chebyshev_rank,
+    learned_factor_bound,
+)
 from neuralfield.errors import BoxTooSmallError, NoBoundStateError, NotPSDError
 from neuralfield.gainfield import (
     GainField,
     PotentialSpec,
     build_learned_kernel,
     greens_identity_check,
+    learned_factor,
     mercer_decompose,
     presynaptic_gain,
     reconstruct_kernel,
@@ -29,7 +39,7 @@ from neuralfield.gainfield import (
 from neuralfield.solver import SolverConfig, solve_global
 from neuralfield.stationary import find_stationary_fp
 
-from conftest import make_model
+from conftest import exponential_kernel, make_model
 from oracles import finite_well_ground_energy
 
 
@@ -138,6 +148,141 @@ class TestPresynapticGain:
         g1 = presynaptic_gain(eig, k_pre=1.0)
         g2 = presynaptic_gain(eig, k_pre=2.0)
         assert np.allclose(g2.phi_pre, 2.0 * g1.phi_pre, rtol=1e-14)
+
+
+GRID_KINDS = [("compact", "trapezoid"), ("compact", "simpson"), ("periodic", "trapezoid")]
+N_EIGS = 6
+
+
+def learned_on(span_over_width, gamma, sign="plus", boundary="compact", rule="trapezoid",
+               width=0.7):
+    """A learned kernel on the smallest grid whose factor split is not the
+    dense fallback; some potentials sit exactly on the factor's Chebyshev
+    points.  Returns the kernel, its quadrature and the factor's degree."""
+    rank = max(chebyshev_rank(0.5 * span_over_width) if span_over_width > 0 else 1, N_EIGS - 2)
+    grid = Grid(bounds=[(-5.0, 5.0)], npts=[4 * (rank + 2) + 1], boundary=boundary)
+    span = span_over_width * width
+    u = 0.3 + span * (0.5 + 0.5 * np.sin(1.3 * grid.points[:, 0] + gamma))
+    u[[0, 1]] = 0.3, 0.3 + span
+    if span > 0:
+        nodes = chebyshev_nodes(0.3, 0.3 + span, rank)
+        u[2:2 + nodes.size] = nodes
+    model = ModelSpec(exponential_kernel(), FiringRate("sigmoid"),
+                      LearningKernel("gaussian", {"width": width}), gamma=gamma)
+    return build_learned_kernel(u, model, grid, sign=sign), make_quadrature(grid, rule), rank
+
+
+class TestFactorSplit:
+    """The low-rank Mercer split of learned kernels against the dense eigh."""
+
+    @pytest.mark.parametrize("boundary, rule", GRID_KINDS)
+    @pytest.mark.parametrize("sign", ["plus", "minus"])
+    @pytest.mark.parametrize("span_over_width", [0.0, 0.5, 1.0, 4.0, 16.0])
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0, 4.0])
+    def test_against_dense_oracle(self, gamma, span_over_width, sign, boundary, rule):
+        learned, quad, rank = learned_on(span_over_width, gamma, sign, boundary, rule)
+        try:
+            oracle = mercer_decompose(learned.matrix, quad)
+        except NotPSDError:
+            with pytest.raises(NotPSDError):
+                mercer_decompose(learned, quad, n_eigs=N_EIGS)
+            return
+        eig = mercer_decompose(learned, quad, n_eigs=N_EIGS)
+        if gamma == 0.0 or span_over_width == 0.0:
+            rank = N_EIGS - 2  # the constant factor
+        assert eig.path == "factor" and eig.values.shape == (rank + 2,)
+        # rounding of both eigensolvers, relative to the largest value
+        allowance = 1e-13 * max(abs(oracle.values[0]), 1.0)
+        assert np.max(np.abs(eig.values[:N_EIGS] - oracle.values[:N_EIGS])) <= eig.error_bound + allowance
+        assert np.max(np.abs(eig.gram() - np.eye(rank + 2))) <= 1e-12
+        kernel_bound = eig.error_bound / float(quad.weights.sum())
+        recon = np.max(np.abs(reconstruct_kernel(eig) - learned.matrix))
+        assert recon <= kernel_bound + 1e-13 * (1.0 + gamma)
+        gain = presynaptic_gain(eig, k_pre=2.0)
+        assert np.max(np.abs(gain.phi_pre - 2.0 * np.diag(learned.matrix))) <= 1e-12
+
+    @pytest.mark.parametrize("rank", [2, 4, 8, 16, 24])
+    def test_bound_holds_where_interpolation_error_dominates(self, rank):
+        u = np.random.default_rng(rank).uniform(-3.0, 3.0, size=301)
+        g = LearningKernel()
+        nodes, basis = chebyshev_basis(u, rank)
+        factor = 1.0 + 2.0 * basis.T @ g(nodes[:, None] - nodes[None, :]) @ basis
+        observed = np.max(np.abs(factor - (1.0 + 2.0 * g(u[:, None] - u[None, :]))))
+        assert 1e-9 < observed <= learned_factor_bound(2.0, float(np.ptp(u)), rank)
+
+    def test_flat_field_is_the_exact_constant(self):
+        learned, quad, rank = learned_on(0.0, 0.8)
+        factor, middle, bound = learned_factor(learned, N_EIGS)
+        assert bound == 0.0 and middle[0, 0] == 1.8 and not middle[1:].any()
+        eig = mercer_decompose(learned, quad, n_eigs=N_EIGS)
+        assert eig.values[0] == pytest.approx(1.8 * 10.0, rel=1e-14)
+        assert np.all(eig.values[1:] == 0.0)
+
+    def test_dense_fallback_above_quarter_n(self):
+        grid = Grid(bounds=[(-5.0, 5.0)], npts=[61])
+        quad = make_quadrature(grid)
+        coarse = build_learned_kernel(np.linspace(-4.0, 4.0, 61), make_model(gamma=1.0), grid)
+        assert learned_factor(coarse) is None
+        eig = mercer_decompose(coarse, quad)
+        dense = mercer_decompose(coarse.matrix, quad)
+        assert eig.path == dense.path == "dense" and eig.error_bound == 0.0
+        assert np.array_equal(eig.values, dense.values)
+        # n_eigs - 2 counts against the same n / 4 rule
+        learned, quad, rank = learned_on(0.5, 1.0)
+        assert mercer_decompose(learned, quad, n_eigs=N_EIGS).path == "factor"
+        assert mercer_decompose(learned, quad, n_eigs=rank + 3).path == "dense"
+
+    def test_n_eigs_raises_the_rank(self, grid_201, quad_201, stationary_state):
+        model, u_inf = stationary_state
+        learned = build_learned_kernel(u_inf, model, grid_201)
+        default = mercer_decompose(learned, quad_201)
+        wide = mercer_decompose(learned, quad_201, n_eigs=40)
+        assert default.values.size < 40 and wide.values.size == 40
+        assert np.max(np.abs(wide.values[:4] - default.values[:4])) < 1e-13 * default.values[0]
+
+    def test_gainfield_writes_n_eigs_rows_above_the_factor_rank(self, tmp_path):
+        doc = {"grid": {"nodes": [201]}, "gainfield": {"crosscheck_nodes": 801, "n_eigs": 40}}
+        out = tmp_path / "gf"
+        assert run("gainfield", build_config(doc, environ={}), out) == 0
+        assert len((out / "eigs.csv").read_text().splitlines()) == 41
+        mercer = json.loads((out / "manifest.json").read_text())["mercer"]
+        assert mercer["path"] == "factor" and mercer["rank"] == 40
+
+    def test_default_config_within_recorded_bound(self, tmp_path):
+        cfg = build_config({}, environ={})
+        out = tmp_path / "gf"
+        assert run("gainfield", cfg, out) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["mercer"]["path"] == "factor"
+        assert "manifest.json" not in manifest["checksums"]
+        written = np.array([float(line.split(",")[1])
+                            for line in (out / "eigs.csv").read_text().splitlines()[1:]])
+        # the dense oracle on the same stationary state
+        op = build_operator(cfg.model.kernel, cfg.grid, cfg.quadrature)
+        section = cfg.document["stationary"]
+        u_inf = find_stationary_fp(cfg.model, op, initial_state(cfg), damping=section["damping"],
+                                   tol=section["tol"], max_iter=section["max_iter"]).u_inf
+        learned = build_learned_kernel(u_inf, cfg.model, cfg.grid)
+        oracle = mercer_decompose(learned.matrix, cfg.quadrature).values[:written.size]
+        allowance = 1e-13 * oracle[0]
+        assert np.max(np.abs(written - oracle)) <= manifest["mercer"]["eig_error_bound"] + allowance
+
+    def test_split_forms_no_n_by_n_array(self):
+        import tracemalloc
+
+        n = 901
+        grid = Grid(bounds=[(-10.0, 10.0)], npts=[n])
+        u = 0.5 * np.exp(-grid.points[:, 0] ** 2 / 4.0)
+        learned = build_learned_kernel(u, make_model(gamma=1.0), grid)
+        quad = make_quadrature(grid)
+        tracemalloc.start()
+        try:
+            eig = mercer_decompose(learned, quad, n_eigs=12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert eig.path == "factor"
+        assert peak < n * n * 8 / 2
 
 
 class TestSimulateGainfield:

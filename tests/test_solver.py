@@ -125,6 +125,28 @@ class TestSolveGlobal:
             assert np.array_equal(traj.values[seam], seg.trajectory.values[-1])
             offset = seam
 
+    def test_constants_computed_for_picard_only(self, monkeypatch, op_201, bump_201):
+        import neuralfield.solver as solver
+
+        model = make_model(gamma=0.5)
+        calls = []
+
+        def refuse(model, grid):
+            raise AssertionError("constants computed")
+
+        monkeypatch.setattr(solver, "compute_constants", refuse)
+        for method in ("exp-euler", "rk4"):
+            traj = solve_global(model, op_201, bump_201, SolverConfig(method=method, dt=0.1, t_end=0.3))
+            assert np.all(np.isfinite(traj.values))
+
+        def counting(model, grid):
+            calls.append(grid)
+            return compute_constants(model, grid)
+
+        monkeypatch.setattr(solver, "compute_constants", counting)
+        solve_global(model, op_201, bump_201, SolverConfig(method="picard", dt=0.05, t_end=0.3))
+        assert calls == [op_201.grid]
+
     def test_gamma_zero_equals_standalone_plain_stepper(self, op_201, bump_201):
         # disabling plasticity must reproduce the plain model bit for bit
         model = make_model(gamma=0.0)
