@@ -33,8 +33,6 @@ from .solver import (
     monitor_bounds,
     picard_segment,
     solve_global,
-    step_exp_euler,
-    step_rk4,
 )
 from .stationary import (
     StationaryResult,
@@ -73,7 +71,5 @@ __all__ = [
     "picard_segment",
     "solve_global",
     "stationary_via_flow",
-    "step_exp_euler",
-    "step_rk4",
     "__version__",
 ]

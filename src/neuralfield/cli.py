@@ -9,7 +9,8 @@ directory exclusively, emits CSV series plus a manifest.json with the full
 config echo, the computed constants and contraction data (not for
 schrodinger), wall time, and a checksum per emitted file.  The manifest is
 written even when the run fails, with an error section.  ``constants`` may
-run without an output directory; it then only prints.
+run without an output directory; it then only prints.  Study rows run
+serially; ``--threads`` is accepted for compatibility and ignored.
 
 Exit codes: 0 success, 1 numerical failure, 2 config error.
 """
@@ -47,8 +48,8 @@ from .gainfield import (
     simulate_gainfield,
 )
 from .io import fmt, node_rows, output_lock, sha256_file, write_csv, write_json
-from .model import compute_constants, contraction_factor, max_segment_length
-from .solver import SolverConfig, monitor_bounds, solve_global
+from .model import compute_constants, contraction_factor
+from .solver import SolverConfig, monitor_bounds, segment_length, solve_global
 from .stationary import find_stationary_fp, stationary_via_flow
 
 STUDY_NAMES = ("plasticity-limit", "dependence", "contraction", "l1")
@@ -66,22 +67,25 @@ def _write_field_csv(path, grid: Grid, values, name="u"):
     write_csv(path, _coordinate_header(grid) + [name], node_rows(grid.points.tolist(), values))
 
 
+def _segment(cfg: RunConfig, constants) -> dict:
+    """The picard segment length rho the config implies, and its factor q."""
+    rho = segment_length(cfg.solver, constants, cfg.model.gamma)
+    return {"rho": rho, "q": contraction_factor(constants, cfg.model.gamma, rho)}
+
+
 def _emit_manifest(out_dir, command, cfg: RunConfig | None, started, extra=None,
-                   error=None, threads=1, constants=None):
+                   error=None, constants=None):
     manifest = {
         "command": command,
         "version": __version__,
         "wall_time_s": time.time() - started,
-        "threads": threads,
     }
     if cfg is not None:
         manifest["config"] = cfg.document
         manifest["seed"] = cfg.seed
     if constants is not None:
-        rho = cfg.solver.segment_rho or max_segment_length(constants, cfg.model.gamma)
         manifest["constants"] = constants.to_json()
-        manifest["rho"] = rho
-        manifest["q"] = contraction_factor(constants, cfg.model.gamma, rho)
+        manifest.update(_segment(cfg, constants))
     if extra:
         manifest.update(extra)
     if error is not None:
@@ -239,7 +243,7 @@ def _study_initials(cfg: RunConfig, names):
     return out
 
 
-def cmd_study(cfg: RunConfig, out_dir, constants, study_name, threads=1):
+def cmd_study(cfg: RunConfig, out_dir, constants, study_name):
     op = _operator(cfg)
     u0 = initial_state(cfg)
     section = cfg.document["study"]
@@ -248,8 +252,7 @@ def cmd_study(cfg: RunConfig, out_dir, constants, study_name, threads=1):
         s = section["plasticity"]
         solver_cfg = SolverConfig(method=s["method"], dt=s["dt"], t_end=s["t_end"])
         result = plasticity_limit_study(cfg.model, op, s["gamma_list"], u0, s["t_end"],
-                                        cfg=solver_cfg, slack=s["slack"], threads=threads,
-                                        constants=constants)
+                                        cfg=solver_cfg, slack=s["slack"], constants=constants)
         csv_name = "plasticity-limit.csv"
     elif study_name == "dependence":
         s = section["dependence"]
@@ -269,7 +272,7 @@ def cmd_study(cfg: RunConfig, out_dir, constants, study_name, threads=1):
         solver_cfg = SolverConfig(method="exp-euler", dt=s["dt"], t_end=s["t_end"])
         model = cfg.model if s["gamma"] is None else replace(cfg.model, gamma=s["gamma"])
         result = l1_bound_study(model, op, initials, s["t_end"], cfg=solver_cfg,
-                                slack=s["slack"], threads=threads, constants=constants)
+                                slack=s["slack"], constants=constants)
         csv_name = "l1.csv"
     else:
         raise SchemaError([f"study: unknown study {study_name!r}"])
@@ -290,13 +293,8 @@ def cmd_study(cfg: RunConfig, out_dir, constants, study_name, threads=1):
 
 
 def cmd_constants(cfg: RunConfig, out_dir, constants):
-    rho = cfg.solver.segment_rho or max_segment_length(constants, cfg.model.gamma)
-    payload = {
-        "constants": constants.to_json(),
-        "gamma": cfg.model.gamma,
-        "rho": rho,
-        "q": contraction_factor(constants, cfg.model.gamma, rho),
-    }
+    payload = {"constants": constants.to_json(), "gamma": cfg.model.gamma,
+               **_segment(cfg, constants)}
     for key, value in payload["constants"].items():
         print(f"{key}: {value if isinstance(value, str) else fmt(float(value))}")
     print(f"rho: {fmt(payload['rho'])}")
@@ -306,7 +304,7 @@ def cmd_constants(cfg: RunConfig, out_dir, constants):
     return {"constants_report": payload}
 
 
-def run(command: str, cfg: RunConfig, out_dir, study_name=None, threads=1, **options) -> int:
+def run(command: str, cfg: RunConfig, out_dir, study_name=None, **options) -> int:
     """Dispatch a validated config; writes a manifest whenever out_dir is set.
 
     ``options`` are the command's own keywords (``method`` for stationary,
@@ -318,7 +316,7 @@ def run(command: str, cfg: RunConfig, out_dir, study_name=None, threads=1, **opt
         "stationary": cmd_stationary,
         "gainfield": cmd_gainfield,
         "schrodinger": cmd_schrodinger,
-        "study": partial(cmd_study, study_name=study_name, threads=threads),
+        "study": partial(cmd_study, study_name=study_name),
         "constants": cmd_constants,
     }
     started = time.time()
@@ -343,7 +341,7 @@ def run(command: str, cfg: RunConfig, out_dir, study_name=None, threads=1, **opt
             status = EXIT_NUMERICAL
         if out is not None:
             _emit_manifest(out, command, cfg, started, extra=extra, error=error,
-                           threads=threads, constants=constants)
+                           constants=constants)
     verdict = (extra or {}).get("verdict")
     if verdict is not None and not verdict["pass"]:
         print("study verdict: FAIL (measured exceeded bound + slack)", file=sys.stderr)
@@ -360,7 +358,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", help="output directory (required for artifact commands)")
     common.add_argument("--seed", type=int, help="override the config seed")
     common.add_argument("--threads", type=int, default=1,
-                        help="worker threads for independent study rows")
+                        help="accepted and ignored; study rows run serially")
 
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("simulate", parents=[common], help="integrate the field equation")
@@ -408,8 +406,7 @@ def main(argv=None) -> int:
 
     options = {key: getattr(args, key) for key in ("method", "well", "lam") if hasattr(args, key)}
     try:
-        return run(args.command, cfg, args.out, study_name=getattr(args, "name", None),
-                   threads=args.threads, **options)
+        return run(args.command, cfg, args.out, study_name=getattr(args, "name", None), **options)
     except RuntimeError as exc:
         # lock contention surfaces here, before any manifest can exist
         print(f"error: {exc}", file=sys.stderr)

@@ -133,14 +133,6 @@ class Grid:
             sq += d * d
         return np.sqrt(sq)
 
-    def to_json(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "bounds": [list(b) for b in self.bounds],
-            "nodes": list(self.npts),
-            "boundary": self.boundary,
-        }
-
 
 def _fft_length(n: int) -> int:
     """Smallest 5-smooth integer >= n."""

@@ -3,20 +3,21 @@
 Each study runs instances, records measured quantities next to the
 theoretical bound, and fails loudly whenever measured exceeds bound plus the
 declared slack: the bounds are theorems, so a violation means a bug in the
-implementation, not noise to be tolerated.
+implementation, not noise to be tolerated.  Rows run serially, and every
+field is stepped by :mod:`.solver`: the trajectories by ``solve_global``,
+the contraction study's integrated map by ``picard_map``.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .discretization import DiscreteOperator, FieldState, apply_f_values
+from .discretization import DiscreteOperator, FieldState
 from .model import ModelSpec, TheoryConstants, compute_constants, contraction_factor, max_segment_length
-from .solver import SolverConfig, solve_global
+from .solver import SolverConfig, picard_map, solve_global
 
 
 @dataclass
@@ -29,19 +30,6 @@ class StudyResult:
     passed: bool
     worst_margin: float
     fit: dict | None = None
-
-    def to_json(self) -> dict:
-        doc = {
-            "name": self.name,
-            "slack": self.slack,
-            "pass": self.passed,
-            "worst_margin": self.worst_margin,
-            "rows": self.rows,
-        }
-        if self.fit is not None:
-            doc["fitted_slope"] = self.fit["slope"]
-            doc["fit"] = self.fit
-        return doc
 
 
 def _loglog_fit(x, y) -> dict:
@@ -64,20 +52,10 @@ def _assemble(name, rows, slack, fit=None) -> StudyResult:
                        worst_margin=worst, fit=fit)
 
 
-def _ordered_map(fn, items, threads: int):
-    """Map preserving input order; rows stay keyed by their parameters, so
-    results do not depend on scheduling."""
-    if threads <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def plasticity_limit_study(model: ModelSpec, op: DiscreteOperator, gamma_list,
                            u0: FieldState, t_end: float,
                            cfg: SolverConfig | None = None,
                            u0_for_gamma=None, slack: float = 0.0,
-                           threads: int = 1,
                            constants: TheoryConstants | None = None) -> StudyResult:
     """Distance to the plasticity-free solution as gamma shrinks.
 
@@ -101,12 +79,11 @@ def plasticity_limit_study(model: ModelSpec, op: DiscreteOperator, gamma_list,
     base_model = replace(model, gamma=0.0)
     reference = solve_global(base_model, op, u0, cfg, constants)
 
-    def run_one(gamma: float) -> float:
+    distances = []
+    for gamma in gammas:
         start = u0 if u0_for_gamma is None else u0_for_gamma(gamma)
         traj = solve_global(replace(model, gamma=gamma), op, start, cfg, constants)
-        return float(np.max(np.abs(traj.values - reference.values)))
-
-    distances = _ordered_map(run_one, gammas, threads)
+        distances.append(float(np.max(np.abs(traj.values - reference.values))))
     rows = [{"gamma": gamma, "distance": d} for gamma, d in zip(gammas, distances)]
 
     # monotone nonincreasing as gamma decreases
@@ -170,10 +147,11 @@ def contraction_measure(model: ModelSpec, op: DiscreteOperator, rho: float | Non
                         constants: TheoryConstants | None = None) -> StudyResult:
     """Monte-Carlo estimate of the solution-operator contraction ratio.
 
-    Applies the discrete integrated operator A (time-trapezoid of F) to
-    random bounded space-time field pairs and compares the worst ratio
-    ||A u1 - A u2|| / ||u1 - u2|| against the theoretical factor plus
-    declared slack.  Pairs with zero separation are skipped.
+    Applies the solver's integrated map A (:func:`.solver.picard_map`, the
+    time-trapezoid of F) to random bounded space-time field pairs and
+    compares the worst ratio ||A u1 - A u2|| / ||u1 - u2|| against the
+    theoretical factor plus declared slack.  Pairs with zero separation
+    are skipped.
     """
     if constants is None:
         constants = compute_constants(model, op.grid)
@@ -185,15 +163,6 @@ def contraction_measure(model: ModelSpec, op: DiscreteOperator, rho: float | Non
     n = op.grid.n_total
     dt = rho / time_steps
 
-    def apply_integrated(fields):
-        rhs = np.empty_like(fields)
-        for k in range(fields.shape[0]):
-            rhs[k] = apply_f_values(model, op, fields[k])
-        increments = 0.5 * dt * (rhs[1:] + rhs[:-1])
-        out = np.zeros_like(fields)
-        out[1:] = np.cumsum(increments, axis=0)
-        return out
-
     rows = []
     worst = 0.0
     for index in range(n_pairs):
@@ -202,7 +171,9 @@ def contraction_measure(model: ModelSpec, op: DiscreteOperator, rho: float | Non
         separation = float(np.max(np.abs(u1 - u2)))
         if separation == 0.0:
             continue
-        image_gap = float(np.max(np.abs(apply_integrated(u1) - apply_integrated(u2))))
+        # the u0 term cancels in the difference A(u1) - A(u2)
+        image_gap = float(np.max(np.abs(picard_map(model, op, u1, dt, 0.0)
+                                        - picard_map(model, op, u2, dt, 0.0))))
         ratio = image_gap / separation
         worst = max(worst, ratio)
         rows.append({"pair": index, "ratio": ratio})
@@ -218,7 +189,6 @@ def contraction_measure(model: ModelSpec, op: DiscreteOperator, rho: float | Non
 
 def l1_bound_study(model: ModelSpec, op: DiscreteOperator, u0_list, t_end: float,
                    cfg: SolverConfig | None = None, slack: float = 1e-6,
-                   threads: int = 1,
                    constants: TheoryConstants | None = None) -> StudyResult:
     """sup over time of the quadrature L1 norm against ||u0||_1 + Cw |Omega|.
 
@@ -233,21 +203,19 @@ def l1_bound_study(model: ModelSpec, op: DiscreteOperator, u0_list, t_end: float
     cfg = cfg or SolverConfig(method="exp-euler", dt=0.05, t_end=t_end)
     cfg = replace(cfg, t_end=t_end)
 
-    def run_one(item) -> dict:
-        label, u0 = item
+    rows = []
+    for label, u0 in u0_list:
         traj = solve_global(model, op, u0, cfg, constants)
         l1_per_time = (np.abs(traj.values) * quad.weights[None, :]).sum(axis=1)
         sup_l1 = float(l1_per_time.max())
         u0_l1 = quad.l1_norm(u0.values)
         bound = u0_l1 + bound_offset + slack
-        return {
+        rows.append({
             "initial": label,
             "u0_l1": u0_l1,
             "sup_l1": sup_l1,
             "bound": bound,
             "pass": bool(sup_l1 <= bound),
             "margin": bound - sup_l1,
-        }
-
-    rows = _ordered_map(run_one, list(u0_list), threads)
+        })
     return _assemble("l1", rows, slack)

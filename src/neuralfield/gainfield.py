@@ -28,7 +28,7 @@ from scipy.linalg import eigh, eigh_tridiagonal
 from .discretization import (FLAT_SPAN, DiscreteOperator, FieldState, Grid, Quadrature, chebyshev_basis,
                              chebyshev_rank, convolve, kernel_spectrum, learned_factor_bound)
 from .errors import BoxTooSmallError, NoBoundStateError, NotPSDError
-from .model import FiringRate, LearningKernel, ModelSpec, SynapticKernel
+from .model import FiringRate, LearningKernel, ModelSpec
 from .solver import SolverConfig, Trajectory, solve_global
 
 
@@ -244,25 +244,20 @@ def presynaptic_gain(eig: EigenSystem, k_pre: float = 1.0) -> GainField:
 
 
 def simulate_gainfield(op: DiscreteOperator, gain: GainField, firing: FiringRate,
-                       u0: FieldState, cfg: SolverConfig,
-                       learning=None) -> Trajectory:
+                       u0: FieldState, cfg: SolverConfig) -> Trajectory:
     """Evolve the field under the effective kernel w(x, y) * phi_pre(y).
 
     Plasticity stays off (gamma = 0): the learned structure is frozen into
-    the gain.  Gain-field mode admits the linear firing rate.
+    the gain, which only the operator carries; the model keeps the raw
+    kernel.  ``picard`` is refused, since its segment constants come from
+    the model's kernel.  Gain-field mode admits the linear firing rate.
     """
-    effective = op.scaled_by_gain(gain.phi_pre)
-    # tabulated metadata so contraction constants see the effective kernel
-    raw = effective.matrix / op.quadrature.weights[None, :]
-    kernel = SynapticKernel("tabulated", {"matrix": raw, "nodes": op.grid.points})
-    model = ModelSpec(
-        kernel=kernel,
-        firing=firing,
-        learning=learning or LearningKernel(),
-        gamma=0.0,
-        mode="gain-field",
-    )
-    return solve_global(model, effective, u0, cfg)
+    if cfg.method == "picard":
+        raise ValueError("gain-field runs take exp-euler or rk4: picard constants "
+                         "would describe the raw kernel, not the gained one")
+    model = ModelSpec(kernel=op.kernel, firing=firing, learning=LearningKernel(),
+                      gamma=0.0, mode="gain-field")
+    return solve_global(model, op.scaled_by_gain(gain.phi_pre), u0, cfg)
 
 
 def greens_convolve(lam: float, grid: Grid, values: np.ndarray) -> np.ndarray:

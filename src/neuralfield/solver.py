@@ -1,14 +1,20 @@
 """Time evolution of the plastic neural field equation.
 
-Three methods are provided:
+This module is the only one that steps the field.  Three methods are
+provided:
 
 * ``picard``: fixed-point iteration of the integrated (Volterra) form over
   short segments, the constructive counterpart of the existence argument.
-  The time integral is discretized with the composite trapezoid rule.
+  :func:`picard_map` is the integrated map, its time integral the composite
+  trapezoid rule; the contraction study measures this same map.
 * ``exp-euler``: exact integration of the linear decay with the input term
   frozen over the step.  First order; stationary states are exact fixed
   points; the sup bound and positivity are preserved for any step size.
 * ``rk4``: classical fourth-order reference integrator.
+
+The two single-step methods are :func:`step`, which also checks that the
+new state is finite; :func:`solve_global` and the flow stationary solver
+both step through it.
 
 Every run can be audited against the sup bound max{||u0||, (1+gamma)*Cw}
 and the positivity property through :func:`monitor_bounds`.
@@ -54,22 +60,11 @@ class SolverConfig:
             if self.dt > self.segment_rho:
                 raise ValueError("dt must not exceed segment_rho")
 
-    def to_json(self) -> dict:
-        return {
-            "method": self.method,
-            "dt": self.dt,
-            "t_end": self.t_end,
-            "segment_rho": self.segment_rho,
-            "picard_tol": self.picard_tol,
-            "picard_max_iter": self.picard_max_iter,
-        }
-
 
 class Trajectory:
     """Field states at increasing times, stored as a (T, n) matrix."""
 
-    def __init__(self, times, values, model: ModelSpec, config: SolverConfig | None = None,
-                 picard_segments=None):
+    def __init__(self, times, values, picard_segments=None):
         times = np.asarray(times, dtype=float)
         values = np.asarray(values, dtype=float)
         if values.shape[0] != times.shape[0]:
@@ -80,19 +75,10 @@ class Trajectory:
         values.flags.writeable = False
         self.times = times
         self.values = values
-        self.model = model
-        self.config = config
         self.picard_segments = picard_segments
 
     def __len__(self) -> int:
         return self.times.shape[0]
-
-    def state(self, i: int) -> FieldState:
-        return FieldState(values=self.values[i], time=float(self.times[i]))
-
-    @property
-    def final(self) -> FieldState:
-        return self.state(len(self) - 1)
 
 
 @dataclass(frozen=True)
@@ -122,7 +108,8 @@ class BoundReport:
         return self.sup_observed <= self.bound_theoretical + 1e-6
 
 
-def _check_finite(values: np.ndarray, time: float, context: str) -> None:
+def check_finite(values: np.ndarray, time: float, context: str) -> None:
+    """Raise NumericalInstabilityError, with a snapshot, if a value is NaN or Inf."""
     if not np.all(np.isfinite(values)):
         bad = int(np.count_nonzero(~np.isfinite(values)))
         raise NumericalInstabilityError(
@@ -131,38 +118,46 @@ def _check_finite(values: np.ndarray, time: float, context: str) -> None:
         )
 
 
-def step_exp_euler(model: ModelSpec, op: DiscreteOperator, state: FieldState, dt: float) -> FieldState:
-    """One frozen-input exponential step: u+ = e^{-dt} u + (1 - e^{-dt}) J(u)."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    new = _exp_euler_values(model, op, state.values, dt)
-    _check_finite(new, state.time + dt, "exp-euler step")
-    return FieldState(values=new, time=state.time + dt)
+def step(model: ModelSpec, op: DiscreteOperator, values: np.ndarray, dt: float,
+         method: str, time: float) -> np.ndarray:
+    """One ``exp-euler`` or ``rk4`` step of u' = -u + J(u) from ``values``.
 
-
-def _exp_euler_values(model, op, values, dt):
+    exp-euler is the frozen-input step u+ = e^{-dt} u + (1 - e^{-dt}) J(u);
+    rk4 the classical 4-stage step.  Raises NumericalInstabilityError,
+    stamped with ``time`` (the time the step reaches), when a value is not
+    finite.
+    """
     # overflow is handled by the finiteness guard, not numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        decay = math.exp(-dt)
-        return decay * values + (1.0 - decay) * apply_j_values(model, op, values)
+        if method == "exp-euler":
+            decay = math.exp(-dt)
+            new = decay * values + (1.0 - decay) * apply_j_values(model, op, values)
+        elif method == "rk4":
+            k1 = apply_f_values(model, op, values)
+            k2 = apply_f_values(model, op, values + 0.5 * dt * k1)
+            k3 = apply_f_values(model, op, values + 0.5 * dt * k2)
+            k4 = apply_f_values(model, op, values + dt * k3)
+            new = values + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        else:
+            raise ValueError(f"no single-step method {method!r}")
+    check_finite(new, time, f"{method} step")
+    return new
 
 
-def step_rk4(model: ModelSpec, op: DiscreteOperator, state: FieldState, dt: float) -> FieldState:
-    """One classical 4-stage step on u' = -u + J(u)."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    new = _rk4_values(model, op, state.values, dt)
-    _check_finite(new, state.time + dt, "rk4 step")
-    return FieldState(values=new, time=state.time + dt)
+def picard_map(model: ModelSpec, op: DiscreteOperator, fields: np.ndarray, dt: float,
+               u0) -> np.ndarray:
+    """The integrated map A(U)(t_n) = u0 + int_0^{t_n} F(U) on a time lattice.
 
-
-def _rk4_values(model, op, values, dt):
-    with np.errstate(over="ignore", invalid="ignore"):
-        k1 = apply_f_values(model, op, values)
-        k2 = apply_f_values(model, op, values + 0.5 * dt * k1)
-        k3 = apply_f_values(model, op, values + 0.5 * dt * k2)
-        k4 = apply_f_values(model, op, values + dt * k3)
-        return values + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    ``fields`` holds U at the lattice times t_0 < ... < t_N, spaced dt
+    apart, one row each; the integral is the composite trapezoid rule.
+    """
+    rhs = np.empty_like(fields)
+    for n in range(fields.shape[0]):
+        rhs[n] = apply_f_values(model, op, fields[n])
+    out = np.empty_like(fields)
+    out[0] = u0
+    out[1:] = u0 + np.cumsum(0.5 * dt * (rhs[1:] + rhs[:-1]), axis=0)
+    return out
 
 
 def picard_segment(model: ModelSpec, op: DiscreteOperator, state0: FieldState,
@@ -170,8 +165,8 @@ def picard_segment(model: ModelSpec, op: DiscreteOperator, state0: FieldState,
                    constants: TheoryConstants | None = None) -> PicardSegment:
     """Solve one segment [t0, t0 + rho] by fixed-point iteration.
 
-    The iterate maps the whole time-discretized segment at once:
-    U_new(t_n) = u0 + trapezoid sum over [t0, t_n] of F(U_old).  Successive
+    The iterate maps the whole time-discretized segment at once,
+    U_new = picard_map(U_old) with the segment's initial state.  Successive
     update norms (sup over nodes and segment times) contract geometrically
     at rate bounded by the segment's contraction factor.
 
@@ -197,20 +192,13 @@ def picard_segment(model: ModelSpec, op: DiscreteOperator, state0: FieldState,
     current = np.tile(u0, (n_steps + 1, 1))
     update_norms = []
     for iteration in range(1, cfg.picard_max_iter + 1):
-        rhs = np.empty_like(current)
-        for n in range(n_steps + 1):
-            rhs[n] = apply_f_values(model, op, current[n])
-        increments = 0.5 * dt * (rhs[1:] + rhs[:-1])
-        cumulative = np.cumsum(increments, axis=0)
-        new = np.empty_like(current)
-        new[0] = u0
-        new[1:] = u0[None, :] + cumulative
-        _check_finite(new, float(times[-1]), "picard iterate")
+        new = picard_map(model, op, current, dt, u0)
+        check_finite(new, float(times[-1]), "picard iterate")
         update = float(np.max(np.abs(new - current)))
         update_norms.append(update)
         current = new
         if update < cfg.picard_tol:
-            traj = Trajectory(times, current, model, cfg)
+            traj = Trajectory(times, current)
             return PicardSegment(
                 trajectory=traj,
                 iterations=iteration,
@@ -224,8 +212,9 @@ def picard_segment(model: ModelSpec, op: DiscreteOperator, state0: FieldState,
     )
 
 
-def default_segment_length(model: ModelSpec, constants: TheoryConstants, safety: float = 0.5) -> float:
-    return max_segment_length(constants, model.gamma, safety)
+def segment_length(cfg: SolverConfig, constants: TheoryConstants, gamma: float) -> float:
+    """The picard segment length: ``cfg.segment_rho``, else the one with q = 1/2."""
+    return cfg.segment_rho or max_segment_length(constants, gamma)
 
 
 def solve_global(model: ModelSpec, op: DiscreteOperator, state0: FieldState,
@@ -240,7 +229,7 @@ def solve_global(model: ModelSpec, op: DiscreteOperator, state0: FieldState,
     if cfg.method == "picard":
         if constants is None:
             constants = compute_constants(model, op.grid)
-        rho = cfg.segment_rho or default_segment_length(model, constants)
+        rho = segment_length(cfg, constants, model.gamma)
         segments = []
         pieces_t = []
         pieces_u = []
@@ -255,23 +244,21 @@ def solve_global(model: ModelSpec, op: DiscreteOperator, state0: FieldState,
             skip = 0 if first else 1  # seam state already recorded
             pieces_t.append(traj.times[skip:])
             pieces_u.append(traj.values[skip:])
-            state = traj.final
+            state = FieldState(traj.values[-1], float(traj.times[-1]))
             remaining -= seg_len
             first = False
         times = np.concatenate(pieces_t)
         values = np.vstack(pieces_u)
-        return Trajectory(times, values, model, cfg, picard_segments=segments)
+        return Trajectory(times, values, picard_segments=segments)
 
     n_steps = max(1, round(cfg.t_end / cfg.dt))
     dt = cfg.t_end / n_steps
-    stepper = _exp_euler_values if cfg.method == "exp-euler" else _rk4_values
     values = np.empty((n_steps + 1, op.grid.n_total))
     values[0] = state0.values
     times = state0.time + dt * np.arange(n_steps + 1)
     for n in range(n_steps):
-        values[n + 1] = stepper(model, op, values[n], dt)
-        _check_finite(values[n + 1], float(times[n + 1]), f"{cfg.method} step")
-    return Trajectory(times, values, model, cfg)
+        values[n + 1] = step(model, op, values[n], dt, cfg.method, float(times[n + 1]))
+    return Trajectory(times, values)
 
 
 def monitor_bounds(traj: Trajectory, constants: TheoryConstants, model: ModelSpec,

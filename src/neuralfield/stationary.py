@@ -1,14 +1,14 @@
 """Stationary states u = J(u) of the field equation.
 
 Two routes: damped fixed-point iteration on the input operator, and
-long-time integration of the flow sampled along a geometric time sequence.
+long-time integration of the flow, stepped by :func:`.solver.step` and
+sampled along a geometric time sequence.
 Both report the recomputed residual so a ``converged`` flag can be trusted
 independently of the iteration history.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -16,9 +16,7 @@ import numpy as np
 
 from .discretization import DiscreteOperator, FieldState, apply_f_values, apply_j_values
 from .model import ModelSpec, TheoryConstants, compute_constants
-from .solver import _check_finite, _exp_euler_values
-
-STATIONARY_TIME = math.inf
+from .solver import check_finite, step
 
 
 @dataclass(frozen=True)
@@ -29,10 +27,6 @@ class StationaryResult:
     method: str
     converged: bool
     history: tuple = ()
-
-    @property
-    def state(self) -> FieldState:
-        return FieldState(values=self.u_inf, time=STATIONARY_TIME)
 
 
 def find_stationary_fp(model: ModelSpec, op: DiscreteOperator, u_init: FieldState,
@@ -62,7 +56,7 @@ def find_stationary_fp(model: ModelSpec, op: DiscreteOperator, u_init: FieldStat
     iterations = 0
     for iterations in range(1, max_iter + 1):
         ju = apply_j_values(model, op, u)
-        _check_finite(ju, float(iterations), "stationary iterate")
+        check_finite(ju, float(iterations), "stationary iterate")
         residual = float(np.max(np.abs(u - ju)))
         if residual < tol:
             break
@@ -93,8 +87,7 @@ def stationary_via_flow(model: ModelSpec, op: DiscreteOperator, u0: FieldState,
     next_sample = dt
     history = []
     while t < t_max:
-        u = _exp_euler_values(model, op, u, dt)
-        _check_finite(u, t + dt, "flow step")
+        u = step(model, op, u, dt, "exp-euler", t + dt)
         t += dt
         steps += 1
         if t >= next_sample - 1e-12:

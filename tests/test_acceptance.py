@@ -7,6 +7,7 @@ the release checklist.  Tolerances are pinned here and nowhere else.
 import contextlib
 import json
 import math
+import os
 import time
 
 import numpy as np
@@ -25,8 +26,7 @@ from neuralfield import (
     make_quadrature,
     max_segment_length,
 )
-from neuralfield.cli import run
-from neuralfield.config import build_config
+from neuralfield.cli import main
 from neuralfield.experiments import (
     continuous_dependence_study,
     contraction_measure,
@@ -46,8 +46,6 @@ from neuralfield.solver import (
     monitor_bounds,
     picard_segment,
     solve_global,
-    step_exp_euler,
-    step_rk4,
 )
 from neuralfield.stationary import find_stationary_fp, stationary_via_flow
 
@@ -200,9 +198,10 @@ def test_07_stationarity(op_201, bump_201, stationary_pair):
         assert flow.converged
         assert np.max(np.abs(fp.u_inf - flow.u_inf)) < 1e-6
         state = FieldState(fp.u_inf)
-        for stepper in (step_exp_euler, step_rk4):
-            drift = np.max(np.abs(stepper(model, op_201, state, 0.05).values - fp.u_inf))
-            assert drift < 1e-10, stepper.__name__
+        for method in ("exp-euler", "rk4"):
+            one_step = solve_global(model, op_201, state, SolverConfig(method, 0.05, t_end=0.05))
+            drift = np.max(np.abs(one_step.values[-1] - fp.u_inf))
+            assert drift < 1e-10, method
 
 
 def test_08_l1_bound():
@@ -287,27 +286,32 @@ def test_11_integrator_orders(op_201, bump_201):
         assert np.max(np.abs(picard.values - rk4.values)) < 1e-6
 
 
-def test_12_reproducibility(tmp_path):
+def test_12_reproducibility(tmp_path, monkeypatch):
     with criterion(12, "reproducibility"):
+        # main reads NF_* overrides from the environment; the runs must not
+        for key in [key for key in os.environ if key.startswith("NF_")]:
+            monkeypatch.delenv(key)
         doc = {
             "grid": {"nodes": [201]},
             "solver": {"dt": 0.05, "t_end": 5.0},
             "model": {"gamma": 1.0},
             "seed": 20240801,
         }
-        checksums = []
-        for name, threads in (("r1", 1), ("r2", 1), ("t4", 4)):
-            cfg = build_config(doc, environ={})
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(doc))
+
+        def manifest_checksums(argv, name, threads):
             out = tmp_path / name
-            assert run("simulate", cfg, out, threads=threads) == 0
-            checksums.append(json.loads((out / "manifest.json").read_text())["checksums"])
+            assert main([*argv, "--config", str(config), "--out", str(out),
+                         "--threads", str(threads)]) == 0
+            return json.loads((out / "manifest.json").read_text())["checksums"]
+
+        checksums = [manifest_checksums(["simulate"], name, threads)
+                     for name, threads in (("r1", 1), ("r2", 1), ("t4", 4))]
         assert checksums[0] == checksums[1], "identical reruns must match"
         assert checksums[0] == checksums[2], "thread count must not change results"
 
-        study_sums = []
-        for name, threads in (("s1", 1), ("s4", 4)):
-            cfg = build_config({**doc, "study": {"l1": {"t_end": 5.0}}}, environ={})
-            out = tmp_path / name
-            assert run("study", cfg, out, study_name="l1", threads=threads) == 0
-            study_sums.append(json.loads((out / "manifest.json").read_text())["checksums"])
+        config.write_text(json.dumps({**doc, "study": {"l1": {"t_end": 5.0}}}))
+        study_sums = [manifest_checksums(["study", "l1"], name, threads)
+                      for name, threads in (("s1", 1), ("s4", 4))]
         assert study_sums[0] == study_sums[1]

@@ -69,15 +69,6 @@ class TestPlasticityLimit:
         with pytest.raises(ValueError, match="descending"):
             plasticity_limit_study(make_model(), op_201, [0.1, 0.4], bump_201, t_end=1.0)
 
-    def test_threaded_rows_match_serial(self, op_201, bump_201):
-        model = make_model(gamma=1.0)
-        cfg = SolverConfig(method="rk4", dt=0.2, t_end=1.0)
-        serial = plasticity_limit_study(model, op_201, [0.4, 0.1], bump_201, 1.0,
-                                        cfg=cfg, threads=1)
-        threaded = plasticity_limit_study(model, op_201, [0.4, 0.1], bump_201, 1.0,
-                                          cfg=cfg, threads=4)
-        assert [r["distance"] for r in serial.rows] == [r["distance"] for r in threaded.rows]
-
 
 class TestContinuousDependence:
     def test_bound_holds_at_reference_q(self, op_201, bump_201):

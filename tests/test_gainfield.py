@@ -318,6 +318,35 @@ class TestSimulateGainfield:
                                   FiringRate("linear"), bump_201, cfg)
         assert np.all(np.isfinite(traj.values))
 
+    def test_picard_refused(self, op_201, bump_201):
+        # the model carries the raw kernel, so picard's constants would not
+        # describe the gained operator
+        cfg = SolverConfig(method="picard", dt=0.05, t_end=0.5)
+        with pytest.raises(ValueError, match="picard"):
+            simulate_gainfield(op_201, GainField(np.ones(201), 1.0),
+                               FiringRate("sigmoid"), bump_201, cfg)
+
+    def test_probe_forms_no_n_by_n_array(self):
+        # the gainfield command's probe at the benchmark size: the gained
+        # convolution is applied without tabulating the effective kernel
+        import tracemalloc
+
+        n = 901
+        grid = Grid(bounds=[(-10.0, 10.0)], npts=[n])
+        op = build_operator(exponential_kernel(), grid, make_quadrature(grid))
+        x = grid.points[:, 0]
+        gain = GainField(1.0 + 0.5 * np.exp(-x * x / 4.0), 1.0)
+        u0 = FieldState(0.5 * np.exp(-x * x / 8.0))
+        cfg = SolverConfig(method="exp-euler", dt=0.1, t_end=5.0)
+        tracemalloc.start()
+        try:
+            traj = simulate_gainfield(op, gain, FiringRate("sigmoid"), u0, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(traj.values))
+        assert peak < n * n * 8 / 4
+
 
 class TestGreensIdentity:
     @pytest.mark.parametrize("lam", [1.0, 2.0])

@@ -27,8 +27,7 @@ from neuralfield.solver import (
     monitor_bounds,
     picard_segment,
     solve_global,
-    step_exp_euler,
-    step_rk4,
+    step,
 )
 
 from conftest import exponential_kernel, make_model, zero_firing
@@ -183,17 +182,21 @@ class TestSteppers:
         model = ModelSpec(exponential_kernel(), zero_firing(), LearningKernel(), gamma=0.0)
         u0 = FieldState(np.linspace(-1, 1, 201) ** 2)
         for dt in (0.01, 0.5, 3.0):
-            out = step_exp_euler(model, op_201, u0, dt)
-            assert np.array_equal(out.values, math.exp(-dt) * u0.values)
+            out = step(model, op_201, u0.values, dt, "exp-euler", dt)
+            assert np.array_equal(out, math.exp(-dt) * u0.values)
 
     def test_rk4_near_exact_decay(self, op_201):
         model = ModelSpec(exponential_kernel(), zero_firing(), LearningKernel(), gamma=0.0)
         u0 = FieldState(np.full(201, 1.0))
         dt = 0.1
-        out = step_rk4(model, op_201, u0, dt)
+        out = step(model, op_201, u0.values, dt, "rk4", dt)
         # one step of the classical scheme truncates the exponential at dt^4
-        assert np.max(np.abs(out.values - math.exp(-dt))) < dt ** 5 / 100 * 10
-        assert np.max(np.abs(out.values - math.exp(-dt))) < 1e-7
+        assert np.max(np.abs(out - math.exp(-dt))) < dt ** 5 / 100 * 10
+        assert np.max(np.abs(out - math.exp(-dt))) < 1e-7
+
+    def test_picard_is_not_a_single_step_method(self, op_201, bump_201):
+        with pytest.raises(ValueError, match="picard"):
+            step(make_model(), op_201, bump_201.values, 0.1, "picard", 0.1)
 
     def _self_convergence_slope(self, method, op, u0, dts, t_end=2.0):
         model = make_model(gamma=0.5)
@@ -241,11 +244,11 @@ class TestStationaryFixedPointOfSteppers:
         assert result.converged
         state = FieldState(result.u_inf)
         for dt in (0.05, 0.5, 5.0):
-            out = step_exp_euler(model, op_201, state, dt)
+            out = step(model, op_201, state.values, dt, "exp-euler", dt)
             # drift is (1 - e^{-dt}) times the residual, so < residual always
-            assert np.max(np.abs(out.values - result.u_inf)) < 1e-11
-        small = step_exp_euler(model, op_201, state, 0.05)
-        assert np.max(np.abs(small.values - result.u_inf)) < 1e-12
+            assert np.max(np.abs(out - result.u_inf)) < 1e-11
+        small = step(model, op_201, state.values, 0.05, "exp-euler", 0.05)
+        assert np.max(np.abs(small - result.u_inf)) < 1e-12
 
 
 class TestMonitorBounds:
