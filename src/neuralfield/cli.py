@@ -12,7 +12,9 @@ written even when the run fails, with an error section.  ``constants`` may
 run without an output directory; it then only prints.  Study rows run
 serially; ``--threads`` is accepted for compatibility and ignored.
 
-Exit codes: 0 success, 1 numerical failure, 2 config error.
+Exit codes: 0 success, 1 numerical failure (a NeuralFieldError or
+FloatingPointError), 2 config error.  Any other exception is a bug: it
+propagates with its traceback once the output lock is released.
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import RunConfig, build_config, initial_state, parse_config
+from .config import RunConfig, build_config, check_section, initial_state, parse_config
 from .discretization import Grid, build_operator, make_quadrature
-from .errors import NeuralFieldError, ParseError, SchemaError
+from .errors import NeuralFieldError, OutputLockedError, ParseError, SchemaError
 from .experiments import (
     continuous_dependence_study,
     contraction_measure,
@@ -103,6 +105,15 @@ def _operator(cfg: RunConfig):
     return build_operator(cfg.model.kernel, cfg.grid, cfg.quadrature)
 
 
+def _fixed_point(cfg: RunConfig, op, u0, constants):
+    """The stationary fixed point under the config's ``stationary`` settings."""
+    if cfg.grid.boundary != "compact":
+        raise SchemaError(["grid: the stationary fixed-point solve needs a compact grid"])
+    section = cfg.document["stationary"]
+    return find_stationary_fp(cfg.model, op, u0, damping=section["damping"], tol=section["tol"],
+                              max_iter=section["max_iter"], constants=constants)
+
+
 def cmd_simulate(cfg: RunConfig, out_dir, constants):
     op = _operator(cfg)
     u0 = initial_state(cfg)
@@ -139,9 +150,7 @@ def cmd_stationary(cfg: RunConfig, out_dir, constants, method=None):
     section = cfg.document["stationary"]
     method = method or section["method"]
     if method == "fp":
-        result = find_stationary_fp(cfg.model, op, u0, damping=section["damping"],
-                                    tol=section["tol"], max_iter=section["max_iter"],
-                                    constants=constants)
+        result = _fixed_point(cfg, op, u0, constants)
     else:
         result = stationary_via_flow(cfg.model, op, u0, t_max=section["t_max"],
                                      settle_tol=section["settle_tol"], dt=section["dt"])
@@ -162,10 +171,7 @@ def cmd_gainfield(cfg: RunConfig, out_dir, constants):
     op = _operator(cfg)
     u0 = initial_state(cfg)
     section = cfg.document["gainfield"]
-    stat_section = cfg.document["stationary"]
-    stationary = find_stationary_fp(cfg.model, op, u0, damping=stat_section["damping"],
-                                    tol=stat_section["tol"], max_iter=stat_section["max_iter"],
-                                    constants=constants)
+    stationary = _fixed_point(cfg, op, u0, constants)
     learned = build_learned_kernel(stationary.u_inf, cfg.model, cfg.grid, sign=section["sign"])
     eig = mercer_decompose(learned, cfg.quadrature, n_eigs=section["n_eigs"])
     gain = presynaptic_gain(eig, k_pre=section["k_pre"])
@@ -204,15 +210,17 @@ def cmd_gainfield(cfg: RunConfig, out_dir, constants):
 
 
 def cmd_schrodinger(cfg: RunConfig, out_dir, constants, well=None, lam=None):
-    section = cfg.document["schrodinger"]
-    half_width = section["half_width"]
-    height = section["height"]
+    section = dict(cfg.document["schrodinger"])
     if well is not None:
         try:
-            half_width, height = (float(part) for part in well.split(","))
+            section["half_width"], section["height"] = (float(part) for part in well.split(","))
         except ValueError:
             raise SchemaError(["--well: expected 'half_width,height'"]) from None
-    lam = lam if lam is not None else section["lambda"]
+    if lam is not None:
+        section["lambda"] = lam
+    # the options bypass the config walk, so they meet its rules here
+    check_section("schrodinger", section)
+    half_width, height, lam = section["half_width"], section["height"], section["lambda"]
     grid = Grid(bounds=[(-section["box"], section["box"])], npts=[section["nodes"]])
     pot = PotentialSpec(shape="square-well", half_width=half_width, height=height)
     eig = schrodinger_fd(pot, grid, n_states=section["n_states"])
@@ -335,7 +343,7 @@ def run(command: str, cfg: RunConfig, out_dir, study_name=None, **options) -> in
             for violation in exc.violations:
                 print(f"config error: {violation}", file=sys.stderr)
             status = EXIT_CONFIG
-        except (NeuralFieldError, FloatingPointError, ValueError, RuntimeError) as exc:
+        except (NeuralFieldError, FloatingPointError) as exc:
             error = {"type": type(exc).__name__, "message": str(exc)}
             print(f"numerical failure: {exc}", file=sys.stderr)
             status = EXIT_NUMERICAL
@@ -407,7 +415,7 @@ def main(argv=None) -> int:
     options = {key: getattr(args, key) for key in ("method", "well", "lam") if hasattr(args, key)}
     try:
         return run(args.command, cfg, args.out, study_name=getattr(args, "name", None), **options)
-    except RuntimeError as exc:
+    except OutputLockedError as exc:
         # lock contention surfaces here, before any manifest can exist
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

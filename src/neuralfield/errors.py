@@ -55,3 +55,7 @@ class NoBoundStateError(NeuralFieldError):
 
 class KernelInterpolationError(NeuralFieldError):
     """Tabulated kernel was asked to evaluate off its sampling grid."""
+
+
+class OutputLockedError(NeuralFieldError, RuntimeError):
+    """Output directory is held by another live run."""

@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .discretization import DiscreteOperator, FieldState
+from .errors import NonContractiveError
 from .model import ModelSpec, TheoryConstants, compute_constants, contraction_factor, max_segment_length
 from .solver import SolverConfig, picard_map, solve_global
 
@@ -111,7 +112,7 @@ def continuous_dependence_study(model: ModelSpec, op: DiscreteOperator, u0: Fiel
         rho = max_segment_length(constants, model.gamma)
     q = contraction_factor(constants, model.gamma, rho)
     if q >= 1.0:
-        raise ValueError(f"contraction factor {q:.4g} >= 1; shrink rho")
+        raise NonContractiveError(f"contraction factor {q:.4g} >= 1; shrink rho")
     amplification = 1.0 / (1.0 - q)
     slack = slack_coeff * dt * dt
 

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh, eigh_tridiagonal
 
 from .discretization import (FLAT_SPAN, DiscreteOperator, FieldState, Grid, Quadrature, chebyshev_basis,
                              chebyshev_rank, convolve, kernel_spectrum, learned_factor_bound)
@@ -187,13 +186,13 @@ def mercer_decompose(kernel, quad: Quadrature, psd_tol: float = 1e-8,
     split = learned_factor(kernel, n_eigs) if isinstance(kernel, LearnedKernel) else None
     if split is None:
         symm = sqrt_w[:, None] * g_matrix * sqrt_w[None, :]
-        eigenvalues, vectors = eigh(0.5 * (symm + symm.T))
+        eigenvalues, vectors = np.linalg.eigh(0.5 * (symm + symm.T))
         path, bound = "dense", 0.0
     else:
         factor, middle, bound = split
         q, r = np.linalg.qr(sqrt_w[:, None] * factor)
         core = r @ middle @ r.T
-        eigenvalues, small = eigh(0.5 * (core + core.T))
+        eigenvalues, small = np.linalg.eigh(0.5 * (core + core.T))
         vectors = q @ small
         path, bound = "factor", bound * float(quad.weights.sum())
     order = np.argsort(eigenvalues)[::-1]
@@ -287,11 +286,139 @@ def greens_identity_check(lam: float, grid: Grid, quad: Quadrature, test_values=
     return float(np.max(np.abs(residual)))
 
 
+class _Tridiagonal:
+    """Symmetric tridiagonal matrix T with diagonal ``diag`` and every
+    off-diagonal entry equal to ``off``: Sturm counts and inverse iteration.
+
+    ``count_below(shift)`` is the number of eigenvalues below ``shift``:
+    the negative pivots of the LDL^T factorization of T - shift (Sylvester's
+    law of inertia), with pivots smaller than ``pivmin`` taken as -pivmin
+    so a zero pivot neither divides by zero nor flips the count (Barth,
+    Martin & Wilkinson, Numer. Math. 9, 1967).  ``eigenvalues`` bisects the
+    lowest of them on those counts; ``eigenvector`` runs inverse iteration
+    with the same factorization as a Thomas solve.
+    """
+
+    def __init__(self, diag: np.ndarray, off: float):
+        self.diag = diag.tolist()
+        self.off = off
+        self.norm = float(np.max(np.abs(diag))) + 2.0 * abs(off)
+        # Gershgorin discs hold the spectrum
+        self.lower = float(diag.min()) - 2.0 * abs(off)
+        self.upper = float(diag.max()) + 2.0 * abs(off)
+        self.pivmin = np.finfo(float).tiny * max(1.0, off * off)
+
+    def count_below(self, shift: float) -> int:
+        count = 0
+        off_sq = self.off * self.off
+        pivmin = self.pivmin
+        pivot = math.inf  # the first row has no off-diagonal term
+        for a in self.diag:
+            pivot = a - shift - off_sq / pivot
+            if pivot <= pivmin:
+                count += 1
+                if pivot > -pivmin:
+                    pivot = -pivmin
+        return count
+
+    def eigenvalues(self, k: int) -> list:
+        """The k lowest eigenvalues, ascending, each bisected to a bracket of
+        width 2 eps ||T||; every count also narrows the brackets above."""
+        lo = [self.lower] * k
+        hi = [self.upper] * k
+        width = 2.0 * np.finfo(float).eps * self.norm
+        for j in range(k):
+            while hi[j] - lo[j] > width:
+                mid = 0.5 * (lo[j] + hi[j])
+                if not lo[j] < mid < hi[j]:
+                    break
+                below = self.count_below(mid)
+                for i in range(j, k):
+                    if i < below:
+                        hi[i] = min(hi[i], mid)
+                    else:
+                        lo[i] = max(lo[i], mid)
+        return [0.5 * (a + b) for a, b in zip(lo, hi)]
+
+    def eigenvector(self, shift: float, lower_states: np.ndarray) -> np.ndarray:
+        """Unit eigenvector for the eigenvalue nearest ``shift``.
+
+        Inverse iteration from a fixed pseudo-random start: each step solves
+        (T - shift) x = b by the Thomas algorithm, pivots below eps ||T|| raised
+        to that size so a shift on an eigenvalue gives a large finite x, then
+        removes the columns of ``lower_states`` (orthonormal vectors of the states
+        below, which crowd close to this one above a shallow well) by
+        Gram-Schmidt.  The sign makes the largest-magnitude component positive.
+        """
+        floor = np.finfo(float).eps * self.norm
+        off_sq = self.off * self.off
+        pivots = []
+        pivot = math.inf
+        for a in self.diag:
+            pivot = a - shift - off_sq / pivot
+            if abs(pivot) < floor:
+                pivot = math.copysign(floor, pivot)
+            pivots.append(pivot)
+        # multipliers of the unit lower factor L, T - shift = L D L^T
+        mult = [self.off / d for d in pivots[:-1]]
+        x = np.random.default_rng(0).uniform(-1.0, 1.0, len(self.diag))
+        # a shift within eps ||T|| of the eigenvalue damps every other
+        # component by eps ||T|| / gap per step; three steps leave none
+        for _ in range(3):
+            rhs = x.tolist()
+            y = rhs[0]
+            forward = [y]
+            for m, b in zip(mult, rhs[1:]):
+                y = b - m * y
+                forward.append(y)
+            z = forward[-1] / pivots[-1]
+            solved = [z]
+            for m, y, d in zip(reversed(mult), reversed(forward[:-1]), reversed(pivots[:-1])):
+                z = y / d - m * z
+                solved.append(z)
+            x = np.array(solved[::-1])
+            x -= lower_states @ (lower_states.T @ x)
+            x /= np.linalg.norm(x)
+        return -x if x[np.argmax(np.abs(x))] < 0 else x
+
+
+def _hamiltonian(potential_values: np.ndarray, dx: float) -> _Tridiagonal:
+    """-d^2/dx^2 + V by three-point differences on the interior nodes
+    (Dirichlet ends); ``potential_values`` holds V on the full grid."""
+    return _Tridiagonal(2.0 / (dx * dx) + potential_values[1:-1], -1.0 / (dx * dx))
+
+
+def _check_decay(ground: np.ndarray, potential_values: np.ndarray, boundary_tol: float) -> None:
+    """Raise BoxTooSmallError when the ground state has not decayed at the
+    ends of the box."""
+    # a constant potential has no well to confine the state: the Dirichlet
+    # walls are the physics and no boundary decay is expected
+    if np.ptp(potential_values) == 0:
+        return
+    ground = np.abs(ground)
+    edge = max(ground[0], ground[-1])
+    if edge > boundary_tol * ground.max():
+        raise BoxTooSmallError(
+            f"ground state magnitude at the boundary is {edge / ground.max():.3g} "
+            "of its peak; enlarge the box"
+        )
+
+
+def _on_grid(vectors: np.ndarray, dx: float) -> np.ndarray:
+    """Interior unit vectors as full-grid functions, zero at the ends and
+    orthonormal under the interior weights dx."""
+    functions = np.zeros((vectors.shape[0] + 2, vectors.shape[1]))
+    functions[1:-1] = vectors / math.sqrt(dx)
+    return functions
+
+
 def schrodinger_fd(potential: PotentialSpec, grid: Grid, n_states: int = 1,
                    boundary_tol: float = 1e-6) -> EigenSystem:
     """Lowest eigenpairs of -d^2/dx^2 + V with Dirichlet ends.
 
     Standard second-order three-point discretization on the interior nodes.
+    Eigenvalues are bisected on Sturm counts, eigenvectors taken by inverse
+    iteration, the largest-magnitude component of each positive.
     Eigenfunctions are returned on the full grid (zero at the ends) and
     normalized against the uniform interior weights, so they are
     quadrature-orthonormal.  Raises BoxTooSmallError when the ground state
@@ -302,29 +429,18 @@ def schrodinger_fd(potential: PotentialSpec, grid: Grid, n_states: int = 1,
     nodes = grid.axis_nodes[0]
     dx = grid.spacing[0]
     v = potential.on_nodes(nodes)
-    interior = slice(1, len(nodes) - 1)
-    diag = 2.0 / (dx * dx) + v[interior]
-    off = np.full(len(nodes) - 3, -1.0 / (dx * dx))
-    n_states = min(n_states, diag.shape[0])
-    eigenvalues, vectors = eigh_tridiagonal(diag, off, select="i",
-                                            select_range=(0, n_states - 1))
-    # euclidean-orthonormal -> orthonormal under interior weights dx
-    vectors = vectors / math.sqrt(dx)
-    # a constant potential has no well to confine the state: the Dirichlet
-    # walls are the physics and no boundary decay is expected
-    if boundary_tol is not None and np.ptp(v) > 0:
-        ground = np.abs(vectors[:, 0])
-        edge = max(ground[0], ground[-1])
-        if edge > boundary_tol * ground.max():
-            raise BoxTooSmallError(
-                f"ground state magnitude at the boundary is {edge / ground.max():.3g} "
-                "of its peak; enlarge the box"
-            )
-    functions = np.zeros((len(nodes), n_states))
-    functions[interior] = vectors
+    hamiltonian = _hamiltonian(v, dx)
+    n_states = min(n_states, len(nodes) - 2)
+    eigenvalues = hamiltonian.eigenvalues(n_states)
+    vectors = np.zeros((len(nodes) - 2, n_states))
+    for j, energy in enumerate(eigenvalues):
+        vectors[:, j] = hamiltonian.eigenvector(energy, vectors[:, :j])
+    if boundary_tol is not None:
+        _check_decay(vectors[:, 0], v, boundary_tol)
     weights = np.full(len(nodes), dx)
     weights[0] = weights[-1] = dx / 2.0
-    return EigenSystem(values=eigenvalues, functions=functions, weights=weights)
+    return EigenSystem(values=np.array(eigenvalues), functions=_on_grid(vectors, dx),
+                       weights=weights)
 
 
 @dataclass(frozen=True)
@@ -351,13 +467,6 @@ class CrossCheckReport:
         }
 
 
-def _ground_energy(v0: float, half_width: float, grid: Grid,
-                   boundary_tol: float | None = 1e-6) -> tuple:
-    pot = PotentialSpec(shape="square-well", half_width=half_width, height=v0)
-    eig = schrodinger_fd(pot, grid, n_states=1, boundary_tol=boundary_tol)
-    return float(eig.values[0]), eig.functions[:, 0]
-
-
 def schrodinger_cross_check(lam: float, half_width: float, grid: Grid, quad: Quadrature,
                             v0_bracket: tuple | None = None, tol: float = 1e-8,
                             max_iter: int = 200) -> CrossCheckReport:
@@ -370,6 +479,11 @@ def schrodinger_cross_check(lam: float, half_width: float, grid: Grid, quad: Qua
     u -> G_lambda * (P u) in the quadrature L2 norm.  The relation
     E = k^2 - lambda^2 then holds by construction and is re-verified through
     the Rayleigh quotient.
+
+    Each bisection probe needs only the sign of V0 - lambda^2 - E0(V0): it is
+    positive exactly when the Sturm count of the well's Hamiltonian below
+    V0 - lambda^2 is at least one.  The ground state at the final V0 comes
+    from inverse iteration shifted at V0 - lambda^2.
 
     Raises NoBoundStateError when the bracket contains no solution, e.g.
     when the caller pins the search below lambda^2 where E = V0 - lambda^2
@@ -384,36 +498,39 @@ def schrodinger_cross_check(lam: float, half_width: float, grid: Grid, quad: Qua
     if not hi > lo > 0:
         raise ValueError("bracket must satisfy 0 < lo < hi")
 
-    def gap(v0: float) -> float:
-        # sign probe only: skip the decay guard, shallow wells are legal here
-        energy, _ = _ground_energy(v0, half_width, grid, boundary_tol=None)
-        return v0 - energy - lam * lam
+    nodes = grid.axis_nodes[0]
+    dx = grid.spacing[0]
+    # the unit-depth well; depth v0 scales it exactly
+    well = PotentialSpec(shape="square-well", half_width=half_width, height=1.0).on_nodes(nodes)
 
-    gap_lo, gap_hi = gap(lo), gap(hi)
-    if not gap_lo < 0 < gap_hi:
+    def bound_below(v0: float) -> bool:
+        """E0(v0) < v0 - lambda^2; no decay guard, shallow wells are legal here."""
+        return _hamiltonian(v0 * well, dx).count_below(v0 - lam * lam) >= 1
+
+    if bound_below(lo) or not bound_below(hi):
         raise NoBoundStateError(
-            f"no self-consistent well depth in [{lo:.6g}, {hi:.6g}]: "
-            f"gap endpoints {gap_lo:.6g}, {gap_hi:.6g}",
+            f"no self-consistent well depth in [{lo:.6g}, {hi:.6g}]: V0 - E0(V0) - "
+            "lambda^2 does not change sign from negative to positive",
             bracket=(lo, hi),
         )
     iterations = 0
     while hi - lo > tol and iterations < max_iter:
         mid = 0.5 * (lo + hi)
-        if gap(mid) < 0:
-            lo = mid
-        else:
+        if bound_below(mid):
             hi = mid
+        else:
+            lo = mid
         iterations += 1
     v0 = 0.5 * (lo + hi)
 
-    _, psi = _ground_energy(v0, half_width, grid)
-    nodes = grid.axis_nodes[0]
+    ground = _hamiltonian(v0 * well, dx).eigenvector(v0 - lam * lam, np.zeros((nodes.size - 2, 0)))
+    _check_decay(ground, well, 1e-6)
+    psi = _on_grid(ground[:, None], dx)[:, 0]
     pot = PotentialSpec(shape="square-well", half_width=half_width, height=v0, k_squared=v0)
     gain_profile = pot.gain_profile(nodes)  # compactly supported
     image = greens_convolve(lam, grid, quad.weights * gain_profile * psi)
     residual_l2 = quad.l2_norm(psi - image) / quad.l2_norm(psi)
 
-    dx = grid.spacing[0]
     interior = slice(1, len(nodes) - 1)
     second = np.zeros_like(psi)
     second[interior] = (psi[:-2] - 2.0 * psi[1:-1] + psi[2:]) / (dx * dx)

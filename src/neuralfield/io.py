@@ -18,6 +18,8 @@ import os
 import tempfile
 from pathlib import Path
 
+from .errors import OutputLockedError
+
 
 def fmt(value) -> str:
     """One CSV cell; floats at 17 significant digits."""
@@ -111,7 +113,7 @@ def output_lock(out_dir):
                 with contextlib.suppress(FileNotFoundError):
                     os.unlink(lock_path)
                 continue
-            raise RuntimeError(
+            raise OutputLockedError(
                 f"output directory {out_dir} is locked by another run "
                 f"(remove {lock_path} if that run is dead)"
             ) from None

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.linalg import eigh, eigh_tridiagonal
 
 
 def _kernel(kernel, x, y, index):
@@ -153,6 +154,25 @@ def finite_well_ground_energy(height, half_width):
         return k_in * math.tan(k_in * half_width) - math.sqrt(height - energy)
 
     return bisect(matching, 1e-12, cap)
+
+
+def mercer_eigenvalues(matrix, weights):
+    """Eigenvalues, descending, of D^(1/2) G D^(1/2) with D the diagonal of
+    quadrature weights, by LAPACK through scipy."""
+    sqrt_w = np.sqrt(weights)
+    return eigh(sqrt_w[:, None] * matrix * sqrt_w[None, :], eigvals_only=True)[::-1]
+
+
+def fd_schrodinger_eigenpairs(potential, dx, k):
+    """The k lowest eigenpairs of the three-point -d^2/dx^2 + V on the
+    interior nodes (Dirichlet ends) by LAPACK stebz/stein through scipy, with
+    the infinity norm of that tridiagonal matrix.  Vectors are unit
+    euclidean columns over the interior."""
+    diag = 2.0 / (dx * dx) + np.asarray(potential[1:-1], dtype=float)
+    off = np.full(diag.size - 1, -1.0 / (dx * dx))
+    values, vectors = eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1))
+    rows = np.abs(diag) + np.r_[0.0, np.abs(off)] + np.r_[np.abs(off), 0.0]
+    return values, vectors, float(rows.max())
 
 
 def crank_nicolson_decay(u0, dt, n_steps):

@@ -509,6 +509,51 @@ class TestRun:
         assert manifest["error"]["type"] == "NumericalInstabilityError"
         assert (out / ".lock").exists() is False
 
+    def test_noncontractive_study_segment_is_a_numerical_failure(self, tmp_path):
+        doc = {"grid": {"nodes": [101]}, "study": {"dependence": {"rho": 50.0}}}
+        out = tmp_path / "dep"
+        assert run("study", build_config(doc, environ={}), out, study_name="dependence") == 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["error"]["type"] == "NonContractiveError"
+
+    @pytest.mark.parametrize("command", ["stationary", "gainfield"])
+    def test_fixed_point_on_periodic_grid_is_a_config_error(self, tmp_path, command):
+        doc = {"grid": {"nodes": [64], "boundary": "periodic"}}
+        out = tmp_path / command
+        assert run(command, build_config(doc, environ={}), out) == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["error"]["type"] == "SchemaError"
+        assert "compact" in manifest["error"]["violations"][0]
+
+    @pytest.mark.parametrize("bug", [TypeError, ValueError, RuntimeError])
+    def test_unexpected_error_propagates_and_unlocks(self, tmp_path, monkeypatch, bug):
+        import neuralfield.cli as cli
+
+        def broken(cfg, out_dir, constants):
+            raise bug("a bug, not a numerical failure")
+
+        monkeypatch.setattr(cli, "cmd_simulate", broken)
+        out = tmp_path / "bug"
+        with pytest.raises(bug, match="a bug"):
+            run("simulate", build_config(small_sim_doc(), environ={}), out)
+        assert not (out / ".lock").exists()
+
+    @pytest.mark.parametrize("argv, key", [
+        (["--well", "nan,2"], "schrodinger.half_width"),
+        (["--well", "0,2"], "schrodinger.half_width"),
+        (["--well", "1,-2"], "schrodinger.height"),
+        (["--well", "1,inf"], "schrodinger.height"),
+        (["--lambda", "0"], "schrodinger.lambda"),
+        (["--lambda", "nan"], "schrodinger.lambda"),
+    ])
+    def test_schrodinger_options_meet_the_schema(self, tmp_path, capsys, argv, key):
+        out = tmp_path / "sch"
+        assert main(["schrodinger", "--out", str(out), *argv]) == 2
+        assert f"config error: {key}: must be" in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["error"]["type"] == "SchemaError"
+        assert not (out / "schrodinger.json").exists()
+
 
 class TestMainEntry:
     def test_validate_ok(self, tmp_path, capsys):
@@ -542,6 +587,23 @@ class TestMainEntry:
         payload = json.loads((out / "constants.json").read_text())
         assert payload["q"] < 1.0
         assert payload["constants"]["firing_lipschitz"] == 0.25
+
+    def test_only_lock_contention_exits_1_from_main(self, tmp_path, monkeypatch):
+        import neuralfield.cli as cli
+
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / ".lock").write_text(str(os.getpid()))
+        assert main(["constants", "--out", str(out)]) == 1
+        (out / ".lock").unlink()
+
+        def broken(cfg, out_dir, constants):
+            raise RuntimeError("a bug, not lock contention")
+
+        monkeypatch.setattr(cli, "cmd_constants", broken)
+        with pytest.raises(RuntimeError, match="a bug"):
+            main(["constants", "--out", str(out)])
+        assert not (out / ".lock").exists()
 
     def test_unknown_study_name_exits_config_error(self, tmp_path):
         cfg = build_config({}, environ={})

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from neuralfield import (
     FieldState,
@@ -26,6 +28,7 @@ from neuralfield.errors import BoxTooSmallError, NoBoundStateError, NotPSDError
 from neuralfield.gainfield import (
     GainField,
     PotentialSpec,
+    _hamiltonian,
     build_learned_kernel,
     greens_identity_check,
     learned_factor,
@@ -40,7 +43,7 @@ from neuralfield.solver import SolverConfig, solve_global
 from neuralfield.stationary import find_stationary_fp
 
 from conftest import exponential_kernel, make_model
-from oracles import finite_well_ground_energy
+from oracles import fd_schrodinger_eigenpairs, finite_well_ground_energy, mercer_eigenvalues
 
 
 @pytest.fixture(scope="module")
@@ -173,7 +176,7 @@ def learned_on(span_over_width, gamma, sign="plus", boundary="compact", rule="tr
 
 
 class TestFactorSplit:
-    """The low-rank Mercer split of learned kernels against the dense eigh."""
+    """The low-rank Mercer split of learned kernels against LAPACK's dense eigh."""
 
     @pytest.mark.parametrize("boundary, rule", GRID_KINDS)
     @pytest.mark.parametrize("sign", ["plus", "minus"])
@@ -181,9 +184,8 @@ class TestFactorSplit:
     @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0, 4.0])
     def test_against_dense_oracle(self, gamma, span_over_width, sign, boundary, rule):
         learned, quad, rank = learned_on(span_over_width, gamma, sign, boundary, rule)
-        try:
-            oracle = mercer_decompose(learned.matrix, quad)
-        except NotPSDError:
+        oracle = mercer_eigenvalues(learned.matrix, quad.weights)
+        if oracle[-1] < -1e-8 * max(oracle[0], 1.0):
             with pytest.raises(NotPSDError):
                 mercer_decompose(learned, quad, n_eigs=N_EIGS)
             return
@@ -192,8 +194,8 @@ class TestFactorSplit:
             rank = N_EIGS - 2  # the constant factor
         assert eig.path == "factor" and eig.values.shape == (rank + 2,)
         # rounding of both eigensolvers, relative to the largest value
-        allowance = 1e-13 * max(abs(oracle.values[0]), 1.0)
-        assert np.max(np.abs(eig.values[:N_EIGS] - oracle.values[:N_EIGS])) <= eig.error_bound + allowance
+        allowance = 1e-13 * max(abs(oracle[0]), 1.0)
+        assert np.max(np.abs(eig.values[:N_EIGS] - oracle[:N_EIGS])) <= eig.error_bound + allowance
         assert np.max(np.abs(eig.gram() - np.eye(rank + 2))) <= 1e-12
         kernel_bound = eig.error_bound / float(quad.weights.sum())
         recon = np.max(np.abs(reconstruct_kernel(eig) - learned.matrix))
@@ -257,13 +259,13 @@ class TestFactorSplit:
         assert "manifest.json" not in manifest["checksums"]
         written = np.array([float(line.split(",")[1])
                             for line in (out / "eigs.csv").read_text().splitlines()[1:]])
-        # the dense oracle on the same stationary state
+        # LAPACK's dense eigh on the same stationary state
         op = build_operator(cfg.model.kernel, cfg.grid, cfg.quadrature)
         section = cfg.document["stationary"]
         u_inf = find_stationary_fp(cfg.model, op, initial_state(cfg), damping=section["damping"],
                                    tol=section["tol"], max_iter=section["max_iter"]).u_inf
         learned = build_learned_kernel(u_inf, cfg.model, cfg.grid)
-        oracle = mercer_decompose(learned.matrix, cfg.quadrature).values[:written.size]
+        oracle = mercer_eigenvalues(learned.matrix, cfg.quadrature.weights)[:written.size]
         allowance = 1e-13 * oracle[0]
         assert np.max(np.abs(written - oracle)) <= manifest["mercer"]["eig_error_bound"] + allowance
 
@@ -410,6 +412,89 @@ class TestSchrodingerFD:
         pot = PotentialSpec(shape="square-well", half_width=1.0, height=2.0)
         with pytest.raises(BoxTooSmallError):
             schrodinger_fd(pot, grid, n_states=1)
+
+
+def tabulated_potential(kind, rng, x):
+    """A random potential on the nodes x: rough per-node values, a smooth sum
+    of gaussians, or a shallow square well whose states above the well
+    crowd together in the box."""
+    half_box = float(x[-1])
+    if kind == "rough":
+        return rng.uniform(0.0, rng.uniform(0.1, 100.0), x.size)
+    if kind == "smooth":
+        return sum(rng.uniform(-5.0, 5.0)
+                   * np.exp(-((x - rng.uniform(-half_box, half_box)) / rng.uniform(0.1, half_box)) ** 2)
+                   for _ in range(3))
+    return PotentialSpec(shape="square-well", half_width=float(rng.uniform(0.05, 1.0)),
+                         height=float(rng.uniform(1e-3, 0.3))).on_nodes(x)
+
+
+class TestTridiagonalSolver:
+    """Sturm bisection and inverse iteration against LAPACK stebz/stein."""
+
+    @given(n=st.integers(3, 2001), n_states=st.integers(1, 6),
+           kind=st.sampled_from(["rough", "smooth", "shallow"]),
+           half_box=st.floats(1.0, 20.0), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    @example(n=2001, n_states=6, kind="shallow", half_box=20.0, seed=1)
+    @example(n=2001, n_states=6, kind="rough", half_box=5.0, seed=2)
+    def test_against_lapack(self, n, n_states, kind, half_box, seed):
+        grid = Grid(bounds=[(-half_box, half_box)], npts=[n])
+        dx = grid.spacing[0]
+        v = tabulated_potential(kind, np.random.default_rng(seed), grid.axis_nodes[0])
+        eig = schrodinger_fd(PotentialSpec(shape="custom-tabulated", values=v), grid,
+                             n_states=n_states, boundary_tol=None)
+        k = eig.values.size
+        assert k == min(n_states, n - 2)
+        # one state more than asked, for the gap above the last one
+        values, vectors, norm = fd_schrodinger_eigenpairs(v, dx, min(k + 1, n - 2))
+        assert np.max(np.abs(eig.values - values[:k])) <= 1e-12 * norm
+        assert np.max(np.abs(eig.gram() - np.eye(k))) <= 1e-10
+        unit = eig.functions[1:-1] * math.sqrt(dx)
+        eps = np.finfo(float).eps
+        for j in range(k):
+            x = unit[:, j]
+            assert x[np.argmax(np.abs(x))] > 0
+            tx = (2.0 / (dx * dx) + v[1:-1]) * x
+            tx[1:] -= x[:-1] / (dx * dx)
+            tx[:-1] -= x[1:] / (dx * dx)
+            assert np.max(np.abs(tx - eig.values[j] * x)) <= 8.0 * eps * norm
+            # a vector is determined to eps ||T|| / gap (Davis-Kahan); states
+            # closer than that are checked as a subspace by the two lines above
+            gap = np.min(np.abs(np.delete(values, j) - values[j]), initial=np.inf)
+            if eps * norm / gap <= 1e-11:
+                oracle = vectors[:, j] * np.sign(vectors[:, j] @ x)
+                assert np.max(np.abs(x - oracle)) <= 1e-10
+
+    def test_tunnelling_pairs_stay_orthogonal(self):
+        # two deep wells far apart: each pair of states splits by less than
+        # eps ||T||, so both shifts of a pair find the same vector and only
+        # the Gram-Schmidt step against the lower states separates them
+        grid = Grid(bounds=[(-15.0, 15.0)], npts=[1201])
+        x = grid.axis_nodes[0]
+        v = np.where(np.abs(np.abs(x) - 5.0) < 1.5, 0.0, 40.0)
+        eig = schrodinger_fd(PotentialSpec(shape="custom-tabulated", values=v), grid,
+                             n_states=4, boundary_tol=None)
+        values, _, norm = fd_schrodinger_eigenpairs(v, grid.spacing[0], 4)
+        assert values[1] - values[0] < np.finfo(float).eps * norm
+        assert np.max(np.abs(eig.values - values)) <= 1e-12 * norm
+        assert np.max(np.abs(eig.gram() - np.eye(4))) <= 1e-10
+
+    @given(n=st.integers(3, 200), kind=st.sampled_from(["rough", "smooth", "shallow"]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_sturm_count_is_the_inertia(self, n, kind, seed):
+        rng = np.random.default_rng(seed)
+        grid = Grid(bounds=[(-10.0, 10.0)], npts=[n])
+        v = tabulated_potential(kind, rng, grid.axis_nodes[0])
+        values, _, _ = fd_schrodinger_eigenpairs(v, grid.spacing[0], n - 2)
+        hamiltonian = _hamiltonian(v, grid.spacing[0])
+        # shifts between neighbouring eigenvalues and beyond both ends
+        shifts = np.concatenate([[values[0] - 1.0], 0.5 * (values[1:] + values[:-1]),
+                                 [values[-1] + 1.0]])
+        for expected, shift in enumerate(shifts):
+            if expected in (0, n - 2) or values[expected] - values[expected - 1] > 1e-9 * values[-1]:
+                assert hamiltonian.count_below(float(shift)) == expected
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,9 @@
 """Structural checks on the package source."""
 
 import ast
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "neuralfield"
@@ -19,3 +22,38 @@ def test_no_module_imports_a_private_name_of_a_sibling():
             found += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
                       if alias.name.startswith("_") and not alias.name.endswith("__")]
     assert found == []
+
+
+def test_no_module_imports_scipy():
+    # scipy is a test dependency only: the oracles use it, the package does not
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] == "scipy"]
+    assert found == []
+
+
+def test_commands_run_without_loading_scipy(tmp_path):
+    doc = {"grid": {"nodes": [101]},
+           "gainfield": {"crosscheck_nodes": 401},
+           "schrodinger": {"nodes": 401, "n_states": 2}}
+    config = tmp_path / "tiny.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    script = (
+        "import sys\n"
+        "import neuralfield.cli as cli\n"
+        "assert 'scipy' not in sys.modules, 'import'\n"
+        "for command in ('gainfield', 'schrodinger'):\n"
+        f"    assert cli.main([command, '--config', {str(config)!r},\n"
+        f"                     '--out', {str(tmp_path)!r} + '/' + command]) == 0\n"
+        "assert 'scipy' not in sys.modules, 'run'\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
