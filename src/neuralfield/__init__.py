@@ -36,7 +36,6 @@ from .solver import (
 )
 from .stationary import (
     StationaryResult,
-    equicontinuity_probe,
     find_stationary_fp,
     stationary_via_flow,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "build_operator",
     "compute_constants",
     "contraction_factor",
-    "equicontinuity_probe",
     "find_stationary_fp",
     "kernel_matrix",
     "make_quadrature",

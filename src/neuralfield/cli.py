@@ -40,7 +40,6 @@ from .experiments import (
     plasticity_limit_study,
 )
 from .gainfield import (
-    GainField,
     PotentialSpec,
     build_learned_kernel,
     mercer_decompose,
@@ -125,10 +124,8 @@ def cmd_simulate(cfg: RunConfig, out_dir, constants):
               ["t", "node_index"] + _coordinate_header(cfg.grid) + ["u"],
               node_rows(nodes, traj.values, traj.times))
 
-    sup_per_time = np.max(np.abs(traj.values), axis=1)
-    min_per_time = np.min(traj.values, axis=1)
     bound_rows = [
-        [traj.times[n], sup_per_time[n], report.bound_theoretical, min_per_time[n]]
+        [traj.times[n], report.sup_per_time[n], report.bound_theoretical, report.min_per_time[n]]
         for n in range(len(traj))
     ]
     write_csv(Path(out_dir) / "bounds.csv", ["t", "sup_u", "bound", "min_u"], bound_rows)
@@ -174,12 +171,12 @@ def cmd_gainfield(cfg: RunConfig, out_dir, constants):
     stationary = _fixed_point(cfg, op, u0, constants)
     learned = build_learned_kernel(stationary.u_inf, cfg.model, cfg.grid, sign=section["sign"])
     eig = mercer_decompose(learned, cfg.quadrature, n_eigs=section["n_eigs"])
-    gain = presynaptic_gain(eig, k_pre=section["k_pre"])
+    phi_pre = presynaptic_gain(eig, k_pre=section["k_pre"])
 
     n_eigs = min(section["n_eigs"], eig.values.shape[0])
     write_csv(Path(out_dir) / "eigs.csv", ["i", "sigma_i"],
               [[i, eig.values[i]] for i in range(n_eigs)])
-    _write_field_csv(Path(out_dir) / "phi_pre.csv", cfg.grid, gain.phi_pre, "phi")
+    _write_field_csv(Path(out_dir) / "phi_pre.csv", cfg.grid, phi_pre, "phi")
 
     lam = section["lambda"]
     box = section["crosscheck_box"]
@@ -193,8 +190,7 @@ def cmd_gainfield(cfg: RunConfig, out_dir, constants):
     # claim between them is unproved, so nothing here is asserted)
     probe_cfg = SolverConfig(method="exp-euler", dt=0.1, t_end=5.0)
     plastic = solve_global(cfg.model, op, u0, probe_cfg, constants)
-    gained = simulate_gainfield(op, GainField(gain.phi_pre, gain.k_pre),
-                                cfg.model.firing, u0, probe_cfg)
+    gained = simulate_gainfield(op, phi_pre, cfg.model.firing, u0, probe_cfg)
     tail = slice(len(plastic.times) // 2, None)
     above = float(np.mean(gained.values[tail] > plastic.values[tail]))
     exploratory = {
@@ -290,12 +286,13 @@ def cmd_study(cfg: RunConfig, out_dir, constants, study_name):
         write_csv(Path(out_dir) / csv_name, header,
                   [[("" if row[k] is None else row[k]) for k in header] for row in result.rows])
     verdict = {"pass": result.passed, "worst_margin": result.worst_margin}
-    if result.fit and result.fit.get("slope") is not None:
-        verdict["fitted_slope"] = result.fit["slope"]
-        verdict["r2"] = result.fit.get("r2")
-    if result.fit and "max_ratio" in (result.fit or {}):
-        verdict["max_ratio"] = result.fit["max_ratio"]
-        verdict["q"] = result.fit["q"]
+    fit = result.fit or {}
+    if "slope" in fit:
+        verdict["fitted_slope"] = fit["slope"]
+        verdict["r2"] = fit["r2"]
+    if "max_ratio" in fit:
+        verdict["max_ratio"] = fit["max_ratio"]
+        verdict["q"] = fit["q"]
     write_json(Path(out_dir) / "verdict.json", verdict)
     return {"verdict": verdict}
 

@@ -136,7 +136,9 @@ SCHEMA = {
             "gamma_list": ([0.4, 0.2, 0.1, 0.05, 0.025], DESCENDING),
             "t_end": (10.0, POSITIVE),
             "dt": (0.05, POSITIVE),
-            "method": ("rk4", _one_of(SOLVER_METHODS)),
+            # picard picks its segment length per gamma, so its runs would
+            # not share the reference run's time lattice
+            "method": ("rk4", _one_of(("exp-euler", "rk4"))),
             "slack": (0.0, NONNEGATIVE),
         },
         "dependence": {

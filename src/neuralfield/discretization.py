@@ -181,9 +181,6 @@ class Quadrature:
         if np.any(w <= 0):
             raise ValueError("quadrature weights must be positive")
 
-    def integrate(self, values: np.ndarray) -> float:
-        return float(np.sum(self.weights * np.asarray(values, dtype=float)))
-
     def l1_norm(self, values: np.ndarray) -> float:
         return float(np.sum(self.weights * np.abs(np.asarray(values, dtype=float))))
 
@@ -305,10 +302,6 @@ class DiscreteOperator:
             return np.abs(v) @ np.abs(self.matrix).T
         return convolve(self._abs_spectrum, self.grid, np.abs(self._weighted(v)))
 
-    @property
-    def abs_row_sums(self) -> np.ndarray:
-        return self.abs_apply(np.ones(self.grid.n_total))
-
     def scaled_by_gain(self, gain: np.ndarray) -> "DiscreteOperator":
         """Operator for the effective kernel w(x, y) * gain(y)."""
         gain = np.asarray(gain, dtype=float)
@@ -363,6 +356,16 @@ def chebyshev_rank(r: float) -> int:
     return max(1, math.ceil(float(np.min(needed))))
 
 
+def factor_degree(gamma: float, span: float) -> int:
+    """Chebyshev degree of the factor 1 + gamma * g over a field spanning
+    ``span`` learning widths: 0, the constant 1 + gamma, when gamma = 0 or
+    span <= FLAT_SPAN, else :func:`chebyshev_rank` of span / 2.  J and the
+    learned-kernel split both take their degree from here."""
+    if gamma == 0.0 or span <= FLAT_SPAN:
+        return 0
+    return chebyshev_rank(0.5 * span)
+
+
 def plasticity_rank(model: ModelSpec, op: DiscreteOperator, values: np.ndarray) -> int | None:
     """Degree of the Chebyshev plasticity factor J uses for this field.
 
@@ -373,10 +376,8 @@ def plasticity_rank(model: ModelSpec, op: DiscreteOperator, values: np.ndarray) 
     if op.spectrum is None:
         return None
     span = float(values.max() - values.min()) / model.learning.params["width"]
-    if model.gamma == 0.0 or span <= FLAT_SPAN:
-        return 0
-    rank = chebyshev_rank(0.5 * span)
-    return None if rank + 2 > values.shape[0] / 4 else rank
+    rank = factor_degree(model.gamma, span)
+    return None if rank and rank + 2 > values.shape[0] / 4 else rank
 
 
 def j_error_bound(model: ModelSpec, op: DiscreteOperator, values: np.ndarray,

@@ -53,9 +53,5 @@ class NoBoundStateError(NeuralFieldError):
         super().__init__(message)
 
 
-class KernelInterpolationError(NeuralFieldError):
-    """Tabulated kernel was asked to evaluate off its sampling grid."""
-
-
 class OutputLockedError(NeuralFieldError, RuntimeError):
     """Output directory is held by another live run."""

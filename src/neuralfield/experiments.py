@@ -42,7 +42,7 @@ def _loglog_fit(x, y) -> dict:
     ss_res = float(np.sum((ly - predicted) ** 2))
     ss_tot = float(np.sum((ly - ly.mean()) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return {"slope": float(slope), "intercept": float(intercept), "r2": r2}
+    return {"slope": float(slope), "r2": r2}
 
 
 def _assemble(name, rows, slack, fit=None) -> StudyResult:
@@ -183,8 +183,7 @@ def contraction_measure(model: ModelSpec, op: DiscreteOperator, rho: float | Non
         row["pass"] = bool(row["ratio"] <= bound)
         row["margin"] = bound - row["ratio"]
     result = _assemble("contraction", rows, slack)
-    result.fit = {"q": q, "rho": rho, "max_ratio": worst,
-                  "slope": None, "intercept": None, "r2": None}
+    result.fit = {"q": q, "rho": rho, "max_ratio": worst}
     return result
 
 

@@ -6,9 +6,10 @@ u_inf(y)).  G is positive semidefinite (a constant kernel plus a gaussian
 kernel composed with the feature map x -> u_inf(x)), so it splits into
 quadrature-orthonormal eigenfunctions.  The split is taken from G's
 rank-(K + 2) factor: g interpolated in u_inf at K + 1 Chebyshev points, K
-from J's rank rule and at least n_eigs - 2, then a thin QR in O(n K^2);
-a rank above n / 4 takes the dense eigh.  The diagonal part of the split is
-the pre-synaptic gain field phi_pre(y) = K_pre * sum_i sigma_i phi_i(y)^2.
+from the degree rule J uses (``factor_degree``) and at least n_eigs - 2, then
+a thin QR in O(n K^2); a rank above n / 4 takes the dense eigh.  The diagonal
+part of the split is the pre-synaptic gain field, an array of
+phi_pre(y) = K_pre * sum_i sigma_i phi_i(y)^2 that the gain-field probe takes.
 
 For gain fields of the form (k^2 - V)/lambda together with the exponential
 kernel exp(-lambda |x - y|) / (2 lambda), the stationary equation is
@@ -24,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretization import (FLAT_SPAN, DiscreteOperator, FieldState, Grid, Quadrature, chebyshev_basis,
-                             chebyshev_rank, convolve, kernel_spectrum, learned_factor_bound)
+from .discretization import (DiscreteOperator, FieldState, Grid, Quadrature, chebyshev_basis, convolve,
+                             factor_degree, kernel_spectrum, learned_factor_bound)
 from .errors import BoxTooSmallError, NoBoundStateError, NotPSDError
 from .model import FiringRate, LearningKernel, ModelSpec
 from .solver import SolverConfig, Trajectory, solve_global
@@ -36,7 +37,6 @@ class LearnedKernel:
     """Plasticity factor frozen at a stationary state."""
 
     matrix: np.ndarray
-    grid: Grid
     gamma: float
     source: np.ndarray
     learning: LearningKernel
@@ -66,29 +66,19 @@ class EigenSystem:
         return self.functions.T @ (self.weights[:, None] * self.functions)
 
 
-@dataclass(frozen=True, eq=False)
-class GainField:
-    """Pre-synaptic multiplicative gain extracted from a kernel spectrum."""
-
-    phi_pre: np.ndarray
-    k_pre: float
-
-
 @dataclass(frozen=True)
 class PotentialSpec:
     """Potential for the stationary cross-check.
 
-    square-well: V = 0 on |x| < half_width, ``height`` outside.  With the
-    base gain k^2 equal to the height, the gain profile k^2 - V is compactly
-    supported, which is what makes the stationary integral well defined.
-    ``k_squared`` is the base gain, needed only for the gain profile.
+    square-well: V = 0 on |x| < half_width, ``height`` outside, and the
+    midpoint value on a node that sits on a jump.  custom-tabulated: the
+    given ``values``, one per node.
     """
 
     shape: str = "square-well"
     half_width: float = 1.0
     height: float = 2.0
     values: np.ndarray | None = None
-    k_squared: float | None = None
 
     def __post_init__(self):
         if self.shape not in ("square-well", "custom-tabulated"):
@@ -97,12 +87,6 @@ class PotentialSpec:
             raise ValueError("half_width must be positive")
         if self.shape == "custom-tabulated" and self.values is None:
             raise ValueError("custom-tabulated potential needs values")
-
-    def gain_profile(self, nodes: np.ndarray) -> np.ndarray:
-        """P(x) = k^2 - V(x)."""
-        if self.k_squared is None:
-            raise ValueError("gain profile needs k_squared")
-        return self.k_squared - self.on_nodes(nodes)
 
     def on_nodes(self, nodes: np.ndarray) -> np.ndarray:
         if self.shape == "square-well":
@@ -118,21 +102,20 @@ class PotentialSpec:
 
 
 def build_learned_kernel(u_inf, model: ModelSpec, grid: Grid, sign: str = "plus") -> LearnedKernel:
-    """Freeze the plasticity factor at a stationary state.
+    """Freeze the plasticity factor at the stationary state array ``u_inf``.
 
     ``sign='minus'`` flips the modulation to 1 - gamma*g for exploration;
     the default matches the dynamics.
     """
     if sign not in ("plus", "minus"):
         raise ValueError("sign must be 'plus' or 'minus'")
-    values = u_inf.values if isinstance(u_inf, FieldState) else np.asarray(u_inf, dtype=float)
-    if values.shape != (grid.n_total,):
+    if u_inf.shape != (grid.n_total,):
         raise ValueError("stationary state does not match the grid")
-    diff = values[:, None] - values[None, :]
+    diff = u_inf[:, None] - u_inf[None, :]
     s = 1.0 if sign == "plus" else -1.0
     # exactly symmetric: g is even and u_i - u_j = -(u_j - u_i) in floating point
     matrix = 1.0 + s * model.gamma * model.learning(diff)
-    return LearnedKernel(matrix=matrix, grid=grid, gamma=model.gamma, source=values,
+    return LearnedKernel(matrix=matrix, gamma=model.gamma, source=u_inf,
                          learning=model.learning, sign=sign)
 
 
@@ -141,51 +124,46 @@ def learned_factor(kernel: LearnedKernel, n_eigs: int = 0) -> tuple | None:
 
     F = [1, L], L the (n, K + 1) Lagrange basis at Chebyshev points on
     [min u_inf, max u_inf], M = blockdiag(1, +-gamma g(t_k - t_l)), or
-    diag(1 +- gamma, 0, ...) for gamma = 0 or a flat field.  K is
-    max(chebyshev_rank(span / 2), n_eigs - 2); None when K + 2 > n / 4.
+    diag(1 +- gamma, 0, ...) for gamma = 0 or a flat field (degree 0).  K is
+    the :func:`factor_degree`, at least 1 and n_eigs - 2; None when
+    K + 2 > n / 4.
     """
     values = kernel.source
     span = float(values.max() - values.min()) / kernel.learning.params["width"]
-    constant = kernel.gamma == 0.0 or span <= FLAT_SPAN
-    rank = max(1 if constant else chebyshev_rank(0.5 * span), n_eigs - 2)
+    degree = factor_degree(kernel.gamma, span)
+    rank = max(degree, 1, n_eigs - 2)
     if rank + 2 > values.shape[0] / 4:
         return None
     nodes, basis = chebyshev_basis(values, rank)
     middle = np.zeros((rank + 2, rank + 2))
-    middle[0, 0] = kernel.diagonal_value if constant else 1.0
-    if not constant:
+    middle[0, 0] = 1.0 if degree else kernel.diagonal_value
+    if degree:
         sign = 1.0 if kernel.sign == "plus" else -1.0
         middle[1:, 1:] = sign * kernel.gamma * kernel.learning(nodes[:, None] - nodes[None, :])
     factor = np.column_stack([np.ones_like(values), basis.T])
-    return factor, middle, learned_factor_bound(kernel.gamma, span, 0 if constant else rank)
+    return factor, middle, learned_factor_bound(kernel.gamma, span, rank if degree else 0)
 
 
-def mercer_decompose(kernel, quad: Quadrature, psd_tol: float = 1e-8,
+def mercer_decompose(kernel: LearnedKernel, quad: Quadrature, psd_tol: float = 1e-8,
                      residual_tol: float = 1e-8, n_eigs: int = 0) -> EigenSystem:
-    """Split a symmetric kernel into quadrature-orthonormal eigenfunctions.
+    """Split a learned kernel into quadrature-orthonormal eigenfunctions.
 
     Solves the symmetric eigenproblem of D^{1/2} G D^{1/2} with D the
     diagonal of quadrature weights, then maps eigenvectors back through
     D^{-1/2}; that makes sum_i sigma_i phi_i(x) phi_i(y) reproduce G and
-    <phi_i, phi_j> = delta_ij under the weighted inner product.  A learned
-    kernel is split in O(n K^2) from its :func:`learned_factor`: with
+    <phi_i, phi_j> = delta_ij under the weighted inner product.  The kernel
+    is split in O(n K^2) from its :func:`learned_factor`: with
     D^{1/2} F = Q R and R M R^T = V diag(sigma) V^T, phi = D^{-1/2} Q V.
-    Ndarray kernels and factors above rank n / 4 take the dense eigh.
+    Factors above rank n / 4 take the dense eigh.  G is symmetric by
+    construction (:func:`build_learned_kernel`).
 
     Raises NotPSDError when the smallest eigenvalue is more negative than
     psd_tol times the largest, or when the returned pairs miss the dense G.
     """
-    g_matrix = kernel.matrix if isinstance(kernel, LearnedKernel) else np.asarray(kernel, dtype=float)
-    if g_matrix.shape[0] != g_matrix.shape[1]:
-        raise ValueError("kernel matrix must be square")
-    # upper-triangle row blocks, so no n x n work array
-    if max(float(np.max(np.abs(g_matrix[i:i + 128, i:] - g_matrix[i:, i:i + 128].T)))
-           for i in range(0, g_matrix.shape[0], 128)) > 1e-10:
-        raise ValueError("kernel matrix must be symmetric")
     sqrt_w = np.sqrt(quad.weights)
-    split = learned_factor(kernel, n_eigs) if isinstance(kernel, LearnedKernel) else None
+    split = learned_factor(kernel, n_eigs)
     if split is None:
-        symm = sqrt_w[:, None] * g_matrix * sqrt_w[None, :]
+        symm = sqrt_w[:, None] * kernel.matrix * sqrt_w[None, :]
         eigenvalues, vectors = np.linalg.eigh(0.5 * (symm + symm.T))
         path, bound = "dense", 0.0
     else:
@@ -209,7 +187,7 @@ def mercer_decompose(kernel, quad: Quadrature, psd_tol: float = 1e-8,
     functions = vectors / sqrt_w[:, None]
 
     # validate against the dense weighted operator: (G phi)(x_i) = sum_j q_j G_ij phi_j
-    applied = g_matrix @ (quad.weights[:, None] * functions)
+    applied = kernel.matrix @ (quad.weights[:, None] * functions)
     residual = float(np.max(np.abs(applied - functions * eigenvalues[None, :])))
     scale = max(top, 1.0)
     if residual > residual_tol * scale:
@@ -228,7 +206,7 @@ def reconstruct_kernel(eig: EigenSystem, rank: int | None = None) -> np.ndarray:
     return (f * eig.values[None, :k]) @ f.T
 
 
-def presynaptic_gain(eig: EigenSystem, k_pre: float = 1.0) -> GainField:
+def presynaptic_gain(eig: EigenSystem, k_pre: float = 1.0) -> np.ndarray:
     """phi_pre(y) = K_pre * sum_i sigma_i |phi_i(y)|^2.
 
     At the factor's rank this equals K_pre times the kernel diagonal (to the
@@ -238,11 +216,10 @@ def presynaptic_gain(eig: EigenSystem, k_pre: float = 1.0) -> GainField:
     if k_pre <= 0:
         raise ValueError("k_pre must be positive")
     sigma = np.clip(eig.values, 0.0, None)
-    phi = k_pre * ((eig.functions * eig.functions) * sigma[None, :]).sum(axis=1)
-    return GainField(phi_pre=phi, k_pre=k_pre)
+    return k_pre * ((eig.functions * eig.functions) * sigma[None, :]).sum(axis=1)
 
 
-def simulate_gainfield(op: DiscreteOperator, gain: GainField, firing: FiringRate,
+def simulate_gainfield(op: DiscreteOperator, phi_pre: np.ndarray, firing: FiringRate,
                        u0: FieldState, cfg: SolverConfig) -> Trajectory:
     """Evolve the field under the effective kernel w(x, y) * phi_pre(y).
 
@@ -256,7 +233,7 @@ def simulate_gainfield(op: DiscreteOperator, gain: GainField, firing: FiringRate
                          "would describe the raw kernel, not the gained one")
     model = ModelSpec(kernel=op.kernel, firing=firing, learning=LearningKernel(),
                       gamma=0.0, mode="gain-field")
-    return solve_global(model, op.scaled_by_gain(gain.phi_pre), u0, cfg)
+    return solve_global(model, op.scaled_by_gain(phi_pre), u0, cfg)
 
 
 def greens_convolve(lam: float, grid: Grid, values: np.ndarray) -> np.ndarray:
@@ -348,7 +325,7 @@ class _Tridiagonal:
         to that size so a shift on an eigenvalue gives a large finite x, then
         removes the columns of ``lower_states`` (orthonormal vectors of the states
         below, which crowd close to this one above a shallow well) by
-        Gram-Schmidt.  The sign makes the largest-magnitude component positive.
+        Gram-Schmidt.  The sign is left to :func:`_on_grid`.
         """
         floor = np.finfo(float).eps * self.norm
         off_sq = self.off * self.off
@@ -379,7 +356,7 @@ class _Tridiagonal:
             x = np.array(solved[::-1])
             x -= lower_states @ (lower_states.T @ x)
             x /= np.linalg.norm(x)
-        return -x if x[np.argmax(np.abs(x))] < 0 else x
+        return x
 
 
 def _hamiltonian(potential_values: np.ndarray, dx: float) -> _Tridiagonal:
@@ -405,10 +382,12 @@ def _check_decay(ground: np.ndarray, potential_values: np.ndarray, boundary_tol:
 
 
 def _on_grid(vectors: np.ndarray, dx: float) -> np.ndarray:
-    """Interior unit vectors as full-grid functions, zero at the ends and
-    orthonormal under the interior weights dx."""
+    """Interior unit vectors as full-grid columns: zero at the ends, orthonormal
+    under the interior weights dx, first largest-magnitude value positive."""
     functions = np.zeros((vectors.shape[0] + 2, vectors.shape[1]))
-    functions[1:-1] = vectors / math.sqrt(dx)
+    interior = vectors / math.sqrt(dx)
+    peaks = interior[np.argmax(np.abs(interior), axis=0), np.arange(interior.shape[1])]
+    functions[1:-1] = interior * np.sign(peaks)
     return functions
 
 
@@ -526,15 +505,15 @@ def schrodinger_cross_check(lam: float, half_width: float, grid: Grid, quad: Qua
     ground = _hamiltonian(v0 * well, dx).eigenvector(v0 - lam * lam, np.zeros((nodes.size - 2, 0)))
     _check_decay(ground, well, 1e-6)
     psi = _on_grid(ground[:, None], dx)[:, 0]
-    pot = PotentialSpec(shape="square-well", half_width=half_width, height=v0, k_squared=v0)
-    gain_profile = pot.gain_profile(nodes)  # compactly supported
+    potential = v0 * well
+    gain_profile = v0 - potential  # base gain k^2 = V0: compactly supported
     image = greens_convolve(lam, grid, quad.weights * gain_profile * psi)
     residual_l2 = quad.l2_norm(psi - image) / quad.l2_norm(psi)
 
     interior = slice(1, len(nodes) - 1)
     second = np.zeros_like(psi)
     second[interior] = (psi[:-2] - 2.0 * psi[1:-1] + psi[2:]) / (dx * dx)
-    hamiltonian = -second + pot.on_nodes(nodes) * psi
+    hamiltonian = -second + potential * psi
     rayleigh = float(np.sum(psi * hamiltonian) / np.sum(psi * psi))
 
     return CrossCheckReport(

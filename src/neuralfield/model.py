@@ -20,8 +20,6 @@ from typing import Mapping
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import KernelInterpolationError
-
 FIRING_KINDS = ("sigmoid", "scaled-arctan", "linear", "piecewise-linear-clamped")
 LEARNING_KINDS = ("gaussian",)
 KERNEL_KINDS = ("exponential", "mexican-hat", "tabulated")
@@ -196,29 +194,6 @@ class SynapticKernel:
             out = (1.0 - z) * np.exp(-z)
         return out if out.ndim else float(out)
 
-    def evaluate(self, x, y):
-        """w(x, y) for points given as scalars or coordinate arrays."""
-        if self.isotropic:
-            dx = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-            return self.profile(np.linalg.norm(np.atleast_1d(dx)))
-        nodes = self.params["nodes"]
-        pts = np.atleast_2d(nodes) if nodes.ndim == 1 else nodes
-
-        def locate(p):
-            p = np.atleast_1d(np.asarray(p, dtype=float))
-            if nodes.ndim == 1:
-                hit = np.nonzero(np.abs(nodes - p[0]) <= 1e-12)[0]
-            else:
-                hit = np.nonzero(np.all(np.abs(pts - p) <= 1e-12, axis=1))[0]
-            if hit.size == 0:
-                raise KernelInterpolationError(
-                    f"point {p.tolist()} is not a sampling node of the tabulated kernel; "
-                    "interpolation is not supported"
-                )
-            return int(hit[0])
-
-        return float(self.params["matrix"][locate(x), locate(y)])
-
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -239,19 +214,6 @@ class ModelSpec:
             raise ValueError(
                 "linear firing rate is unbounded and only admitted in gain-field mode"
             )
-
-    def to_json(self) -> dict:
-        def section(obj):
-            params = {k: (v.tolist() if isinstance(v, np.ndarray) else v) for k, v in obj.params.items()}
-            return {"kind": obj.kind, "params": params}
-
-        return {
-            "kernel": section(self.kernel),
-            "firing": section(self.firing),
-            "learning": section(self.learning),
-            "gamma": self.gamma,
-            "mode": self.mode,
-        }
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "ModelSpec":

@@ -87,7 +87,6 @@ class PicardSegment:
 
     trajectory: Trajectory
     iterations: int
-    final_update_norm: float
     update_norms: tuple
     contraction_bound: float
 
@@ -101,7 +100,8 @@ class BoundReport:
     min_observed: float
     positivity_applicable: bool
     positivity_violations: int
-    margins: np.ndarray
+    sup_per_time: np.ndarray
+    min_per_time: np.ndarray
 
     @property
     def within_bound(self) -> bool:
@@ -202,7 +202,6 @@ def picard_segment(model: ModelSpec, op: DiscreteOperator, state0: FieldState,
             return PicardSegment(
                 trajectory=traj,
                 iterations=iteration,
-                final_update_norm=update,
                 update_norms=tuple(update_norms),
                 contraction_bound=q,
             )
@@ -275,17 +274,17 @@ def monitor_bounds(traj: Trajectory, constants: TheoryConstants, model: ModelSpe
     sup_u0 = float(np.max(np.abs(u0_vals))) if u0_vals.size else 0.0
     bound = max(sup_u0, (1.0 + model.gamma) * constants.kernel_l1_sup)
     sup_per_time = np.max(np.abs(traj.values), axis=1)
-    sup_observed = float(sup_per_time.max())
-    min_observed = float(traj.values.min())
+    min_per_time = np.min(traj.values, axis=1)
 
     applicable = model.kernel.positive and bool(np.all(u0_vals >= 0.0))
     violations = int(np.count_nonzero(traj.values < positivity_tol)) if applicable else 0
 
     return BoundReport(
-        sup_observed=sup_observed,
+        sup_observed=float(sup_per_time.max()),
         bound_theoretical=bound,
-        min_observed=min_observed,
+        min_observed=float(min_per_time.min()),
         positivity_applicable=applicable,
         positivity_violations=violations,
-        margins=bound - sup_per_time,
+        sup_per_time=sup_per_time,
+        min_per_time=min_per_time,
     )

@@ -1,10 +1,11 @@
 """Stationary states u = J(u) of the field equation.
 
-Two routes: damped fixed-point iteration on the input operator, and
-long-time integration of the flow, stepped by :func:`.solver.step` and
-sampled along a geometric time sequence.
-Both report the recomputed residual so a ``converged`` flag can be trusted
-independently of the iteration history.
+The two methods of ``stationary --method``: damped fixed-point iteration on
+the input operator (``fp``, also the state ``gainfield`` freezes), and
+long-time integration of the flow (``flow``), stepped by :func:`.solver.step`
+and sampled along a geometric time sequence.  Both report the recomputed
+residual so a ``converged`` flag can be trusted independently of the
+iteration history.
 """
 
 from __future__ import annotations
@@ -112,40 +113,4 @@ def stationary_via_flow(model: ModelSpec, op: DiscreteOperator, u0: FieldState,
         method="flow",
         converged=residual < settle_tol,
         history=tuple(history),
-    )
-
-
-@dataclass(frozen=True)
-class ModulusTable:
-    """Sup-over-time moduli of continuity at a few lattice offsets."""
-
-    offsets: np.ndarray          # physical offsets k * dx
-    sup_modulus: np.ndarray      # sup over snapshots of max_i |u(x+k dx) - u(x)|
-    per_time: np.ndarray         # (T, len(offsets)) raw moduli
-    monotone: bool               # sup modulus decreases as the offset shrinks
-
-
-def equicontinuity_probe(traj, grid, offsets=(1, 2, 4, 8)) -> ModulusTable:
-    """Moduli of continuity of every snapshot on a 1-D grid.
-
-    Reported diagnostically: decreasing moduli as the offset shrinks are the
-    observable trace of equicontinuity of the family {u(., t)}.
-    """
-    if grid.dimension != 1:
-        raise ValueError("equicontinuity probe is defined on 1-D grids")
-    grid_values = traj.values
-    n = grid_values.shape[1]
-    if max(offsets) >= n:
-        raise ValueError("offset exceeds grid size")
-    per_time = np.empty((grid_values.shape[0], len(offsets)))
-    for col, k in enumerate(offsets):
-        diffs = np.abs(grid_values[:, k:] - grid_values[:, :-k])
-        per_time[:, col] = diffs.max(axis=1) if diffs.size else 0.0
-    sup_mod = per_time.max(axis=0)
-    monotone = bool(np.all(np.diff(sup_mod) >= -1e-14))
-    return ModulusTable(
-        offsets=np.asarray(offsets, dtype=float) * grid.spacing[0],
-        sup_modulus=sup_mod,
-        per_time=per_time,
-        monotone=monotone,
     )

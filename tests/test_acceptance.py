@@ -233,8 +233,8 @@ def test_09_mercer(grid_201, quad_201, op_201, bump_201):
         assert np.max(np.abs(gram - np.eye(gram.shape[0]))) < 1e-10
         assert np.max(np.abs(reconstruct_kernel(eig) - learned.matrix)) < 1e-8
         assert eig.values[-1] >= -1e-8 * eig.values[0]
-        gain = presynaptic_gain(eig, k_pre=1.0)
-        assert np.max(np.abs(gain.phi_pre - np.diag(learned.matrix))) < 1e-8
+        phi_pre = presynaptic_gain(eig, k_pre=1.0)
+        assert np.max(np.abs(phi_pre - np.diag(learned.matrix))) < 1e-8
 
 
 def test_10_schrodinger_correspondence():

@@ -609,6 +609,19 @@ class TestMainEntry:
         cfg = build_config({}, environ={})
         assert run("study", cfg, tmp_path / "s", study_name="bogus") == 2
 
+    def test_plasticity_study_refuses_picard(self, tmp_path, capsys):
+        # picard picks its segment length per gamma, so the gamma runs and the
+        # gamma = 0 reference would not share a time lattice to compare on
+        doc = {"grid": {"nodes": [101]},
+               "study": {"plasticity": {"method": "picard", "t_end": 0.5}}}
+        out = tmp_path / "s"
+        code = main(["study", "plasticity-limit", "--config", write_config(tmp_path, doc),
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error: study.plasticity.method: must be one of ['exp-euler', 'rk4']" in err
+        assert not out.exists()
+
     def test_seed_flag_overrides(self, tmp_path):
         path = write_config(tmp_path, small_sim_doc())
         out = tmp_path / "o"

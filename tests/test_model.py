@@ -15,9 +15,9 @@ from neuralfield import (
     TheoryConstants,
     compute_constants,
     contraction_factor,
+    kernel_matrix,
     max_segment_length,
 )
-from neuralfield.errors import KernelInterpolationError
 from neuralfield.model import _analytic_l1_sup, _grid_l1_lower_sum, estimate_lipschitz
 
 from conftest import exponential_kernel
@@ -117,32 +117,26 @@ class TestLearningKernel:
 class TestSynapticKernel:
     def test_exponential_at_zero_distance(self):
         k = exponential_kernel()
-        assert k.evaluate(0.3, 0.3) == 0.5
+        assert k.profile(0.0) == 0.5
 
     def test_exponential_at_unit_distance(self):
         k = exponential_kernel()
-        assert k.evaluate(1.0, 0.0) == pytest.approx(0.5 * math.exp(-1.0), abs=1e-15)
+        assert k.profile(1.0) == pytest.approx(0.5 * math.exp(-1.0), abs=1e-15)
 
     def test_mexican_hat_zero_crossing(self):
         k = SynapticKernel("mexican-hat", {"scale": 1.0})
-        assert k.evaluate(1.0, 0.0) == 0.0
+        assert k.profile(1.0) == 0.0
 
     def test_mexican_hat_not_positive(self):
         k = SynapticKernel("mexican-hat", {"scale": 1.0})
         assert not k.positive
-        assert k.evaluate(3.0, 0.0) < 0.0
-
-    def test_tabulated_off_grid_rejected(self):
-        nodes = np.linspace(0, 1, 5)
-        k = SynapticKernel("tabulated", {"matrix": np.eye(5), "nodes": nodes})
-        assert k.evaluate(nodes[2], nodes[2]) == 1.0
-        with pytest.raises(KernelInterpolationError):
-            k.evaluate(0.31, 0.0)
+        assert k.profile(3.0) < 0.0
 
     def test_isotropy(self):
-        k = exponential_kernel()
-        assert k.evaluate(2.0, 5.0) == k.evaluate(5.0, 2.0)
-        assert k.evaluate(1.0, 4.0) == k.evaluate(-3.0, 0.0)
+        # w(x, y) depends on |x - y| only: symmetric and constant along diagonals
+        w = kernel_matrix(exponential_kernel(), Grid(bounds=[(-3.0, 5.0)], npts=[9]))
+        assert np.array_equal(w, w.T)
+        assert w[2, 5] == w[5, 2] == w[0, 3]
 
 
 class TestModelSpec:
@@ -155,12 +149,6 @@ class TestModelSpec:
             ModelSpec(exponential_kernel(), FiringRate("linear"), LearningKernel(), gamma=0.0)
         ModelSpec(exponential_kernel(), FiringRate("linear"), LearningKernel(),
                   gamma=0.0, mode="gain-field")
-
-    def test_json_round_trip(self):
-        m = ModelSpec(exponential_kernel(), FiringRate("scaled-arctan", {"scale": 2.0}),
-                      LearningKernel(params={"width": 1.5}), gamma=0.7)
-        again = ModelSpec.from_json(m.to_json())
-        assert again == m
 
 
 class TestConstants:

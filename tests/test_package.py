@@ -57,3 +57,40 @@ def test_commands_run_without_loading_scipy(tmp_path):
     )
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+# Oracles that acceptance tests read; no command needs them.
+TEST_ORACLES = {"reconstruct_kernel", "greens_identity_check", "gram", "j_error_bound",
+                "estimate_lipschitz"}
+
+
+def test_every_definition_is_referenced_outside_init():
+    # a function, class or method that only tests (or the package's exports)
+    # name is surface no command reaches; a reference inside its own body
+    # does not count
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+
+    def names_in(node):
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                yield sub.id
+            elif isinstance(sub, ast.Attribute):
+                yield sub.attr
+
+    uses = {}
+    for name, tree in trees.items():
+        if name != "__init__.py":
+            for used in names_in(tree):
+                uses[used] = uses.get(used, 0) + 1
+    unreached = []
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("__") and node.name.endswith("__") or node.name in TEST_ORACLES:
+                continue
+            own = sum(used == node.name for used in names_in(node))
+            if uses.get(node.name, 0) - own <= 0:
+                unreached.append(f"{name}:{node.lineno} {node.name}")
+    assert unreached == []

@@ -310,8 +310,10 @@ class TestMonitorBounds:
                             SolverConfig(method="exp-euler", dt=0.1, t_end=1.0))
         report = monitor_bounds(traj, constants, model)
         assert isinstance(report, BoundReport)
-        assert report.margins.shape == (len(traj),)
-        assert np.all(report.margins >= -1e-6)
+        assert report.sup_per_time.shape == report.min_per_time.shape == (len(traj),)
+        assert np.all(report.bound_theoretical - report.sup_per_time >= -1e-6)
+        assert np.array_equal(report.sup_per_time, np.max(np.abs(traj.values), axis=1))
+        assert np.array_equal(report.min_per_time, np.min(traj.values, axis=1))
 
 
 class TestSolverConfig:
