@@ -40,13 +40,13 @@ from .experiments import (
     plasticity_limit_study,
 )
 from .gainfield import (
-    PotentialSpec,
     build_learned_kernel,
     mercer_decompose,
     presynaptic_gain,
     schrodinger_cross_check,
     schrodinger_fd,
     simulate_gainfield,
+    square_well,
 )
 from .io import fmt, node_rows, output_lock, sha256_file, write_csv, write_json
 from .model import compute_constants, contraction_factor
@@ -109,8 +109,8 @@ def _fixed_point(cfg: RunConfig, op, u0, constants):
     if cfg.grid.boundary != "compact":
         raise SchemaError(["grid: the stationary fixed-point solve needs a compact grid"])
     section = cfg.document["stationary"]
-    return find_stationary_fp(cfg.model, op, u0, damping=section["damping"], tol=section["tol"],
-                              max_iter=section["max_iter"], constants=constants)
+    return find_stationary_fp(cfg.model, op, u0, constants, damping=section["damping"],
+                              tol=section["tol"], max_iter=section["max_iter"])
 
 
 def cmd_simulate(cfg: RunConfig, out_dir, constants):
@@ -218,8 +218,8 @@ def cmd_schrodinger(cfg: RunConfig, out_dir, constants, well=None, lam=None):
     check_section("schrodinger", section)
     half_width, height, lam = section["half_width"], section["height"], section["lambda"]
     grid = Grid(bounds=[(-section["box"], section["box"])], npts=[section["nodes"]])
-    pot = PotentialSpec(shape="square-well", half_width=half_width, height=height)
-    eig = schrodinger_fd(pot, grid, n_states=section["n_states"])
+    potential = square_well(grid.axis_nodes[0], half_width, height)
+    eig = schrodinger_fd(potential, grid, n_states=section["n_states"])
     write_csv(Path(out_dir) / "eigs.csv", ["i", "energy"],
               [[i, eig.values[i]] for i in range(eig.values.shape[0])])
     _write_field_csv(Path(out_dir) / "ground_state.csv", grid, eig.functions[:, 0])
@@ -255,28 +255,27 @@ def cmd_study(cfg: RunConfig, out_dir, constants, study_name):
     if study_name == "plasticity-limit":
         s = section["plasticity"]
         solver_cfg = SolverConfig(method=s["method"], dt=s["dt"], t_end=s["t_end"])
-        result = plasticity_limit_study(cfg.model, op, s["gamma_list"], u0, s["t_end"],
-                                        cfg=solver_cfg, slack=s["slack"], constants=constants)
+        result = plasticity_limit_study(cfg.model, op, s["gamma_list"], u0, solver_cfg,
+                                        slack=s["slack"])
         csv_name = "plasticity-limit.csv"
     elif study_name == "dependence":
         s = section["dependence"]
-        result = continuous_dependence_study(cfg.model, op, u0, s["eps_list"],
+        result = continuous_dependence_study(cfg.model, op, u0, s["eps_list"], constants,
                                              rho=s["rho"], dt=s["dt"],
-                                             slack_coeff=s["slack_coeff"], constants=constants)
+                                             slack_coeff=s["slack_coeff"])
         csv_name = "dependence.csv"
     elif study_name == "contraction":
         s = section["contraction"]
-        result = contraction_measure(cfg.model, op, rho=s["rho"], n_pairs=s["n_pairs"],
-                                     seed=cfg.seed, time_steps=s["time_steps"],
-                                     slack=s["slack"], constants=constants)
+        result = contraction_measure(cfg.model, op, constants, rho=s["rho"],
+                                     n_pairs=s["n_pairs"], seed=cfg.seed,
+                                     time_steps=s["time_steps"], slack=s["slack"])
         csv_name = "contraction.csv"
     elif study_name == "l1":
         s = section["l1"]
         initials = _study_initials(cfg, s["initials"])
         solver_cfg = SolverConfig(method="exp-euler", dt=s["dt"], t_end=s["t_end"])
         model = cfg.model if s["gamma"] is None else replace(cfg.model, gamma=s["gamma"])
-        result = l1_bound_study(model, op, initials, s["t_end"], cfg=solver_cfg,
-                                slack=s["slack"], constants=constants)
+        result = l1_bound_study(model, op, initials, solver_cfg, constants, slack=s["slack"])
         csv_name = "l1.csv"
     else:
         raise SchemaError([f"study: unknown study {study_name!r}"])

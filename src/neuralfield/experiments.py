@@ -5,7 +5,8 @@ theoretical bound, and fails loudly whenever measured exceeds bound plus the
 declared slack: the bounds are theorems, so a violation means a bug in the
 implementation, not noise to be tolerated.  Rows run serially, and every
 field is stepped by :mod:`.solver`: the trajectories by ``solve_global``,
-the contraction study's integrated map by ``picard_map``.
+the contraction study's integrated map by ``picard_map``.  The theory
+constants and each ``SolverConfig`` come from the caller, built once per run.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .discretization import DiscreteOperator, FieldState
 from .errors import NonContractiveError
-from .model import ModelSpec, TheoryConstants, compute_constants, contraction_factor, max_segment_length
+from .model import ModelSpec, TheoryConstants, contraction_factor, max_segment_length
 from .solver import SolverConfig, picard_map, solve_global
 
 
@@ -54,36 +55,29 @@ def _assemble(name, rows, slack, fit=None) -> StudyResult:
 
 
 def plasticity_limit_study(model: ModelSpec, op: DiscreteOperator, gamma_list,
-                           u0: FieldState, t_end: float,
-                           cfg: SolverConfig | None = None,
-                           u0_for_gamma=None, slack: float = 0.0,
-                           constants: TheoryConstants | None = None) -> StudyResult:
+                           u0: FieldState, cfg: SolverConfig,
+                           slack: float = 0.0) -> StudyResult:
     """Distance to the plasticity-free solution as gamma shrinks.
 
-    All runs share the grid, stepper, and (by default) the initial state, so
-    d(gamma) = sup over nodes and times of |u_gamma - u_0| isolates the
-    gamma dependence.  d must shrink monotonically with gamma and fit a
-    log-log slope near 1.  ``u0_for_gamma`` optionally varies the initial
-    state per gamma.
+    All runs share the grid, the initial state and the single-step method
+    of ``cfg``, so d(gamma) = sup over nodes and times of |u_gamma - u_0|
+    isolates the gamma dependence.  d must shrink monotonically with gamma
+    and fit a log-log slope near 1.
     """
     gammas = [float(g) for g in gamma_list]
     if any(g <= 0 for g in gammas):
         raise ValueError("gamma_list must be positive; the reference run supplies gamma=0")
     if sorted(gammas, reverse=True) != gammas:
         raise ValueError("gamma_list must be descending")
-    cfg = cfg or SolverConfig(method="rk4", dt=0.05, t_end=t_end)
-    cfg = replace(cfg, t_end=t_end)
+    if cfg.method == "picard":
+        raise ValueError("picard picks its segment length per gamma, which breaks the "
+                         "time lattice the runs must share; use exp-euler or rk4")
 
-    if constants is None:
-        constants = compute_constants(model, op.grid)
-
-    base_model = replace(model, gamma=0.0)
-    reference = solve_global(base_model, op, u0, cfg, constants)
+    reference = solve_global(replace(model, gamma=0.0), op, u0, cfg)
 
     distances = []
     for gamma in gammas:
-        start = u0 if u0_for_gamma is None else u0_for_gamma(gamma)
-        traj = solve_global(replace(model, gamma=gamma), op, start, cfg, constants)
+        traj = solve_global(replace(model, gamma=gamma), op, u0, cfg)
         distances.append(float(np.max(np.abs(traj.values - reference.values))))
     rows = [{"gamma": gamma, "distance": d} for gamma, d in zip(gammas, distances)]
 
@@ -97,17 +91,14 @@ def plasticity_limit_study(model: ModelSpec, op: DiscreteOperator, gamma_list,
 
 
 def continuous_dependence_study(model: ModelSpec, op: DiscreteOperator, u0: FieldState,
-                                eps_list, rho: float | None = None,
-                                dt: float = 1e-3, slack_coeff: float = 10.0,
-                                constants: TheoryConstants | None = None) -> StudyResult:
+                                eps_list, constants: TheoryConstants, rho: float | None = None,
+                                dt: float = 1e-3, slack_coeff: float = 10.0) -> StudyResult:
     """Perturbation growth over one segment against the constant 1/(1-q).
 
     Runs pairs from u0 and u0 + eps * delta with a fixed smooth unit-sup
     profile delta, and checks sup_{t <= rho} ||u - v|| <= eps / (1 - q)
     plus the declared time-discretization slack.
     """
-    if constants is None:
-        constants = compute_constants(model, op.grid)
     if rho is None:
         rho = max_segment_length(constants, model.gamma)
     q = contraction_factor(constants, model.gamma, rho)
@@ -121,12 +112,12 @@ def continuous_dependence_study(model: ModelSpec, op: DiscreteOperator, u0: Fiel
     delta = np.cos(math.pi * (nodes - nodes[0]) / span)  # smooth, sup-norm 1
     cfg = SolverConfig(method="rk4", dt=dt, t_end=rho)
 
-    base = solve_global(model, op, u0, cfg, constants)
+    base = solve_global(model, op, u0, cfg)
     rows = []
     for eps in eps_list:
         eps = float(eps)
         perturbed = FieldState(u0.values + eps * delta, time=u0.time)
-        other = solve_global(model, op, perturbed, cfg, constants)
+        other = solve_global(model, op, perturbed, cfg)
         growth = float(np.max(np.abs(other.values - base.values)))
         ratio = growth / eps if eps > 0 else 0.0
         bound = amplification + slack / max(eps, 1e-300)
@@ -142,10 +133,9 @@ def continuous_dependence_study(model: ModelSpec, op: DiscreteOperator, u0: Fiel
     return _assemble("dependence", rows, slack)
 
 
-def contraction_measure(model: ModelSpec, op: DiscreteOperator, rho: float | None = None,
-                        n_pairs: int = 200, seed: int = 0, time_steps: int = 8,
-                        slack: float = 0.01,
-                        constants: TheoryConstants | None = None) -> StudyResult:
+def contraction_measure(model: ModelSpec, op: DiscreteOperator, constants: TheoryConstants,
+                        rho: float | None = None, n_pairs: int = 200, seed: int = 0,
+                        time_steps: int = 8, slack: float = 0.01) -> StudyResult:
     """Monte-Carlo estimate of the solution-operator contraction ratio.
 
     Applies the solver's integrated map A (:func:`.solver.picard_map`, the
@@ -154,8 +144,6 @@ def contraction_measure(model: ModelSpec, op: DiscreteOperator, rho: float | Non
     theoretical factor plus declared slack.  Pairs with zero separation
     are skipped.
     """
-    if constants is None:
-        constants = compute_constants(model, op.grid)
     if rho is None:
         rho = max_segment_length(constants, model.gamma)
     q = contraction_factor(constants, model.gamma, rho)
@@ -187,21 +175,16 @@ def contraction_measure(model: ModelSpec, op: DiscreteOperator, rho: float | Non
     return result
 
 
-def l1_bound_study(model: ModelSpec, op: DiscreteOperator, u0_list, t_end: float,
-                   cfg: SolverConfig | None = None, slack: float = 1e-6,
-                   constants: TheoryConstants | None = None) -> StudyResult:
+def l1_bound_study(model: ModelSpec, op: DiscreteOperator, u0_list, cfg: SolverConfig,
+                   constants: TheoryConstants, slack: float = 1e-6) -> StudyResult:
     """sup over time of the quadrature L1 norm against ||u0||_1 + Cw |Omega|.
 
     Discontinuous initial data (step functions) are legitimate inputs here;
     the integral formulation smooths them immediately.
     """
-    if constants is None:
-        constants = compute_constants(model, op.grid)
     quad = op.quadrature
     volume = op.grid.volume
     bound_offset = constants.kernel_l1_sup * volume
-    cfg = cfg or SolverConfig(method="exp-euler", dt=0.05, t_end=t_end)
-    cfg = replace(cfg, t_end=t_end)
 
     rows = []
     for label, u0 in u0_list:

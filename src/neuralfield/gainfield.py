@@ -15,7 +15,8 @@ For gain fields of the form (k^2 - V)/lambda together with the exponential
 kernel exp(-lambda |x - y|) / (2 lambda), the stationary equation is
 equivalent to the eigenproblem -u'' + V u = E u with E = k^2 - lambda^2,
 because the kernel is the Green's function of (lambda^2 - d^2/dx^2).  The
-cross-check below verifies that equivalence end to end on a grid.
+cross-check below verifies that equivalence end to end on a grid for a
+:func:`square_well`; :func:`schrodinger_fd` takes any V given on the nodes.
 """
 
 from __future__ import annotations
@@ -30,6 +31,14 @@ from .discretization import (DiscreteOperator, FieldState, Grid, Quadrature, che
 from .errors import BoxTooSmallError, NoBoundStateError, NotPSDError
 from .model import FiringRate, LearningKernel, ModelSpec
 from .solver import SolverConfig, Trajectory, solve_global
+
+# relative tolerance of the split's PSD check and of its residual against the dense G
+MERCER_TOL = 1e-8
+# largest ground-state magnitude at the box ends, relative to its peak
+DECAY_TOL = 1e-6
+# bisection of the cross-check's well depth: bracket width and step cap
+BISECTION_TOL = 1e-8
+BISECTION_MAX_ITER = 200
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,39 +75,12 @@ class EigenSystem:
         return self.functions.T @ (self.weights[:, None] * self.functions)
 
 
-@dataclass(frozen=True)
-class PotentialSpec:
-    """Potential for the stationary cross-check.
-
-    square-well: V = 0 on |x| < half_width, ``height`` outside, and the
-    midpoint value on a node that sits on a jump.  custom-tabulated: the
-    given ``values``, one per node.
-    """
-
-    shape: str = "square-well"
-    half_width: float = 1.0
-    height: float = 2.0
-    values: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.shape not in ("square-well", "custom-tabulated"):
-            raise ValueError(f"unknown potential shape {self.shape!r}")
-        if self.shape == "square-well" and self.half_width <= 0:
-            raise ValueError("half_width must be positive")
-        if self.shape == "custom-tabulated" and self.values is None:
-            raise ValueError("custom-tabulated potential needs values")
-
-    def on_nodes(self, nodes: np.ndarray) -> np.ndarray:
-        if self.shape == "square-well":
-            v = np.where(np.abs(nodes) < self.half_width, 0.0, self.height)
-            # midpoint value at on-node jumps restores second-order accuracy
-            v = np.where(np.abs(np.abs(nodes) - self.half_width) <= 1e-12,
-                         0.5 * self.height, v)
-            return v
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != nodes.shape:
-            raise ValueError("tabulated potential does not match the grid")
-        return v
+def square_well(nodes: np.ndarray, half_width: float, height: float) -> np.ndarray:
+    """V on the nodes: 0 on |x| < half_width, ``height`` outside, and the
+    midpoint value on a node that sits on a jump."""
+    v = np.where(np.abs(nodes) < half_width, 0.0, height)
+    # midpoint value at on-node jumps restores second-order accuracy
+    return np.where(np.abs(np.abs(nodes) - half_width) <= 1e-12, 0.5 * height, v)
 
 
 def build_learned_kernel(u_inf, model: ModelSpec, grid: Grid, sign: str = "plus") -> LearnedKernel:
@@ -144,8 +126,7 @@ def learned_factor(kernel: LearnedKernel, n_eigs: int = 0) -> tuple | None:
     return factor, middle, learned_factor_bound(kernel.gamma, span, rank if degree else 0)
 
 
-def mercer_decompose(kernel: LearnedKernel, quad: Quadrature, psd_tol: float = 1e-8,
-                     residual_tol: float = 1e-8, n_eigs: int = 0) -> EigenSystem:
+def mercer_decompose(kernel: LearnedKernel, quad: Quadrature, n_eigs: int = 0) -> EigenSystem:
     """Split a learned kernel into quadrature-orthonormal eigenfunctions.
 
     Solves the symmetric eigenproblem of D^{1/2} G D^{1/2} with D the
@@ -158,7 +139,8 @@ def mercer_decompose(kernel: LearnedKernel, quad: Quadrature, psd_tol: float = 1
     construction (:func:`build_learned_kernel`).
 
     Raises NotPSDError when the smallest eigenvalue is more negative than
-    psd_tol times the largest, or when the returned pairs miss the dense G.
+    ``MERCER_TOL`` times the largest, or when the returned pairs miss the
+    dense G by more than ``MERCER_TOL`` times its norm.
     """
     sqrt_w = np.sqrt(quad.weights)
     split = learned_factor(kernel, n_eigs)
@@ -178,7 +160,7 @@ def mercer_decompose(kernel: LearnedKernel, quad: Quadrature, psd_tol: float = 1
     vectors = vectors[:, order]
     top = float(eigenvalues[0]) if eigenvalues.size else 0.0
     bottom = float(eigenvalues[-1]) if eigenvalues.size else 0.0
-    if bottom < -psd_tol * max(top, 1.0):
+    if bottom < -MERCER_TOL * max(top, 1.0):
         raise NotPSDError(
             f"kernel is not positive semidefinite: min eigenvalue {bottom:.6g} "
             f"against max {top:.6g}",
@@ -190,9 +172,9 @@ def mercer_decompose(kernel: LearnedKernel, quad: Quadrature, psd_tol: float = 1
     applied = kernel.matrix @ (quad.weights[:, None] * functions)
     residual = float(np.max(np.abs(applied - functions * eigenvalues[None, :])))
     scale = max(top, 1.0)
-    if residual > residual_tol * scale:
+    if residual > MERCER_TOL * scale:
         raise NotPSDError(
-            f"eigendecomposition residual {residual:.3g} exceeds {residual_tol:.1g} * ||G||",
+            f"eigendecomposition residual {residual:.3g} exceeds {MERCER_TOL:.1g} * ||G||",
             min_eigenvalue=bottom,
         )
     return EigenSystem(values=eigenvalues, functions=functions, weights=quad.weights.copy(),
@@ -225,12 +207,10 @@ def simulate_gainfield(op: DiscreteOperator, phi_pre: np.ndarray, firing: Firing
 
     Plasticity stays off (gamma = 0): the learned structure is frozen into
     the gain, which only the operator carries; the model keeps the raw
-    kernel.  ``picard`` is refused, since its segment constants come from
-    the model's kernel.  Gain-field mode admits the linear firing rate.
+    kernel.  ``solve_global`` gets no constants, so it refuses picard, whose
+    constants would describe the raw kernel.  Gain-field mode admits the
+    linear firing rate.
     """
-    if cfg.method == "picard":
-        raise ValueError("gain-field runs take exp-euler or rk4: picard constants "
-                         "would describe the raw kernel, not the gained one")
     model = ModelSpec(kernel=op.kernel, firing=firing, learning=LearningKernel(),
                       gamma=0.0, mode="gain-field")
     return solve_global(model, op.scaled_by_gain(phi_pre), u0, cfg)
@@ -365,16 +345,16 @@ def _hamiltonian(potential_values: np.ndarray, dx: float) -> _Tridiagonal:
     return _Tridiagonal(2.0 / (dx * dx) + potential_values[1:-1], -1.0 / (dx * dx))
 
 
-def _check_decay(ground: np.ndarray, potential_values: np.ndarray, boundary_tol: float) -> None:
-    """Raise BoxTooSmallError when the ground state has not decayed at the
-    ends of the box."""
+def _check_decay(ground: np.ndarray, potential_values: np.ndarray) -> None:
+    """Raise BoxTooSmallError when the ground state has not decayed to
+    ``DECAY_TOL`` of its peak at the ends of the box."""
     # a constant potential has no well to confine the state: the Dirichlet
     # walls are the physics and no boundary decay is expected
     if np.ptp(potential_values) == 0:
         return
     ground = np.abs(ground)
     edge = max(ground[0], ground[-1])
-    if edge > boundary_tol * ground.max():
+    if edge > DECAY_TOL * ground.max():
         raise BoxTooSmallError(
             f"ground state magnitude at the boundary is {edge / ground.max():.3g} "
             "of its peak; enlarge the box"
@@ -391,9 +371,9 @@ def _on_grid(vectors: np.ndarray, dx: float) -> np.ndarray:
     return functions
 
 
-def schrodinger_fd(potential: PotentialSpec, grid: Grid, n_states: int = 1,
-                   boundary_tol: float = 1e-6) -> EigenSystem:
-    """Lowest eigenpairs of -d^2/dx^2 + V with Dirichlet ends.
+def schrodinger_fd(potential: np.ndarray, grid: Grid, n_states: int = 1) -> EigenSystem:
+    """Lowest eigenpairs of -d^2/dx^2 + V with Dirichlet ends, V given by
+    its values ``potential`` on the grid nodes.
 
     Standard second-order three-point discretization on the interior nodes.
     Eigenvalues are bisected on Sturm counts, eigenvectors taken by inverse
@@ -407,15 +387,13 @@ def schrodinger_fd(potential: PotentialSpec, grid: Grid, n_states: int = 1,
         raise ValueError("the eigensolver runs on 1-D compact grids")
     nodes = grid.axis_nodes[0]
     dx = grid.spacing[0]
-    v = potential.on_nodes(nodes)
-    hamiltonian = _hamiltonian(v, dx)
+    hamiltonian = _hamiltonian(potential, dx)
     n_states = min(n_states, len(nodes) - 2)
     eigenvalues = hamiltonian.eigenvalues(n_states)
     vectors = np.zeros((len(nodes) - 2, n_states))
     for j, energy in enumerate(eigenvalues):
         vectors[:, j] = hamiltonian.eigenvector(energy, vectors[:, :j])
-    if boundary_tol is not None:
-        _check_decay(vectors[:, 0], v, boundary_tol)
+    _check_decay(vectors[:, 0], potential)
     weights = np.full(len(nodes), dx)
     weights[0] = weights[-1] = dx / 2.0
     return EigenSystem(values=np.array(eigenvalues), functions=_on_grid(vectors, dx),
@@ -446,9 +424,8 @@ class CrossCheckReport:
         }
 
 
-def schrodinger_cross_check(lam: float, half_width: float, grid: Grid, quad: Quadrature,
-                            v0_bracket: tuple | None = None, tol: float = 1e-8,
-                            max_iter: int = 200) -> CrossCheckReport:
+def schrodinger_cross_check(lam: float, half_width: float, grid: Grid,
+                            quad: Quadrature) -> CrossCheckReport:
     """Verify the stationary equation against the eigenproblem route.
 
     Finds the well depth V0 solving V0 = E0(V0) + lambda^2 by bisection
@@ -464,23 +441,20 @@ def schrodinger_cross_check(lam: float, half_width: float, grid: Grid, quad: Qua
     V0 - lambda^2 is at least one.  The ground state at the final V0 comes
     from inverse iteration shifted at V0 - lambda^2.
 
-    Raises NoBoundStateError when the bracket contains no solution, e.g.
-    when the caller pins the search below lambda^2 where E = V0 - lambda^2
-    would not be a positive bound-state energy.
+    The bracket runs from just above lambda^2 (E must be a positive
+    bound-state energy) to lambda^2 plus one more than the infinite well's
+    ground energy.  Raises NoBoundStateError when it contains no solution,
+    e.g. when the box is narrower than the well, so no node lies outside it.
     """
     if lam <= 0:
         raise ValueError("lambda must be positive")
     infinite_well_ground = (math.pi / (2.0 * half_width)) ** 2
-    if v0_bracket is None:
-        v0_bracket = (lam * lam + 1e-6, lam * lam + infinite_well_ground + 1.0)
-    lo, hi = float(v0_bracket[0]), float(v0_bracket[1])
-    if not hi > lo > 0:
-        raise ValueError("bracket must satisfy 0 < lo < hi")
+    lo, hi = lam * lam + 1e-6, lam * lam + infinite_well_ground + 1.0
 
     nodes = grid.axis_nodes[0]
     dx = grid.spacing[0]
     # the unit-depth well; depth v0 scales it exactly
-    well = PotentialSpec(shape="square-well", half_width=half_width, height=1.0).on_nodes(nodes)
+    well = square_well(nodes, half_width, 1.0)
 
     def bound_below(v0: float) -> bool:
         """E0(v0) < v0 - lambda^2; no decay guard, shallow wells are legal here."""
@@ -493,7 +467,7 @@ def schrodinger_cross_check(lam: float, half_width: float, grid: Grid, quad: Qua
             bracket=(lo, hi),
         )
     iterations = 0
-    while hi - lo > tol and iterations < max_iter:
+    while hi - lo > BISECTION_TOL and iterations < BISECTION_MAX_ITER:
         mid = 0.5 * (lo + hi)
         if bound_below(mid):
             hi = mid
@@ -503,7 +477,7 @@ def schrodinger_cross_check(lam: float, half_width: float, grid: Grid, quad: Qua
     v0 = 0.5 * (lo + hi)
 
     ground = _hamiltonian(v0 * well, dx).eigenvector(v0 - lam * lam, np.zeros((nodes.size - 2, 0)))
-    _check_decay(ground, well, 1e-6)
+    _check_decay(ground, well)
     psi = _on_grid(ground[:, None], dx)[:, 0]
     potential = v0 * well
     gain_profile = v0 - potential  # base gain k^2 = V0: compactly supported

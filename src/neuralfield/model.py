@@ -364,8 +364,6 @@ def contraction_factor(constants: TheoryConstants, gamma: float, segment_length:
     return segment_length * (1.0 + lip_f * cw + gamma * (lip_f + 2.0 * lip_g) * cw)
 
 
-def max_segment_length(constants: TheoryConstants, gamma: float, safety: float = 0.5) -> float:
-    """Longest segment with contraction factor exactly `safety`."""
-    if not 0.0 < safety < 1.0:
-        raise ValueError("safety must lie in (0, 1)")
-    return safety / contraction_factor(constants, gamma, 1.0)
+def max_segment_length(constants: TheoryConstants, gamma: float) -> float:
+    """Longest segment with contraction factor exactly 1/2."""
+    return 0.5 / contraction_factor(constants, gamma, 1.0)

@@ -14,7 +14,8 @@ provided:
 
 The two single-step methods are :func:`step`, which also checks that the
 new state is finite; :func:`solve_global` and the flow stationary solver
-both step through it.
+both step through it.  Only picard reads the theory constants, which the
+caller computes once per run and passes in.
 
 Every run can be audited against the sup bound max{||u0||, (1+gamma)*Cw}
 and the positivity property through :func:`monitor_bounds`.
@@ -29,9 +30,10 @@ import numpy as np
 
 from .discretization import DiscreteOperator, FieldState, apply_f_values, apply_j_values
 from .errors import MaxIterExceededError, NonContractiveError, NumericalInstabilityError
-from .model import ModelSpec, TheoryConstants, compute_constants, contraction_factor, max_segment_length
+from .model import ModelSpec, TheoryConstants, contraction_factor, max_segment_length
 
 SOLVER_METHODS = ("picard", "exp-euler", "rk4")
+POSITIVITY_TOL = -1e-10  # values below count as positivity violations
 
 
 @dataclass(frozen=True)
@@ -161,8 +163,7 @@ def picard_map(model: ModelSpec, op: DiscreteOperator, fields: np.ndarray, dt: f
 
 
 def picard_segment(model: ModelSpec, op: DiscreteOperator, state0: FieldState,
-                   rho: float, cfg: SolverConfig,
-                   constants: TheoryConstants | None = None) -> PicardSegment:
+                   rho: float, cfg: SolverConfig, constants: TheoryConstants) -> PicardSegment:
     """Solve one segment [t0, t0 + rho] by fixed-point iteration.
 
     The iterate maps the whole time-discretized segment at once,
@@ -175,8 +176,6 @@ def picard_segment(model: ModelSpec, op: DiscreteOperator, state0: FieldState,
     """
     if rho <= 0:
         raise ValueError("segment length must be positive")
-    if constants is None:
-        constants = compute_constants(model, op.grid)
     q = contraction_factor(constants, model.gamma, rho)
     if q >= 1.0:
         raise NonContractiveError(
@@ -223,11 +222,12 @@ def solve_global(model: ModelSpec, op: DiscreteOperator, state0: FieldState,
     The picard method repeats the segment solve with the previous segment's
     final state as initial data; the single-step methods advance on a uniform
     time lattice.  States are handed across seams without copying or
-    re-evaluation, so the joint values are bitwise identical.
+    re-evaluation, so the joint values are bitwise identical.  Only picard
+    reads ``constants``; it raises ValueError without them.
     """
     if cfg.method == "picard":
         if constants is None:
-            constants = compute_constants(model, op.grid)
+            raise ValueError("picard needs the theory constants for its segment length")
         rho = segment_length(cfg, constants, model.gamma)
         segments = []
         pieces_t = []
@@ -260,13 +260,12 @@ def solve_global(model: ModelSpec, op: DiscreteOperator, state0: FieldState,
     return Trajectory(times, values)
 
 
-def monitor_bounds(traj: Trajectory, constants: TheoryConstants, model: ModelSpec,
-                   positivity_tol: float = -1e-10) -> BoundReport:
+def monitor_bounds(traj: Trajectory, constants: TheoryConstants, model: ModelSpec) -> BoundReport:
     """Compare a trajectory against the sup bound and the positivity property.
 
     The sup bound is max{||u0||_inf, (1+gamma)*Cw}.  Positivity applies when
     the kernel is strictly positive and the initial data nonnegative; nodes
-    below the tolerance are counted as violations.
+    below ``POSITIVITY_TOL`` are counted as violations.
     """
     if len(traj) == 0:
         raise ValueError("trajectory is empty")
@@ -277,7 +276,7 @@ def monitor_bounds(traj: Trajectory, constants: TheoryConstants, model: ModelSpe
     min_per_time = np.min(traj.values, axis=1)
 
     applicable = model.kernel.positive and bool(np.all(u0_vals >= 0.0))
-    violations = int(np.count_nonzero(traj.values < positivity_tol)) if applicable else 0
+    violations = int(np.count_nonzero(traj.values < POSITIVITY_TOL)) if applicable else 0
 
     return BoundReport(
         sup_observed=float(sup_per_time.max()),

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretization import DiscreteOperator, FieldState, apply_f_values, apply_j_values
-from .model import ModelSpec, TheoryConstants, compute_constants
+from .model import ModelSpec, TheoryConstants
 from .solver import check_finite, step
 
 
@@ -31,9 +31,8 @@ class StationaryResult:
 
 
 def find_stationary_fp(model: ModelSpec, op: DiscreteOperator, u_init: FieldState,
-                       damping: float = 0.5, tol: float = 1e-9,
-                       max_iter: int = 5000,
-                       constants: TheoryConstants | None = None) -> StationaryResult:
+                       constants: TheoryConstants, damping: float = 0.5, tol: float = 1e-9,
+                       max_iter: int = 5000) -> StationaryResult:
     """Damped fixed-point iteration u <- (1-a) u + a J(u).
 
     Returns the best state found; ``converged`` is False when max_iter ran
@@ -44,8 +43,6 @@ def find_stationary_fp(model: ModelSpec, op: DiscreteOperator, u_init: FieldStat
         raise ValueError("damping must lie in (0, 1]")
     if op.grid.boundary != "compact":
         raise ValueError("stationary fixed-point solve requires a compact grid")
-    if constants is None:
-        constants = compute_constants(model, op.grid)
     if model.gamma * constants.kernel_l1_sup >= 1.0:
         warnings.warn(
             f"gamma * Cw = {model.gamma * constants.kernel_l1_sup:.4g} >= 1: outside the "

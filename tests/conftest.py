@@ -19,6 +19,7 @@ from neuralfield import (
     ModelSpec,
     SynapticKernel,
     build_operator,
+    compute_constants,
     make_quadrature,
 )
 
@@ -32,6 +33,11 @@ def make_model(gamma=0.5, firing_kind="sigmoid", kernel_kind="exponential", mode
               else SynapticKernel("mexican-hat", {"scale": 1.0}))
     firing = FiringRate(firing_kind)
     return ModelSpec(kernel, firing, LearningKernel(), gamma=gamma, mode=mode)
+
+
+def constants_of(model, op):
+    """The theory constants a CLI run computes once and passes down."""
+    return compute_constants(model, op.grid)
 
 
 def zero_firing():

@@ -49,7 +49,7 @@ from neuralfield.solver import (
 )
 from neuralfield.stationary import find_stationary_fp, stationary_via_flow
 
-from conftest import exponential_kernel
+from conftest import constants_of, exponential_kernel
 
 
 @contextlib.contextmanager
@@ -124,8 +124,8 @@ def test_03_contraction():
         for gamma in (0.0, 0.5, 1.0):
             model = ModelSpec(exponential_kernel(), FiringRate("sigmoid"),
                               LearningKernel(), gamma=gamma)
-            study = contraction_measure(model, op, n_pairs=200, seed=1234,
-                                        slack=0.01)
+            study = contraction_measure(model, op, compute_constants(model, grid), n_pairs=200,
+                                        seed=1234, slack=0.01)
             assert study.passed
             assert study.fit["max_ratio"] <= study.fit["q"] + 0.01
         elapsed = time.time() - started
@@ -142,7 +142,7 @@ def test_04_picard_convergence(op_201, bump_201):
             q = contraction_factor(constants, gamma, rho)
             cfg = SolverConfig(method="picard", dt=rho / 16, t_end=3 * rho,
                                segment_rho=rho, picard_tol=1e-10)
-            traj = solve_global(model, op_201, bump_201, cfg)
+            traj = solve_global(model, op_201, bump_201, cfg, constants)
             assert len(traj.picard_segments) == 3
             for seg in traj.picard_segments:
                 norms = seg.update_norms
@@ -159,7 +159,7 @@ def test_05_annulling_plasticity(op_201, bump_201):
         cfg = SolverConfig(method="rk4", dt=0.05, t_end=10.0)
         started = time.time()
         study = plasticity_limit_study(model, op_201, [0.4, 0.2, 0.1, 0.05, 0.025],
-                                       bump_201, t_end=10.0, cfg=cfg)
+                                       bump_201, cfg)
         elapsed = time.time() - started
         distances = [row["distance"] for row in study.rows]
         assert all(b < a for a, b in zip(distances, distances[1:]))
@@ -172,8 +172,8 @@ def test_06_continuous_dependence(op_201, bump_201):
     with criterion(6, "continuous-dependence"):
         model = ModelSpec(exponential_kernel(), FiringRate("sigmoid"),
                           LearningKernel(), gamma=1.0)
-        study = continuous_dependence_study(model, op_201, bump_201,
-                                            [0.2, 0.1, 0.05], dt=1e-3)
+        study = continuous_dependence_study(model, op_201, bump_201, [0.2, 0.1, 0.05],
+                                            constants_of(model, op_201), dt=1e-3)
         assert study.passed
         q = study.rows[0]["q"]
         for row in study.rows:
@@ -184,7 +184,7 @@ def test_06_continuous_dependence(op_201, bump_201):
 def stationary_pair(op_201, bump_201):
     model = ModelSpec(exponential_kernel(), FiringRate("sigmoid"),
                       LearningKernel(), gamma=0.2)
-    fp = find_stationary_fp(model, op_201, bump_201, tol=1e-10)
+    fp = find_stationary_fp(model, op_201, bump_201, constants_of(model, op_201), tol=1e-10)
     return model, fp
 
 
@@ -218,7 +218,9 @@ def test_08_l1_bound():
         for gamma in (0.0, 0.5):
             model = ModelSpec(exponential_kernel(), FiringRate("sigmoid"),
                               LearningKernel(), gamma=gamma)
-            study = l1_bound_study(model, op, initials, t_end=20.0, slack=1e-6)
+            cfg = SolverConfig(method="exp-euler", dt=0.05, t_end=20.0)
+            study = l1_bound_study(model, op, initials, cfg, compute_constants(model, grid),
+                                   slack=1e-6)
             assert study.passed, [row for row in study.rows if not row["pass"]]
 
 
@@ -226,7 +228,7 @@ def test_09_mercer(grid_201, quad_201, op_201, bump_201):
     with criterion(9, "mercer-decomposition"):
         model = ModelSpec(exponential_kernel(), FiringRate("sigmoid"),
                           LearningKernel(), gamma=0.5)
-        fp = find_stationary_fp(model, op_201, bump_201, tol=1e-10)
+        fp = find_stationary_fp(model, op_201, bump_201, constants_of(model, op_201), tol=1e-10)
         learned = build_learned_kernel(fp.u_inf, model, grid_201)
         eig = mercer_decompose(learned, quad_201)
         gram = eig.gram()
@@ -280,7 +282,7 @@ def test_11_integrator_orders(op_201, bump_201):
         dt = rho / round(rho / 1e-3)
         picard = solve_global(model, op_201, bump_201,
                               SolverConfig(method="picard", dt=dt, t_end=rho,
-                                           segment_rho=rho, picard_tol=1e-13))
+                                           segment_rho=rho, picard_tol=1e-13), constants)
         rk4 = solve_global(model, op_201, bump_201,
                            SolverConfig(method="rk4", dt=dt, t_end=rho))
         assert np.max(np.abs(picard.values - rk4.values)) < 1e-6

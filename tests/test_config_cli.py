@@ -15,7 +15,7 @@ from neuralfield.config import (
 )
 from neuralfield.errors import ParseError, SchemaError
 from neuralfield.discretization import Grid, build_operator
-from neuralfield.gainfield import PotentialSpec, schrodinger_fd
+from neuralfield.gainfield import schrodinger_fd, square_well
 from neuralfield.io import atomic_write_text, fmt, node_rows, output_lock, sha256_file, write_csv
 from neuralfield.model import compute_constants
 from neuralfield.solver import solve_global
@@ -403,15 +403,15 @@ class TestRun:
                     for n in range(len(traj)) for i in range(cfg.grid.n_total)]
         elif command == "stationary":
             s = cfg.document["stationary"]
-            u_inf = find_stationary_fp(cfg.model, op, initial_state(cfg), damping=s["damping"],
+            u_inf = find_stationary_fp(cfg.model, op, initial_state(cfg),
+                                       compute_constants(cfg.model, cfg.grid), damping=s["damping"],
                                        tol=s["tol"], max_iter=s["max_iter"]).u_inf
             name, header = "u_inf.csv", coords + ["u"]
             rows = [list(pts[i]) + [u_inf[i]] for i in range(cfg.grid.n_total)]
         else:
             s = cfg.document["schrodinger"]
             grid = Grid(bounds=[(-s["box"], s["box"])], npts=[s["nodes"]])
-            pot = PotentialSpec(shape="square-well", half_width=s["half_width"],
-                                height=s["height"])
+            pot = square_well(grid.axis_nodes[0], s["half_width"], s["height"])
             ground = schrodinger_fd(pot, grid, n_states=s["n_states"]).functions[:, 0]
             name, header = "ground_state.csv", ["x", "u"]
             rows = [list(grid.points[i]) + [ground[i]] for i in range(grid.n_total)]
@@ -515,6 +515,15 @@ class TestRun:
         assert run("study", build_config(doc, environ={}), out, study_name="dependence") == 1
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["error"]["type"] == "NonContractiveError"
+
+    def test_crosscheck_box_narrower_than_the_well_is_a_numerical_failure(self, tmp_path):
+        # no node lies outside the well, so no depth in the bracket binds a state
+        doc = {"grid": {"nodes": [101]},
+               "gainfield": {"crosscheck_box": 0.5, "half_width": 1.0, "crosscheck_nodes": 101}}
+        out = tmp_path / "gf"
+        assert run("gainfield", build_config(doc, environ={}), out) == 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["error"]["type"] == "NoBoundStateError"
 
     @pytest.mark.parametrize("command", ["stationary", "gainfield"])
     def test_fixed_point_on_periodic_grid_is_a_config_error(self, tmp_path, command):

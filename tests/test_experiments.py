@@ -19,15 +19,14 @@ from neuralfield.experiments import (
 )
 from neuralfield.solver import SolverConfig, solve_global
 
-from conftest import exponential_kernel, make_model
+from conftest import constants_of, exponential_kernel, make_model
 
 
 @pytest.fixture(scope="module")
 def plasticity_study(op_201, bump_201):
     model = make_model(gamma=1.0)
     cfg = SolverConfig(method="rk4", dt=0.05, t_end=10.0)
-    return plasticity_limit_study(model, op_201, [0.4, 0.2, 0.1, 0.05, 0.025],
-                                  bump_201, t_end=10.0, cfg=cfg)
+    return plasticity_limit_study(model, op_201, [0.4, 0.2, 0.1, 0.05, 0.025], bump_201, cfg)
 
 
 @pytest.fixture(scope="module")
@@ -67,14 +66,32 @@ class TestPlasticityLimit:
 
     def test_gamma_list_must_descend(self, op_201, bump_201):
         with pytest.raises(ValueError, match="descending"):
-            plasticity_limit_study(make_model(), op_201, [0.1, 0.4], bump_201, t_end=1.0)
+            plasticity_limit_study(make_model(), op_201, [0.1, 0.4], bump_201,
+                                   SolverConfig(method="rk4", dt=0.05, t_end=1.0))
+
+    def test_picard_refused_before_any_solve(self, monkeypatch):
+        # picard's per-gamma segment length would give each run its own time
+        # lattice, (12, 101) against (11, 101) here; refuse it up front
+        import neuralfield.experiments as exp
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve_global ran")
+
+        monkeypatch.setattr(exp, "solve_global", no_solve)
+        grid = Grid(bounds=[(-10.0, 10.0)], npts=[101])
+        op = build_operator(exponential_kernel(), grid, make_quadrature(grid))
+        x = grid.points[:, 0]
+        cfg = SolverConfig(method="picard", dt=0.05, t_end=0.5)
+        with pytest.raises(ValueError, match="picard.*time lattice"):
+            plasticity_limit_study(make_model(gamma=1.0), op, [0.4, 0.2],
+                                   FieldState(np.exp(-x * x / 4.0)), cfg)
 
 
 class TestContinuousDependence:
     def test_bound_holds_at_reference_q(self, op_201, bump_201):
         model = make_model(gamma=1.0)
-        study = continuous_dependence_study(model, op_201, bump_201,
-                                            [0.2, 0.1, 0.05], rho=0.1)
+        study = continuous_dependence_study(model, op_201, bump_201, [0.2, 0.1, 0.05],
+                                            constants_of(model, op_201), rho=0.1)
         assert study.passed
         q = study.rows[0]["q"]
         assert q == pytest.approx(0.3215, abs=1e-3)
@@ -83,20 +100,23 @@ class TestContinuousDependence:
 
     def test_ratio_roughly_eps_independent(self, op_201, bump_201):
         model = make_model(gamma=0.5)
-        study = continuous_dependence_study(model, op_201, bump_201, [0.2, 0.1, 0.05])
+        study = continuous_dependence_study(model, op_201, bump_201, [0.2, 0.1, 0.05],
+                                            constants_of(model, op_201))
         ratios = [row["measured_ratio"] for row in study.rows]
         assert (max(ratios) - min(ratios)) / max(ratios) < 0.10
 
     def test_zero_perturbation_identical(self, op_201, bump_201):
         model = make_model(gamma=0.5)
-        study = continuous_dependence_study(model, op_201, bump_201, [0.0])
+        study = continuous_dependence_study(model, op_201, bump_201, [0.0],
+                                            constants_of(model, op_201))
         assert study.rows[0]["measured_ratio"] == 0.0
 
 
 class TestContractionMeasure:
     def test_measured_ratio_under_bound(self, op_201):
         model = make_model(gamma=1.0)
-        study = contraction_measure(model, op_201, rho=0.1, n_pairs=200, seed=20240801)
+        study = contraction_measure(model, op_201, compute_constants(model, op_201.grid),
+                                    rho=0.1, n_pairs=200, seed=20240801)
         assert study.passed
         assert len(study.rows) == 200
         assert study.fit["q"] == pytest.approx(0.3215, abs=1e-3)
@@ -104,8 +124,9 @@ class TestContractionMeasure:
 
     def test_reproducible_from_seed(self, op_201):
         model = make_model(gamma=0.5)
-        a = contraction_measure(model, op_201, n_pairs=10, seed=7)
-        b = contraction_measure(model, op_201, n_pairs=10, seed=7)
+        constants = compute_constants(model, op_201.grid)
+        a = contraction_measure(model, op_201, constants, n_pairs=10, seed=7)
+        b = contraction_measure(model, op_201, constants, n_pairs=10, seed=7)
         assert [r["ratio"] for r in a.rows] == [r["ratio"] for r in b.rows]
 
     def test_identical_pairs_skipped(self, op_201, monkeypatch):
@@ -116,7 +137,9 @@ class TestContractionMeasure:
                 return np.zeros(size)
 
         monkeypatch.setattr(exp.np.random, "default_rng", lambda seed: ZeroRng())
-        study = contraction_measure(make_model(gamma=0.5), op_201, n_pairs=5, seed=0)
+        model = make_model(gamma=0.5)
+        study = contraction_measure(model, op_201, compute_constants(model, op_201.grid),
+                                    n_pairs=5, seed=0)
         assert study.rows == []  # zero-separation pairs never divide by zero
 
     def test_doubled_gamma_shifts_bound_exactly(self, op_201):
@@ -127,7 +150,7 @@ class TestContractionMeasure:
         shift = rho * 0.5 * (constants.firing_lipschitz + 2 * constants.learning_lipschitz) \
             * constants.kernel_l1_sup
         assert q2 - q1 == pytest.approx(shift, abs=1e-15)
-        study = contraction_measure(make_model(gamma=1.0), op_201, rho=rho,
+        study = contraction_measure(make_model(gamma=1.0), op_201, constants, rho=rho,
                                     n_pairs=50, seed=3)
         assert study.fit["max_ratio"] <= q2 + 0.01
 
@@ -135,11 +158,12 @@ class TestContractionMeasure:
 class TestL1Bound:
     def test_bound_holds_including_step_data(self, unit_interval_setup):
         grid, op, model, initials = unit_interval_setup
-        study = l1_bound_study(model, op, initials, t_end=20.0)
+        constants = compute_constants(model, grid)
+        study = l1_bound_study(model, op, initials,
+                               SolverConfig(method="exp-euler", dt=0.05, t_end=20.0), constants)
         assert study.passed
         by_name = {row["initial"]: row for row in study.rows}
         # zero initial data: the bound is Cw |domain| alone
-        constants = compute_constants(model, grid)
         assert by_name["zero"]["bound"] == pytest.approx(
             constants.kernel_l1_sup * grid.volume + study.slack)
         assert np.isfinite(by_name["step"]["sup_l1"])
@@ -155,7 +179,8 @@ class TestL1Bound:
 
         model = ModelSpec(ones, FiringRate("sigmoid"), LearningKernel(), gamma=0.0)
         u0 = [("constant", FieldState(np.full(101, 0.3)))]
-        study = l1_bound_study(model, op, u0, t_end=5.0)
+        study = l1_bound_study(model, op, u0, SolverConfig(method="exp-euler", dt=0.05, t_end=5.0),
+                               compute_constants(model, grid))
         assert study.rows[0]["u0_l1"] == pytest.approx(0.3, abs=1e-12)
         assert study.rows[0]["bound"] == pytest.approx(1.3, abs=1e-5)
         assert study.passed

@@ -304,19 +304,15 @@ class TestContractionFactor:
 
 class TestMaxSegmentLength:
     def test_reference_instance(self):
-        rho = max_segment_length(reference_constants(), gamma=1.0, safety=0.5)
+        rho = max_segment_length(reference_constants(), gamma=1.0)
         assert rho == pytest.approx(0.155495, abs=1e-6)
         q_back = contraction_factor(reference_constants(), 1.0, rho)
         assert q_back == pytest.approx(0.5, abs=1e-14)
 
     def test_gamma_zero(self):
-        assert max_segment_length(reference_constants(), 0.0, 0.5) == pytest.approx(0.4, abs=1e-15)
+        assert max_segment_length(reference_constants(), 0.0) == pytest.approx(0.4, abs=1e-15)
 
     def test_monotone_decreasing_in_gamma(self):
-        lengths = [max_segment_length(reference_constants(), g, 0.5)
+        lengths = [max_segment_length(reference_constants(), g)
                    for g in (0.0, 1.0, 5.0, 50.0, 500.0)]
         assert all(b < a for a, b in zip(lengths, lengths[1:]))
-
-    def test_safety_range_enforced(self):
-        with pytest.raises(ValueError):
-            max_segment_length(reference_constants(), 1.0, safety=1.0)

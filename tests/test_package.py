@@ -94,3 +94,63 @@ def test_every_definition_is_referenced_outside_init():
             if uses.get(node.name, 0) - own <= 0:
                 unreached.append(f"{name}:{node.lineno} {node.name}")
     assert unreached == []
+
+
+def _called_name(call):
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def test_constants_are_computed_only_in_cli_run():
+    # one computation per run: every library function takes the constants
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                found += [(path.name, func.name) for node in ast.walk(func)
+                          if isinstance(node, ast.Call) and _called_name(node) == "compute_constants"]
+    assert found == [("cli.py", "run")]
+
+
+# Defaults that no package call sets, on purpose: the oracles' resolution
+# knobs, the test seam of parse_config, main's argv, and the command options
+# that reach cmd_* through run's **options.
+DEFAULTS_SET_OUTSIDE_CALLS = {
+    "estimate_lipschitz.n", "greens_identity_check.test_values", "reconstruct_kernel.rank",
+    "parse_config.environ", "main.argv", "cmd_stationary.method", "cmd_schrodinger.well",
+    "cmd_schrodinger.lam",
+}
+
+
+def test_every_default_is_set_by_some_package_call():
+    # a parameter whose default every package call keeps is a knob only
+    # tests turn; a call sets it by keyword, by position, or through * / **
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))]
+    calls = [node for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    unset = []
+    for tree in trees:
+        methods = {id(sub): node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                   for sub in node.body if isinstance(sub, ast.FunctionDef)}
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            args = func.args
+            positional = args.posonlyargs + args.args
+            # a class call reaches __init__; a method call passes self implicitly
+            callee = methods[id(func)] if func.name == "__init__" else func.name
+            skip = 1 if id(func) in methods else 0
+            first_default = len(positional) - len(args.defaults)
+            defaulted = [(i - skip, p.arg) for i, p in enumerate(positional) if i >= first_default]
+            defaulted += [(None, p.arg) for p, d in zip(args.kwonlyargs, args.kw_defaults)
+                          if d is not None]
+            for index, name in defaulted:
+                if f"{func.name}.{name}" in DEFAULTS_SET_OUTSIDE_CALLS:
+                    continue
+                if not any(_called_name(call) == callee and (
+                        any(k.arg in (name, None) for k in call.keywords)
+                        or any(isinstance(a, ast.Starred) for a in call.args)
+                        or (index is not None and len(call.args) > index))
+                        for call in calls):
+                    unset.append(f"{func.name}.{name}")
+    assert unset == []

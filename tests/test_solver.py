@@ -30,7 +30,7 @@ from neuralfield.solver import (
     step,
 )
 
-from conftest import exponential_kernel, make_model, zero_firing
+from conftest import constants_of, exponential_kernel, make_model, zero_firing
 from oracles import crank_nicolson_decay, scalar_ode_solution
 
 
@@ -50,7 +50,7 @@ class TestPicardSegment:
         rho, dt = 0.4, 0.025
         cfg = SolverConfig(method="picard", dt=dt, t_end=rho, picard_tol=1e-13)
         u0 = FieldState(np.full(201, 0.8))
-        seg = picard_segment(model, op_201, u0, rho, cfg)
+        seg = picard_segment(model, op_201, u0, rho, cfg, constants_of(model, op_201))
         n_steps = round(rho / dt)
         cn = crank_nicolson_decay(0.8, dt, n_steps)
         assert np.max(np.abs(seg.trajectory.values - cn[:, None])) < 1e-11
@@ -62,7 +62,7 @@ class TestPicardSegment:
         constants = compute_constants(model, grid)
         rho = max_segment_length(constants, 0.0)
         cfg = SolverConfig(method="picard", dt=rho / 64, t_end=rho, picard_tol=1e-12)
-        seg = picard_segment(model, op, FieldState(np.full(200, 0.3)), rho, cfg)
+        seg = picard_segment(model, op, FieldState(np.full(200, 0.3)), rho, cfg, constants)
         # stays uniform
         assert np.max(np.ptp(seg.trajectory.values, axis=1)) < 1e-12
         reference = scalar_ode_solution(op.matrix[0].sum(), model.firing, 0.3,
@@ -78,7 +78,7 @@ class TestPicardSegment:
         rng = np.random.default_rng(99)
         u0 = FieldState(rng.uniform(-1.5, 1.5, size=201))
         cfg = SolverConfig(method="picard", dt=rho / 10, t_end=rho, picard_tol=1e-11)
-        seg = picard_segment(model, op_201, u0, rho, cfg)
+        seg = picard_segment(model, op_201, u0, rho, cfg, constants)
         ratios = [b / a for a, b in zip(seg.update_norms, seg.update_norms[1:])]
         assert ratios, "expected at least two updates"
         assert max(ratios) <= 0.42  # q + 0.1 slack
@@ -89,7 +89,7 @@ class TestPicardSegment:
         rho = max_segment_length(constants, model.gamma)
         q = contraction_factor(constants, model.gamma, rho)
         cfg = SolverConfig(method="picard", dt=rho / 16, t_end=rho, picard_tol=1e-10)
-        seg = picard_segment(model, op_201, bump_201, rho, cfg)
+        seg = picard_segment(model, op_201, bump_201, rho, cfg, constants)
         cap = math.ceil(math.log(cfg.picard_tol / seg.update_norms[0]) / math.log(q)) + 5
         assert seg.iterations <= cap
 
@@ -97,14 +97,14 @@ class TestPicardSegment:
         model = make_model(gamma=1.0)
         cfg = SolverConfig(method="picard", dt=0.05, t_end=1.0)
         with pytest.raises(NonContractiveError):
-            picard_segment(model, op_201, bump_201, 5.0, cfg)
+            picard_segment(model, op_201, bump_201, 5.0, cfg, constants_of(model, op_201))
 
     def test_max_iterations_exceeded(self, op_201, bump_201):
         model = make_model(gamma=0.5)
         cfg = SolverConfig(method="picard", dt=0.01, t_end=0.1, picard_tol=1e-14,
                            picard_max_iter=2)
         with pytest.raises(MaxIterExceededError):
-            picard_segment(model, op_201, bump_201, 0.1, cfg)
+            picard_segment(model, op_201, bump_201, 0.1, cfg, constants_of(model, op_201))
 
 
 class TestSolveGlobal:
@@ -114,7 +114,7 @@ class TestSolveGlobal:
         rho = max_segment_length(constants, model.gamma)
         cfg = SolverConfig(method="picard", dt=rho / 8, t_end=5 * rho,
                            segment_rho=rho, picard_tol=1e-11)
-        traj = solve_global(model, op_201, bump_201, cfg)
+        traj = solve_global(model, op_201, bump_201, cfg, constants)
         assert len(traj.picard_segments) == 5
         assert np.all(np.diff(traj.times) > 0)
         # seam states recorded once, bitwise equal to the segment finals
@@ -124,27 +124,14 @@ class TestSolveGlobal:
             assert np.array_equal(traj.values[seam], seg.trajectory.values[-1])
             offset = seam
 
-    def test_constants_computed_for_picard_only(self, monkeypatch, op_201, bump_201):
-        import neuralfield.solver as solver
-
+    def test_constants_read_by_picard_only(self, op_201, bump_201):
+        # the caller computes the constants once per run; picard alone needs them
         model = make_model(gamma=0.5)
-        calls = []
-
-        def refuse(model, grid):
-            raise AssertionError("constants computed")
-
-        monkeypatch.setattr(solver, "compute_constants", refuse)
         for method in ("exp-euler", "rk4"):
             traj = solve_global(model, op_201, bump_201, SolverConfig(method=method, dt=0.1, t_end=0.3))
             assert np.all(np.isfinite(traj.values))
-
-        def counting(model, grid):
-            calls.append(grid)
-            return compute_constants(model, grid)
-
-        monkeypatch.setattr(solver, "compute_constants", counting)
-        solve_global(model, op_201, bump_201, SolverConfig(method="picard", dt=0.05, t_end=0.3))
-        assert calls == [op_201.grid]
+        with pytest.raises(ValueError, match="picard"):
+            solve_global(model, op_201, bump_201, SolverConfig(method="picard", dt=0.05, t_end=0.3))
 
     def test_gamma_zero_equals_standalone_plain_stepper(self, op_201, bump_201):
         # disabling plasticity must reproduce the plain model bit for bit
@@ -227,7 +214,7 @@ class TestSteppers:
         dt = rho / n
         picard_traj = solve_global(model, op_201, bump_201,
                                    SolverConfig(method="picard", dt=dt, t_end=rho,
-                                                segment_rho=rho, picard_tol=1e-13))
+                                                segment_rho=rho, picard_tol=1e-13), constants)
         rk4_traj = solve_global(model, op_201, bump_201,
                                 SolverConfig(method="rk4", dt=dt, t_end=rho))
         assert np.max(np.abs(picard_traj.values - rk4_traj.values)) < 1e-6
@@ -240,7 +227,8 @@ class TestStationaryFixedPointOfSteppers:
         from neuralfield.stationary import find_stationary_fp
 
         model = make_model(gamma=0.2)
-        result = find_stationary_fp(model, op_201, bump_201, tol=1e-11)
+        result = find_stationary_fp(model, op_201, bump_201, compute_constants(model, op_201.grid),
+                                    tol=1e-11)
         assert result.converged
         state = FieldState(result.u_inf)
         for dt in (0.05, 0.5, 5.0):

@@ -15,7 +15,7 @@ from neuralfield import (
 from neuralfield.solver import SolverConfig, solve_global
 from neuralfield.stationary import find_stationary_fp, stationary_via_flow
 
-from conftest import exponential_kernel, make_model, zero_firing
+from conftest import constants_of, exponential_kernel, make_model, zero_firing
 from oracles import scalar_fixed_point
 
 
@@ -30,7 +30,8 @@ class TestFixedPoint:
                               {"matrix": np.full((101, 101), c), "nodes": grid.points})
         op = build_operator(kern, grid, quad)
         model = ModelSpec(kern, FiringRate("sigmoid"), LearningKernel(), gamma=0.0)
-        result = find_stationary_fp(model, op, FieldState(np.full(101, 0.1)), tol=1e-12)
+        result = find_stationary_fp(model, op, FieldState(np.full(101, 0.1)),
+                                    constants_of(model, op), tol=1e-12)
         assert result.converged
         root = scalar_fixed_point(c, model.firing)
         assert np.max(np.abs(result.u_inf - root)) < 1e-10
@@ -38,21 +39,21 @@ class TestFixedPoint:
     def test_zero_firing_collapses_immediately(self, op_201):
         model = ModelSpec(exponential_kernel(), zero_firing(), LearningKernel(), gamma=0.0)
         result = find_stationary_fp(model, op_201, FieldState(np.full(201, 0.5)),
-                                    damping=1.0, tol=1e-12)
+                                    constants_of(model, op_201), damping=1.0, tol=1e-12)
         assert result.converged
         assert np.all(result.u_inf == 0.0)
         assert result.iterations <= 2
 
     def test_bump_instance_residuals(self, op_201, bump_201):
         model = make_model(gamma=0.2)
-        result = find_stationary_fp(model, op_201, bump_201, tol=1e-9)
+        result = find_stationary_fp(model, op_201, bump_201, constants_of(model, op_201), tol=1e-9)
         assert result.converged
         assert result.residual_sup < 1e-8
         assert np.max(np.abs(apply_f_values(model, op_201, result.u_inf))) < 1e-8
 
     def test_residual_recomputed_at_exit(self, op_201, bump_201):
         model = make_model(gamma=0.2)
-        result = find_stationary_fp(model, op_201, bump_201, tol=1e-9)
+        result = find_stationary_fp(model, op_201, bump_201, constants_of(model, op_201), tol=1e-9)
         from neuralfield.discretization import apply_j_values
 
         fresh = float(np.max(np.abs(result.u_inf - apply_j_values(model, op_201, result.u_inf))))
@@ -60,7 +61,8 @@ class TestFixedPoint:
 
     def test_max_iter_flags_not_converged(self, op_201, bump_201):
         model = make_model(gamma=0.2)
-        result = find_stationary_fp(model, op_201, bump_201, tol=1e-12, max_iter=3)
+        result = find_stationary_fp(model, op_201, bump_201, constants_of(model, op_201),
+                                    tol=1e-12, max_iter=3)
         assert not result.converged
         assert result.iterations == 3
 
@@ -69,29 +71,31 @@ class TestFixedPoint:
         op = build_operator(exponential_kernel(), grid, make_quadrature(grid))
         model = make_model(gamma=0.0)
         with pytest.raises(ValueError, match="compact"):
-            find_stationary_fp(model, op, FieldState(np.zeros(32)))
+            find_stationary_fp(model, op, FieldState(np.zeros(32)), constants_of(model, op))
 
     def test_large_gamma_warns(self, op_201, bump_201):
         model = make_model(gamma=3.0)
         with pytest.warns(UserWarning, match="small-gamma"):
-            find_stationary_fp(model, op_201, bump_201, tol=1e-6, max_iter=50)
+            find_stationary_fp(model, op_201, bump_201, constants_of(model, op_201),
+                               tol=1e-6, max_iter=50)
 
     def test_damping_validated(self, op_201, bump_201):
         with pytest.raises(ValueError):
-            find_stationary_fp(make_model(), op_201, bump_201, damping=0.0)
+            find_stationary_fp(make_model(), op_201, bump_201,
+                               constants_of(make_model(), op_201), damping=0.0)
 
 
 class TestFlow:
     def test_agrees_with_fixed_point(self, op_201, bump_201):
         model = make_model(gamma=0.2)
-        fp = find_stationary_fp(model, op_201, bump_201, tol=1e-9)
+        fp = find_stationary_fp(model, op_201, bump_201, constants_of(model, op_201), tol=1e-9)
         flow = stationary_via_flow(model, op_201, bump_201, t_max=500.0, settle_tol=1e-8)
         assert flow.converged
         assert np.max(np.abs(fp.u_inf - flow.u_inf)) < 1e-6
 
     def test_settles_immediately_from_stationary_state(self, op_201, bump_201):
         model = make_model(gamma=0.2)
-        fp = find_stationary_fp(model, op_201, bump_201, tol=1e-11)
+        fp = find_stationary_fp(model, op_201, bump_201, constants_of(model, op_201), tol=1e-11)
         flow = stationary_via_flow(model, op_201, FieldState(fp.u_inf),
                                    t_max=100.0, settle_tol=1e-8, dt=0.1)
         assert flow.converged
