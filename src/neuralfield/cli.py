@@ -7,10 +7,11 @@ directory and the constants (None for schrodinger, which reads no model),
 plus its own options.  Every run that writes artifacts owns its output
 directory exclusively, emits CSV series plus a manifest.json with the full
 config echo, the computed constants and contraction data (not for
-schrodinger), wall time, and a checksum per emitted file.  The manifest is
-written even when the run fails, with an error section.  ``constants`` may
-run without an output directory; it then only prints.  Study rows run
-serially; ``--threads`` is accepted for compatibility and ignored.
+schrodinger), wall time, peak RSS, the run's minor page faults, and a
+checksum per emitted file.  The manifest is written even when the run
+fails, with an error section.  ``constants`` may run without an output
+directory; it then only prints.  Study rows run serially; ``--threads`` is
+accepted for compatibility and ignored.
 
 Exit codes: 0 success, 1 numerical failure (a NeuralFieldError or
 FloatingPointError), 2 config error.  Any other exception is a bug: it
@@ -20,6 +21,7 @@ propagates with its traceback once the output lock is released.
 from __future__ import annotations
 
 import argparse
+import resource
 import sys
 import time
 from contextlib import nullcontext
@@ -74,12 +76,16 @@ def _segment(cfg: RunConfig, constants) -> dict:
     return {"rho": rho, "q": contraction_factor(constants, cfg.model.gamma, rho)}
 
 
-def _emit_manifest(out_dir, command, cfg: RunConfig | None, started, extra=None,
-                   error=None, constants=None):
+def _emit_manifest(out_dir, command, cfg: RunConfig | None, started, faults_before,
+                   extra=None, error=None, constants=None):
+    usage = resource.getrusage(resource.RUSAGE_SELF)
     manifest = {
         "command": command,
         "version": __version__,
         "wall_time_s": time.time() - started,
+        # the process peak (ru_maxrss is in KiB on Linux) and this run's faults
+        "peak_rss_mb": usage.ru_maxrss / 1024.0,
+        "minor_page_faults": usage.ru_minflt - faults_before,
     }
     if cfg is not None:
         manifest["config"] = cfg.document
@@ -324,6 +330,7 @@ def run(command: str, cfg: RunConfig, out_dir, study_name=None, **options) -> in
         "constants": cmd_constants,
     }
     started = time.time()
+    faults_before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     constants = extra = error = None
     status = EXIT_OK
     with output_lock(out_dir) if out_dir is not None else nullcontext() as out:
@@ -344,8 +351,8 @@ def run(command: str, cfg: RunConfig, out_dir, study_name=None, **options) -> in
             print(f"numerical failure: {exc}", file=sys.stderr)
             status = EXIT_NUMERICAL
         if out is not None:
-            _emit_manifest(out, command, cfg, started, extra=extra, error=error,
-                           constants=constants)
+            _emit_manifest(out, command, cfg, started, faults_before, extra=extra,
+                           error=error, constants=constants)
     verdict = (extra or {}).get("verdict")
     if verdict is not None and not verdict["pass"]:
         print("study verdict: FAIL (measured exceeded bound + slack)", file=sys.stderr)

@@ -244,17 +244,49 @@ def kernel_spectrum(profile, grid: Grid) -> np.ndarray:
     return np.fft.rfftn(column, axes=tuple(range(grid.dimension)))
 
 
+# Flat buffers, one per slot, that J's large temporaries are viewed into.
+# Each grows to the largest request and is kept, so a steady-state J call
+# neither allocates nor frees pages (freed pages went back to the kernel
+# and were faulted in again by the next call).  The package evaluates J on
+# one thread; concurrent calls would share these buffers.
+_WORKSPACES: dict = {}
+
+
+def _workspace(slot: str, shape: tuple, dtype=float) -> np.ndarray:
+    """A ``shape`` view into the buffer of ``slot``; its contents are
+    undefined, and the next request for the slot overwrites them."""
+    size = math.prod(shape)
+    buffer = _WORKSPACES.get(slot)
+    if buffer is None or buffer.size < size:
+        buffer = _WORKSPACES[slot] = np.empty(size, dtype)
+    return buffer[:size].reshape(shape)
+
+
 def convolve(spectrum: np.ndarray, grid: Grid, v: np.ndarray) -> np.ndarray:
     """sum_j c(x_i - x_j) v_j for the kernel c whose spectrum is given.
 
-    The last axis of v runs over the grid nodes; leading axes are a batch,
-    transformed together in one rfftn/irfftn pair.
+    The last axis of v runs over the grid nodes; leading axes are a batch.
+    The transforms are those of ``irfftn(rfftn(v, s) * spectrum, s)``, one
+    axis at a time in workspaces: in 2-D the axis-0 pair runs in place over
+    the zero-padded rows, and only the n0 rows kept afterwards take the
+    last-axis inverse.  Returns a new array.
     """
-    axes = tuple(range(-grid.dimension, 0))
-    fields = v.reshape(v.shape[:-1] + grid.npts)
-    image = np.fft.irfftn(np.fft.rfftn(fields, s=grid.fft_shape, axes=axes) * spectrum,
-                          s=grid.fft_shape, axes=axes)
-    return image[(Ellipsis,) + tuple(slice(0, n) for n in grid.npts)].reshape(v.shape)
+    batch = v.shape[:-1]
+    fields = v.reshape(batch + grid.npts)
+    m_last = grid.fft_shape[-1]
+    lattice = batch + grid.fft_shape[:-1] + (m_last // 2 + 1,)
+    transform = _workspace("spectrum", lattice, complex)
+    kept = transform[..., :grid.npts[0], :] if grid.dimension == 2 else transform
+    np.fft.rfft(fields, m_last, axis=-1, out=kept)
+    if grid.dimension == 2:
+        transform[..., grid.npts[0]:, :] = 0.0
+        np.fft.fft(transform, axis=-2, out=transform)
+    np.multiply(transform, spectrum, out=transform)
+    if grid.dimension == 2:
+        np.fft.ifft(transform, axis=-2, out=transform)
+    image = _workspace("real", batch + grid.npts[:-1] + (m_last,))
+    np.fft.irfft(kept, m_last, axis=-1, out=image)
+    return image[..., :grid.npts[-1]].copy().reshape(v.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,8 +315,8 @@ class DiscreteOperator:
         return m
 
     def _weighted(self, v: np.ndarray) -> np.ndarray:
-        v = v * self.quadrature.weights
-        return v if self.gain is None else v * self.gain
+        out = np.multiply(v, self.quadrature.weights, out=_workspace("weighted", v.shape))
+        return out if self.gain is None else np.multiply(out, self.gain, out=out)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """W @ v over the last axis of v; leading axes are a batch."""
@@ -430,20 +462,23 @@ def chebyshev_nodes(lo: float, hi: float, rank: int) -> np.ndarray:
 
 
 def chebyshev_basis(values: np.ndarray, rank: int) -> tuple:
-    """The rank + 1 Chebyshev points t_k on [min values, max values] and the
-    Lagrange basis l_k(values) as a (rank + 1, n) array, barycentric formula."""
+    """The rank + 1 Chebyshev points t_k on [min values, max values], the
+    Lagrange basis l_k(values) as a (rank + 1, n) array (barycentric
+    formula), and the differences values - t_k it was formed from.  The
+    basis and the differences are workspaces, valid until the next call."""
     nodes = chebyshev_nodes(float(values.min()), float(values.max()), rank)
     bary = np.where(np.arange(rank + 1) % 2 == 0, 1.0, -1.0)
     bary[[0, -1]] *= 0.5
-    diff = values[None, :] - nodes[:, None]
+    shape = (rank + 1, values.shape[0])
+    diff = np.subtract(values[None, :], nodes[:, None], out=_workspace("differences", shape))
     hits = diff == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = bary[:, None] / diff
-        basis = terms / terms.sum(axis=0)
+        terms = np.divide(bary[:, None], diff, out=_workspace("basis", shape))
+        basis = np.divide(terms, terms.sum(axis=0), out=terms)
     # a value on a node (always the extremes) interpolates exactly there
     exact = hits.any(axis=0)
     basis[:, exact] = hits[:, exact]
-    return nodes, basis
+    return nodes, basis, diff
 
 
 def separable_apply_j(model: ModelSpec, op: DiscreteOperator, values: np.ndarray,
@@ -452,13 +487,16 @@ def separable_apply_j(model: ModelSpec, op: DiscreteOperator, values: np.ndarray
 
     J = W f + gamma * sum_k g(u - t_k) * W(l_k(u) f), with l_k the Lagrange
     basis on [min u, max u]; the rank + 2 products share one batched FFT.
+    The columns, and g(u - t_k) over the differences, stay in workspaces.
     """
     rates = model.firing(values)
-    nodes, basis = chebyshev_basis(values, rank)
-    columns = np.concatenate([rates[None, :], basis * rates[None, :]])
+    _, basis, diff = chebyshev_basis(values, rank)
+    columns = _workspace("columns", (rank + 2, values.shape[0]))
+    columns[0] = rates
+    np.multiply(basis, rates[None, :], out=columns[1:])
     products = op.apply(columns)
-    learned = model.learning(values[None, :] - nodes[:, None])
-    return products[0] + model.gamma * (learned * products[1:]).sum(axis=0)
+    learned = model.learning.in_place(diff)
+    return products[0] + model.gamma * np.multiply(learned, products[1:], out=learned).sum(axis=0)
 
 
 def apply_j_values(model: ModelSpec, op: DiscreteOperator, values: np.ndarray) -> np.ndarray:

@@ -116,7 +116,7 @@ def learned_factor(kernel: LearnedKernel, n_eigs: int = 0) -> tuple | None:
     rank = max(degree, 1, n_eigs - 2)
     if rank + 2 > values.shape[0] / 4:
         return None
-    nodes, basis = chebyshev_basis(values, rank)
+    nodes, basis, _ = chebyshev_basis(values, rank)
     middle = np.zeros((rank + 2, rank + 2))
     middle[0, 0] = 1.0 if degree else kernel.diagonal_value
     if degree:

@@ -126,10 +126,14 @@ class LearningKernel:
         return math.sqrt(2.0 / math.e) / self.params["width"]
 
     def __call__(self, d):
-        d = np.asarray(d, dtype=float)
-        z = d / self.params["width"]
-        out = np.exp(-z * z)
+        out = self.in_place(np.array(d, dtype=float))
         return out if out.ndim else float(out)
+
+    def in_place(self, d: np.ndarray) -> np.ndarray:
+        """g(d) written over the float array d, which is returned."""
+        np.divide(d, self.params["width"], out=d)
+        np.multiply(d, d, out=d)
+        return np.exp(np.negative(d, out=d), out=d)
 
 
 @dataclass(frozen=True)

@@ -65,6 +65,16 @@ def brute_force_apply_j(model, grid, quad, u):
     return np.array(out)
 
 
+def fft_convolve(spectrum, grid, v):
+    """irfftn(rfftn(v, s) * spectrum, s) cropped to the nodes, s the grid's
+    FFT lattice: the whole-array formula ``convolve`` must match bit for bit."""
+    axes = tuple(range(-grid.dimension, 0))
+    fields = v.reshape(v.shape[:-1] + grid.npts)
+    image = np.fft.irfftn(np.fft.rfftn(fields, s=grid.fft_shape, axes=axes) * spectrum,
+                          s=grid.fft_shape, axes=axes)
+    return image[(Ellipsis,) + tuple(slice(0, n) for n in grid.npts)].reshape(v.shape)
+
+
 def abs_kernel_table(kernel, grid):
     """|w(x_i, x_j)| on all node pairs from the closed form of the kind; the
     distance takes the minimal image per axis on periodic grids."""

@@ -293,6 +293,8 @@ class TestRun:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["model"]["gamma"] == 0.5
         assert set(manifest["checksums"]) == {"trajectory.csv", "bounds.csv"}
+        assert manifest["peak_rss_mb"] > 1.0
+        assert isinstance(manifest["minor_page_faults"], int) and manifest["minor_page_faults"] >= 0
         # checksums match the files on disk
         for name, digest in manifest["checksums"].items():
             assert sha256_file(out / name) == digest

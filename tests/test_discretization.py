@@ -23,14 +23,16 @@ from neuralfield.discretization import (
     chebyshev_bound,
     chebyshev_nodes,
     chebyshev_rank,
+    convolve,
     dense_apply_j,
     j_error_bound,
+    kernel_spectrum,
     plasticity_rank,
     separable_apply_j,
 )
 from neuralfield.model import FIRING_KINDS
 from conftest import exponential_kernel, make_model, zero_firing
-from oracles import brute_force_apply_j
+from oracles import brute_force_apply_j, fft_convolve
 
 
 class TestGrid:
@@ -449,3 +451,62 @@ class TestFastJ:
         assert isinstance(op, DiscreteOperator) and "matrix" not in op.__dict__
         assert plasticity_rank(model, op, u) > 0
         assert peak < n * n * 8 / 4
+
+
+def _plastic_case(shape):
+    """gamma = 1 on a 401-node line (a random field, rank 34) or on a 41 x 41
+    square (a bump), with its operator."""
+    model = make_model(gamma=1.0)
+    if shape == (401,):
+        grid = Grid(bounds=[(-10.0, 10.0)], npts=[401])
+        u = np.random.default_rng(0).uniform(-2.0, 2.0, size=401)
+    else:
+        grid = Grid(bounds=[(-5.0, 5.0), (-5.0, 5.0)], npts=[41, 41])
+        u = 4.0 * np.exp(-np.sum(grid.points ** 2, axis=1) / 4.0) - 1.0
+    return model, build_operator(model.kernel, grid, make_quadrature(grid)), u
+
+
+class TestWorkspaces:
+    @pytest.mark.parametrize("boundary", ["compact", "periodic"])
+    @pytest.mark.parametrize("npts", [[37], [8], [9, 14], [12, 5]])
+    @pytest.mark.parametrize("batch", [(), (3,), (2, 5)])
+    def test_convolve_matches_whole_array_formula_bitwise(self, boundary, npts, batch):
+        grid = Grid(bounds=[(-3.0, 2.0), (-1.0, 4.0)][:len(npts)], npts=npts, boundary=boundary)
+        spectrum = kernel_spectrum(lambda d: (1.0 - d) * np.exp(-d), grid)
+        rng = np.random.default_rng(len(batch) + grid.n_total)
+        for _ in range(2):  # the second call reuses the workspaces
+            v = rng.standard_normal(batch + (grid.n_total,))
+            got = convolve(spectrum, grid, v)
+            assert got.shape == v.shape
+            assert np.array_equal(got, fft_convolve(spectrum, grid, v))
+
+    @pytest.mark.parametrize("shape", [(401,), (41, 41)])
+    def test_results_never_alias_workspaces(self, shape):
+        model, op, u = _plastic_case(shape)
+        first_j = apply_j_values(model, op, u)
+        kept_j = first_j.copy()
+        first_conv = convolve(op.spectrum, op.grid, np.vstack([u, -u]))
+        kept_conv = first_conv.copy()
+        second_j = apply_j_values(model, op, 0.5 * u)
+        convolve(op.spectrum, op.grid, np.vstack([u, u, u]))
+        assert np.array_equal(first_j, kept_j) and np.array_equal(first_conv, kept_conv)
+        second_j[:] = np.nan
+        first_conv[:] = np.nan
+        assert np.array_equal(apply_j_values(model, op, u), kept_j)
+        assert np.array_equal(convolve(op.spectrum, op.grid, np.vstack([u, -u])), kept_conv)
+
+    @pytest.mark.parametrize("shape", [(401,), (41, 41)])
+    def test_steady_state_j_allocates_less_than_one_spectrum_stack(self, shape):
+        import tracemalloc
+
+        model, op, u = _plastic_case(shape)
+        rank = plasticity_rank(model, op, u)
+        assert rank == 34 or shape != (401,)
+        apply_j_values(model, op, u)  # warm-up: the workspaces grow here
+        tracemalloc.start()
+        try:
+            apply_j_values(model, op, u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (rank + 2) * math.prod(op.grid.fft_shape) * 16

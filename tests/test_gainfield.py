@@ -209,7 +209,7 @@ class TestFactorSplit:
     def test_bound_holds_where_interpolation_error_dominates(self, rank):
         u = np.random.default_rng(rank).uniform(-3.0, 3.0, size=301)
         g = LearningKernel()
-        nodes, basis = chebyshev_basis(u, rank)
+        nodes, basis, _ = chebyshev_basis(u, rank)
         factor = 1.0 + 2.0 * basis.T @ g(nodes[:, None] - nodes[None, :]) @ basis
         observed = np.max(np.abs(factor - (1.0 + 2.0 * g(u[:, None] - u[None, :]))))
         assert 1e-9 < observed <= learned_factor_bound(2.0, float(np.ptp(u)), rank)
