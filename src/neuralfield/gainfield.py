@@ -300,12 +300,14 @@ class _Tridiagonal:
     def eigenvector(self, shift: float, lower_states: np.ndarray) -> np.ndarray:
         """Unit eigenvector for the eigenvalue nearest ``shift``.
 
-        Inverse iteration from a fixed pseudo-random start: each step solves
-        (T - shift) x = b by the Thomas algorithm, pivots below eps ||T|| raised
-        to that size so a shift on an eigenvalue gives a large finite x, then
-        removes the columns of ``lower_states`` (orthonormal vectors of the states
-        below, which crowd close to this one above a shallow well) by
-        Gram-Schmidt.  The sign is left to :func:`_on_grid`.
+        Inverse iteration from the fixed Weyl sequence x_k = 2 frac(k g) - 1,
+        g = (sqrt 5 - 1) / 2, a start with no symmetry that would leave out
+        the odd states.  Each step solves (T - shift) x = b by the Thomas
+        algorithm, pivots below eps ||T|| raised to that size so a shift on an
+        eigenvalue gives a large finite x, then removes the columns of
+        ``lower_states`` (orthonormal vectors of the states below, which crowd
+        close to this one above a shallow well) by Gram-Schmidt.  The sign is
+        left to :func:`_on_grid`.
         """
         floor = np.finfo(float).eps * self.norm
         off_sq = self.off * self.off
@@ -318,7 +320,8 @@ class _Tridiagonal:
             pivots.append(pivot)
         # multipliers of the unit lower factor L, T - shift = L D L^T
         mult = [self.off / d for d in pivots[:-1]]
-        x = np.random.default_rng(0).uniform(-1.0, 1.0, len(self.diag))
+        golden = (math.sqrt(5.0) - 1.0) / 2.0
+        x = 2.0 * np.modf(np.arange(1, len(self.diag) + 1) * golden)[0] - 1.0
         # a shift within eps ||T|| of the eigenvalue damps every other
         # component by eps ||T|| / gap per step; three steps leave none
         for _ in range(3):

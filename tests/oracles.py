@@ -154,6 +154,20 @@ def scalar_fixed_point(row_sum, firing, hi=10.0):
     return bisect(lambda u: u - row_sum * firing(u), 0.0, hi)
 
 
+def damped_fixed_point(j, u, damping, tol, max_iter=100_000):
+    """The plain damped iteration u <- (1-a) u + a j(u), run until the
+    residual sup |j(u) - u| falls below tol; returns the last iterate and
+    the residual of every j evaluation, so len(residuals) is the call count."""
+    residuals = []
+    for _ in range(max_iter):
+        ju = j(u)
+        residuals.append(float(np.max(np.abs(ju - u))))
+        if residuals[-1] < tol:
+            break
+        u = (1.0 - damping) * u + damping * ju
+    return u, residuals
+
+
 def finite_well_ground_energy(height, half_width):
     """Even ground state of the square well from the matching condition
     sqrt(E) tan(sqrt(E) a) = sqrt(V0 - E)."""

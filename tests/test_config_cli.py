@@ -457,6 +457,9 @@ class TestRun:
         cross = json.loads((out2 / "crosscheck.json").read_text())
         assert cross["E"] == pytest.approx(cross["k2"] - 1.0)
         assert cross["residual_l2"] < 1e-2
+        # the manifest, not a checksummed artifact, counts the solve's J calls
+        manifest = json.loads((out2 / "manifest.json").read_text())
+        assert manifest["stationary_iterations"] == stat["iterations"]
 
     def test_simulate_2d_grid(self, tmp_path):
         doc = {

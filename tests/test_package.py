@@ -40,7 +40,9 @@ def test_no_module_imports_scipy():
     assert found == []
 
 
-def test_commands_run_without_loading_scipy(tmp_path):
+def _run_commands_then_check_unloaded(tmp_path, module):
+    """Runs a tiny ``gainfield`` and ``schrodinger`` through ``cli.main`` in a
+    fresh interpreter; fails if ``module`` is loaded by the import or the runs."""
     doc = {"grid": {"nodes": [101]},
            "gainfield": {"crosscheck_nodes": 401},
            "schrodinger": {"nodes": 401, "n_states": 2}}
@@ -49,14 +51,24 @@ def test_commands_run_without_loading_scipy(tmp_path):
     script = (
         "import sys\n"
         "import neuralfield.cli as cli\n"
-        "assert 'scipy' not in sys.modules, 'import'\n"
+        f"assert {module!r} not in sys.modules, 'import'\n"
         "for command in ('gainfield', 'schrodinger'):\n"
         f"    assert cli.main([command, '--config', {str(config)!r},\n"
         f"                     '--out', {str(tmp_path)!r} + '/' + command]) == 0\n"
-        "assert 'scipy' not in sys.modules, 'run'\n"
+        f"assert {module!r} not in sys.modules, 'run'\n"
     )
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+def test_commands_run_without_loading_scipy(tmp_path):
+    _run_commands_then_check_unloaded(tmp_path, "scipy")
+
+
+def test_commands_run_without_loading_numpy_random(tmp_path):
+    # numpy imports numpy.random lazily, and that import (with secrets, hmac
+    # and base64) costs about 15 ms of a cold run
+    _run_commands_then_check_unloaded(tmp_path, "numpy.random")
 
 
 # Oracles that acceptance tests read; no command needs them.

@@ -12,11 +12,13 @@ from neuralfield import (
     build_operator,
     make_quadrature,
 )
+from neuralfield import stationary
+from neuralfield.discretization import apply_j_values
 from neuralfield.solver import SolverConfig, solve_global
 from neuralfield.stationary import find_stationary_fp, stationary_via_flow
 
 from conftest import constants_of, exponential_kernel, make_model, zero_firing
-from oracles import scalar_fixed_point
+from oracles import damped_fixed_point, scalar_fixed_point
 
 
 class TestFixedPoint:
@@ -54,8 +56,6 @@ class TestFixedPoint:
     def test_residual_recomputed_at_exit(self, op_201, bump_201):
         model = make_model(gamma=0.2)
         result = find_stationary_fp(model, op_201, bump_201, constants_of(model, op_201), tol=1e-9)
-        from neuralfield.discretization import apply_j_values
-
         fresh = float(np.max(np.abs(result.u_inf - apply_j_values(model, op_201, result.u_inf))))
         assert fresh == result.residual_sup
 
@@ -83,6 +83,87 @@ class TestFixedPoint:
         with pytest.raises(ValueError):
             find_stationary_fp(make_model(), op_201, bump_201,
                                constants_of(make_model(), op_201), damping=0.0)
+
+
+def _sweep_kernel(kind, grid):
+    if kind == "exponential":
+        return exponential_kernel()
+    if kind == "mexican-hat":
+        return SynapticKernel("mexican-hat", {"scale": 1.0})
+    # not a function of |x - y| alone, so J takes the dense path
+    x = grid.points[:, 0]
+    table = 0.4 * np.exp(-np.abs(x[:, None] - x[None, :])) * (1.0 + 0.5 * np.sin(x)[:, None])
+    return SynapticKernel("tabulated", {"matrix": table, "nodes": grid.points})
+
+
+class TestAnderson:
+    TOL = 1e-9
+
+    @pytest.mark.filterwarnings("ignore:gamma \\* Cw")
+    @pytest.mark.parametrize("gamma", [0.0, 0.3, 1.0, 1.5])
+    @pytest.mark.parametrize("firing_kind", ["sigmoid", "scaled-arctan", "piecewise-linear-clamped"])
+    @pytest.mark.parametrize("kernel_kind", ["exponential", "mexican-hat", "tabulated"])
+    def test_matches_damped_oracle_in_fewer_calls(self, kernel_kind, firing_kind, gamma,
+                                                  grid_201, quad_201, bump_201, monkeypatch):
+        kernel = _sweep_kernel(kernel_kind, grid_201)
+        op = build_operator(kernel, grid_201, quad_201)
+        model = ModelSpec(kernel, FiringRate(firing_kind), LearningKernel(), gamma=gamma)
+        # run 1000x past tol, so the oracle's own distance to the fixed point
+        # (tol / (1 - L), large where L is near 1) does not enter the comparison
+        reference, residuals = damped_fixed_point(lambda v: apply_j_values(model, op, v),
+                                                  bump_201.values, 0.5, 1e-3 * self.TOL)
+        oracle_calls = next(k for k, r in enumerate(residuals, 1) if r < self.TOL)
+
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return apply_j_values(*args)
+
+        monkeypatch.setattr(stationary, "apply_j_values", counted)
+        result = find_stationary_fp(model, op, bump_201, constants_of(model, op),
+                                    damping=0.5, tol=self.TOL)
+        assert result.converged
+        assert result.method == "anderson-fp"
+        assert np.max(np.abs(result.u_inf - reference)) < 10 * self.TOL
+        assert len(calls) == result.iterations == len(result.history)
+        if firing_kind == "piecewise-linear-clamped":
+            # the ramp's corners put it outside the C^1 setting of Anderson's
+            # convergence theory, and both methods spend their first steps
+            # moving the saturated front; worst measured 31 calls against 60
+            assert len(calls) < oracle_calls
+        else:
+            assert 2 * len(calls) <= oracle_calls
+
+    def test_history_records_every_evaluation(self, op_201, bump_201):
+        model = make_model(gamma=0.2)
+        result = find_stationary_fp(model, op_201, bump_201, constants_of(model, op_201), tol=1e-9)
+        assert [k for k, _ in result.history] == list(range(1, result.iterations + 1))
+        assert result.history[-1][1] == result.residual_sup < 1e-9
+        assert all(r >= 1e-9 for _, r in result.history[:-1])
+
+    def test_returns_best_iterate_when_max_iter_runs_out(self, op_201, bump_201):
+        model = make_model(gamma=3.0)
+        with pytest.warns(UserWarning, match="small-gamma"):
+            result = find_stationary_fp(model, op_201, bump_201, constants_of(model, op_201),
+                                        tol=1e-16, max_iter=50)
+        assert not result.converged
+        assert result.residual_sup == min(r for _, r in result.history)
+        fresh = float(np.max(np.abs(result.u_inf - apply_j_values(model, op_201, result.u_inf))))
+        assert fresh == result.residual_sup
+
+    def test_overshooting_step_is_not_returned(self, op_201, bump_201):
+        # at gamma = 3 the first mixed step overshoots: the third residual is
+        # the largest, and the second state is the one returned
+        model = make_model(gamma=3.0)
+        with pytest.warns(UserWarning, match="small-gamma"):
+            result = find_stationary_fp(model, op_201, bump_201, constants_of(model, op_201),
+                                        tol=1e-9, max_iter=3)
+        (_, first), (_, second), (_, third) = result.history
+        assert third > max(first, second)
+        assert result.residual_sup == second
+        fresh = float(np.max(np.abs(result.u_inf - apply_j_values(model, op_201, result.u_inf))))
+        assert fresh == second
 
 
 class TestFlow:
