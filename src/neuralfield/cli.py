@@ -206,7 +206,7 @@ def cmd_gainfield(cfg: RunConfig, out_dir, constants):
     return {
         "stationary_residual": stationary.residual_sup,
         "stationary_iterations": stationary.iterations,
-        "mercer": {"path": eig.path, "rank": len(eig.values), "eig_error_bound": eig.error_bound},
+        "mercer": {"rank": len(eig.values), "eig_error_bound": eig.error_bound},
         "crosscheck": report.to_json(),
         "exploratory": exploratory,
     }

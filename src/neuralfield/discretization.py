@@ -5,13 +5,15 @@ integrals into weighted sums, and the operator applies the synaptic kernel
 W[i, j] = w(x_i, x_j) * q_j.  On the uniform grid an isotropic kernel
 depends only on the node lag, so W @ v is a convolution computed by FFT:
 Toeplitz (zero-padded) on compact axes, circulant on periodic axes, block
-Toeplitz or block circulant in 2-D.  Tabulated kernels keep a dense matrix.
+Toeplitz or block circulant in 2-D.  Only tabulated kernels have a dense
+matrix.
 
 The state-dependent plasticity factor [1 + gamma * g(u_i - u_j)] is applied
 at evaluation time and never baked into W, so one operator serves every
-gamma.  For convolution operators it is interpolated in the pre-synaptic
-potential at Chebyshev points, with a rank chosen from an a-priori bound so
-the interpolation error stays below 1e-14 relative to the input scale.
+gamma.  On convolution operators it is interpolated in the pre-synaptic
+potential at Chebyshev points on every grid, with a rank chosen from an
+a-priori bound so the interpolation error stays below 1e-14 relative to the
+input scale; tabulated kernels evaluate the dense formula.
 
 Results are deterministic: FFTs and numpy reductions use a fixed order
 that does not depend on the thread count.
@@ -121,18 +123,6 @@ class Grid:
             sq = sq + ((lag * h) ** 2).reshape(shape)
         return np.sqrt(sq)
 
-    def pairwise_distance(self) -> np.ndarray:
-        """Distances |x_i - x_j|; periodic grids use the minimal image per axis."""
-        pts = self.points
-        sq = np.zeros((self.n_total, self.n_total))
-        for ax in range(self.dimension):
-            d = np.abs(pts[:, ax, None] - pts[None, :, ax])
-            if self.boundary == "periodic":
-                period = self.bounds[ax][1] - self.bounds[ax][0]
-                d = np.minimum(d, period - d)
-            sq += d * d
-        return np.sqrt(sq)
-
 
 def _fft_length(n: int) -> int:
     """Smallest 5-smooth integer >= n."""
@@ -217,9 +207,10 @@ class FieldState:
 
 
 def kernel_matrix(kernel: SynapticKernel, grid: Grid) -> np.ndarray:
-    """Raw kernel values w(x_i, x_j) on all node pairs."""
+    """Raw kernel values w(x_i, x_j) on all node pairs of a tabulated kernel;
+    isotropic kernels are applied by convolution and have none."""
     if kernel.isotropic:
-        return kernel.profile(grid.pairwise_distance())
+        raise ValueError(f"{kernel.kind} kernels are applied by convolution and have no matrix")
     matrix = kernel.params["matrix"]
     nodes = kernel.params["nodes"]
     pts = grid.points
@@ -294,8 +285,9 @@ class DiscreteOperator:
     """The kernel-times-weights operator W[i, j] = w(x_i, x_j) * q_j * gain_j.
 
     Isotropic kernels carry the cached spectrum of their node-lag
-    convolution and never form W; tabulated kernels (``spectrum`` None) are
-    applied through the dense matrix.  ``matrix`` is built on first access.
+    convolution and never form W: reading their ``matrix`` raises
+    ValueError.  Tabulated kernels (``spectrum`` None) are applied through
+    the dense ``matrix``, built on first access.
     """
 
     kernel: SynapticKernel
@@ -402,14 +394,13 @@ def plasticity_rank(model: ModelSpec, op: DiscreteOperator, values: np.ndarray) 
     """Degree of the Chebyshev plasticity factor J uses for this field.
 
     0 means the factor is the constant 1 + gamma (gamma = 0 or a flat
-    field); None means the dense formula is evaluated (tabulated kernels,
-    or rank + 2 convolutions would exceed n / 4).
+    field); None, exactly for tabulated kernels, means the dense formula is
+    evaluated.
     """
     if op.spectrum is None:
         return None
     span = float(values.max() - values.min()) / model.learning.params["width"]
-    rank = factor_degree(model.gamma, span)
-    return None if rank and rank + 2 > values.shape[0] / 4 else rank
+    return factor_degree(model.gamma, span)
 
 
 def j_error_bound(model: ModelSpec, op: DiscreteOperator, values: np.ndarray,
@@ -444,7 +435,8 @@ def learned_factor_bound(gamma: float, span: float, rank: int) -> float:
 
 
 def dense_apply_j(model: ModelSpec, op: DiscreteOperator, values: np.ndarray) -> np.ndarray:
-    """The exact formula sum_j W[i,j] * (1 + gamma*g(u_i - u_j)) * f(u_j)."""
+    """The exact formula sum_j W[i,j] * (1 + gamma*g(u_i - u_j)) * f(u_j) on
+    the dense matrix of a tabulated kernel."""
     rates = model.firing(values)
     weighted = op.matrix * rates[None, :]
     if model.gamma != 0.0:

@@ -5,10 +5,10 @@ factor freezes into the symmetric kernel G(x, y) = 1 + gamma * g(u_inf(x) -
 u_inf(y)).  G is positive semidefinite (a constant kernel plus a gaussian
 kernel composed with the feature map x -> u_inf(x)), so it splits into
 quadrature-orthonormal eigenfunctions.  The split is taken from G's
-rank-(K + 2) factor: g interpolated in u_inf at K + 1 Chebyshev points, K
-from the degree rule J uses (``factor_degree``) and at least n_eigs - 2, then
-a thin QR in O(n K^2); a rank above n / 4 takes the dense eigh.  The diagonal
-part of the split is the pre-synaptic gain field, an array of
+rank-(K + 2) factor on every grid: g interpolated in u_inf at K + 1
+Chebyshev points, K from the degree rule J uses (``factor_degree``) and at
+least min(n_eigs, n) - 2, then a thin QR in O(n K^2).  The diagonal part
+of the split is the pre-synaptic gain field, an array of
 phi_pre(y) = K_pre * sum_i sigma_i phi_i(y)^2 that the gain-field probe takes.
 
 For gain fields of the form (k^2 - V)/lambda together with the exponential
@@ -68,7 +68,6 @@ class EigenSystem:
     values: np.ndarray       # eigenvalues; descending for kernel splits,
     functions: np.ndarray    # ascending for Schrodinger operators
     weights: np.ndarray      # (n, k) columns are eigenfunctions on the grid
-    path: str = "dense"      # "factor" for the low-rank split of a learned kernel
     error_bound: float = 0.0  # a-priori bound on |sigma_i - sigma_i(G)| of a factor split
 
     def gram(self) -> np.ndarray:
@@ -93,29 +92,29 @@ def build_learned_kernel(u_inf, model: ModelSpec, grid: Grid, sign: str = "plus"
         raise ValueError("sign must be 'plus' or 'minus'")
     if u_inf.shape != (grid.n_total,):
         raise ValueError("stationary state does not match the grid")
-    diff = u_inf[:, None] - u_inf[None, :]
     s = 1.0 if sign == "plus" else -1.0
-    # exactly symmetric: g is even and u_i - u_j = -(u_j - u_i) in floating point
-    matrix = 1.0 + s * model.gamma * model.learning(diff)
+    # one n x n array, written over in place; exactly symmetric: g is even
+    # and u_i - u_j = -(u_j - u_i) in floating point
+    matrix = model.learning.in_place(np.subtract.outer(u_inf, u_inf))
+    matrix *= s * model.gamma
+    matrix += 1.0
     return LearnedKernel(matrix=matrix, gamma=model.gamma, source=u_inf,
                          learning=model.learning, sign=sign)
 
 
-def learned_factor(kernel: LearnedKernel, n_eigs: int = 0) -> tuple | None:
-    """F, M and the :func:`learned_factor_bound` of G ~ F M F^T, or None.
+def learned_factor(kernel: LearnedKernel, n_eigs: int = 0) -> tuple:
+    """F, M and the :func:`learned_factor_bound` of G ~ F M F^T.
 
     F = [1, L], L the (n, K + 1) Lagrange basis at Chebyshev points on
     [min u_inf, max u_inf], M = blockdiag(1, +-gamma g(t_k - t_l)), or
     diag(1 +- gamma, 0, ...) for gamma = 0 or a flat field (degree 0).  K is
-    the :func:`factor_degree`, at least 1 and n_eigs - 2; None when
-    K + 2 > n / 4.
+    the :func:`factor_degree`, at least 1 and min(n_eigs, n) - 2, so no
+    n_eigs asks for more columns than G has.
     """
     values = kernel.source
     span = float(values.max() - values.min()) / kernel.learning.params["width"]
     degree = factor_degree(kernel.gamma, span)
-    rank = max(degree, 1, n_eigs - 2)
-    if rank + 2 > values.shape[0] / 4:
-        return None
+    rank = max(degree, 1, min(n_eigs, values.shape[0]) - 2)
     nodes, basis, _ = chebyshev_basis(values, rank)
     middle = np.zeros((rank + 2, rank + 2))
     middle[0, 0] = 1.0 if degree else kernel.diagonal_value
@@ -133,33 +132,24 @@ def mercer_decompose(kernel: LearnedKernel, quad: Quadrature, n_eigs: int = 0) -
     diagonal of quadrature weights, then maps eigenvectors back through
     D^{-1/2}; that makes sum_i sigma_i phi_i(x) phi_i(y) reproduce G and
     <phi_i, phi_j> = delta_ij under the weighted inner product.  The kernel
-    is split in O(n K^2) from its :func:`learned_factor`: with
+    is split in O(n K^2) from its :func:`learned_factor`, on every grid: with
     D^{1/2} F = Q R and R M R^T = V diag(sigma) V^T, phi = D^{-1/2} Q V.
-    Factors above rank n / 4 take the dense eigh.  G is symmetric by
-    construction (:func:`build_learned_kernel`).
+    G is symmetric by construction (:func:`build_learned_kernel`).
 
     Raises NotPSDError when the smallest eigenvalue is more negative than
     ``MERCER_TOL`` times the largest, or when the returned pairs miss the
     dense G by more than ``MERCER_TOL`` times its norm.
     """
     sqrt_w = np.sqrt(quad.weights)
-    split = learned_factor(kernel, n_eigs)
-    if split is None:
-        symm = sqrt_w[:, None] * kernel.matrix * sqrt_w[None, :]
-        eigenvalues, vectors = np.linalg.eigh(0.5 * (symm + symm.T))
-        path, bound = "dense", 0.0
-    else:
-        factor, middle, bound = split
-        q, r = np.linalg.qr(sqrt_w[:, None] * factor)
-        core = r @ middle @ r.T
-        eigenvalues, small = np.linalg.eigh(0.5 * (core + core.T))
-        vectors = q @ small
-        path, bound = "factor", bound * float(quad.weights.sum())
+    factor, middle, bound = learned_factor(kernel, n_eigs)
+    q, r = np.linalg.qr(sqrt_w[:, None] * factor)
+    core = r @ middle @ r.T
+    eigenvalues, small = np.linalg.eigh(0.5 * (core + core.T))
+    vectors = q @ small
     order = np.argsort(eigenvalues)[::-1]
     eigenvalues = eigenvalues[order]
     vectors = vectors[:, order]
-    top = float(eigenvalues[0]) if eigenvalues.size else 0.0
-    bottom = float(eigenvalues[-1]) if eigenvalues.size else 0.0
+    top, bottom = float(eigenvalues[0]), float(eigenvalues[-1])
     if bottom < -MERCER_TOL * max(top, 1.0):
         raise NotPSDError(
             f"kernel is not positive semidefinite: min eigenvalue {bottom:.6g} "
@@ -178,7 +168,7 @@ def mercer_decompose(kernel: LearnedKernel, quad: Quadrature, n_eigs: int = 0) -
             min_eigenvalue=bottom,
         )
     return EigenSystem(values=eigenvalues, functions=functions, weights=quad.weights.copy(),
-                       path=path, error_bound=bound)
+                       error_bound=bound * float(quad.weights.sum()))
 
 
 def reconstruct_kernel(eig: EigenSystem, rank: int | None = None) -> np.ndarray:

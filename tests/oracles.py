@@ -1,7 +1,8 @@
 """Independent oracles used to freeze expected values.
 
-Everything here is deliberately naive: pure-Python loops, dense reference
-integrators, and bisection on closed-form equations.  None of it shares
+Everything here is deliberately naive: pure-Python loops, dense n x n
+operators built from closed forms, dense reference integrators, and
+bisection on closed-form equations.  None of it shares
 code with the paths under test.
 """
 
@@ -75,25 +76,40 @@ def fft_convolve(spectrum, grid, v):
     return image[(Ellipsis,) + tuple(slice(0, n) for n in grid.npts)].reshape(v.shape)
 
 
-def abs_kernel_table(kernel, grid):
-    """|w(x_i, x_j)| on all node pairs from the closed form of the kind; the
-    distance takes the minimal image per axis on periodic grids."""
-    pts = [tuple(float(c) for c in p) for p in grid.points]
-    periods = [b - a for a, b in grid.bounds]
-    index = {p: k for k, p in enumerate(pts)}
-    rows = []
-    for x in pts:
-        row = []
-        for y in pts:
-            if kernel.kind == "tabulated":
-                row.append(abs(_kernel(kernel, x, y, index)))
-                continue
-            d = [abs(xa - ya) for xa, ya in zip(x, y)]
-            if grid.boundary == "periodic":
-                d = [min(da, period - da) for da, period in zip(d, periods)]
-            row.append(abs(_kernel(kernel, d, [0.0] * len(d), index)))
-        rows.append(row)
-    return np.array(rows)
+def kernel_table(kernel, grid):
+    """w(x_i, x_j) on all node pairs, in numpy from the closed form of the
+    kind (tabulated: its matrix); the distance takes the minimal image per
+    axis on periodic grids."""
+    p = kernel.params
+    if kernel.kind == "tabulated":
+        return np.array(p["matrix"], dtype=float)
+    pts = np.asarray(grid.points)
+    sq = np.zeros((pts.shape[0], pts.shape[0]))
+    for ax, (a, b) in enumerate(grid.bounds):
+        d = np.abs(pts[:, ax, None] - pts[None, :, ax])
+        if grid.boundary == "periodic":
+            d = np.minimum(d, (b - a) - d)
+        sq += d * d
+    d = np.sqrt(sq)
+    if kernel.kind == "exponential":
+        return p["amplitude"] * np.exp(-p["decay"] * d)
+    z = d / p["scale"]
+    return (1.0 - z) * np.exp(-z)
+
+
+def dense_operator(op):
+    """The dense W[i, j] = w(x_i, x_j) q_j gain_j of an operator, from
+    :func:`kernel_table`."""
+    w = kernel_table(op.kernel, op.grid) * op.quadrature.weights[None, :]
+    return w if op.gain is None else w * op.gain[None, :]
+
+
+def dense_j(model, matrix, u):
+    """sum_j W[i, j] (1 + gamma g(u_i - u_j)) f(u_j) on a dense W, with f
+    from the scalar closed form of its kind and g from the gaussian's."""
+    rates = np.array([_firing(model.firing, float(s)) for s in u])
+    z = (u[:, None] - u[None, :]) / model.learning.params["width"]
+    return (matrix * (1.0 + model.gamma * np.exp(-z * z)) * rates[None, :]).sum(axis=1)
 
 
 def dense_l1_lower_sum(absw, grid):

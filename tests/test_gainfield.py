@@ -80,6 +80,24 @@ class TestLearnedKernel:
         assert np.allclose(np.diag(learned.matrix), 0.5, atol=1e-14)
         assert learned.matrix.max() <= 1.0
 
+    @pytest.mark.parametrize("sign, s", [("plus", 1.0), ("minus", -1.0)])
+    def test_built_over_one_n_by_n_array(self, sign, s):
+        import tracemalloc
+
+        n = 901
+        grid = Grid(bounds=[(-10.0, 10.0)], npts=[n])
+        u = 0.5 * np.exp(-grid.points[:, 0] ** 2 / 4.0)
+        model = make_model(gamma=1.0)
+        tracemalloc.start()
+        try:
+            learned = build_learned_kernel(u, model, grid, sign=sign)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * n * n
+        expected = 1.0 + s * model.gamma * model.learning(u[:, None] - u[None, :])
+        assert np.array_equal(learned.matrix, expected)
+
 
 class TestMercer:
     def test_rank_one_constant_kernel(self):
@@ -119,8 +137,8 @@ class TestMercer:
 
     def test_indefinite_kernel_rejected(self):
         # 1 - gamma * g with gamma > 1 is negative on the diagonal, so its
-        # weighted trace is negative: the dense split (n = 3) and the factor
-        # split (n = 121) both see a negative eigenvalue
+        # weighted trace is negative: the factor split sees a negative
+        # eigenvalue with more columns than nodes (n = 3) and with fewer (n = 121)
         for n in (3, 121):
             grid = Grid(bounds=[(0.0, 1.0)], npts=[n])
             learned = build_learned_kernel(np.linspace(0.0, 2.0, n), make_model(gamma=1.5), grid,
@@ -161,9 +179,9 @@ N_EIGS = 6
 
 def learned_on(span_over_width, gamma, sign="plus", boundary="compact", rule="trapezoid",
                width=0.7):
-    """A learned kernel on the smallest grid whose factor split is not the
-    dense fallback; some potentials sit exactly on the factor's Chebyshev
-    points.  Returns the kernel, its quadrature and the factor's degree."""
+    """A learned kernel on a grid of 4 (rank + 2) + 1 nodes; some potentials
+    sit exactly on the factor's Chebyshev points.  Returns the kernel, its
+    quadrature and the factor's degree."""
     rank = max(chebyshev_rank(0.5 * span_over_width) if span_over_width > 0 else 1, N_EIGS - 2)
     grid = Grid(bounds=[(-5.0, 5.0)], npts=[4 * (rank + 2) + 1], boundary=boundary)
     span = span_over_width * width
@@ -194,7 +212,7 @@ class TestFactorSplit:
         eig = mercer_decompose(learned, quad, n_eigs=N_EIGS)
         if gamma == 0.0 or span_over_width == 0.0:
             rank = N_EIGS - 2  # the constant factor
-        assert eig.path == "factor" and eig.values.shape == (rank + 2,)
+        assert eig.values.shape == (rank + 2,)
         # rounding of both eigensolvers, relative to the largest value
         allowance = 1e-13 * max(abs(oracle[0]), 1.0)
         assert np.max(np.abs(eig.values[:N_EIGS] - oracle[:N_EIGS])) <= eig.error_bound + allowance
@@ -222,19 +240,19 @@ class TestFactorSplit:
         assert eig.values[0] == pytest.approx(1.8 * 10.0, rel=1e-14)
         assert np.all(eig.values[1:] == 0.0)
 
-    def test_dense_fallback_above_quarter_n(self):
+    def test_rank_near_n_and_n_eigs_above_n(self):
+        # degree 56 on 61 nodes splits from the factor like any other grid
         grid = Grid(bounds=[(-5.0, 5.0)], npts=[61])
         quad = make_quadrature(grid)
         coarse = build_learned_kernel(np.linspace(-4.0, 4.0, 61), make_model(gamma=1.0), grid)
-        assert learned_factor(coarse) is None
-        eig = mercer_decompose(coarse, quad)
-        assert eig.path == "dense" and eig.error_bound == 0.0
         oracle = mercer_eigenvalues(coarse.matrix, quad.weights)
-        assert np.max(np.abs(eig.values - oracle)) <= 1e-13 * oracle[0]
-        # n_eigs - 2 counts against the same n / 4 rule
-        learned, quad, rank = learned_on(0.5, 1.0)
-        assert mercer_decompose(learned, quad, n_eigs=N_EIGS).path == "factor"
-        assert mercer_decompose(learned, quad, n_eigs=rank + 3).path == "dense"
+        eig = mercer_decompose(coarse, quad)
+        assert eig.values.shape == (58,)
+        assert 0.0 < eig.error_bound and np.max(np.abs(eig.values - oracle[:58])) <= eig.error_bound
+        # n_eigs above n asks for no more columns than G has
+        assert learned_factor(coarse, n_eigs=100)[0].shape == (61, 61)
+        wide = mercer_decompose(coarse, quad, n_eigs=100)
+        assert np.max(np.abs(wide.values - oracle)) <= wide.error_bound
 
     def test_n_eigs_raises_the_rank(self, grid_201, quad_201, stationary_state):
         model, u_inf = stationary_state
@@ -250,14 +268,14 @@ class TestFactorSplit:
         assert run("gainfield", build_config(doc, environ={}), out) == 0
         assert len((out / "eigs.csv").read_text().splitlines()) == 41
         mercer = json.loads((out / "manifest.json").read_text())["mercer"]
-        assert mercer["path"] == "factor" and mercer["rank"] == 40
+        assert "path" not in mercer and mercer["rank"] == 40
 
     def test_default_config_within_recorded_bound(self, tmp_path):
         cfg = build_config({}, environ={})
         out = tmp_path / "gf"
         assert run("gainfield", cfg, out) == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["mercer"]["path"] == "factor"
+        assert set(manifest["mercer"]) == {"rank", "eig_error_bound"}
         assert "manifest.json" not in manifest["checksums"]
         written = np.array([float(line.split(",")[1])
                             for line in (out / "eigs.csv").read_text().splitlines()[1:]])
@@ -286,7 +304,7 @@ class TestFactorSplit:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert eig.path == "factor"
+        assert eig.values.size >= 12
         assert peak < n * n * 8 / 2
 
 

@@ -15,13 +15,12 @@ from neuralfield import (
     TheoryConstants,
     compute_constants,
     contraction_factor,
-    kernel_matrix,
     max_segment_length,
 )
 from neuralfield.model import _analytic_l1_sup, _grid_l1_lower_sum, estimate_lipschitz
 
 from conftest import exponential_kernel
-from oracles import abs_kernel_table, dense_l1_lower_sum
+from oracles import dense_l1_lower_sum, kernel_table
 
 
 SQRT_2_OVER_E = math.sqrt(2.0 / math.e)
@@ -134,7 +133,7 @@ class TestSynapticKernel:
 
     def test_isotropy(self):
         # w(x, y) depends on |x - y| only: symmetric and constant along diagonals
-        w = kernel_matrix(exponential_kernel(), Grid(bounds=[(-3.0, 5.0)], npts=[9]))
+        w = kernel_table(exponential_kernel(), Grid(bounds=[(-3.0, 5.0)], npts=[9]))
         assert np.array_equal(w, w.T)
         assert w[2, 5] == w[5, 2] == w[0, 3]
 
@@ -171,15 +170,13 @@ class TestConstants:
         assert c.learning_lipschitz == pytest.approx(SQRT_2_OVER_E, abs=1e-15)
 
     def test_grid_estimate_below_analytic_and_convergent(self):
-        from neuralfield.discretization import kernel_matrix
-
         kernel = exponential_kernel()
         estimates = []
         analytic = None
         for n in (251, 501, 1001, 2001):
             grid = Grid(bounds=[(-10.0, 10.0)], npts=[n])
             analytic = _analytic_l1_sup(kernel, grid)
-            est = _grid_l1_lower_sum(np.abs(kernel_matrix(kernel, grid)), grid)
+            est = _grid_l1_lower_sum(np.abs(kernel_table(kernel, grid)), grid)
             estimates.append(est)
             assert est <= analytic + 1e-12
         # monotone from below under nested refinement, within 1% at N=2001
@@ -236,12 +233,12 @@ class TestConstants:
         if kernel == "tabulated":
             # a signed, asymmetric table on this grid's nodes
             signs = np.where(np.arange(grid.n_total) % 3 == 0, -1.0, 1.0)
-            matrix = abs_kernel_table(SynapticKernel("mexican-hat", {"scale": 0.8}), grid)
+            matrix = np.abs(kernel_table(SynapticKernel("mexican-hat", {"scale": 0.8}), grid))
             matrix = matrix * signs[None, :] * (1.0 + np.arange(grid.n_total))[:, None] / 7.0
             nodes = grid.points[:, 0] if grid.dimension == 1 else grid.points
             kernel = SynapticKernel("tabulated", {"matrix": matrix, "nodes": nodes})
         model = ModelSpec(kernel, FiringRate("sigmoid"), LearningKernel())
-        absw = abs_kernel_table(kernel, grid)
+        absw = np.abs(kernel_table(kernel, grid))
         expected = dense_l1_lower_sum(absw, grid)
         c = compute_constants(model, grid)
         assert c.kernel_sup == absw.max()

@@ -31,7 +31,7 @@ from neuralfield.solver import (
 )
 
 from conftest import constants_of, exponential_kernel, make_model, zero_firing
-from oracles import crank_nicolson_decay, scalar_ode_solution
+from oracles import crank_nicolson_decay, dense_operator, scalar_ode_solution
 
 
 def ring_setup(n=200, gamma=0.0):
@@ -65,7 +65,7 @@ class TestPicardSegment:
         seg = picard_segment(model, op, FieldState(np.full(200, 0.3)), rho, cfg, constants)
         # stays uniform
         assert np.max(np.ptp(seg.trajectory.values, axis=1)) < 1e-12
-        reference = scalar_ode_solution(op.matrix[0].sum(), model.firing, 0.3,
+        reference = scalar_ode_solution(dense_operator(op)[0].sum(), model.firing, 0.3,
                                         seg.trajectory.times)
         assert np.max(np.abs(seg.trajectory.values[:, 0] - reference)) < 1e-6
 
@@ -142,9 +142,10 @@ class TestSolveGlobal:
         u = bump_201.values.copy()
         dense = bump_201.values.copy()
         decay = math.exp(-0.1)
+        matrix = dense_operator(op_201)
         for n in range(20):
             u = decay * u + (1.0 - decay) * op_201.apply(model.firing(u))
-            dense = decay * dense + (1.0 - decay) * (op_201.matrix @ model.firing(dense))
+            dense = decay * dense + (1.0 - decay) * (matrix @ model.firing(dense))
         assert np.array_equal(traj.values[-1], u)
         # the FFT product matches the dense one to rounding
         assert np.max(np.abs(traj.values[-1] - dense)) <= 1e-14

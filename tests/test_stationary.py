@@ -18,7 +18,7 @@ from neuralfield.solver import SolverConfig, solve_global
 from neuralfield.stationary import find_stationary_fp, stationary_via_flow
 
 from conftest import constants_of, exponential_kernel, make_model, zero_firing
-from oracles import damped_fixed_point, scalar_fixed_point
+from oracles import damped_fixed_point, dense_operator, scalar_fixed_point
 
 
 class TestFixedPoint:
@@ -189,7 +189,7 @@ class TestFlow:
         flow = stationary_via_flow(model, op, FieldState(np.full(64, 0.1)),
                                    t_max=400.0, settle_tol=1e-9, dt=0.05)
         assert flow.converged
-        root = scalar_fixed_point(op.matrix[0].sum(), model.firing)
+        root = scalar_fixed_point(dense_operator(op)[0].sum(), model.firing)
         assert np.max(np.abs(flow.u_inf - root)) < 1e-6
 
     def test_not_settled_returns_last_state(self, op_201, bump_201):
