@@ -2,11 +2,13 @@
 
 Subcommands: simulate, stationary, gainfield, schrodinger, study <name>,
 constants, validate.  ``run`` dispatches every command but validate from a
-name -> ``cmd_*`` table; each ``cmd_*`` takes the config, the output
-directory and the constants (None for schrodinger, which reads no model),
-plus its own options.  Every run that writes artifacts owns its output
-directory exclusively, emits CSV series plus a manifest.json with the full
-config echo, the computed constants and contraction data (not for
+name -> ``cmd_*`` table.  ``run`` builds the run's one discrete operator
+and computes the constants from it; each ``cmd_*`` takes the config, the
+output directory, the operator when it integrates the model, and the
+constants (schrodinger, which reads no model, gets neither), plus its own
+options.  Every run that writes artifacts owns its output directory
+exclusively, emits CSV series plus a manifest.json with the full config
+echo, the computed constants and contraction data (not for
 schrodinger), wall time, peak RSS, the run's minor page faults, and a
 checksum per emitted file.  The manifest is written even when the run
 fails, with an error section.  ``constants`` may run without an output
@@ -106,10 +108,6 @@ def _emit_manifest(out_dir, command, cfg: RunConfig | None, started, faults_befo
     write_json(Path(out_dir) / "manifest.json", manifest)
 
 
-def _operator(cfg: RunConfig):
-    return build_operator(cfg.model.kernel, cfg.grid, cfg.quadrature)
-
-
 def _fixed_point(cfg: RunConfig, op, u0, constants):
     """The stationary fixed point under the config's ``stationary`` settings."""
     if cfg.grid.boundary != "compact":
@@ -119,8 +117,7 @@ def _fixed_point(cfg: RunConfig, op, u0, constants):
                               tol=section["tol"], max_iter=section["max_iter"])
 
 
-def cmd_simulate(cfg: RunConfig, out_dir, constants):
-    op = _operator(cfg)
+def cmd_simulate(cfg: RunConfig, out_dir, op, constants):
     u0 = initial_state(cfg)
     traj = solve_global(cfg.model, op, u0, cfg.solver, constants)
     report = monitor_bounds(traj, constants, cfg.model)
@@ -147,8 +144,7 @@ def cmd_simulate(cfg: RunConfig, out_dir, constants):
     }
 
 
-def cmd_stationary(cfg: RunConfig, out_dir, constants, method=None):
-    op = _operator(cfg)
+def cmd_stationary(cfg: RunConfig, out_dir, op, constants, method=None):
     u0 = initial_state(cfg)
     section = cfg.document["stationary"]
     method = method or section["method"]
@@ -170,8 +166,7 @@ def cmd_stationary(cfg: RunConfig, out_dir, constants, method=None):
     return {"stationary": payload}
 
 
-def cmd_gainfield(cfg: RunConfig, out_dir, constants):
-    op = _operator(cfg)
+def cmd_gainfield(cfg: RunConfig, out_dir, op, constants):
     u0 = initial_state(cfg)
     section = cfg.document["gainfield"]
     stationary = _fixed_point(cfg, op, u0, constants)
@@ -212,7 +207,7 @@ def cmd_gainfield(cfg: RunConfig, out_dir, constants):
     }
 
 
-def cmd_schrodinger(cfg: RunConfig, out_dir, constants, well=None, lam=None):
+def cmd_schrodinger(cfg: RunConfig, out_dir, well=None, lam=None):
     section = dict(cfg.document["schrodinger"])
     if well is not None:
         try:
@@ -254,8 +249,7 @@ def _study_initials(cfg: RunConfig, names):
     return out
 
 
-def cmd_study(cfg: RunConfig, out_dir, constants, study_name):
-    op = _operator(cfg)
+def cmd_study(cfg: RunConfig, out_dir, op, constants, study_name):
     u0 = initial_state(cfg)
     section = cfg.document["study"]
 
@@ -338,10 +332,14 @@ def run(command: str, cfg: RunConfig, out_dir, study_name=None, **options) -> in
         try:
             if command not in commands:
                 raise SchemaError([f"command: unknown command {command!r}"])
-            # one computation serves every command and the manifest
+            # one operator and one computation of the constants serve every
+            # command and the manifest
+            args = ()
             if command != "schrodinger":
-                constants = compute_constants(cfg.model, cfg.grid)
-            extra = commands[command](cfg, out, constants, **options)
+                op = build_operator(cfg.model.kernel, cfg.grid, cfg.quadrature)
+                constants = compute_constants(cfg.model, op)
+                args = (constants,) if command == "constants" else (op, constants)
+            extra = commands[command](cfg, out, *args, **options)
         except SchemaError as exc:
             error = {"type": "SchemaError", "violations": exc.violations}
             for violation in exc.violations:

@@ -7,7 +7,7 @@ The dynamics evolved elsewhere in the package is
 
 where w is the synaptic kernel, f the firing rate, g the learning kernel
 and gamma >= 0 the plasticity coefficient.  Everything the bound checks
-need (sup norms, L1 norms, Lipschitz constants) lives here.
+need (the kernel L1 norm, Lipschitz constants) lives here.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 FIRING_KINDS = ("sigmoid", "scaled-arctan", "linear", "piecewise-linear-clamped")
 LEARNING_KINDS = ("gaussian",)
@@ -234,28 +233,25 @@ class ModelSpec:
 class TheoryConstants:
     """Constants controlling every estimate the solver monitors.
 
-    kernel_sup          sup |w|
-    kernel_l1_sup       sup over x of the L1 norm of w(x, .) on the domain
+    kernel_l1_sup       Cw, sup over x of the L1 norm of w(x, .) on the domain
     firing_lipschitz    sup |f'|
     learning_lipschitz  sup |g'|
-    method              'analytic' when every constant with a closed form used
-                        it, 'grid-estimated' otherwise
+    method              'analytic' when Cw has a closed form, 'row-sum' when it
+                        is the row-sum norm of the discrete operator
     """
 
-    kernel_sup: float
     kernel_l1_sup: float
     firing_lipschitz: float
     learning_lipschitz: float
     method: str = "analytic"
 
     def __post_init__(self):
-        for name in ("kernel_sup", "kernel_l1_sup", "firing_lipschitz", "learning_lipschitz"):
+        for name in ("kernel_l1_sup", "firing_lipschitz", "learning_lipschitz"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
 
     def to_json(self) -> dict:
         return {
-            "kernel_sup": self.kernel_sup,
             "kernel_l1_sup": self.kernel_l1_sup,
             "firing_lipschitz": self.firing_lipschitz,
             "learning_lipschitz": self.learning_lipschitz,
@@ -277,62 +273,22 @@ def _analytic_l1_sup(kernel: SynapticKernel, grid) -> float | None:
     return (amp / lam) * (2.0 - 2.0 * math.exp(-lam * (b - a) / 2.0))
 
 
-def _analytic_sup(kernel: SynapticKernel) -> float | None:
-    if kernel.kind == "exponential":
-        return abs(kernel.params["amplitude"])
-    if kernel.kind == "mexican-hat":
-        # |(1 - z) exp(-z)| is largest at z = 0
-        return 1.0
-    return None
+def compute_constants(model: ModelSpec, op) -> TheoryConstants:
+    """Compute the estimate constants for a model and its discrete operator.
 
-
-def _grid_l1_lower_sum(absw: np.ndarray, grid) -> float:
-    """Largest lower Riemann sum of |w| over the cells of one row.
-
-    ``absw`` has one trailing axis per grid axis: the dense rows (n, *npts)
-    of a tabulated kernel, or the node-lag table of an isotropic one, whose
-    rows are windows sliding over its 2n - 2 cells per compact axis.  Cells
-    take the minimum of their 2^d corners (wrapping on periodic axes), a
-    true lower bound whenever |w| is monotone on each cell, which holds for
-    the built-in kernels once the kink sits on a node.
+    The 1-D exponential kernel takes its closed-form Cw and reads only
+    ``op.grid``.  Every other kernel takes the row-sum norm
+    R = max_i sum_j |W_ij| of the operator the run integrates, the constant
+    for which the sup bound max{||u0||, (1 + gamma) R} is a theorem of the
+    semi-discrete system (Atkinson 1997, ch. 4): one FFT for isotropic
+    kernels, the dense rows for tabulated ones.
     """
-    periodic = grid.boundary == "periodic"
-    axes = range(-grid.dimension, 0)
-    table = absw
-    for ax in axes:
-        if periodic:
-            table = np.concatenate([table, table.take([0], axis=ax)], axis=ax)
-        pair = sliding_window_view(table, 2, axis=ax)
-        table = np.minimum(pair[..., 0], pair[..., 1])
-    for n, ax in zip(grid.npts, axes):
-        table = sliding_window_view(table, n if periodic else n - 1, axis=ax).sum(axis=-1)
-    return float(np.prod(grid.spacing) * table.max())
-
-
-def compute_constants(model: ModelSpec, grid) -> TheoryConstants:
-    """Compute the estimate constants for a model on a grid.
-
-    Closed forms are preferred whenever the kind admits one (they remove
-    discretization bias from the bound checks); everything else falls back
-    to grid estimates, which under-approximate the true values.  Isotropic
-    kernels take them from |w| at the node lags (``Grid.lag_distance``);
-    only tabulated kernels form the n x n kernel matrix.
-    """
-    kernel_sup = _analytic_sup(model.kernel)
-    kernel_l1_sup = _analytic_l1_sup(model.kernel, grid)
-    method = "analytic" if kernel_l1_sup is not None else "grid-estimated"
+    kernel_l1_sup = _analytic_l1_sup(model.kernel, op.grid)
+    method = "analytic"
     if kernel_l1_sup is None:
-        if model.kernel.isotropic:
-            absw = np.abs(model.kernel.profile(grid.lag_distance()))
-        else:
-            from .discretization import kernel_matrix
-
-            absw = np.abs(kernel_matrix(model.kernel, grid)).reshape((-1,) + grid.npts)
-            kernel_sup = float(absw.max())
-        kernel_l1_sup = _grid_l1_lower_sum(absw, grid)
-
+        kernel_l1_sup = float(op.abs_apply(np.ones(op.grid.n_total)).max())
+        method = "row-sum"
     return TheoryConstants(
-        kernel_sup=kernel_sup,
         kernel_l1_sup=kernel_l1_sup,
         firing_lipschitz=model.firing.lipschitz,
         learning_lipschitz=model.learning.lipschitz,

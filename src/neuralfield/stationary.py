@@ -165,16 +165,10 @@ def stationary_via_flow(model: ModelSpec, op: DiscreteOperator, u0: FieldState,
             history.append((t, residual))
             next_sample *= 2.0
             if residual < settle_tol:
-                return StationaryResult(
-                    u_inf=u,
-                    residual_sup=residual,
-                    iterations=steps,
-                    method="flow",
-                    converged=True,
-                    history=tuple(history),
-                )
-    residual = float(np.max(np.abs(apply_f_values(model, op, u))))
-    history.append((t, residual))
+                break
+    else:
+        residual = float(np.max(np.abs(apply_f_values(model, op, u))))
+        history.append((t, residual))
     return StationaryResult(
         u_inf=u,
         residual_sup=residual,

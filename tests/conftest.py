@@ -37,7 +37,7 @@ def make_model(gamma=0.5, firing_kind="sigmoid", kernel_kind="exponential", mode
 
 def constants_of(model, op):
     """The theory constants a CLI run computes once and passes down."""
-    return compute_constants(model, op.grid)
+    return compute_constants(model, op)
 
 
 def zero_firing():

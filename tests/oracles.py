@@ -112,40 +112,6 @@ def dense_j(model, matrix, u):
     return (matrix * (1.0 + model.gamma * np.exp(-z * z)) * rates[None, :]).sum(axis=1)
 
 
-def dense_l1_lower_sum(absw, grid):
-    """Lower Riemann sum of each row of a dense |w| (n x n), max over rows.
-
-    Each row is reshaped onto the grid and summed over its cells, taking the
-    minimum of the cell's 2^d corners; periodic grids close the last cell of
-    each axis around to the first node.
-    """
-    n_rows = absw.shape[0]
-    if grid.dimension == 1:
-        h = grid.spacing[0]
-        if grid.boundary == "periodic":
-            rolled = np.roll(absw, -1, axis=1)
-            sums = (h * np.minimum(absw, rolled)).sum(axis=1)
-        else:
-            sums = (h * np.minimum(absw[:, :-1], absw[:, 1:])).sum(axis=1)
-        return float(sums.max())
-    n1, n2 = grid.npts
-    cell = grid.spacing[0] * grid.spacing[1]
-    best = 0.0
-    for i in range(n_rows):
-        tile = absw[i].reshape(n1, n2)
-        if grid.boundary == "periodic":
-            corners = np.minimum.reduce([
-                tile, np.roll(tile, -1, 0), np.roll(tile, -1, 1),
-                np.roll(np.roll(tile, -1, 0), -1, 1),
-            ])
-        else:
-            corners = np.minimum.reduce([
-                tile[:-1, :-1], tile[1:, :-1], tile[:-1, 1:], tile[1:, 1:],
-            ])
-        best = max(best, float(cell * corners.sum()))
-    return best
-
-
 def scalar_ode_solution(row_sum, firing, u0, t_eval):
     """Dense reference integration of u' = -u + W * f(u) for a uniform field."""
     sol = solve_ivp(lambda t, y: -y + row_sum * firing(y), (0.0, float(t_eval[-1])),

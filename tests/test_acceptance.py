@@ -90,7 +90,7 @@ def bound_suite():
     reports = []
     for label, model in all_models():
         op = build_operator(model.kernel, grid, quad)
-        constants = compute_constants(model, grid)
+        constants = compute_constants(model, op)
         traj = solve_global(model, op, u0, cfg, constants)
         reports.append((label, model, monitor_bounds(traj, constants, model)))
     return reports, time.time() - started
@@ -124,7 +124,7 @@ def test_03_contraction():
         for gamma in (0.0, 0.5, 1.0):
             model = ModelSpec(exponential_kernel(), FiringRate("sigmoid"),
                               LearningKernel(), gamma=gamma)
-            study = contraction_measure(model, op, compute_constants(model, grid), n_pairs=200,
+            study = contraction_measure(model, op, compute_constants(model, op), n_pairs=200,
                                         seed=1234, slack=0.01)
             assert study.passed
             assert study.fit["max_ratio"] <= study.fit["q"] + 0.01
@@ -137,7 +137,7 @@ def test_04_picard_convergence(op_201, bump_201):
         for gamma in (0.5, 1.0):
             model = ModelSpec(exponential_kernel(), FiringRate("sigmoid"),
                               LearningKernel(), gamma=gamma)
-            constants = compute_constants(model, op_201.grid)
+            constants = compute_constants(model, op_201)
             rho = max_segment_length(constants, gamma)
             q = contraction_factor(constants, gamma, rho)
             cfg = SolverConfig(method="picard", dt=rho / 16, t_end=3 * rho,
@@ -219,7 +219,7 @@ def test_08_l1_bound():
             model = ModelSpec(exponential_kernel(), FiringRate("sigmoid"),
                               LearningKernel(), gamma=gamma)
             cfg = SolverConfig(method="exp-euler", dt=0.05, t_end=20.0)
-            study = l1_bound_study(model, op, initials, cfg, compute_constants(model, grid),
+            study = l1_bound_study(model, op, initials, cfg, compute_constants(model, op),
                                    slack=1e-6)
             assert study.passed, [row for row in study.rows if not row["pass"]]
 
@@ -277,7 +277,7 @@ def test_11_integrator_orders(op_201, bump_201):
             slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
             assert slope == pytest.approx(order, abs=tol), method
 
-        constants = compute_constants(model, op_201.grid)
+        constants = compute_constants(model, op_201)
         rho = max_segment_length(constants, model.gamma)
         dt = rho / round(rho / 1e-3)
         picard = solve_global(model, op_201, bump_201,

@@ -307,8 +307,25 @@ class TestRun:
         run("simulate", cfg, out)
         manifest = json.loads((out / "manifest.json").read_text())
         echoed = build_config(manifest["config"], environ={})
-        fresh = compute_constants(echoed.model, echoed.grid).to_json()
+        op = build_operator(echoed.model.kernel, echoed.grid, echoed.quadrature)
+        fresh = compute_constants(echoed.model, op).to_json()
         assert manifest["constants"] == fresh
+
+    def test_2d_simulate_within_row_sum_bound(self, tmp_path):
+        # a 41^2 exponential run that crossed the bound made from the lag-table
+        # lower sum of Cw (sup 4.520477 against 4.519001); the row-sum norm of
+        # the operator it integrates gives the bound 2 * 3.1550
+        doc = {"grid": {"bounds": [[-10, 10], [-10, 10]], "nodes": [41, 41]},
+               "solver": {"method": "exp-euler", "dt": 0.1, "t_end": 1.5},
+               "initial": {"kind": "gaussian-bump",
+                           "params": {"amplitude": 0.375126, "center": [-0.565793, 1.879164],
+                                      "width": 2.301631}}}
+        out = tmp_path / "sim2d"
+        assert run("simulate", build_config(doc, environ={}), out) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["constants"]["method"] == "row-sum"
+        assert manifest["bound_report"]["sup_observed"] > 4.52
+        assert manifest["bound_report"]["within_bound"] is True
 
     def test_rerun_identical_checksums(self, tmp_path):
         doc = small_sim_doc()
@@ -373,7 +390,7 @@ class TestRun:
             )
             assert result.returncode == 0, result.stderr
             manifest = json.loads((out / "manifest.json").read_text())
-            assert manifest["constants"]["method"] == "grid-estimated"
+            assert manifest["constants"]["method"] == "row-sum"
             sums.append(manifest["checksums"])
         assert sums[0] == sums[1] == sums[2]
 
@@ -400,13 +417,13 @@ class TestRun:
         if command == "simulate":
             name, header = "trajectory.csv", ["t", "node_index"] + coords + ["u"]
             traj = solve_global(cfg.model, op, initial_state(cfg), cfg.solver,
-                                compute_constants(cfg.model, cfg.grid))
+                                compute_constants(cfg.model, op))
             rows = [[traj.times[n], i] + list(pts[i]) + [traj.values[n, i]]
                     for n in range(len(traj)) for i in range(cfg.grid.n_total)]
         elif command == "stationary":
             s = cfg.document["stationary"]
             u_inf = find_stationary_fp(cfg.model, op, initial_state(cfg),
-                                       compute_constants(cfg.model, cfg.grid), damping=s["damping"],
+                                       compute_constants(cfg.model, op), damping=s["damping"],
                                        tol=s["tol"], max_iter=s["max_iter"]).u_inf
             name, header = "u_inf.csv", coords + ["u"]
             rows = [list(pts[i]) + [u_inf[i]] for i in range(cfg.grid.n_total)]
@@ -423,10 +440,11 @@ class TestRun:
     def test_schrodinger_computes_no_constants(self, tmp_path, monkeypatch):
         import neuralfield.cli as cli
 
-        def refuse(model, grid):
-            raise AssertionError("constants computed")
+        def refuse(*args):
+            raise AssertionError("operator or constants computed")
 
         monkeypatch.setattr(cli, "compute_constants", refuse)
+        monkeypatch.setattr(cli, "build_operator", refuse)
         doc = {"grid": {"bounds": [[-5.0, 5.0], [-5.0, 5.0]], "nodes": [31, 31]},
                "model": {"kernel": {"kind": "mexican-hat"}},
                "schrodinger": {"nodes": 201, "n_states": 1}}
@@ -543,7 +561,7 @@ class TestRun:
     def test_unexpected_error_propagates_and_unlocks(self, tmp_path, monkeypatch, bug):
         import neuralfield.cli as cli
 
-        def broken(cfg, out_dir, constants):
+        def broken(cfg, out_dir, op, constants):
             raise bug("a bug, not a numerical failure")
 
         monkeypatch.setattr(cli, "cmd_simulate", broken)

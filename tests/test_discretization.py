@@ -151,7 +151,7 @@ class TestBuildOperator:
         grid = Grid(bounds=[(-10.0, 10.0)], npts=[401])
         op = build_operator(exponential_kernel(), grid, make_quadrature(grid))
         model = make_model(gamma=0.0)
-        c = compute_constants(model, grid)
+        c = compute_constants(model, op)
         # within quadrature error of the analytic constant
         assert np.max(op.abs_apply(np.ones(401))) <= c.kernel_l1_sup + 1e-3
 

@@ -115,7 +115,7 @@ class TestContinuousDependence:
 class TestContractionMeasure:
     def test_measured_ratio_under_bound(self, op_201):
         model = make_model(gamma=1.0)
-        study = contraction_measure(model, op_201, compute_constants(model, op_201.grid),
+        study = contraction_measure(model, op_201, compute_constants(model, op_201),
                                     rho=0.1, n_pairs=200, seed=20240801)
         assert study.passed
         assert len(study.rows) == 200
@@ -124,7 +124,7 @@ class TestContractionMeasure:
 
     def test_reproducible_from_seed(self, op_201):
         model = make_model(gamma=0.5)
-        constants = compute_constants(model, op_201.grid)
+        constants = compute_constants(model, op_201)
         a = contraction_measure(model, op_201, constants, n_pairs=10, seed=7)
         b = contraction_measure(model, op_201, constants, n_pairs=10, seed=7)
         assert [r["ratio"] for r in a.rows] == [r["ratio"] for r in b.rows]
@@ -138,12 +138,12 @@ class TestContractionMeasure:
 
         monkeypatch.setattr(exp.np.random, "default_rng", lambda seed: ZeroRng())
         model = make_model(gamma=0.5)
-        study = contraction_measure(model, op_201, compute_constants(model, op_201.grid),
+        study = contraction_measure(model, op_201, compute_constants(model, op_201),
                                     n_pairs=5, seed=0)
         assert study.rows == []  # zero-separation pairs never divide by zero
 
     def test_doubled_gamma_shifts_bound_exactly(self, op_201):
-        constants = compute_constants(make_model(gamma=0.5), op_201.grid)
+        constants = compute_constants(make_model(gamma=0.5), op_201)
         rho = 0.1
         q1 = contraction_factor(constants, 0.5, rho)
         q2 = contraction_factor(constants, 1.0, rho)
@@ -158,7 +158,7 @@ class TestContractionMeasure:
 class TestL1Bound:
     def test_bound_holds_including_step_data(self, unit_interval_setup):
         grid, op, model, initials = unit_interval_setup
-        constants = compute_constants(model, grid)
+        constants = compute_constants(model, op)
         study = l1_bound_study(model, op, initials,
                                SolverConfig(method="exp-euler", dt=0.05, t_end=20.0), constants)
         assert study.passed
@@ -180,7 +180,7 @@ class TestL1Bound:
         model = ModelSpec(ones, FiringRate("sigmoid"), LearningKernel(), gamma=0.0)
         u0 = [("constant", FieldState(np.full(101, 0.3)))]
         study = l1_bound_study(model, op, u0, SolverConfig(method="exp-euler", dt=0.05, t_end=5.0),
-                               compute_constants(model, grid))
+                               compute_constants(model, op))
         assert study.rows[0]["u0_l1"] == pytest.approx(0.3, abs=1e-12)
         assert study.rows[0]["bound"] == pytest.approx(1.3, abs=1e-5)
         assert study.passed

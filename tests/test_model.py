@@ -13,14 +13,16 @@ from neuralfield import (
     ModelSpec,
     SynapticKernel,
     TheoryConstants,
+    build_operator,
     compute_constants,
     contraction_factor,
+    make_quadrature,
     max_segment_length,
 )
-from neuralfield.model import _analytic_l1_sup, _grid_l1_lower_sum, estimate_lipschitz
+from neuralfield.model import _analytic_l1_sup, estimate_lipschitz
 
 from conftest import exponential_kernel
-from oracles import dense_l1_lower_sum, kernel_table
+from oracles import dense_operator, kernel_table
 
 
 SQRT_2_OVER_E = math.sqrt(2.0 / math.e)
@@ -150,71 +152,76 @@ class TestModelSpec:
                   gamma=0.0, mode="gain-field")
 
 
+def constants_on(model, grid):
+    return compute_constants(model, build_operator(model.kernel, grid, make_quadrature(grid)))
+
+
+def row_sum_norm(op):
+    """max_i sum_j |W_ij| of the dense oracle operator."""
+    return float(np.abs(dense_operator(op)).sum(axis=1).max())
+
+
 class TestConstants:
     def test_exponential_l1_on_effectively_unbounded_domain(self):
         # analytic integral of the exponential profile over the line is 2A/decay
-        grid = Grid(bounds=[(-30.0, 30.0)], npts=[11])
         model = ModelSpec(exponential_kernel(), FiringRate("sigmoid"), LearningKernel())
-        c = compute_constants(model, grid)
+        c = constants_on(model, Grid(bounds=[(-30.0, 30.0)], npts=[11]))
         assert c.kernel_l1_sup == pytest.approx(1.0, abs=1e-12)
         assert c.method == "analytic"
 
     def test_sigmoid_lipschitz(self):
         model = ModelSpec(exponential_kernel(), FiringRate("sigmoid"), LearningKernel())
-        c = compute_constants(model, Grid(bounds=[(-10, 10)], npts=[11]))
+        c = constants_on(model, Grid(bounds=[(-10, 10)], npts=[11]))
         assert c.firing_lipschitz == 0.25
 
     def test_gaussian_learning_lipschitz(self):
         model = ModelSpec(exponential_kernel(), FiringRate("sigmoid"), LearningKernel())
-        c = compute_constants(model, Grid(bounds=[(-10, 10)], npts=[11]))
+        c = constants_on(model, Grid(bounds=[(-10, 10)], npts=[11]))
         assert c.learning_lipschitz == pytest.approx(SQRT_2_OVER_E, abs=1e-15)
 
-    def test_grid_estimate_below_analytic_and_convergent(self):
+    def test_row_sum_converges_to_analytic_cw(self):
+        # the trapezoid row sum through the kink of exp(-|d|) is high by about
+        # h^2/12 per unit jump of the slope, so the error quarters as h halves
         kernel = exponential_kernel()
-        estimates = []
-        analytic = None
-        for n in (251, 501, 1001, 2001):
+        errors = []
+        for n in (101, 201, 401, 801):
             grid = Grid(bounds=[(-10.0, 10.0)], npts=[n])
-            analytic = _analytic_l1_sup(kernel, grid)
-            est = _grid_l1_lower_sum(np.abs(kernel_table(kernel, grid)), grid)
-            estimates.append(est)
-            assert est <= analytic + 1e-12
-        # monotone from below under nested refinement, within 1% at N=2001
-        assert all(b >= a - 1e-12 for a, b in zip(estimates, estimates[1:]))
-        assert estimates[-1] > 0.99 * analytic
+            op = build_operator(kernel, grid, make_quadrature(grid))
+            errors.append(float(op.abs_apply(np.ones(n)).max()) - _analytic_l1_sup(kernel, grid))
+        assert all(e > 0 for e in errors)
+        for coarse, fine in zip(errors, errors[1:]):
+            assert fine == pytest.approx(coarse / 4, rel=0.05)
+        assert errors[2] == pytest.approx(0.05 ** 2 / 12, rel=0.01)
 
-    def test_mexican_hat_uses_grid_estimates(self):
+    def test_mexican_hat_takes_the_row_sum(self):
         model = ModelSpec(SynapticKernel("mexican-hat", {"scale": 1.0}),
                           FiringRate("sigmoid"), LearningKernel())
-        grid = Grid(bounds=[(-10.0, 10.0)], npts=[2001])
-        c = compute_constants(model, grid)
-        assert c.method == "grid-estimated"
-        # signed integral of the profile is 0 but the absolute one is 4/e on the line;
-        # the lower sum under-approximates by ~h/2 * total variation
-        assert c.kernel_l1_sup < 4.0 / math.e
-        assert c.kernel_l1_sup == pytest.approx(4.0 / math.e, rel=0.015)
-        assert c.kernel_sup == 1.0
+        c = constants_on(model, Grid(bounds=[(-10.0, 10.0)], npts=[2001]))
+        assert c.method == "row-sum"
+        # signed integral of the profile is 0 but the absolute one is 4/e on the line
+        assert c.kernel_l1_sup == pytest.approx(4.0 / math.e, rel=1e-3)
 
-    def test_kernel_matrix_formed_only_without_closed_forms(self, monkeypatch):
-        # isotropic kernels take their grid estimates from the node-lag
-        # table in any dimension; only tabulated kernels form the matrix
+    def test_row_sum_only_without_closed_form(self, monkeypatch):
+        # the closed form leaves the operator unread; isotropic row sums
+        # convolve and form no kernel matrix
         import neuralfield.discretization as discretization
 
-        def refuse(kernel, grid):
-            raise AssertionError("kernel matrix formed")
-
-        monkeypatch.setattr(discretization, "kernel_matrix", refuse)
+        calls = []
+        abs_apply = discretization.DiscreteOperator.abs_apply
+        monkeypatch.setattr(discretization.DiscreteOperator, "abs_apply",
+                            lambda op, v: calls.append(op) or abs_apply(op, v))
+        monkeypatch.setattr(discretization, "kernel_matrix",
+                            lambda kernel, grid: pytest.fail("kernel matrix formed"))
         model = ModelSpec(exponential_kernel(), FiringRate("sigmoid"), LearningKernel())
+        hat = replace(model, kernel=SynapticKernel("mexican-hat", {"scale": 1.0}))
         for boundary in ("compact", "periodic"):
-            assert compute_constants(model, Grid([(-5, 5)], [41], boundary)).method == "analytic"
-            assert compute_constants(model, Grid([(0, 1), (0, 1)], [5, 5], boundary)).method \
-                == "grid-estimated"
-            hat = replace(model, kernel=SynapticKernel("mexican-hat", {"scale": 1.0}))
-            assert compute_constants(hat, Grid([(-5, 5)], [41], boundary)).method \
-                == "grid-estimated"
-        tabulated = SynapticKernel("tabulated", {"matrix": np.eye(5), "nodes": np.linspace(0, 1, 5)})
-        with pytest.raises(AssertionError, match="kernel matrix"):
-            compute_constants(replace(model, kernel=tabulated), Grid([(0, 1)], [5]))
+            assert constants_on(model, Grid([(-5, 5)], [41], boundary)).method == "analytic"
+            assert calls == []
+            assert constants_on(model, Grid([(0, 1), (0, 1)], [5, 5], boundary)).method \
+                == "row-sum"
+            assert constants_on(hat, Grid([(-5, 5)], [41], boundary)).method == "row-sum"
+            assert len(calls) == 2
+            calls.clear()
 
     @pytest.mark.parametrize("kernel", [
         SynapticKernel("exponential", {"amplitude": -0.7, "decay": 1.3}),
@@ -238,16 +245,16 @@ class TestConstants:
             nodes = grid.points[:, 0] if grid.dimension == 1 else grid.points
             kernel = SynapticKernel("tabulated", {"matrix": matrix, "nodes": nodes})
         model = ModelSpec(kernel, FiringRate("sigmoid"), LearningKernel())
-        absw = np.abs(kernel_table(kernel, grid))
-        expected = dense_l1_lower_sum(absw, grid)
-        c = compute_constants(model, grid)
-        assert c.kernel_sup == absw.max()
+        op = build_operator(kernel, grid, make_quadrature(grid))
+        expected = row_sum_norm(op)
+        c = compute_constants(model, op)
         if c.method == "analytic":
-            # 1-D exponential: the closed form wins; check the lag table alone
-            assert _grid_l1_lower_sum(np.abs(kernel.profile(grid.lag_distance())), grid) \
-                == pytest.approx(expected, rel=1e-14, abs=0)
+            # 1-D exponential: the closed form wins; check the row sum alone
+            assert float(op.abs_apply(np.ones(grid.n_total)).max()) \
+                == pytest.approx(expected, rel=1e-13, abs=0)
         else:
-            assert c.kernel_l1_sup == pytest.approx(expected, rel=1e-14, abs=0)
+            assert c.method == "row-sum"
+            assert c.kernel_l1_sup == pytest.approx(expected, rel=1e-13, abs=0)
 
     def test_2d_constants_form_no_n_by_n_array(self):
         import tracemalloc
@@ -256,24 +263,24 @@ class TestConstants:
         n = grid.n_total
         for kernel in (exponential_kernel(), SynapticKernel("mexican-hat", {"scale": 1.0})):
             model = ModelSpec(kernel, FiringRate("sigmoid"), LearningKernel())
+            op = build_operator(kernel, grid, make_quadrature(grid))
             tracemalloc.start()
             try:
-                c = compute_constants(model, grid)
+                c = compute_constants(model, op)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert c.method == "grid-estimated"
+            assert c.method == "row-sum"
             assert peak < n * n * 8 / 4
 
     def test_constants_reject_negative(self):
         with pytest.raises(ValueError):
-            TheoryConstants(kernel_sup=-1.0, kernel_l1_sup=1.0,
-                            firing_lipschitz=0.25, learning_lipschitz=0.5)
+            TheoryConstants(kernel_l1_sup=-1.0, firing_lipschitz=0.25, learning_lipschitz=0.5)
 
 
 def reference_constants(cw=1.0):
-    return TheoryConstants(kernel_sup=0.5, kernel_l1_sup=cw,
-                           firing_lipschitz=0.25, learning_lipschitz=SQRT_2_OVER_E)
+    return TheoryConstants(kernel_l1_sup=cw, firing_lipschitz=0.25,
+                           learning_lipschitz=SQRT_2_OVER_E)
 
 
 class TestContractionFactor:

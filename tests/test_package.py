@@ -113,16 +113,25 @@ def _called_name(call):
     return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
 
 
-def test_constants_are_computed_only_in_cli_run():
-    # one computation per run: every library function takes the constants
+def _callers(name):
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for func in ast.walk(tree):
             if isinstance(func, ast.FunctionDef):
                 found += [(path.name, func.name) for node in ast.walk(func)
-                          if isinstance(node, ast.Call) and _called_name(node) == "compute_constants"]
-    assert found == [("cli.py", "run")]
+                          if isinstance(node, ast.Call) and _called_name(node) == name]
+    return found
+
+
+def test_constants_are_computed_only_in_cli_run():
+    # one computation per run: every library function takes the constants
+    assert _callers("compute_constants") == [("cli.py", "run")]
+
+
+def test_operator_is_built_only_in_cli_run():
+    # one operator per run: the constants and every command share it
+    assert _callers("build_operator") == [("cli.py", "run")]
 
 
 # Defaults that no package call sets, on purpose: the oracles' resolution

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neuralfield import (
     FieldState,
@@ -59,7 +61,7 @@ class TestPicardSegment:
 
     def test_uniform_ring_matches_scalar_ode(self):
         grid, op, model = ring_setup(gamma=0.0)
-        constants = compute_constants(model, grid)
+        constants = compute_constants(model, op)
         rho = max_segment_length(constants, 0.0)
         cfg = SolverConfig(method="picard", dt=rho / 64, t_end=rho, picard_tol=1e-12)
         seg = picard_segment(model, op, FieldState(np.full(200, 0.3)), rho, cfg, constants)
@@ -71,7 +73,7 @@ class TestPicardSegment:
 
     def test_update_ratios_below_contraction_bound(self, op_201):
         model = make_model(gamma=1.0)
-        constants = compute_constants(model, op_201.grid)
+        constants = compute_constants(model, op_201)
         rho = 0.1  # contraction factor ~ 0.3215
         q = contraction_factor(constants, model.gamma, rho)
         assert q == pytest.approx(0.3215, abs=1e-3)
@@ -85,7 +87,7 @@ class TestPicardSegment:
 
     def test_iteration_count_bound(self, op_201, bump_201):
         model = make_model(gamma=1.0)
-        constants = compute_constants(model, op_201.grid)
+        constants = compute_constants(model, op_201)
         rho = max_segment_length(constants, model.gamma)
         q = contraction_factor(constants, model.gamma, rho)
         cfg = SolverConfig(method="picard", dt=rho / 16, t_end=rho, picard_tol=1e-10)
@@ -110,7 +112,7 @@ class TestPicardSegment:
 class TestSolveGlobal:
     def test_picard_segment_handoff_bitwise(self, op_201, bump_201):
         model = make_model(gamma=0.5)
-        constants = compute_constants(model, op_201.grid)
+        constants = compute_constants(model, op_201)
         rho = max_segment_length(constants, model.gamma)
         cfg = SolverConfig(method="picard", dt=rho / 8, t_end=5 * rho,
                            segment_rho=rho, picard_tol=1e-11)
@@ -209,7 +211,7 @@ class TestSteppers:
 
     def test_picard_agrees_with_rk4(self, op_201, bump_201):
         model = make_model(gamma=0.5)
-        constants = compute_constants(model, op_201.grid)
+        constants = compute_constants(model, op_201)
         rho = max_segment_length(constants, model.gamma)
         n = round(rho / 1e-3)
         dt = rho / n
@@ -228,7 +230,7 @@ class TestStationaryFixedPointOfSteppers:
         from neuralfield.stationary import find_stationary_fp
 
         model = make_model(gamma=0.2)
-        result = find_stationary_fp(model, op_201, bump_201, compute_constants(model, op_201.grid),
+        result = find_stationary_fp(model, op_201, bump_201, compute_constants(model, op_201),
                                     tol=1e-11)
         assert result.converged
         state = FieldState(result.u_inf)
@@ -245,8 +247,7 @@ class TestMonitorBounds:
         from neuralfield.model import TheoryConstants
 
         model = make_model(gamma=1.0)
-        constants = TheoryConstants(kernel_sup=0.5, kernel_l1_sup=1.0,
-                                    firing_lipschitz=0.25,
+        constants = TheoryConstants(kernel_l1_sup=1.0, firing_lipschitz=0.25,
                                     learning_lipschitz=0.85)
         cfg = SolverConfig(method="exp-euler", dt=0.1, t_end=1.0)
         traj = solve_global(model, op_201, FieldState(np.full(201, 0.2)), cfg)
@@ -256,7 +257,7 @@ class TestMonitorBounds:
 
     def test_positivity_clean_for_excitatory_kernel(self, op_201, bump_201):
         model = make_model(gamma=1.0)
-        constants = compute_constants(model, op_201.grid)
+        constants = compute_constants(model, op_201)
         cfg = SolverConfig(method="exp-euler", dt=0.1, t_end=10.0)
         traj = solve_global(model, op_201, bump_201, cfg)
         report = monitor_bounds(traj, constants, model)
@@ -268,7 +269,7 @@ class TestMonitorBounds:
         kern = SynapticKernel("mexican-hat", {"scale": 1.0})
         op = build_operator(kern, grid_201, quad_201)
         model = ModelSpec(kern, FiringRate("sigmoid"), LearningKernel(), gamma=0.5)
-        constants = compute_constants(model, grid_201)
+        constants = compute_constants(model, op)
         traj = solve_global(model, op, bump_201, SolverConfig(method="exp-euler", dt=0.1, t_end=1.0))
         report = monitor_bounds(traj, constants, model)
         assert not report.positivity_applicable
@@ -277,7 +278,7 @@ class TestMonitorBounds:
     def test_large_initial_data_decays_inside_envelope(self, grid_201, op_201):
         # starting above the asymptotic bound the sup must shrink toward it
         model = make_model(gamma=1.0)
-        constants = compute_constants(model, grid_201)
+        constants = compute_constants(model, op_201)
         x = grid_201.points[:, 0]
         u0 = FieldState(5.0 * np.exp(-x * x / 8.0))
         cfg = SolverConfig(method="exp-euler", dt=0.1, t_end=30.0)
@@ -294,7 +295,7 @@ class TestMonitorBounds:
 
     def test_margins_are_reported_per_time(self, op_201, bump_201):
         model = make_model(gamma=0.5)
-        constants = compute_constants(model, op_201.grid)
+        constants = compute_constants(model, op_201)
         traj = solve_global(model, op_201, bump_201,
                             SolverConfig(method="exp-euler", dt=0.1, t_end=1.0))
         report = monitor_bounds(traj, constants, model)
@@ -303,6 +304,65 @@ class TestMonitorBounds:
         assert np.all(report.bound_theoretical - report.sup_per_time >= -1e-6)
         assert np.array_equal(report.sup_per_time, np.max(np.abs(traj.values), axis=1))
         assert np.array_equal(report.min_per_time, np.min(traj.values, axis=1))
+
+
+# The kernels whose Cw has no closed form, so the gate uses the row-sum norm.
+GATE_KERNELS = (("mexican-hat", 1), ("exponential", 2), ("mexican-hat", 2), ("tabulated", 1),
+                ("tabulated", 2))
+
+
+@st.composite
+def gate_cases(draw):
+    kind, dim = draw(st.sampled_from(GATE_KERNELS))
+    boundary = draw(st.sampled_from(("compact", "periodic")))
+    sizes = draw(st.lists(st.integers(3, 30 if dim == 1 else 10), min_size=dim, max_size=dim))
+    widths = draw(st.lists(st.floats(0.5, 8.0), min_size=dim, max_size=dim))
+    grid = Grid([(-w, w) for w in widths], sizes, boundary)
+    if kind == "tabulated":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        nodes = grid.points[:, 0] if dim == 1 else grid.points
+        kernel = SynapticKernel(kind, {"matrix": rng.normal(size=(grid.n_total,) * 2),
+                                       "nodes": nodes})
+    elif kind == "exponential":
+        kernel = SynapticKernel(kind, {"amplitude": draw(st.floats(-1.0, 1.0)),
+                                       "decay": draw(st.floats(0.3, 3.0))})
+    else:
+        kernel = SynapticKernel(kind, {"scale": draw(st.floats(0.3, 2.0))})
+    firing = draw(st.sampled_from(("sigmoid", "scaled-arctan", "piecewise-linear-clamped")))
+    if firing == "scaled-arctan":
+        params = {"scale": draw(st.floats(0.5, 8.0))}
+    else:
+        params = {"slope": draw(st.floats(0.5, 8.0)), "threshold": draw(st.floats(-1.0, 1.0))}
+    model = ModelSpec(kernel, FiringRate(firing, params), LearningKernel(),
+                      gamma=draw(st.floats(0.0, 2.0)))
+    return model, grid, draw(st.floats(0.0, 1.0))
+
+
+class TestRowSumGate:
+    @given(case=gate_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_exp_euler_stays_within_row_sum_gate(self, case):
+        # |J(u)_i| <= (1 + gamma) sum_j |W_ij| for f in [0, 1], and an
+        # exp-euler step is a convex combination of u and J(u), so no slice
+        # crosses max{||u0||, (1 + gamma) R}.  The start is the sign pattern
+        # of the row that attains R, scaled to a fraction of (1 + gamma) R
+        # (at 1, the adversarial start; below it, the gate is (1 + gamma) R).
+        model, grid, scale = case
+        op = build_operator(model.kernel, grid, make_quadrature(grid))
+        constants = compute_constants(model, op)
+        matrix = dense_operator(op)
+        row_sums = np.abs(matrix).sum(axis=1)
+        r = row_sums.max()
+        assert constants.method == "row-sum"
+        assert constants.kernel_l1_sup == pytest.approx(r, rel=1e-12)
+        u0 = scale * (1.0 + model.gamma) * r * np.sign(matrix[np.argmax(row_sums)])
+        traj = solve_global(model, op, FieldState(u0),
+                            SolverConfig(method="exp-euler", dt=0.25, t_end=2.0))
+        gate = max(np.max(np.abs(u0)), (1.0 + model.gamma) * r)
+        assert np.all(np.max(np.abs(traj.values), axis=1) <= gate + 1e-6)
+        report = monitor_bounds(traj, constants, model)
+        assert report.bound_theoretical == pytest.approx(gate, rel=1e-12)
+        assert report.within_bound
 
 
 class TestSolverConfig:
