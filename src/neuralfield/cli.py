@@ -84,7 +84,7 @@ def _emit_manifest(out_dir, command, cfg: RunConfig | None, started, faults_befo
     manifest = {
         "command": command,
         "version": __version__,
-        "wall_time_s": time.time() - started,
+        "wall_time_s": time.perf_counter() - started,
         # the process peak (ru_maxrss is in KiB on Linux) and this run's faults
         "peak_rss_mb": usage.ru_maxrss / 1024.0,
         "minor_page_faults": usage.ru_minflt - faults_before,
@@ -324,7 +324,7 @@ def run(command: str, cfg: RunConfig, out_dir, study_name=None, **options) -> in
         "study": partial(cmd_study, study_name=study_name),
         "constants": cmd_constants,
     }
-    started = time.time()
+    started = time.perf_counter()
     faults_before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     constants = extra = error = None
     status = EXIT_OK

@@ -2,13 +2,14 @@
 
 Once the field has settled to a stationary state u_inf, the plasticity
 factor freezes into the symmetric kernel G(x, y) = 1 + gamma * g(u_inf(x) -
-u_inf(y)).  G is positive semidefinite (a constant kernel plus a gaussian
-kernel composed with the feature map x -> u_inf(x)), so it splits into
-quadrature-orthonormal eigenfunctions.  The split is taken from G's
-rank-(K + 2) factor on every grid: g interpolated in u_inf at K + 1
-Chebyshev points, K from the degree rule J uses (``factor_degree``) and at
-least min(n_eigs, n) - 2, then a thin QR in O(n K^2).  The diagonal part
-of the split is the pre-synaptic gain field, an array of
+u_inf(y)), kept as that state and never as an n x n array.  G is positive
+semidefinite (a constant kernel plus a gaussian kernel composed with the
+feature map x -> u_inf(x)), so it splits into quadrature-orthonormal
+eigenfunctions.  The split is taken from G's rank-(K + 2) factor on every
+grid: g interpolated in u_inf at K + 1 Chebyshev points, K from the degree
+rule J uses (``factor_degree``) and at least min(n_eigs, n) - 2, then a thin
+QR in O(n K^2); its residual check reads G K + 2 rows at a time.  The
+diagonal part of the split is the pre-synaptic gain field, an array of
 phi_pre(y) = K_pre * sum_i sigma_i phi_i(y)^2 that the gain-field probe takes.
 
 For gain fields of the form (k^2 - V)/lambda together with the exponential
@@ -32,7 +33,7 @@ from .errors import BoxTooSmallError, NoBoundStateError, NotPSDError
 from .model import FiringRate, LearningKernel, ModelSpec
 from .solver import SolverConfig, Trajectory, solve_global
 
-# relative tolerance of the split's PSD check and of its residual against the dense G
+# relative tolerance of the split's PSD check and of its residual against G
 MERCER_TOL = 1e-8
 # largest ground-state magnitude at the box ends, relative to its peak
 DECAY_TOL = 1e-6
@@ -43,22 +44,11 @@ BISECTION_MAX_ITER = 200
 
 @dataclass(frozen=True, eq=False)
 class LearnedKernel:
-    """Plasticity factor frozen at a stationary state."""
+    """Plasticity factor frozen at a stationary state: G_ij = 1 + coupling * g(u_i - u_j)."""
 
-    matrix: np.ndarray
-    gamma: float
-    source: np.ndarray
+    source: np.ndarray    # u_inf on the nodes, read-only
     learning: LearningKernel
-    sign: str = "plus"
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def diagonal_value(self) -> float:
-        return 1.0 + self.gamma if self.sign == "plus" else 1.0 - self.gamma
+    coupling: float       # +gamma, or -gamma for the 'minus' modulation
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,20 +76,17 @@ def build_learned_kernel(u_inf, model: ModelSpec, grid: Grid, sign: str = "plus"
     """Freeze the plasticity factor at the stationary state array ``u_inf``.
 
     ``sign='minus'`` flips the modulation to 1 - gamma*g for exploration;
-    the default matches the dynamics.
+    the default matches the dynamics.  The state is kept as a read-only copy.
     """
     if sign not in ("plus", "minus"):
         raise ValueError("sign must be 'plus' or 'minus'")
-    if u_inf.shape != (grid.n_total,):
+    # always a copy: a read-only view can still have a writeable base
+    source = np.array(u_inf, dtype=float)
+    if source.shape != (grid.n_total,):
         raise ValueError("stationary state does not match the grid")
-    s = 1.0 if sign == "plus" else -1.0
-    # one n x n array, written over in place; exactly symmetric: g is even
-    # and u_i - u_j = -(u_j - u_i) in floating point
-    matrix = model.learning.in_place(np.subtract.outer(u_inf, u_inf))
-    matrix *= s * model.gamma
-    matrix += 1.0
-    return LearnedKernel(matrix=matrix, gamma=model.gamma, source=u_inf,
-                         learning=model.learning, sign=sign)
+    source.flags.writeable = False
+    coupling = model.gamma if sign == "plus" else -model.gamma
+    return LearnedKernel(source=source, learning=model.learning, coupling=coupling)
 
 
 def learned_factor(kernel: LearnedKernel, n_eigs: int = 0) -> tuple:
@@ -112,17 +99,17 @@ def learned_factor(kernel: LearnedKernel, n_eigs: int = 0) -> tuple:
     n_eigs asks for more columns than G has.
     """
     values = kernel.source
+    gamma = abs(kernel.coupling)
     span = float(values.max() - values.min()) / kernel.learning.params["width"]
-    degree = factor_degree(kernel.gamma, span)
+    degree = factor_degree(gamma, span)
     rank = max(degree, 1, min(n_eigs, values.shape[0]) - 2)
     nodes, basis, _ = chebyshev_basis(values, rank)
     middle = np.zeros((rank + 2, rank + 2))
-    middle[0, 0] = 1.0 if degree else kernel.diagonal_value
+    middle[0, 0] = 1.0 if degree else 1.0 + kernel.coupling
     if degree:
-        sign = 1.0 if kernel.sign == "plus" else -1.0
-        middle[1:, 1:] = sign * kernel.gamma * kernel.learning(nodes[:, None] - nodes[None, :])
+        middle[1:, 1:] = kernel.coupling * kernel.learning(nodes[:, None] - nodes[None, :])
     factor = np.column_stack([np.ones_like(values), basis.T])
-    return factor, middle, learned_factor_bound(kernel.gamma, span, rank if degree else 0)
+    return factor, middle, learned_factor_bound(gamma, span, rank if degree else 0)
 
 
 def mercer_decompose(kernel: LearnedKernel, quad: Quadrature, n_eigs: int = 0) -> EigenSystem:
@@ -137,8 +124,9 @@ def mercer_decompose(kernel: LearnedKernel, quad: Quadrature, n_eigs: int = 0) -
     G is symmetric by construction (:func:`build_learned_kernel`).
 
     Raises NotPSDError when the smallest eigenvalue is more negative than
-    ``MERCER_TOL`` times the largest, or when the returned pairs miss the
-    dense G by more than ``MERCER_TOL`` times its norm.
+    ``MERCER_TOL`` times the largest, or when the returned pairs miss G by
+    more than ``MERCER_TOL`` times its norm on any row; G is read in row
+    blocks of the factor's width, so no n x n array is formed.
     """
     sqrt_w = np.sqrt(quad.weights)
     factor, middle, bound = learned_factor(kernel, n_eigs)
@@ -158,9 +146,17 @@ def mercer_decompose(kernel: LearnedKernel, quad: Quadrature, n_eigs: int = 0) -
         )
     functions = vectors / sqrt_w[:, None]
 
-    # validate against the dense weighted operator: (G phi)(x_i) = sum_j q_j G_ij phi_j
-    applied = kernel.matrix @ (quad.weights[:, None] * functions)
-    residual = float(np.max(np.abs(applied - functions * eigenvalues[None, :])))
+    # validate against G: (G phi)(x_i) = sum_j q_j G_ij phi_j, G from its closed
+    # form, exactly symmetric: g is even and u_i - u_j = -(u_j - u_i) in floating point
+    weighted = quad.weights[:, None] * functions
+    residual = 0.0
+    for start in range(0, functions.shape[0], factor.shape[1]):
+        rows = slice(start, start + factor.shape[1])
+        block = kernel.learning.in_place(np.subtract.outer(kernel.source[rows], kernel.source))
+        block *= kernel.coupling
+        block += 1.0
+        miss = block @ weighted - functions[rows] * eigenvalues
+        residual = max(residual, float(np.max(np.abs(miss))))
     scale = max(top, 1.0)
     if residual > MERCER_TOL * scale:
         raise NotPSDError(

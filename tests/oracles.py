@@ -162,6 +162,13 @@ def finite_well_ground_energy(height, half_width):
     return bisect(matching, 1e-12, cap)
 
 
+def learned_matrix(u, coupling, width):
+    """G[i, j] = 1 + coupling * exp(-((u_i - u_j) / width)^2) on all node
+    pairs, in numpy from the gaussian's closed form."""
+    z = (u[:, None] - u[None, :]) / width
+    return 1.0 + coupling * np.exp(-z * z)
+
+
 def mercer_eigenvalues(matrix, weights):
     """Eigenvalues, descending, of D^(1/2) G D^(1/2) with D the diagonal of
     quadrature weights, by LAPACK through scipy."""

@@ -14,6 +14,7 @@ from neuralfield import (
     ModelSpec,
     SynapticKernel,
     build_operator,
+    gainfield,
     make_quadrature,
 )
 from neuralfield.cli import run
@@ -44,7 +45,8 @@ from neuralfield.solver import SolverConfig, solve_global
 from neuralfield.stationary import find_stationary_fp
 
 from conftest import constants_of, exponential_kernel, make_model
-from oracles import fd_schrodinger_eigenpairs, finite_well_ground_energy, mercer_eigenvalues
+from oracles import (fd_schrodinger_eigenpairs, finite_well_ground_energy, learned_matrix,
+                     mercer_eigenvalues)
 
 
 @pytest.fixture(scope="module")
@@ -55,48 +57,40 @@ def stationary_state(op_201, bump_201):
     return model, result.u_inf
 
 
+def dense_g(learned):
+    """The n x n G a learned kernel's frozen state stands for, from the oracle."""
+    return learned_matrix(learned.source, learned.coupling, learned.learning.params["width"])
+
+
 class TestLearnedKernel:
     def test_gamma_zero_is_constant_one(self, grid_201, bump_201):
         model = make_model(gamma=0.0)
         learned = build_learned_kernel(bump_201.values, model, grid_201)
-        assert np.all(learned.matrix == 1.0)
+        assert np.all(dense_g(learned) == 1.0)
 
     def test_constant_state_gives_uniform_modulation(self, grid_201):
         model = make_model(gamma=0.7)
         learned = build_learned_kernel(np.full(201, 0.3), model, grid_201)
-        assert np.allclose(learned.matrix, 1.7, atol=1e-15)
+        assert np.allclose(dense_g(learned), 1.7, atol=1e-15)
 
     def test_bump_state_range(self, grid_201, stationary_state):
         model, u_inf = stationary_state
         learned = build_learned_kernel(u_inf, model, grid_201)
-        assert np.allclose(np.diag(learned.matrix), 1.5, atol=1e-14)
-        assert learned.matrix.min() >= 1.0
-        assert learned.matrix.max() <= 1.5
-        assert np.array_equal(learned.matrix, learned.matrix.T)
+        # a read-only copy of the state
+        assert learned.coupling == 0.5 and np.array_equal(learned.source, u_inf)
+        assert not learned.source.flags.writeable and not np.shares_memory(learned.source, u_inf)
+        matrix = dense_g(learned)
+        assert np.allclose(np.diag(matrix), 1.5, atol=1e-14)
+        assert matrix.min() >= 1.0
+        assert matrix.max() <= 1.5
+        assert np.array_equal(matrix, matrix.T)
 
     def test_minus_sign_flips_modulation(self, grid_201, stationary_state):
         model, u_inf = stationary_state
         learned = build_learned_kernel(u_inf, model, grid_201, sign="minus")
-        assert np.allclose(np.diag(learned.matrix), 0.5, atol=1e-14)
-        assert learned.matrix.max() <= 1.0
-
-    @pytest.mark.parametrize("sign, s", [("plus", 1.0), ("minus", -1.0)])
-    def test_built_over_one_n_by_n_array(self, sign, s):
-        import tracemalloc
-
-        n = 901
-        grid = Grid(bounds=[(-10.0, 10.0)], npts=[n])
-        u = 0.5 * np.exp(-grid.points[:, 0] ** 2 / 4.0)
-        model = make_model(gamma=1.0)
-        tracemalloc.start()
-        try:
-            learned = build_learned_kernel(u, model, grid, sign=sign)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5 * 8 * n * n
-        expected = 1.0 + s * model.gamma * model.learning(u[:, None] - u[None, :])
-        assert np.array_equal(learned.matrix, expected)
+        assert learned.coupling == -0.5
+        assert np.allclose(np.diag(dense_g(learned)), 0.5, atol=1e-14)
+        assert dense_g(learned).max() <= 1.0
 
 
 class TestMercer:
@@ -106,7 +100,7 @@ class TestMercer:
         grid = Grid(bounds=[(0.0, 1.0)], npts=[51])
         quad = make_quadrature(grid)
         ones = build_learned_kernel(np.linspace(0.0, 2.0, 51), make_model(gamma=0.0), grid)
-        assert np.all(ones.matrix == 1.0)
+        assert np.all(dense_g(ones) == 1.0)
         eig = mercer_decompose(ones, quad)
         assert eig.values[0] == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(eig.values[1:])) < 1e-12
@@ -130,7 +124,7 @@ class TestMercer:
         model, u_inf = stationary_state
         learned = build_learned_kernel(u_inf, model, grid_201)
         eig = mercer_decompose(learned, quad_201)
-        errors = [np.max(np.abs(reconstruct_kernel(eig, rank) - learned.matrix))
+        errors = [np.max(np.abs(reconstruct_kernel(eig, rank) - dense_g(learned)))
                   for rank in (1, 3, 10, 50, 201)]
         assert all(b <= a + 1e-12 for a, b in zip(errors, errors[1:]))
         assert errors[-1] < 1e-8
@@ -160,7 +154,7 @@ class TestPresynapticGain:
         learned = build_learned_kernel(u_inf, model, grid_201)
         eig = mercer_decompose(learned, quad_201)
         phi_pre = presynaptic_gain(eig, k_pre=1.0)
-        assert np.max(np.abs(phi_pre - np.diag(learned.matrix))) < 1e-8
+        assert np.max(np.abs(phi_pre - np.diag(dense_g(learned)))) < 1e-8
         # the learned kernel diagonal is 1 + gamma everywhere
         assert np.allclose(phi_pre, 1.5, atol=1e-8)
         assert np.all(phi_pre >= 0.0)
@@ -204,7 +198,7 @@ class TestFactorSplit:
     @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0, 4.0])
     def test_against_dense_oracle(self, gamma, span_over_width, sign, boundary, rule):
         learned, quad, rank = learned_on(span_over_width, gamma, sign, boundary, rule)
-        oracle = mercer_eigenvalues(learned.matrix, quad.weights)
+        oracle = mercer_eigenvalues(dense_g(learned), quad.weights)
         if oracle[-1] < -1e-8 * max(oracle[0], 1.0):
             with pytest.raises(NotPSDError):
                 mercer_decompose(learned, quad, n_eigs=N_EIGS)
@@ -218,10 +212,10 @@ class TestFactorSplit:
         assert np.max(np.abs(eig.values[:N_EIGS] - oracle[:N_EIGS])) <= eig.error_bound + allowance
         assert np.max(np.abs(eig.gram() - np.eye(rank + 2))) <= 1e-12
         kernel_bound = eig.error_bound / float(quad.weights.sum())
-        recon = np.max(np.abs(reconstruct_kernel(eig) - learned.matrix))
+        recon = np.max(np.abs(reconstruct_kernel(eig) - dense_g(learned)))
         assert recon <= kernel_bound + 1e-13 * (1.0 + gamma)
         phi_pre = presynaptic_gain(eig, k_pre=2.0)
-        assert np.max(np.abs(phi_pre - 2.0 * np.diag(learned.matrix))) <= 1e-12
+        assert np.max(np.abs(phi_pre - 2.0 * np.diag(dense_g(learned)))) <= 1e-12
 
     @pytest.mark.parametrize("rank", [2, 4, 8, 16, 24])
     def test_bound_holds_where_interpolation_error_dominates(self, rank):
@@ -245,7 +239,7 @@ class TestFactorSplit:
         grid = Grid(bounds=[(-5.0, 5.0)], npts=[61])
         quad = make_quadrature(grid)
         coarse = build_learned_kernel(np.linspace(-4.0, 4.0, 61), make_model(gamma=1.0), grid)
-        oracle = mercer_eigenvalues(coarse.matrix, quad.weights)
+        oracle = mercer_eigenvalues(dense_g(coarse), quad.weights)
         eig = mercer_decompose(coarse, quad)
         assert eig.values.shape == (58,)
         assert 0.0 < eig.error_bound and np.max(np.abs(eig.values - oracle[:58])) <= eig.error_bound
@@ -286,26 +280,49 @@ class TestFactorSplit:
                                    damping=section["damping"], tol=section["tol"],
                                    max_iter=section["max_iter"]).u_inf
         learned = build_learned_kernel(u_inf, cfg.model, cfg.grid)
-        oracle = mercer_eigenvalues(learned.matrix, cfg.quadrature.weights)[:written.size]
+        oracle = mercer_eigenvalues(dense_g(learned), cfg.quadrature.weights)[:written.size]
         allowance = 1e-13 * oracle[0]
         assert np.max(np.abs(written - oracle)) <= manifest["mercer"]["eig_error_bound"] + allowance
 
-    def test_split_forms_no_n_by_n_array(self):
+    @pytest.mark.parametrize("sign", ["plus", "minus"])
+    def test_build_and_split_form_no_n_by_n_array(self, sign):
         import tracemalloc
 
         n = 901
         grid = Grid(bounds=[(-10.0, 10.0)], npts=[n])
-        u = 0.5 * np.exp(-grid.points[:, 0] ** 2 / 4.0)
-        learned = build_learned_kernel(u, make_model(gamma=1.0), grid)
+        # the minus modulation of a non-flat state is indefinite, so it splits a flat one
+        u = 0.5 * np.exp(-grid.points[:, 0] ** 2 / 4.0) if sign == "plus" else np.full(n, 0.3)
         quad = make_quadrature(grid)
         tracemalloc.start()
         try:
+            learned = build_learned_kernel(u, make_model(gamma=0.5), grid, sign=sign)
             eig = mercer_decompose(learned, quad, n_eigs=12)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert eig.values.size >= 12
-        assert peak < n * n * 8 / 2
+        assert peak < n * n * 8 / 4
+
+    def test_residual_check_reads_the_last_partial_block(self, monkeypatch):
+        # a factor row off G keeps F M F^T positive semidefinite, so only the
+        # residual catches it; n = 101 is no multiple of the factor's width,
+        # so the perturbed last row lies in the last, partial block of rows
+        n = 101
+        grid = Grid(bounds=[(-5.0, 5.0)], npts=[n])
+        u = 0.5 * np.exp(-grid.points[:, 0] ** 2 / 4.0)
+        learned = build_learned_kernel(u, make_model(gamma=1.0), grid)
+        exact = learned_factor
+
+        def perturbed(kernel, n_eigs=0):
+            factor, middle, bound = exact(kernel, n_eigs)
+            assert n % factor.shape[1] != 0
+            factor = factor.copy()
+            factor[-1] *= 1.01
+            return factor, middle, bound
+
+        monkeypatch.setattr(gainfield, "learned_factor", perturbed)
+        with pytest.raises(NotPSDError, match="eigendecomposition residual"):
+            mercer_decompose(learned, make_quadrature(grid))
 
 
 class TestSimulateGainfield:
