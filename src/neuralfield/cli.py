@@ -170,7 +170,7 @@ def cmd_gainfield(cfg: RunConfig, out_dir, op, constants):
     u0 = initial_state(cfg)
     section = cfg.document["gainfield"]
     stationary = _fixed_point(cfg, op, u0, constants)
-    learned = build_learned_kernel(stationary.u_inf, cfg.model, cfg.grid, sign=section["sign"])
+    learned = build_learned_kernel(stationary.u_inf, cfg.model, cfg.grid)
     eig = mercer_decompose(learned, cfg.quadrature, n_eigs=section["n_eigs"])
     phi_pre = presynaptic_gain(eig, k_pre=section["k_pre"])
 

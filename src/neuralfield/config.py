@@ -118,7 +118,6 @@ SCHEMA = {
         "lambda": (1.0, POSITIVE),
         "half_width": (1.0, POSITIVE),
         "k_pre": (1.0, POSITIVE),
-        "sign": ("plus", _one_of(("plus", "minus"))),
         "n_eigs": (12, COUNT),
         "crosscheck_box": (20.0, POSITIVE),
         "crosscheck_nodes": (2001, NODE_COUNT),

@@ -10,10 +10,11 @@ matrix.
 
 The state-dependent plasticity factor [1 + gamma * g(u_i - u_j)] is applied
 at evaluation time and never baked into W, so one operator serves every
-gamma.  On convolution operators it is interpolated in the pre-synaptic
-potential at Chebyshev points on every grid, with a rank chosen from an
-a-priori bound so the interpolation error stays below 1e-14 relative to the
-input scale; tabulated kernels evaluate the dense formula.
+gamma.  On convolution operators the gaussian g takes its pivoted-Cholesky
+(Newton-basis) factor g(a - b) ~ sum_k N_k(a) N_k(b), tabulated once per
+span bucket at first use and stopped where the power function is below
+1e-14, so J costs r + 1 convolutions at the gaussian's numerical rank r;
+tabulated kernels evaluate the dense formula.
 
 Results are deterministic: FFTs and numpy reductions use a fixed order
 that does not depend on the thread count.
@@ -348,90 +349,157 @@ def build_operator(kernel: SynapticKernel, grid: Grid, quad: Quadrature) -> Disc
     return DiscreteOperator(kernel=kernel, grid=grid, quadrature=quad, spectrum=spectrum)
 
 
-# Bernstein-ellipse parameters rho over which the interpolation bound is
-# minimised, and the error the plasticity rank is chosen to reach.
-_RHO = 1.0 + np.geomspace(1e-3, 1e4, 600)
-_LOG_RHO = np.log(_RHO)
 PLASTICITY_TOL = 1e-14
 # Spans below this fraction of the learning width give g = 1 to within
 # (span / width)^2 <= 1e-16, so the factor is the constant 1 + gamma.
 FLAT_SPAN = 1e-8
+# One factor per bucket of half-spans 2^(k/4) learning widths, k >= -32,
+# tabulated at its first use.
+_FACTORS: dict = {}
 
 
-def _log_envelope(r: float) -> np.ndarray:
-    # log of 4 M(rho) / (rho - 1), M(rho) = exp((r (rho - 1/rho) / 2)^2) the
-    # sup of exp(-(a - r s)^2) over the Bernstein ellipse in s
-    return math.log(4.0) + (0.5 * r * (_RHO - 1.0 / _RHO)) ** 2 - np.log(_RHO - 1.0)
+def _remainder(half_span: float, m: int) -> float:
+    # min over rho of 4 M(rho) rho^-m / (rho - 1), M(rho) = exp(H^2 (rho - 1/rho)^2)
+    rho = 1.0 + np.geomspace(1e-4, 1e2, 400)
+    log_bound = (math.log(4.0) + (half_span * (rho - 1.0 / rho)) ** 2
+                 - m * np.log(rho) - np.log(rho - 1.0))
+    return float(np.exp(np.min(log_bound)))
 
 
-def chebyshev_bound(r: float, rank: int) -> float:
-    """Sup error of degree-``rank`` Chebyshev interpolation of a gaussian.
+def _samples(half_span: float) -> np.ndarray:
+    """The points H cos(pi j / m), j = 0..m, on [-H, H]: m = 1024, doubled
+    until the :func:`_remainder` of :attr:`RangeFactor.power_bound` is below
+    PLASTICITY_TOL / 100."""
+    m = 1024
+    while _remainder(half_span, m) > 0.01 * PLASTICITY_TOL:
+        m *= 2
+    return half_span * np.cos(np.pi * np.arange(m + 1) / m)
 
-    For g(a - y) = exp(-((a - y) / width)^2) on an interval of half-length
-    r * width: min over rho > 1 of 4 M(rho) rho^-rank / (rho - 1)
-    (Trefethen, Approximation Theory and Approximation Practice, Thm 8.2).
+
+@dataclass(frozen=True, eq=False)
+class RangeFactor:
+    """Newton-basis factor g(a - b) ~ sum_k N_k(a) N_k(b) of the range kernel.
+
+    a and b are normalised potentials s = (u - mid) / width in [-H, H], H
+    the ``half_span``, where g(a - b) = exp(-(a - b)^2).  ``pivots`` are the
+    points X the greedy pivoted Cholesky chose, ``inverse`` is L^-1 for the
+    Cholesky factor L of g(X - X), and N(a) = L^-1 g(a - X) (Mueller &
+    Schaback, J. Approx. Theory 161, 2009).
     """
-    return float(np.exp(np.min(_log_envelope(r) - rank * _LOG_RHO)))
+
+    half_span: float
+    pivots: np.ndarray
+    inverse: np.ndarray
+
+    @property
+    def rank(self) -> int:
+        return self.pivots.shape[0]
+
+    def basis(self, values: np.ndarray, width: float) -> np.ndarray:
+        """N_k(s) at s = (values - mid) / width, mid the centre of the
+        values' range, as an (r, n) workspace valid until the next call."""
+        s = (values - 0.5 * (float(values.min()) + float(values.max()))) / width
+        shape = (self.rank, s.shape[0])
+        diff = np.subtract(s[None, :], self.pivots[:, None], out=_workspace("differences", shape))
+        np.multiply(diff, diff, out=diff)
+        np.exp(np.negative(diff, out=diff), out=diff)
+        return np.matmul(self.inverse, diff, out=_workspace("basis", shape))
+
+    @cached_property
+    def power_bound(self) -> float:
+        """P-bar >= P(a) = 1 - sum_k N_k(a)^2 for every a in [-H, H].
+
+        The residual kernel E(a, b) = g(a - b) - sum_k N_k(a) N_k(b) is
+        positive semidefinite, so |E(a, b)| <= sqrt(P(a) P(b)) <= P-bar.
+        P is entire: in the kernel's Hilbert space P(a) = <Q k_a, Q k_a>,
+        Q the orthogonal projection away from span{k_X}, so for complex
+        z = x + iy, |P(z)| <= ||k_z||^2 = g(z - conj z) = exp(4 y^2), which
+        on the Bernstein ellipse E_rho of [-H, H] is at most M(rho) =
+        exp(H^2 (rho - 1/rho)^2).  So the degree-m Chebyshev interpolant p
+        of P at the samples H cos(pi j / m) misses P by at most
+        4 M(rho) rho^-m / (rho - 1) on [-H, H] (Trefethen, Approximation
+        Theory and Approximation Practice, Thm 8.2), minimised over rho, and
+        |p| <= sum_j |c_j| for its coefficients c_j: P-bar is that sum plus
+        the remainder.  The samples are computed the way J computes N;
+        their rounding, like J's, is not bounded apart.
+        """
+        samples = _samples(self.half_span)  # symmetric, so mid = 0
+        m = samples.size - 1
+        basis = self.basis(samples, 1.0)
+        power = 1.0 - np.einsum("kj,kj->j", basis, basis)
+        # coefficients from the FFT of the even extension of the samples
+        coefficients = np.fft.rfft(np.concatenate([power, power[-2:0:-1]])).real / m
+        coefficients[[0, -1]] *= 0.5
+        return float(np.sum(np.abs(coefficients))) + _remainder(self.half_span, m)
 
 
-def chebyshev_rank(r: float) -> int:
-    """Smallest degree whose :func:`chebyshev_bound` is <= PLASTICITY_TOL."""
-    needed = (_log_envelope(r) - math.log(PLASTICITY_TOL)) / _LOG_RHO
-    return max(1, math.ceil(float(np.min(needed))))
+def _tabulate(half_span: float) -> RangeFactor:
+    """Greedy pivoted Cholesky of g(a - b) on the sample points of [-H, H].
 
-
-def factor_degree(gamma: float, span: float) -> int:
-    """Chebyshev degree of the factor 1 + gamma * g over a field spanning
-    ``span`` learning widths: 0, the constant 1 + gamma, when gamma = 0 or
-    span <= FLAT_SPAN, else :func:`chebyshev_rank` of span / 2.  J and the
-    learned-kernel split both take their degree from here."""
-    if gamma == 0.0 or span <= FLAT_SPAN:
-        return 0
-    return chebyshev_rank(0.5 * span)
-
-
-def plasticity_rank(model: ModelSpec, op: DiscreteOperator, values: np.ndarray) -> int | None:
-    """Degree of the Chebyshev plasticity factor J uses for this field.
-
-    0 means the factor is the constant 1 + gamma (gamma = 0 or a flat
-    field); None, exactly for tabulated kernels, means the dense formula is
-    evaluated.
+    Each step takes the sample where the power function P = 1 - sum_k
+    N_k^2 is largest as the next pivot x and adds the Newton function
+    (g(a - x) - sum_k N_k(a) N_k(x)) / sqrt(P(x)), one matrix-vector
+    product over the samples, until P <= PLASTICITY_TOL at every sample
+    (Harbrecht, Peters & Schneider, Appl. Numer. Math. 62, 2012).
     """
-    if op.spectrum is None:
+    samples = _samples(half_span)
+    power = np.ones_like(samples)
+    newton = np.empty((32, samples.size))
+    picks = []
+    while True:
+        pick = int(np.argmax(power))
+        if power[pick] <= PLASTICITY_TOL:
+            break
+        k = len(picks)
+        if k == newton.shape[0]:
+            newton = np.concatenate([newton, np.empty_like(newton)])
+        row = newton[k]
+        np.subtract(samples, samples[pick], out=row)
+        np.exp(-row * row, out=row)
+        row -= newton[:k, pick] @ newton[:k]
+        row /= math.sqrt(power[pick])
+        power -= row * row
+        picks.append(pick)
+    # L[j, k] = N_k(x_j); its upper triangle is zero up to rounding
+    lower = np.tril(newton[:len(picks), picks].T)
+    return RangeFactor(half_span=half_span, pivots=samples[picks], inverse=np.linalg.inv(lower))
+
+
+def range_factor(values: np.ndarray, width: float) -> RangeFactor | None:
+    """The factor of the smallest bucket whose half-span covers ``values``,
+    or None, the constant g = 1, when they span at most FLAT_SPAN widths."""
+    half_span = 0.5 * float(values.max() - values.min()) / width
+    if 2.0 * half_span <= FLAT_SPAN:
         return None
-    span = float(values.max() - values.min()) / model.learning.params["width"]
-    return factor_degree(model.gamma, span)
+    bucket = max(-32, math.floor(4.0 * math.log2(half_span)))
+    while 2.0 ** (bucket / 4) < half_span:
+        bucket += 1
+    factor = _FACTORS.get(bucket)
+    if factor is None:
+        factor = _FACTORS[bucket] = _tabulate(2.0 ** (bucket / 4))
+    return factor
 
 
-def j_error_bound(model: ModelSpec, op: DiscreteOperator, values: np.ndarray,
-                  rank: int | None) -> float:
+def range_error(values: np.ndarray, width: float) -> float:
+    """Bound on |g(u_i - u_j) - the factor's value| over every pair of
+    ``values``: the :attr:`RangeFactor.power_bound` of their factor, or
+    (span / width)^2 >= 1 - g where the constant 1 stands in for g."""
+    factor = range_factor(values, width)
+    if factor is None:
+        return (float(values.max() - values.min()) / width) ** 2
+    return factor.power_bound
+
+
+def j_error_bound(model: ModelSpec, op: DiscreteOperator, values: np.ndarray) -> float:
     """A-priori bound on |J(u) - J_exact(u)| from the plasticity factor.
 
-    gamma * e * max_i sum_j |W[i,j] f(u_j)|, with e the interpolation error
-    bound of ``rank`` as :func:`plasticity_rank` defines it; rounding is not
-    included.  Zero where J is evaluated exactly.
+    gamma * e * max_i sum_j |W[i,j] f(u_j)|, with e the :func:`range_error`
+    of u; rounding is not included.  Zero where J is evaluated exactly.
     """
-    if rank is None or model.gamma == 0.0:
+    if op.spectrum is None or model.gamma == 0.0:
         return 0.0
-    span = float(values.max() - values.min()) / model.learning.params["width"]
-    e = span * span if rank == 0 else chebyshev_bound(0.5 * span, rank)
     scale = float(np.max(op.abs_apply(model.firing(values))))
-    return model.gamma * e * scale
-
-
-def learned_factor_bound(gamma: float, span: float, rank: int) -> float:
-    """A-priori bound on max |G - F M F^T| for the learned-kernel factor.
-
-    Interpolating g in both potentials at rank + 1 Chebyshev points costs
-    gamma * e * (1 + Lambda), e the :func:`chebyshev_bound` and Lambda <=
-    1 + (2/pi) log(rank + 1); rank 0, the constant 1 +- gamma, costs
-    gamma * span^2 (span in learning widths).  Times |Omega| it bounds the
-    shift of each eigenvalue of the weighted split (Weyl).
-    """
-    if rank == 0:
-        return gamma * span * span
-    lebesgue = 1.0 + 2.0 / math.pi * math.log(rank + 1)
-    return gamma * chebyshev_bound(0.5 * span, rank) * (1.0 + lebesgue)
+    return model.gamma * range_error(values, model.learning.params["width"]) * scale
 
 
 def dense_apply_j(model: ModelSpec, op: DiscreteOperator, values: np.ndarray) -> np.ndarray:
@@ -445,62 +513,29 @@ def dense_apply_j(model: ModelSpec, op: DiscreteOperator, values: np.ndarray) ->
     return weighted.sum(axis=1)
 
 
-def chebyshev_nodes(lo: float, hi: float, rank: int) -> np.ndarray:
-    """The rank + 1 Chebyshev points of the second kind on [lo, hi], ascending,
-    with the end points exactly lo and hi."""
-    nodes = 0.5 * (lo + hi) - 0.5 * (hi - lo) * np.cos(np.pi * np.arange(rank + 1) / rank)
-    nodes[0], nodes[-1] = lo, hi
-    return nodes
+def apply_j_values(model: ModelSpec, op: DiscreteOperator, values: np.ndarray) -> np.ndarray:
+    """Nonlinear input term: sum_j W[i,j] * (1 + gamma*g(u_i - u_j)) * f(u_j).
 
-
-def chebyshev_basis(values: np.ndarray, rank: int) -> tuple:
-    """The rank + 1 Chebyshev points t_k on [min values, max values], the
-    Lagrange basis l_k(values) as a (rank + 1, n) array (barycentric
-    formula), and the differences values - t_k it was formed from.  The
-    basis and the differences are workspaces, valid until the next call."""
-    nodes = chebyshev_nodes(float(values.min()), float(values.max()), rank)
-    bary = np.where(np.arange(rank + 1) % 2 == 0, 1.0, -1.0)
-    bary[[0, -1]] *= 0.5
-    shape = (rank + 1, values.shape[0])
-    diff = np.subtract(values[None, :], nodes[:, None], out=_workspace("differences", shape))
-    hits = diff == 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.divide(bary[:, None], diff, out=_workspace("basis", shape))
-        basis = np.divide(terms, terms.sum(axis=0), out=terms)
-    # a value on a node (always the extremes) interpolates exactly there
-    exact = hits.any(axis=0)
-    basis[:, exact] = hits[:, exact]
-    return nodes, basis, diff
-
-
-def separable_apply_j(model: ModelSpec, op: DiscreteOperator, values: np.ndarray,
-                      rank: int) -> np.ndarray:
-    """J with g(u_i - y) interpolated in y at rank + 1 Chebyshev points t_k.
-
-    J = W f + gamma * sum_k g(u - t_k) * W(l_k(u) f), with l_k the Lagrange
-    basis on [min u, max u]; the rank + 2 products share one batched FFT.
-    The columns, and g(u - t_k) over the differences, stay in workspaces.
+    Tabulated kernels take the dense formula.  Convolution operators take
+    J = W f + gamma * sum_k N_k(u) * W(N_k(u) f) with the :class:`RangeFactor`
+    of u, the r + 1 products in one batched FFT, or (1 + gamma) W f when
+    gamma = 0 or the field is flat.
     """
+    if values.shape != (op.grid.n_total,):
+        raise ValueError(f"state has {values.shape} values, grid has {op.grid.n_total} nodes")
+    if op.spectrum is None:
+        return dense_apply_j(model, op, values)
     rates = model.firing(values)
-    _, basis, diff = chebyshev_basis(values, rank)
-    columns = _workspace("columns", (rank + 2, values.shape[0]))
+    width = model.learning.params["width"]
+    factor = None if model.gamma == 0.0 else range_factor(values, width)
+    if factor is None:
+        return (1.0 + model.gamma) * op.apply(rates)
+    basis = factor.basis(values, width)
+    columns = _workspace("columns", (factor.rank + 1, values.shape[0]))
     columns[0] = rates
     np.multiply(basis, rates[None, :], out=columns[1:])
     products = op.apply(columns)
-    learned = model.learning.in_place(diff)
-    return products[0] + model.gamma * np.multiply(learned, products[1:], out=learned).sum(axis=0)
-
-
-def apply_j_values(model: ModelSpec, op: DiscreteOperator, values: np.ndarray) -> np.ndarray:
-    """Nonlinear input term: sum_j W[i,j] * (1 + gamma*g(u_i - u_j)) * f(u_j)."""
-    if values.shape != (op.grid.n_total,):
-        raise ValueError(f"state has {values.shape} values, grid has {op.grid.n_total} nodes")
-    rank = plasticity_rank(model, op, values)
-    if rank is None:
-        return dense_apply_j(model, op, values)
-    if rank == 0:
-        return (1.0 + model.gamma) * op.apply(model.firing(values))
-    return separable_apply_j(model, op, values, rank)
+    return products[0] + model.gamma * np.multiply(basis, products[1:], out=basis).sum(axis=0)
 
 
 def apply_f_values(model: ModelSpec, op: DiscreteOperator, values: np.ndarray) -> np.ndarray:

@@ -5,12 +5,13 @@ factor freezes into the symmetric kernel G(x, y) = 1 + gamma * g(u_inf(x) -
 u_inf(y)), kept as that state and never as an n x n array.  G is positive
 semidefinite (a constant kernel plus a gaussian kernel composed with the
 feature map x -> u_inf(x)), so it splits into quadrature-orthonormal
-eigenfunctions.  The split is taken from G's rank-(K + 2) factor on every
-grid: g interpolated in u_inf at K + 1 Chebyshev points, K from the degree
-rule J uses (``factor_degree``) and at least min(n_eigs, n) - 2, then a thin
-QR in O(n K^2); its residual check reads G K + 2 rows at a time.  The
-diagonal part of the split is the pre-synaptic gain field, an array of
-phi_pre(y) = K_pre * sum_i sigma_i phi_i(y)^2 that the gain-field probe takes.
+eigenfunctions.  The split is taken on every grid from the factor J uses:
+G ~ F M F^T with F = [1, N], N the Newton basis of u_inf's
+:class:`~.discretization.RangeFactor`, and M = diag(1, gamma I), PSD by
+construction; then a thin QR in O(n r^2).  Its residual check reads G r + 1
+rows at a time.  The diagonal part of the split is the pre-synaptic gain
+field, an array of phi_pre(y) = K_pre * sum_i sigma_i phi_i(y)^2 that the
+gain-field probe takes.
 
 For gain fields of the form (k^2 - V)/lambda together with the exponential
 kernel exp(-lambda |x - y|) / (2 lambda), the stationary equation is
@@ -27,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretization import (DiscreteOperator, FieldState, Grid, Quadrature, chebyshev_basis, convolve,
-                             factor_degree, kernel_spectrum, learned_factor_bound)
+from .discretization import (DiscreteOperator, FieldState, Grid, Quadrature, convolve, kernel_spectrum,
+                             range_error, range_factor)
 from .errors import BoxTooSmallError, NoBoundStateError, NotPSDError
 from .model import FiringRate, LearningKernel, ModelSpec
 from .solver import SolverConfig, Trajectory, solve_global
@@ -48,7 +49,7 @@ class LearnedKernel:
 
     source: np.ndarray    # u_inf on the nodes, read-only
     learning: LearningKernel
-    coupling: float       # +gamma, or -gamma for the 'minus' modulation
+    coupling: float       # gamma
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,9 +61,6 @@ class EigenSystem:
     weights: np.ndarray      # (n, k) columns are eigenfunctions on the grid
     error_bound: float = 0.0  # a-priori bound on |sigma_i - sigma_i(G)| of a factor split
 
-    def gram(self) -> np.ndarray:
-        return self.functions.T @ (self.weights[:, None] * self.functions)
-
 
 def square_well(nodes: np.ndarray, half_width: float, height: float) -> np.ndarray:
     """V on the nodes: 0 on |x| < half_width, ``height`` outside, and the
@@ -72,44 +70,40 @@ def square_well(nodes: np.ndarray, half_width: float, height: float) -> np.ndarr
     return np.where(np.abs(np.abs(nodes) - half_width) <= 1e-12, 0.5 * height, v)
 
 
-def build_learned_kernel(u_inf, model: ModelSpec, grid: Grid, sign: str = "plus") -> LearnedKernel:
-    """Freeze the plasticity factor at the stationary state array ``u_inf``.
-
-    ``sign='minus'`` flips the modulation to 1 - gamma*g for exploration;
-    the default matches the dynamics.  The state is kept as a read-only copy.
-    """
-    if sign not in ("plus", "minus"):
-        raise ValueError("sign must be 'plus' or 'minus'")
+def build_learned_kernel(u_inf, model: ModelSpec, grid: Grid) -> LearnedKernel:
+    """Freeze the plasticity factor at the stationary state array ``u_inf``,
+    kept as a read-only copy."""
     # always a copy: a read-only view can still have a writeable base
     source = np.array(u_inf, dtype=float)
     if source.shape != (grid.n_total,):
         raise ValueError("stationary state does not match the grid")
     source.flags.writeable = False
-    coupling = model.gamma if sign == "plus" else -model.gamma
-    return LearnedKernel(source=source, learning=model.learning, coupling=coupling)
+    return LearnedKernel(source=source, learning=model.learning, coupling=model.gamma)
 
 
 def learned_factor(kernel: LearnedKernel, n_eigs: int = 0) -> tuple:
-    """F, M and the :func:`learned_factor_bound` of G ~ F M F^T.
+    """F, the diagonal of M, and a bound on max |G - F M F^T|.
 
-    F = [1, L], L the (n, K + 1) Lagrange basis at Chebyshev points on
-    [min u_inf, max u_inf], M = blockdiag(1, +-gamma g(t_k - t_l)), or
-    diag(1 +- gamma, 0, ...) for gamma = 0 or a flat field (degree 0).  K is
-    the :func:`factor_degree`, at least 1 and min(n_eigs, n) - 2, so no
-    n_eigs asks for more columns than G has.
+    F = [1, N] with N the (n, r) Newton basis of the source's
+    :func:`~.discretization.range_factor` and M = diag(1, gamma I); gamma = 0
+    or a flat field gives F = [1], M = (1 + gamma).  The bound is gamma
+    times the :func:`~.discretization.range_error`.  F takes zero columns
+    (and M zeros) up to min(n_eigs, n) columns, so the split returns at
+    least that many pairs.
     """
     values = kernel.source
-    gamma = abs(kernel.coupling)
-    span = float(values.max() - values.min()) / kernel.learning.params["width"]
-    degree = factor_degree(gamma, span)
-    rank = max(degree, 1, min(n_eigs, values.shape[0]) - 2)
-    nodes, basis, _ = chebyshev_basis(values, rank)
-    middle = np.zeros((rank + 2, rank + 2))
-    middle[0, 0] = 1.0 if degree else 1.0 + kernel.coupling
-    if degree:
-        middle[1:, 1:] = kernel.coupling * kernel.learning(nodes[:, None] - nodes[None, :])
-    factor = np.column_stack([np.ones_like(values), basis.T])
-    return factor, middle, learned_factor_bound(gamma, span, rank if degree else 0)
+    width = kernel.learning.params["width"]
+    factor = None if kernel.coupling == 0.0 else range_factor(values, width)
+    rank = 0 if factor is None else factor.rank
+    columns = np.zeros((values.shape[0], max(rank + 1, min(n_eigs, values.shape[0]))))
+    columns[:, 0] = 1.0
+    middle = np.zeros(columns.shape[1])
+    middle[0] = 1.0 if rank else 1.0 + kernel.coupling
+    if rank:
+        columns[:, 1:rank + 1] = factor.basis(values, width).T
+        middle[1:rank + 1] = kernel.coupling
+    bound = 0.0 if kernel.coupling == 0.0 else kernel.coupling * range_error(values, width)
+    return columns, middle, bound
 
 
 def mercer_decompose(kernel: LearnedKernel, quad: Quadrature, n_eigs: int = 0) -> EigenSystem:
@@ -119,8 +113,11 @@ def mercer_decompose(kernel: LearnedKernel, quad: Quadrature, n_eigs: int = 0) -
     diagonal of quadrature weights, then maps eigenvectors back through
     D^{-1/2}; that makes sum_i sigma_i phi_i(x) phi_i(y) reproduce G and
     <phi_i, phi_j> = delta_ij under the weighted inner product.  The kernel
-    is split in O(n K^2) from its :func:`learned_factor`, on every grid: with
+    is split in O(n r^2) from its :func:`learned_factor`, on every grid: with
     D^{1/2} F = Q R and R M R^T = V diag(sigma) V^T, phi = D^{-1/2} Q V.
+    |G - F M F^T| <= e entrywise gives ||D^{1/2} (G - F M F^T) D^{1/2}||_2
+    <= e |Omega| (Frobenius), so by Weyl each sigma_i moves by at most
+    that, the returned ``error_bound``.
     G is symmetric by construction (:func:`build_learned_kernel`).
 
     Raises NotPSDError when the smallest eigenvalue is more negative than
@@ -131,7 +128,7 @@ def mercer_decompose(kernel: LearnedKernel, quad: Quadrature, n_eigs: int = 0) -
     sqrt_w = np.sqrt(quad.weights)
     factor, middle, bound = learned_factor(kernel, n_eigs)
     q, r = np.linalg.qr(sqrt_w[:, None] * factor)
-    core = r @ middle @ r.T
+    core = (r * middle) @ r.T
     eigenvalues, small = np.linalg.eigh(0.5 * (core + core.T))
     vectors = q @ small
     order = np.argsort(eigenvalues)[::-1]
@@ -167,13 +164,6 @@ def mercer_decompose(kernel: LearnedKernel, quad: Quadrature, n_eigs: int = 0) -
                        error_bound=bound * float(quad.weights.sum()))
 
 
-def reconstruct_kernel(eig: EigenSystem, rank: int | None = None) -> np.ndarray:
-    """sum_i sigma_i phi_i(x) phi_i(y) truncated to the leading ``rank`` terms."""
-    k = eig.values.shape[0] if rank is None else rank
-    f = eig.functions[:, :k]
-    return (f * eig.values[None, :k]) @ f.T
-
-
 def presynaptic_gain(eig: EigenSystem, k_pre: float = 1.0) -> np.ndarray:
     """phi_pre(y) = K_pre * sum_i sigma_i |phi_i(y)|^2.
 
@@ -207,26 +197,6 @@ def greens_convolve(lam: float, grid: Grid, values: np.ndarray) -> np.ndarray:
     (lambda^2 - d^2/dx^2), G(x) = exp(-lambda|x|) / (2 lambda)."""
     spectrum = kernel_spectrum(lambda d: np.exp(-lam * d) / (2.0 * lam), grid)
     return convolve(spectrum, grid, values)
-
-
-def greens_identity_check(lam: float, grid: Grid, quad: Quadrature, test_values=None) -> float:
-    """Max interior residual of (lambda^2 - D^2)(G * h) - h.
-
-    The identity is exact for the continuous convolution; on the grid the
-    residual is quadrature plus finite-difference error and decays at second
-    order under refinement.
-    """
-    if grid.dimension != 1 or grid.boundary != "compact":
-        raise ValueError("the identity check runs on 1-D compact grids")
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
-    nodes = grid.axis_nodes[0]
-    h_vals = np.exp(-nodes ** 2) if test_values is None else np.asarray(test_values, dtype=float)
-    conv = greens_convolve(lam, grid, quad.weights * h_vals)
-    dx = grid.spacing[0]
-    second = (conv[:-2] - 2.0 * conv[1:-1] + conv[2:]) / (dx * dx)
-    residual = lam * lam * conv[1:-1] - second - h_vals[1:-1]
-    return float(np.max(np.abs(residual)))
 
 
 class _Tridiagonal:

@@ -30,12 +30,13 @@ def fmt(value) -> str:
     return str(value)
 
 
-def atomic_write_text(path, text: str) -> None:
+def atomic_write_text(path, chunks) -> None:
+    """Write the str ``chunks`` to ``path`` through a temporary sibling."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -56,23 +57,26 @@ def node_rows(nodes, values, times=None):
         yield "\n".join(body) % tuple(values.tolist())
         return
     template = "\n".join("%s," + row for row in body)
-    for t, row in zip(times.tolist(), values.tolist()):
+    for t, row in zip(times.tolist(), values):
         cells = [fmt(t)] * (2 * len(body))
-        cells[1::2] = row
+        cells[1::2] = row.tolist()
         yield template % tuple(cells)
 
 
 def write_csv(path, header, rows) -> None:
     """Rows are cell lists, formatted by :func:`fmt`, or text blocks of
-    already formatted lines such as :func:`node_rows` yields."""
-    lines = [",".join(header)]
-    lines.extend(row if isinstance(row, str) else ",".join(fmt(cell) for cell in row)
-                 for row in rows)
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    already formatted lines such as :func:`node_rows` yields; each is
+    written as it comes, so a generator of rows is never held whole."""
+    def lines():
+        yield ",".join(header) + "\n"
+        for row in rows:
+            yield (row if isinstance(row, str) else ",".join(fmt(cell) for cell in row)) + "\n"
+
+    atomic_write_text(path, lines())
 
 
 def write_json(path, payload) -> None:
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    atomic_write_text(path, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
 
 
 def sha256_file(path) -> str:

@@ -296,17 +296,6 @@ def compute_constants(model: ModelSpec, op) -> TheoryConstants:
     )
 
 
-def estimate_lipschitz(fn, lo: float, hi: float, n: int = 4001) -> float:
-    """Largest difference quotient of fn over adjacent samples of [lo, hi].
-
-    A genuine lower bound of the true Lipschitz constant that converges to it
-    from below as n grows.
-    """
-    s = np.linspace(lo, hi, n)
-    v = np.asarray(fn(s), dtype=float)
-    return float(np.max(np.abs(np.diff(v)) / np.diff(s)))
-
-
 def contraction_factor(constants: TheoryConstants, gamma: float, segment_length: float) -> float:
     """Contraction factor of the solution operator over a time segment.
 

@@ -147,14 +147,16 @@ def step(model: ModelSpec, op: DiscreteOperator, values: np.ndarray, dt: float,
 
 
 def picard_map(model: ModelSpec, op: DiscreteOperator, fields: np.ndarray, dt: float,
-               u0) -> np.ndarray:
+               u0, first_rhs: np.ndarray | None = None) -> np.ndarray:
     """The integrated map A(U)(t_n) = u0 + int_0^{t_n} F(U) on a time lattice.
 
     ``fields`` holds U at the lattice times t_0 < ... < t_N, spaced dt
     apart, one row each; the integral is the composite trapezoid rule.
+    ``first_rhs``, when given, is F(U(t_0)) and is not evaluated again.
     """
     rhs = np.empty_like(fields)
-    for n in range(fields.shape[0]):
+    rhs[0] = apply_f_values(model, op, fields[0]) if first_rhs is None else first_rhs
+    for n in range(1, fields.shape[0]):
         rhs[n] = apply_f_values(model, op, fields[n])
     out = np.empty_like(fields)
     out[0] = u0
@@ -187,11 +189,12 @@ def picard_segment(model: ModelSpec, op: DiscreteOperator, state0: FieldState,
     times = state0.time + dt * np.arange(n_steps + 1)
     u0 = state0.values
 
-    # initial iterate: constant-in-time extension of the initial state
+    # initial iterate: u0 constant in time; row 0 stays u0, so F(u0) is taken once
     current = np.tile(u0, (n_steps + 1, 1))
+    first_rhs = apply_f_values(model, op, u0)
     update_norms = []
     for iteration in range(1, cfg.picard_max_iter + 1):
-        new = picard_map(model, op, current, dt, u0)
+        new = picard_map(model, op, current, dt, u0, first_rhs=first_rhs)
         check_finite(new, float(times[-1]), "picard iterate")
         update = float(np.max(np.abs(new - current)))
         update_norms.append(update)

@@ -192,3 +192,41 @@ def crank_nicolson_decay(u0, dt, n_steps):
     """Trapezoid-in-time discretization of u' = -u."""
     factor = (1.0 - 0.5 * dt) / (1.0 + 0.5 * dt)
     return np.array([u0 * factor ** n for n in range(n_steps + 1)])
+
+
+def estimate_lipschitz(fn, lo, hi, n=4001):
+    """Largest difference quotient of fn over adjacent samples of [lo, hi]:
+    a lower bound of the Lipschitz constant that converges to it as n grows."""
+    s = np.linspace(lo, hi, n)
+    v = np.asarray(fn(s), dtype=float)
+    return float(np.max(np.abs(np.diff(v)) / np.diff(s)))
+
+
+def gram(eig):
+    """<phi_i, phi_j> under the quadrature weights of an eigensystem."""
+    return eig.functions.T @ (eig.weights[:, None] * eig.functions)
+
+
+def reconstruct_kernel(eig, rank=None):
+    """sum_i sigma_i phi_i(x) phi_i(y) truncated to the leading ``rank`` terms."""
+    k = eig.values.shape[0] if rank is None else rank
+    f = eig.functions[:, :k]
+    return (f * eig.values[None, :k]) @ f.T
+
+
+def greens_identity_check(lam, grid, quad, test_values=None):
+    """Max interior residual of (lambda^2 - D^2)(G * h) - h on a 1-D compact
+    grid, G * h taken by the package's ``greens_convolve``.
+
+    The identity is exact for the continuous convolution; on the grid the
+    residual is quadrature plus finite-difference error and decays at second
+    order under refinement.
+    """
+    from neuralfield.gainfield import greens_convolve
+
+    nodes = grid.axis_nodes[0]
+    h_vals = np.exp(-nodes ** 2) if test_values is None else np.asarray(test_values, dtype=float)
+    conv = greens_convolve(lam, grid, quad.weights * h_vals)
+    dx = grid.spacing[0]
+    second = (conv[:-2] - 2.0 * conv[1:-1] + conv[2:]) / (dx * dx)
+    return float(np.max(np.abs(lam * lam * conv[1:-1] - second - h_vals[1:-1])))

@@ -140,7 +140,7 @@ EXPECTED_DEFAULTS = {
     "seed": 12345,
     "stationary": {"method": "fp", "damping": 0.5, "tol": 1e-9, "max_iter": 5000, "t_max": 500.0,
                    "settle_tol": 1e-8, "dt": 0.1},
-    "gainfield": {"lambda": 1.0, "half_width": 1.0, "k_pre": 1.0, "sign": "plus", "n_eigs": 12,
+    "gainfield": {"lambda": 1.0, "half_width": 1.0, "k_pre": 1.0, "n_eigs": 12,
                   "crosscheck_box": 20.0, "crosscheck_nodes": 2001},
     "schrodinger": {"half_width": 1.0, "height": 2.0, "box": 20.0, "nodes": 2001, "n_states": 4,
                     "lambda": None},
@@ -219,9 +219,40 @@ class TestIO:
 
     def test_atomic_write_replaces(self, tmp_path):
         p = tmp_path / "x.txt"
-        atomic_write_text(p, "one")
-        atomic_write_text(p, "two")
+        atomic_write_text(p, ["one"])
+        atomic_write_text(p, (part for part in ("t", "w", "o")))
         assert p.read_text() == "two"
+
+    def test_failed_stream_leaves_the_old_file(self, tmp_path):
+        p = tmp_path / "x.txt"
+        atomic_write_text(p, ["kept"])
+
+        def chunks():
+            yield "partial"
+            raise ValueError("stream broke")
+
+        with pytest.raises(ValueError, match="stream broke"):
+            atomic_write_text(p, chunks())
+        assert p.read_text() == "kept" and not list(tmp_path.glob("*.tmp"))
+
+    def test_write_csv_consumes_rows_as_a_stream(self, tmp_path, monkeypatch):
+        # each row is written before the next is made: no whole-file string
+        from neuralfield import io
+
+        seen = []
+        real = io.atomic_write_text
+
+        def spy(path, chunks):
+            real(path, (seen.append(chunk) or chunk for chunk in chunks))
+
+        def rows():
+            for k in range(3):
+                assert len(seen) == k + 1  # the header and the rows so far
+                yield f"{k},{k}"
+
+        monkeypatch.setattr(io, "atomic_write_text", spy)
+        io.write_csv(tmp_path / "t.csv", ["a", "b"], rows())
+        assert (tmp_path / "t.csv").read_text() == "a,b\n0,0\n1,1\n2,2\n"
 
     def test_lock_collision(self, tmp_path):
         with output_lock(tmp_path / "run"):
@@ -598,6 +629,14 @@ class TestMainEntry:
         assert main(["validate", "--config", path]) == 2
         err = capsys.readouterr().err
         assert "model.gamma" in err and "junk" in err
+
+    @pytest.mark.parametrize("sign", ["plus", "minus"])
+    def test_gainfield_sign_is_an_unknown_key(self, tmp_path, capsys, sign):
+        # the learned kernel is 1 + gamma g; the key that flipped it is gone
+        path = write_config(tmp_path, {"gainfield": {"sign": sign}})
+        assert main(["gainfield", "--config", path, "--out", str(tmp_path / "gf")]) == 2
+        assert "gainfield.sign: unknown key" in capsys.readouterr().err
+        assert not (tmp_path / "gf" / "eigs.csv").exists()
 
     def test_malformed_json_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -16,19 +16,17 @@ from neuralfield import (
     build_operator,
     make_quadrature,
 )
+from neuralfield import discretization
 from neuralfield.discretization import (
     PLASTICITY_TOL,
+    RangeFactor,
     apply_f_values,
     apply_j_values,
-    chebyshev_bound,
-    chebyshev_nodes,
-    chebyshev_rank,
     convolve,
     dense_apply_j,
     j_error_bound,
     kernel_spectrum,
-    plasticity_rank,
-    separable_apply_j,
+    range_factor,
 )
 from neuralfield.model import FIRING_KINDS
 from conftest import exponential_kernel, make_model, zero_firing
@@ -283,15 +281,17 @@ def any_model(kernel_kind, firing_kind, gamma, width):
                      gamma=gamma, mode=mode)
 
 
-def random_field(n, seed, span, on_nodes):
+def random_field(n, seed, span, width, on_nodes):
     """A random field with max - min = span; with ``on_nodes`` some values
-    sit exactly on the Chebyshev points of the rank J picks for it."""
+    sit exactly on the pivots of the factor J picks for it."""
     rng = np.random.default_rng(seed)
     u = 0.3 + span * rng.uniform(size=n)
     if span > 0:
         u[rng.permutation(n)[:2]] = 0.3, 0.3 + span
-    if on_nodes and span > 0:
-        nodes = chebyshev_nodes(float(u.min()), float(u.max()), chebyshev_rank(0.5 * span))
+    factor = range_factor(u, width)
+    if on_nodes and factor is not None:
+        nodes = 0.3 + 0.5 * span + width * factor.pivots
+        nodes = nodes[(nodes >= 0.3) & (nodes <= 0.3 + span)]
         picks = rng.permutation(n)[: min(n, nodes.size)]
         u[picks] = nodes[: picks.size]
     return u
@@ -318,19 +318,23 @@ fast_j_cases = dict(
 
 
 class TestFastJ:
-    @given(**fast_j_cases)
-    @settings(max_examples=300, deadline=None)
+    # every kernel x firing kind x grid kind, the rest drawn
+    @pytest.mark.parametrize("kind", GRID_KINDS)
+    @pytest.mark.parametrize("firing_kind", FIRING_KINDS)
+    @pytest.mark.parametrize("kernel_kind", ["exponential", "mexican-hat"])
+    @given(**{name: case for name, case in fast_j_cases.items()
+              if name not in ("kind", "kernel_kind", "firing_kind")})
+    @settings(max_examples=12, deadline=None)
     def test_against_dense_formula_within_bound(self, kind, sizes, half_length, kernel_kind,
                                                 firing_kind, gamma, width, span_over_width,
                                                 on_nodes, seed):
         grid, quad = small_grid(kind, sizes, half_length)
         model = any_model(kernel_kind, firing_kind, gamma, width)
         op = build_operator(model.kernel, grid, quad)
-        u = random_field(grid.n_total, seed, span_over_width * width, on_nodes)
-        rank = plasticity_rank(model, op, u)
+        u = random_field(grid.n_total, seed, span_over_width * width, width, on_nodes)
         dense = dense_j(model, dense_operator(op), u)
         observed = np.max(np.abs(apply_j_values(model, op, u) - dense))
-        assert observed <= j_error_bound(model, op, u, rank) + rounding_allowance(model, op, u)
+        assert observed <= j_error_bound(model, op, u) + rounding_allowance(model, op, u)
 
     @given(**{**fast_j_cases, "kind": st.sampled_from(
         [kind for kind in GRID_KINDS if kind[1] == "compact"])})
@@ -343,10 +347,9 @@ class TestFastJ:
                                 half_length)
         model = any_model(kernel_kind, firing_kind, gamma, width)
         op = build_operator(model.kernel, grid, quad)
-        u = random_field(grid.n_total, seed, span_over_width * width, on_nodes)
-        rank = plasticity_rank(model, op, u)
+        u = random_field(grid.n_total, seed, span_over_width * width, width, on_nodes)
         expected = brute_force_apply_j(model, grid, quad, u)
-        bound = j_error_bound(model, op, u, rank)
+        bound = j_error_bound(model, op, u)
         assert np.max(np.abs(apply_j_values(model, op, u) - expected)) \
             <= bound + rounding_allowance(model, op, u)
 
@@ -385,28 +388,10 @@ class TestFastJ:
         with pytest.raises(ValueError, match=kind):
             op.scaled_by_gain(np.ones(201)).matrix  # noqa: B018
 
-    @pytest.mark.parametrize("span_over_width, rank", [
-        (0.5, 13), (1.0, 17), (2.0, 23), (4.0, 34), (8.0, 56), (16.0, 100)])
-    def test_rank_rule(self, span_over_width, rank):
-        r = 0.5 * span_over_width
-        assert chebyshev_rank(r) == rank
-        assert chebyshev_bound(r, rank) <= PLASTICITY_TOL < chebyshev_bound(r, rank - 1)
-
-    @pytest.mark.parametrize("kernel_kind", ["exponential", "mexican-hat"])
-    @pytest.mark.parametrize("rank", [2, 4, 8, 16, 24])
-    def test_bound_holds_where_interpolation_error_dominates(self, kernel_kind, rank):
-        grid = Grid(bounds=[(-10.0, 10.0)], npts=[301])
-        model = any_model(kernel_kind, "sigmoid", 2.0, 1.0)
-        op = build_operator(model.kernel, grid, make_quadrature(grid))
-        u = np.random.default_rng(rank).uniform(-3.0, 3.0, size=301)
-        dense = dense_j(model, dense_operator(op), u)
-        observed = np.max(np.abs(separable_apply_j(model, op, u, rank) - dense))
-        assert 1e-9 < observed <= j_error_bound(model, op, u, rank)
-
     def test_gamma_zero_is_the_operator_product(self, op_201, bump_201):
         model = make_model(gamma=0.0)
         u = bump_201.values
-        assert plasticity_rank(model, op_201, u) == 0
+        assert j_error_bound(model, op_201, u) == 0.0
         assert np.array_equal(apply_j_values(model, op_201, u), op_201.apply(model.firing(u)))
 
     def test_constant_field_is_one_plus_gamma_times_product(self, op_201):
@@ -414,19 +399,17 @@ class TestFastJ:
         u = np.full(201, 0.4)
         assert np.array_equal(apply_j_values(model, op_201, u), 1.6 * op_201.apply(model.firing(u)))
 
-    def test_rank_near_n_stays_on_the_separable_path(self):
-        # rank 56 on 61 nodes: no grid size sends an isotropic kernel to a dense formula
+    def test_rank_near_n_stays_on_the_factor_path(self):
+        # 37 terms on 61 nodes: no grid size sends an isotropic kernel to a dense formula
         grid = Grid(bounds=[(-5.0, 5.0)], npts=[61])
         quad = make_quadrature(grid)
         model = make_model(gamma=1.0)
         op = build_operator(model.kernel, grid, quad)
         u = np.linspace(-4.0, 4.0, 61)
-        rank = plasticity_rank(model, op, u)
-        assert rank == chebyshev_rank(4.0) == 56
-        assert np.array_equal(apply_j_values(model, op, u), separable_apply_j(model, op, u, rank))
+        assert range_factor(u, 1.0).rank == 37
         expected = brute_force_apply_j(model, grid, quad, u)
         assert np.max(np.abs(apply_j_values(model, op, u) - expected)) \
-            <= j_error_bound(model, op, u, rank) + rounding_allowance(model, op, u)
+            <= j_error_bound(model, op, u) + rounding_allowance(model, op, u)
 
     def test_tabulated_kernel_takes_dense_formula(self):
         grid = Grid(bounds=[(0.0, 1.0)], npts=[41])
@@ -434,7 +417,7 @@ class TestFastJ:
         model = ModelSpec(kern, FiringRate("sigmoid"), LearningKernel(), gamma=0.5)
         op = build_operator(kern, grid, make_quadrature(grid))
         u = np.sin(grid.points[:, 0])
-        assert op.spectrum is None and plasticity_rank(model, op, u) is None
+        assert op.spectrum is None and j_error_bound(model, op, u) == 0.0
         assert np.array_equal(apply_j_values(model, op, u), dense_apply_j(model, op, u))
 
     def test_no_dense_matrix_for_isotropic_kernels(self):
@@ -452,12 +435,88 @@ class TestFastJ:
         finally:
             tracemalloc.stop()
         assert isinstance(op, DiscreteOperator) and "matrix" not in op.__dict__
-        assert plasticity_rank(model, op, u) > 0
+        assert range_factor(u, 1.0).rank > 0
         assert peak < n * n * 8 / 4
 
 
+def sampled_power(factor, points):
+    """P(a) = 1 - sum_k N_k(a)^2 at normalised ``points``, as J evaluates N;
+    the bucket's ends join them so that their centre is 0."""
+    ends = [-factor.half_span, factor.half_span]
+    basis = factor.basis(np.concatenate([points, ends]), 1.0)
+    return 1.0 - np.sum(basis * basis, axis=0)[:-2]
+
+
+def bucket_factor(k):
+    """The factor of bucket k, whose half-span is 2^(k/4) widths."""
+    half_span = 2.0 ** (k / 4)
+    factor = range_factor(np.array([-half_span, half_span]), 1.0)
+    assert factor.half_span == half_span
+    return factor
+
+
+class TestRangeFactor:
+    @pytest.mark.parametrize("half_span, terms", [(0.5, 11), (1.0, 15), (2.0, 22), (4.0, 37)])
+    def test_term_counts(self, half_span, terms):
+        # spans in learning widths: the factor depends on span / width only
+        factor = range_factor(np.array([-0.5 * half_span, 0.5 * half_span]), 0.5)
+        assert factor.half_span == half_span and factor.rank == terms
+        samples = discretization._samples(half_span)
+        assert np.max(sampled_power(factor, samples)) <= PLASTICITY_TOL < factor.power_bound < 5e-14
+
+    @pytest.mark.parametrize("k", range(-32, 9))
+    def test_power_bound_covers_the_whole_bucket(self, k):
+        # 50 points between neighbouring samples of the tabulation, so 50x
+        # its density everywhere on [-H, H]
+        factor = bucket_factor(k)
+        m = discretization._samples(factor.half_span).size - 1
+        dense = factor.half_span * np.cos(np.pi * np.arange(50 * m + 1) / (50 * m))
+        assert np.max(sampled_power(factor, dense)) <= factor.power_bound
+        # and the pivots interpolate g: P vanishes there to rounding
+        assert np.max(np.abs(sampled_power(factor, factor.pivots))) < 1e-14
+
+    def test_pair_error_within_power_bound(self):
+        factor = bucket_factor(7)
+        a = np.random.default_rng(7).uniform(-factor.half_span, factor.half_span, size=1500)
+        basis = factor.basis(a, 1.0).copy()
+        pairs = basis.T @ basis - np.exp(-np.subtract.outer(a, a) ** 2)
+        assert np.max(np.abs(pairs)) <= factor.power_bound
+
+    def test_one_factor_per_bucket(self):
+        wide = range_factor(np.array([0.0, 3.0]), 1.0)
+        assert range_factor(np.array([10.0, 12.9]), 1.0) is wide
+        assert range_factor(np.array([0.0, 2.5]), 1.0) is not wide
+        assert range_factor(np.array([0.0, 0.5e-8]), 1.0) is None
+
+    def test_import_tabulates_no_bucket(self):
+        import subprocess
+        import sys
+
+        script = ("import neuralfield.cli, neuralfield.discretization as d\n"
+                  "assert d._FACTORS == {}, sorted(d._FACTORS)\n")
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+
+    @pytest.mark.parametrize("kernel_kind", ["exponential", "mexican-hat"])
+    @pytest.mark.parametrize("terms", [2, 4, 8, 16])
+    def test_bound_holds_where_the_factor_error_dominates(self, monkeypatch, kernel_kind, terms):
+        # the leading terms of a factor are a factor of their own (L^-1 of a
+        # leading block is the leading block of L^-1), with their own P-bar
+        grid = Grid(bounds=[(-10.0, 10.0)], npts=[301])
+        model = any_model(kernel_kind, "sigmoid", 2.0, 1.0)
+        op = build_operator(model.kernel, grid, make_quadrature(grid))
+        u = np.random.default_rng(terms).uniform(-3.0, 3.0, size=301)
+        full = range_factor(u, 1.0)
+        bucket = next(k for k, factor in discretization._FACTORS.items() if factor is full)
+        truncated = RangeFactor(full.half_span, full.pivots[:terms], full.inverse[:terms, :terms])
+        monkeypatch.setitem(discretization._FACTORS, bucket, truncated)
+        dense = dense_j(model, dense_operator(op), u)
+        observed = np.max(np.abs(apply_j_values(model, op, u) - dense))
+        assert 1e-9 < observed <= j_error_bound(model, op, u)
+
+
 def _plastic_case(shape):
-    """gamma = 1 on a 401-node line (a random field, rank 34) or on a 41 x 41
+    """gamma = 1 on a 401-node line (a random field, 22 terms) or on a 41 x 41
     square (a bump), with its operator."""
     model = make_model(gamma=1.0)
     if shape == (401,):
@@ -503,8 +562,8 @@ class TestWorkspaces:
         import tracemalloc
 
         model, op, u = _plastic_case(shape)
-        rank = plasticity_rank(model, op, u)
-        assert rank == 34 or shape != (401,)
+        rank = range_factor(u, 1.0).rank
+        assert rank == 22 or shape != (401,)
         apply_j_values(model, op, u)  # warm-up: the workspaces grow here
         tracemalloc.start()
         try:

@@ -19,23 +19,16 @@ from neuralfield import (
 )
 from neuralfield.cli import run
 from neuralfield.config import build_config, initial_state
-from neuralfield.discretization import (
-    chebyshev_basis,
-    chebyshev_nodes,
-    chebyshev_rank,
-    learned_factor_bound,
-)
+from neuralfield.discretization import range_factor
 from neuralfield.errors import BoxTooSmallError, NoBoundStateError, NotPSDError
 from neuralfield.gainfield import (
     EigenSystem,
     _hamiltonian,
     _on_grid,
     build_learned_kernel,
-    greens_identity_check,
     learned_factor,
     mercer_decompose,
     presynaptic_gain,
-    reconstruct_kernel,
     schrodinger_cross_check,
     schrodinger_fd,
     simulate_gainfield,
@@ -45,8 +38,8 @@ from neuralfield.solver import SolverConfig, solve_global
 from neuralfield.stationary import find_stationary_fp
 
 from conftest import constants_of, exponential_kernel, make_model
-from oracles import (fd_schrodinger_eigenpairs, finite_well_ground_energy, learned_matrix,
-                     mercer_eigenvalues)
+from oracles import (fd_schrodinger_eigenpairs, finite_well_ground_energy, gram, greens_identity_check,
+                     learned_matrix, mercer_eigenvalues, reconstruct_kernel)
 
 
 @pytest.fixture(scope="module")
@@ -85,13 +78,6 @@ class TestLearnedKernel:
         assert matrix.max() <= 1.5
         assert np.array_equal(matrix, matrix.T)
 
-    def test_minus_sign_flips_modulation(self, grid_201, stationary_state):
-        model, u_inf = stationary_state
-        learned = build_learned_kernel(u_inf, model, grid_201, sign="minus")
-        assert learned.coupling == -0.5
-        assert np.allclose(np.diag(dense_g(learned)), 0.5, atol=1e-14)
-        assert dense_g(learned).max() <= 1.0
-
 
 class TestMercer:
     def test_rank_one_constant_kernel(self):
@@ -101,9 +87,9 @@ class TestMercer:
         quad = make_quadrature(grid)
         ones = build_learned_kernel(np.linspace(0.0, 2.0, 51), make_model(gamma=0.0), grid)
         assert np.all(dense_g(ones) == 1.0)
-        eig = mercer_decompose(ones, quad)
+        eig = mercer_decompose(ones, quad, n_eigs=3)
         assert eig.values[0] == pytest.approx(1.0, abs=1e-12)
-        assert np.max(np.abs(eig.values[1:])) < 1e-12
+        assert eig.values.shape == (3,) and np.max(np.abs(eig.values[1:])) < 1e-12
         lead = eig.functions[:, 0]
         lead = lead * np.sign(lead[0])
         assert np.allclose(lead, 1.0, atol=1e-10)
@@ -117,8 +103,8 @@ class TestMercer:
     def test_orthonormal_under_quadrature(self, grid_201, quad_201, stationary_state):
         model, u_inf = stationary_state
         eig = mercer_decompose(build_learned_kernel(u_inf, model, grid_201), quad_201)
-        gram = eig.gram()
-        assert np.max(np.abs(gram - np.eye(gram.shape[0]))) < 1e-10
+        products = gram(eig)
+        assert np.max(np.abs(products - np.eye(products.shape[0]))) < 1e-10
 
     def test_reconstruction_improves_with_rank(self, grid_201, quad_201, stationary_state):
         model, u_inf = stationary_state
@@ -128,17 +114,6 @@ class TestMercer:
                   for rank in (1, 3, 10, 50, 201)]
         assert all(b <= a + 1e-12 for a, b in zip(errors, errors[1:]))
         assert errors[-1] < 1e-8
-
-    def test_indefinite_kernel_rejected(self):
-        # 1 - gamma * g with gamma > 1 is negative on the diagonal, so its
-        # weighted trace is negative: the factor split sees a negative
-        # eigenvalue with more columns than nodes (n = 3) and with fewer (n = 121)
-        for n in (3, 121):
-            grid = Grid(bounds=[(0.0, 1.0)], npts=[n])
-            learned = build_learned_kernel(np.linspace(0.0, 2.0, n), make_model(gamma=1.5), grid,
-                                           sign="minus")
-            with pytest.raises(NotPSDError):
-                mercer_decompose(learned, make_quadrature(grid))
 
 
 class TestPresynapticGain:
@@ -171,79 +146,81 @@ GRID_KINDS = [("compact", "trapezoid"), ("compact", "simpson"), ("periodic", "tr
 N_EIGS = 6
 
 
-def learned_on(span_over_width, gamma, sign="plus", boundary="compact", rule="trapezoid",
-               width=0.7):
-    """A learned kernel on a grid of 4 (rank + 2) + 1 nodes; some potentials
-    sit exactly on the factor's Chebyshev points.  Returns the kernel, its
-    quadrature and the factor's degree."""
-    rank = max(chebyshev_rank(0.5 * span_over_width) if span_over_width > 0 else 1, N_EIGS - 2)
-    grid = Grid(bounds=[(-5.0, 5.0)], npts=[4 * (rank + 2) + 1], boundary=boundary)
+def learned_on(span_over_width, gamma, boundary="compact", rule="trapezoid", width=0.7):
+    """A learned kernel on a grid of 4 (r + 2) + 1 nodes, r the factor's
+    term count; some potentials sit exactly on the factor's pivots.
+    Returns the kernel, its quadrature and r."""
     span = span_over_width * width
+    ends = np.array([0.3, 0.3 + span])
+    factor = range_factor(ends, width)
+    rank = 0 if factor is None else factor.rank
+    grid = Grid(bounds=[(-5.0, 5.0)], npts=[4 * (rank + 2) + 1], boundary=boundary)
     u = 0.3 + span * (0.5 + 0.5 * np.sin(1.3 * grid.points[:, 0] + gamma))
-    u[[0, 1]] = 0.3, 0.3 + span
-    if span > 0:
-        nodes = chebyshev_nodes(0.3, 0.3 + span, rank)
+    u[[0, 1]] = ends
+    if factor is not None:
+        nodes = 0.3 + 0.5 * span + width * factor.pivots
+        nodes = nodes[(nodes >= 0.3) & (nodes <= 0.3 + span)]
         u[2:2 + nodes.size] = nodes
     model = ModelSpec(exponential_kernel(), FiringRate("sigmoid"),
                       LearningKernel("gaussian", {"width": width}), gamma=gamma)
-    return build_learned_kernel(u, model, grid, sign=sign), make_quadrature(grid, rule), rank
+    return build_learned_kernel(u, model, grid), make_quadrature(grid, rule), rank
 
 
 class TestFactorSplit:
     """The low-rank Mercer split of learned kernels against LAPACK's dense eigh."""
 
     @pytest.mark.parametrize("boundary, rule", GRID_KINDS)
-    @pytest.mark.parametrize("sign", ["plus", "minus"])
     @pytest.mark.parametrize("span_over_width", [0.0, 0.5, 1.0, 4.0, 16.0])
     @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0, 4.0])
-    def test_against_dense_oracle(self, gamma, span_over_width, sign, boundary, rule):
-        learned, quad, rank = learned_on(span_over_width, gamma, sign, boundary, rule)
+    def test_against_dense_oracle(self, gamma, span_over_width, boundary, rule):
+        learned, quad, rank = learned_on(span_over_width, gamma, boundary, rule)
         oracle = mercer_eigenvalues(dense_g(learned), quad.weights)
-        if oracle[-1] < -1e-8 * max(oracle[0], 1.0):
-            with pytest.raises(NotPSDError):
-                mercer_decompose(learned, quad, n_eigs=N_EIGS)
-            return
         eig = mercer_decompose(learned, quad, n_eigs=N_EIGS)
-        if gamma == 0.0 or span_over_width == 0.0:
-            rank = N_EIGS - 2  # the constant factor
-        assert eig.values.shape == (rank + 2,)
+        if gamma == 0.0:
+            rank = 0  # the constant factor
+        columns = max(rank + 1, N_EIGS)
+        assert eig.values.shape == (columns,)
         # rounding of both eigensolvers, relative to the largest value
         allowance = 1e-13 * max(abs(oracle[0]), 1.0)
-        assert np.max(np.abs(eig.values[:N_EIGS] - oracle[:N_EIGS])) <= eig.error_bound + allowance
-        assert np.max(np.abs(eig.gram() - np.eye(rank + 2))) <= 1e-12
+        assert np.max(np.abs(eig.values - oracle[:columns])) <= eig.error_bound + allowance
+        assert np.max(np.abs(gram(eig) - np.eye(columns))) <= 1e-12
         kernel_bound = eig.error_bound / float(quad.weights.sum())
         recon = np.max(np.abs(reconstruct_kernel(eig) - dense_g(learned)))
         assert recon <= kernel_bound + 1e-13 * (1.0 + gamma)
         phi_pre = presynaptic_gain(eig, k_pre=2.0)
         assert np.max(np.abs(phi_pre - 2.0 * np.diag(dense_g(learned)))) <= 1e-12
 
-    @pytest.mark.parametrize("rank", [2, 4, 8, 16, 24])
-    def test_bound_holds_where_interpolation_error_dominates(self, rank):
-        u = np.random.default_rng(rank).uniform(-3.0, 3.0, size=301)
-        g = LearningKernel()
-        nodes, basis, _ = chebyshev_basis(u, rank)
-        factor = 1.0 + 2.0 * basis.T @ g(nodes[:, None] - nodes[None, :]) @ basis
-        observed = np.max(np.abs(factor - (1.0 + 2.0 * g(u[:, None] - u[None, :]))))
-        assert 1e-9 < observed <= learned_factor_bound(2.0, float(np.ptp(u)), rank)
+    @pytest.mark.parametrize("gamma", [0.5, 2.0])
+    @pytest.mark.parametrize("span_over_width", [0.3, 1.0, 2.0, 8.0])
+    def test_factor_within_bound_of_oracle(self, gamma, span_over_width):
+        u = np.random.default_rng(3).uniform(-0.5, 0.5, size=301) * span_over_width * 0.7
+        model = ModelSpec(exponential_kernel(), FiringRate("sigmoid"),
+                          LearningKernel("gaussian", {"width": 0.7}), gamma=gamma)
+        learned = build_learned_kernel(u, model, Grid(bounds=[(0.0, 1.0)], npts=[301]))
+        factor, middle, bound = learned_factor(learned)
+        observed = np.max(np.abs((factor * middle) @ factor.T - dense_g(learned)))
+        assert observed <= bound + 1e-14 * (1.0 + gamma)
+        assert bound <= gamma * 5e-14
 
     def test_flat_field_is_the_exact_constant(self):
         learned, quad, rank = learned_on(0.0, 0.8)
         factor, middle, bound = learned_factor(learned, N_EIGS)
-        assert bound == 0.0 and middle[0, 0] == 1.8 and not middle[1:].any()
+        assert bound == 0.0 and middle[0] == 1.8 and not middle[1:].any()
+        assert factor.shape == (learned.source.size, N_EIGS) and not factor[:, 1:].any()
         eig = mercer_decompose(learned, quad, n_eigs=N_EIGS)
         assert eig.values[0] == pytest.approx(1.8 * 10.0, rel=1e-14)
         assert np.all(eig.values[1:] == 0.0)
 
     def test_rank_near_n_and_n_eigs_above_n(self):
-        # degree 56 on 61 nodes splits from the factor like any other grid
+        # 37 terms on 61 nodes split from the factor like any other grid
         grid = Grid(bounds=[(-5.0, 5.0)], npts=[61])
         quad = make_quadrature(grid)
         coarse = build_learned_kernel(np.linspace(-4.0, 4.0, 61), make_model(gamma=1.0), grid)
         oracle = mercer_eigenvalues(dense_g(coarse), quad.weights)
         eig = mercer_decompose(coarse, quad)
-        assert eig.values.shape == (58,)
-        assert 0.0 < eig.error_bound and np.max(np.abs(eig.values - oracle[:58])) <= eig.error_bound
-        # n_eigs above n asks for no more columns than G has
+        assert eig.values.shape == (38,)
+        assert 0.0 < eig.error_bound and np.max(np.abs(eig.values - oracle[:38])) <= eig.error_bound
+        # zero columns pad the factor to n_eigs, and no n_eigs asks for more than G has
         assert learned_factor(coarse, n_eigs=100)[0].shape == (61, 61)
         wide = mercer_decompose(coarse, quad, n_eigs=100)
         assert np.max(np.abs(wide.values - oracle)) <= wide.error_bound
@@ -284,18 +261,17 @@ class TestFactorSplit:
         allowance = 1e-13 * oracle[0]
         assert np.max(np.abs(written - oracle)) <= manifest["mercer"]["eig_error_bound"] + allowance
 
-    @pytest.mark.parametrize("sign", ["plus", "minus"])
-    def test_build_and_split_form_no_n_by_n_array(self, sign):
+    @pytest.mark.parametrize("state", ["bump", "flat"])
+    def test_build_and_split_form_no_n_by_n_array(self, state):
         import tracemalloc
 
         n = 901
         grid = Grid(bounds=[(-10.0, 10.0)], npts=[n])
-        # the minus modulation of a non-flat state is indefinite, so it splits a flat one
-        u = 0.5 * np.exp(-grid.points[:, 0] ** 2 / 4.0) if sign == "plus" else np.full(n, 0.3)
+        u = 0.5 * np.exp(-grid.points[:, 0] ** 2 / 4.0) if state == "bump" else np.full(n, 0.3)
         quad = make_quadrature(grid)
         tracemalloc.start()
         try:
-            learned = build_learned_kernel(u, make_model(gamma=0.5), grid, sign=sign)
+            learned = build_learned_kernel(u, make_model(gamma=0.5), grid)
             eig = mercer_decompose(learned, quad, n_eigs=12)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -435,8 +411,7 @@ class TestSchrodingerFD:
     def test_eigenfunctions_orthonormal(self):
         grid = Grid(bounds=[(-20.0, 20.0)], npts=[801])
         eig = schrodinger_fd(square_well(grid.axis_nodes[0], 1.0, 6.0), grid, n_states=2)
-        gram = eig.gram()
-        assert np.max(np.abs(gram - np.eye(2))) < 1e-10
+        assert np.max(np.abs(gram(eig) - np.eye(2))) < 1e-10
 
     def test_box_too_small(self):
         grid = Grid(bounds=[(-2.0, 2.0)], npts=[201])
@@ -490,7 +465,7 @@ class TestTridiagonalSolver:
         # one state more than asked, for the gap above the last one
         values, vectors, norm = fd_schrodinger_eigenpairs(v, dx, min(k + 1, n - 2))
         assert np.max(np.abs(eig.values - values[:k])) <= 1e-12 * norm
-        assert np.max(np.abs(eig.gram() - np.eye(k))) <= 1e-10
+        assert np.max(np.abs(gram(eig) - np.eye(k))) <= 1e-10
         unit = eig.functions[1:-1] * math.sqrt(dx)
         eps = np.finfo(float).eps
         for j in range(k):
@@ -521,7 +496,7 @@ class TestTridiagonalSolver:
         values, _, norm = fd_schrodinger_eigenpairs(v, grid.spacing[0], 4)
         assert values[1] - values[0] < np.finfo(float).eps * norm
         assert np.max(np.abs(eig.values - values)) <= 1e-12 * norm
-        assert np.max(np.abs(eig.gram() - np.eye(4))) <= 1e-10
+        assert np.max(np.abs(gram(eig) - np.eye(4))) <= 1e-10
 
     @given(n=st.integers(3, 200), kind=st.sampled_from(["rough", "smooth", "shallow"]),
            seed=st.integers(0, 2 ** 32 - 1))

@@ -19,10 +19,10 @@ from neuralfield import (
     make_quadrature,
     max_segment_length,
 )
-from neuralfield.model import _analytic_l1_sup, estimate_lipschitz
+from neuralfield.model import _analytic_l1_sup
 
 from conftest import exponential_kernel
-from oracles import dense_operator, kernel_table
+from oracles import dense_operator, estimate_lipschitz, kernel_table
 
 
 SQRT_2_OVER_E = math.sqrt(2.0 / math.e)

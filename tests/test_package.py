@@ -72,8 +72,7 @@ def test_commands_run_without_loading_numpy_random(tmp_path):
 
 
 # Oracles that acceptance tests read; no command needs them.
-TEST_ORACLES = {"reconstruct_kernel", "greens_identity_check", "gram", "j_error_bound",
-                "estimate_lipschitz"}
+TEST_ORACLES = {"j_error_bound"}
 
 
 def test_every_definition_is_referenced_outside_init():
@@ -134,11 +133,10 @@ def test_operator_is_built_only_in_cli_run():
     assert _callers("build_operator") == [("cli.py", "run")]
 
 
-# Defaults that no package call sets, on purpose: the oracles' resolution
-# knobs, the test seam of parse_config, main's argv, and the command options
-# that reach cmd_* through run's **options.
+# Defaults that no package call sets, on purpose: the test seam of
+# parse_config, main's argv, and the command options that reach cmd_*
+# through run's **options.
 DEFAULTS_SET_OUTSIDE_CALLS = {
-    "estimate_lipschitz.n", "greens_identity_check.test_values", "reconstruct_kernel.rank",
     "parse_config.environ", "main.argv", "cmd_stationary.method", "cmd_schrodinger.well",
     "cmd_schrodinger.lam",
 }
