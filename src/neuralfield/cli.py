@@ -187,8 +187,12 @@ def cmd_gainfield(cfg: RunConfig, out_dir, op, constants):
     report = schrodinger_cross_check(lam, section["half_width"], cross_grid, cross_quad)
     write_json(Path(out_dir) / "crosscheck.json", report.to_json())
 
-    # exploratory only: frozen-gain run against the plastic run (the ordering
-    # claim between them is unproved, so nothing here is asserted)
+    # exploratory: frozen-gain run against the plastic run.  For w >= 0 and a
+    # nondecreasing f >= 0, J(u) <= (1 + gamma) W f(u) and the gained
+    # exp-euler map is monotone, so by induction plastic <= gained at every
+    # step when phi_pre >= 1 + gamma, i.e. K_pre >= 1 (phi_pre is K_pre
+    # (1 + gamma) up to the split's rounding, recorded under "mercer");
+    # reported, not asserted
     probe_cfg = SolverConfig(method="exp-euler", dt=0.1, t_end=5.0)
     plastic = solve_global(cfg.model, op, u0, probe_cfg, constants)
     gained = simulate_gainfield(op, phi_pre, cfg.model.firing, u0, probe_cfg)
@@ -201,7 +205,9 @@ def cmd_gainfield(cfg: RunConfig, out_dir, op, constants):
     return {
         "stationary_residual": stationary.residual_sup,
         "stationary_iterations": stationary.iterations,
-        "mercer": {"rank": len(eig.values), "eig_error_bound": eig.error_bound},
+        "mercer": {"rank": len(eig.values), "eig_error_bound": eig.error_bound,
+                   "phi_pre_min": float(phi_pre.min()), "phi_pre_max": float(phi_pre.max()),
+                   "k_pre_times_one_plus_gamma": section["k_pre"] * (1.0 + cfg.model.gamma)},
         "crosscheck": report.to_json(),
         "exploratory": exploratory,
     }

@@ -6,18 +6,22 @@ W[i, j] = w(x_i, x_j) * q_j.  On the uniform grid an isotropic kernel
 depends only on the node lag, so W @ v is a convolution computed by FFT:
 Toeplitz (zero-padded) on compact axes, circulant on periodic axes, block
 Toeplitz or block circulant in 2-D.  Only tabulated kernels have a dense
-matrix.
+matrix.  How W is stored is private to :class:`DiscreteOperator` and
+:func:`build_operator`; everything else applies it through ``apply``.
 
 The state-dependent plasticity factor [1 + gamma * g(u_i - u_j)] is applied
 at evaluation time and never baked into W, so one operator serves every
-gamma.  On convolution operators the gaussian g takes its pivoted-Cholesky
-(Newton-basis) factor g(a - b) ~ sum_k N_k(a) N_k(b), tabulated once per
-span bucket at first use and stopped where the power function is below
-1e-14, so J costs r + 1 convolutions at the gaussian's numerical rank r;
-tabulated kernels evaluate the dense formula.
+gamma.  The gaussian g takes its pivoted-Cholesky (Newton-basis) factor
+g(a - b) ~ sum_k N_k(a) N_k(b), tabulated once per span bucket at first use
+and stopped where the power function is below 1e-14, so J costs r + 1
+operator products at the gaussian's numerical rank r, on every operator;
+gamma = 0 is the only bypass.
 
-Results are deterministic: FFTs and numpy reductions use a fixed order
-that does not depend on the thread count.
+Results are bit-reproducible at a fixed BLAS thread count: FFTs and numpy
+reductions use a fixed order, and the dense products of tabulated kernels
+are BLAS-free ``einsum`` loops.  The basis product L^-1 g(s - X) of J is a
+BLAS matmul, whose rounding can change with the thread count once r^2 n is
+large (r = 37 on 61 x 61 nodes).
 """
 
 from __future__ import annotations
@@ -314,7 +318,7 @@ class DiscreteOperator:
     def apply(self, v: np.ndarray) -> np.ndarray:
         """W @ v over the last axis of v; leading axes are a batch."""
         if self.spectrum is None:
-            return v @ self.matrix.T
+            return np.einsum("ij,...j->...i", self.matrix, v)
         return convolve(self.spectrum, self.grid, self._weighted(v))
 
     @cached_property
@@ -324,7 +328,7 @@ class DiscreteOperator:
     def abs_apply(self, v: np.ndarray) -> np.ndarray:
         """|W| @ |v| over the last axis of v."""
         if self.spectrum is None:
-            return np.abs(v) @ np.abs(self.matrix).T
+            return np.einsum("ij,...j->...i", np.abs(self.matrix), np.abs(v))
         return convolve(self._abs_spectrum, self.grid, np.abs(self._weighted(v)))
 
     def scaled_by_gain(self, gain: np.ndarray) -> "DiscreteOperator":
@@ -350,11 +354,9 @@ def build_operator(kernel: SynapticKernel, grid: Grid, quad: Quadrature) -> Disc
 
 
 PLASTICITY_TOL = 1e-14
-# Spans below this fraction of the learning width give g = 1 to within
-# (span / width)^2 <= 1e-16, so the factor is the constant 1 + gamma.
-FLAT_SPAN = 1e-8
 # One factor per bucket of half-spans 2^(k/4) learning widths, k >= -32,
-# tabulated at its first use.
+# tabulated at its first use; narrower fields, flat ones included, take
+# bucket -32.
 _FACTORS: dict = {}
 
 
@@ -465,13 +467,10 @@ def _tabulate(half_span: float) -> RangeFactor:
     return RangeFactor(half_span=half_span, pivots=samples[picks], inverse=np.linalg.inv(lower))
 
 
-def range_factor(values: np.ndarray, width: float) -> RangeFactor | None:
-    """The factor of the smallest bucket whose half-span covers ``values``,
-    or None, the constant g = 1, when they span at most FLAT_SPAN widths."""
+def range_factor(values: np.ndarray, width: float) -> RangeFactor:
+    """The factor of the smallest bucket whose half-span covers ``values``."""
     half_span = 0.5 * float(values.max() - values.min()) / width
-    if 2.0 * half_span <= FLAT_SPAN:
-        return None
-    bucket = max(-32, math.floor(4.0 * math.log2(half_span)))
+    bucket = math.floor(4.0 * math.log2(max(half_span, 2.0 ** -8)))
     while 2.0 ** (bucket / 4) < half_span:
         bucket += 1
     factor = _FACTORS.get(bucket)
@@ -480,56 +479,33 @@ def range_factor(values: np.ndarray, width: float) -> RangeFactor | None:
     return factor
 
 
-def range_error(values: np.ndarray, width: float) -> float:
-    """Bound on |g(u_i - u_j) - the factor's value| over every pair of
-    ``values``: the :attr:`RangeFactor.power_bound` of their factor, or
-    (span / width)^2 >= 1 - g where the constant 1 stands in for g."""
-    factor = range_factor(values, width)
-    if factor is None:
-        return (float(values.max() - values.min()) / width) ** 2
-    return factor.power_bound
-
-
 def j_error_bound(model: ModelSpec, op: DiscreteOperator, values: np.ndarray) -> float:
     """A-priori bound on |J(u) - J_exact(u)| from the plasticity factor.
 
-    gamma * e * max_i sum_j |W[i,j] f(u_j)|, with e the :func:`range_error`
-    of u; rounding is not included.  Zero where J is evaluated exactly.
+    gamma * P-bar * max_i sum_j |W[i,j] f(u_j)|, with P-bar the
+    :attr:`RangeFactor.power_bound` of u's factor; rounding is not
+    included.  Zero at gamma = 0, where J is W f.
     """
-    if op.spectrum is None or model.gamma == 0.0:
+    if model.gamma == 0.0:
         return 0.0
     scale = float(np.max(op.abs_apply(model.firing(values))))
-    return model.gamma * range_error(values, model.learning.params["width"]) * scale
-
-
-def dense_apply_j(model: ModelSpec, op: DiscreteOperator, values: np.ndarray) -> np.ndarray:
-    """The exact formula sum_j W[i,j] * (1 + gamma*g(u_i - u_j)) * f(u_j) on
-    the dense matrix of a tabulated kernel."""
-    rates = model.firing(values)
-    weighted = op.matrix * rates[None, :]
-    if model.gamma != 0.0:
-        diff = values[:, None] - values[None, :]
-        weighted = weighted * (1.0 + model.gamma * model.learning(diff))
-    return weighted.sum(axis=1)
+    return model.gamma * range_factor(values, model.learning.params["width"]).power_bound * scale
 
 
 def apply_j_values(model: ModelSpec, op: DiscreteOperator, values: np.ndarray) -> np.ndarray:
     """Nonlinear input term: sum_j W[i,j] * (1 + gamma*g(u_i - u_j)) * f(u_j).
 
-    Tabulated kernels take the dense formula.  Convolution operators take
     J = W f + gamma * sum_k N_k(u) * W(N_k(u) f) with the :class:`RangeFactor`
-    of u, the r + 1 products in one batched FFT, or (1 + gamma) W f when
-    gamma = 0 or the field is flat.
+    of u, the r + 1 products in one batched ``op.apply`` (FFT or dense), on
+    every operator; gamma = 0 gives W f.
     """
     if values.shape != (op.grid.n_total,):
         raise ValueError(f"state has {values.shape} values, grid has {op.grid.n_total} nodes")
-    if op.spectrum is None:
-        return dense_apply_j(model, op, values)
     rates = model.firing(values)
+    if model.gamma == 0.0:
+        return op.apply(rates)
     width = model.learning.params["width"]
-    factor = None if model.gamma == 0.0 else range_factor(values, width)
-    if factor is None:
-        return (1.0 + model.gamma) * op.apply(rates)
+    factor = range_factor(values, width)
     basis = factor.basis(values, width)
     columns = _workspace("columns", (factor.rank + 1, values.shape[0]))
     columns[0] = rates

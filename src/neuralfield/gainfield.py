@@ -5,13 +5,14 @@ factor freezes into the symmetric kernel G(x, y) = 1 + gamma * g(u_inf(x) -
 u_inf(y)), kept as that state and never as an n x n array.  G is positive
 semidefinite (a constant kernel plus a gaussian kernel composed with the
 feature map x -> u_inf(x)), so it splits into quadrature-orthonormal
-eigenfunctions.  The split is taken on every grid from the factor J uses:
-G ~ F M F^T with F = [1, N], N the Newton basis of u_inf's
-:class:`~.discretization.RangeFactor`, and M = diag(1, gamma I), PSD by
-construction; then a thin QR in O(n r^2).  Its residual check reads G r + 1
-rows at a time.  The diagonal part of the split is the pre-synaptic gain
-field, an array of phi_pre(y) = K_pre * sum_i sigma_i phi_i(y)^2 that the
-gain-field probe takes.
+eigenfunctions.  The split is taken on every grid and every state, flat
+ones included, from the factor J uses: G ~ F M F^T with F = [1, N], N the
+Newton basis of u_inf's :class:`~.discretization.RangeFactor`, and
+M = diag(1, gamma I), PSD by construction (gamma = 0 leaves F = [1]); then
+a thin QR in O(n r^2).  Its residual check reads G r + 1 rows at a time.
+The diagonal part of the split is the pre-synaptic gain field, an array of
+phi_pre(y) = K_pre * sum_i sigma_i phi_i(y)^2 that the gain-field probe
+takes.
 
 For gain fields of the form (k^2 - V)/lambda together with the exponential
 kernel exp(-lambda |x - y|) / (2 lambda), the stationary equation is
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretization import (DiscreteOperator, FieldState, Grid, Quadrature, convolve, kernel_spectrum,
-                             range_error, range_factor)
+                             range_factor)
 from .errors import BoxTooSmallError, NoBoundStateError, NotPSDError
 from .model import FiringRate, LearningKernel, ModelSpec
 from .solver import SolverConfig, Trajectory, solve_global
@@ -56,9 +57,8 @@ class LearnedKernel:
 class EigenSystem:
     """Eigenpairs orthonormal under the quadrature inner product."""
 
-    values: np.ndarray       # eigenvalues; descending for kernel splits,
-    functions: np.ndarray    # ascending for Schrodinger operators
-    weights: np.ndarray      # (n, k) columns are eigenfunctions on the grid
+    values: np.ndarray       # descending for kernel splits, ascending for Schrodinger
+    functions: np.ndarray    # (n, k) columns are eigenfunctions on the grid
     error_bound: float = 0.0  # a-priori bound on |sigma_i - sigma_i(G)| of a factor split
 
 
@@ -86,8 +86,8 @@ def learned_factor(kernel: LearnedKernel, n_eigs: int = 0) -> tuple:
 
     F = [1, N] with N the (n, r) Newton basis of the source's
     :func:`~.discretization.range_factor` and M = diag(1, gamma I); gamma = 0
-    or a flat field gives F = [1], M = (1 + gamma).  The bound is gamma
-    times the :func:`~.discretization.range_error`.  F takes zero columns
+    gives F = [1], M = (1).  The bound is gamma times the factor's
+    :attr:`~.discretization.RangeFactor.power_bound`.  F takes zero columns
     (and M zeros) up to min(n_eigs, n) columns, so the split returns at
     least that many pairs.
     """
@@ -95,14 +95,14 @@ def learned_factor(kernel: LearnedKernel, n_eigs: int = 0) -> tuple:
     width = kernel.learning.params["width"]
     factor = None if kernel.coupling == 0.0 else range_factor(values, width)
     rank = 0 if factor is None else factor.rank
+    bound = 0.0 if factor is None else kernel.coupling * factor.power_bound
     columns = np.zeros((values.shape[0], max(rank + 1, min(n_eigs, values.shape[0]))))
     columns[:, 0] = 1.0
     middle = np.zeros(columns.shape[1])
-    middle[0] = 1.0 if rank else 1.0 + kernel.coupling
+    middle[0] = 1.0
     if rank:
         columns[:, 1:rank + 1] = factor.basis(values, width).T
         middle[1:rank + 1] = kernel.coupling
-    bound = 0.0 if kernel.coupling == 0.0 else kernel.coupling * range_error(values, width)
     return columns, middle, bound
 
 
@@ -160,7 +160,7 @@ def mercer_decompose(kernel: LearnedKernel, quad: Quadrature, n_eigs: int = 0) -
             f"eigendecomposition residual {residual:.3g} exceeds {MERCER_TOL:.1g} * ||G||",
             min_eigenvalue=bottom,
         )
-    return EigenSystem(values=eigenvalues, functions=functions, weights=quad.weights.copy(),
+    return EigenSystem(values=eigenvalues, functions=functions,
                        error_bound=bound * float(quad.weights.sum()))
 
 
@@ -353,10 +353,7 @@ def schrodinger_fd(potential: np.ndarray, grid: Grid, n_states: int = 1) -> Eige
     for j, energy in enumerate(eigenvalues):
         vectors[:, j] = hamiltonian.eigenvector(energy, vectors[:, :j])
     _check_decay(vectors[:, 0], potential)
-    weights = np.full(len(nodes), dx)
-    weights[0] = weights[-1] = dx / 2.0
-    return EigenSystem(values=np.array(eigenvalues), functions=_on_grid(vectors, dx),
-                       weights=weights)
+    return EigenSystem(values=np.array(eigenvalues), functions=_on_grid(vectors, dx))
 
 
 @dataclass(frozen=True)

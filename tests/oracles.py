@@ -202,9 +202,9 @@ def estimate_lipschitz(fn, lo, hi, n=4001):
     return float(np.max(np.abs(np.diff(v)) / np.diff(s)))
 
 
-def gram(eig):
-    """<phi_i, phi_j> under the quadrature weights of an eigensystem."""
-    return eig.functions.T @ (eig.weights[:, None] * eig.functions)
+def gram(eig, weights):
+    """<phi_i, phi_j> of an eigensystem's functions under quadrature ``weights``."""
+    return eig.functions.T @ (weights[:, None] * eig.functions)
 
 
 def reconstruct_kernel(eig, rank=None):

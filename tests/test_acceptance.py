@@ -230,7 +230,7 @@ def test_09_mercer(grid_201, quad_201, op_201, bump_201):
         fp = find_stationary_fp(model, op_201, bump_201, constants_of(model, op_201), tol=1e-10)
         learned = build_learned_kernel(fp.u_inf, model, grid_201)
         eig = mercer_decompose(learned, quad_201)
-        products = gram(eig)
+        products = gram(eig, quad_201.weights)
         assert np.max(np.abs(products - np.eye(products.shape[0]))) < 1e-10
         matrix = learned_matrix(fp.u_inf, 0.5, model.learning.params["width"])
         assert np.max(np.abs(reconstruct_kernel(eig) - matrix)) < 1e-8

@@ -306,6 +306,10 @@ class TestIO:
                 pass
 
 
+MERCER_KEYS = {"rank", "eig_error_bound", "phi_pre_min", "phi_pre_max",
+               "k_pre_times_one_plus_gamma"}
+
+
 def small_sim_doc(t_end=2.0):
     return {
         "grid": {"nodes": [101]},
@@ -397,7 +401,7 @@ class TestRun:
             )
             assert result.returncode == 0, result.stderr
             manifest = json.loads((out / "manifest.json").read_text())
-            assert set(manifest["mercer"]) == {"rank", "eig_error_bound"}
+            assert set(manifest["mercer"]) == MERCER_KEYS
             sums.append({name: manifest["checksums"][name] for name in ("eigs.csv", "phi_pre.csv")})
         assert sums[0] == sums[1] == sums[2]
 
@@ -423,6 +427,32 @@ class TestRun:
             manifest = json.loads((out / "manifest.json").read_text())
             assert manifest["constants"]["method"] == "row-sum"
             sums.append(manifest["checksums"])
+        assert sums[0] == sums[1] == sums[2]
+
+    def test_tabulated_checksums_independent_of_blas_threads_and_reruns(self, tmp_path):
+        # J's r + 1 dense products go through einsum: a GEMM (v @ W.T) here
+        # rounds differently at 1 and 2 BLAS threads on this size
+        n = 401
+        x = np.linspace(-10.0, 10.0, n)
+        table = np.exp(-np.abs(np.subtract.outer(x, x))) * np.random.default_rng(7).uniform(
+            0.5, 1.5, size=(n, n))
+        doc = {"grid": {"nodes": [n]},
+               "model": {"kernel": {"kind": "tabulated",
+                                    "params": {"matrix": table.tolist(), "nodes": x.tolist()}},
+                         "gamma": 1.0},
+               "solver": {"dt": 0.1, "t_end": 2.0}}
+        path = write_config(tmp_path, doc)
+        sums = []
+        for run_name, threads in (("a", "1"), ("b", "2"), ("c", "1")):
+            out = tmp_path / f"blas-{run_name}"
+            result = subprocess.run(
+                [sys.executable, "-m", "neuralfield.cli", "simulate",
+                 "--config", path, "--out", str(out)],
+                capture_output=True, text=True,
+                env={**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads},
+            )
+            assert result.returncode == 0, result.stderr
+            sums.append(json.loads((out / "manifest.json").read_text())["checksums"])
         assert sums[0] == sums[1] == sums[2]
 
     @pytest.mark.parametrize("command, doc", [

@@ -23,7 +23,6 @@ from neuralfield.discretization import (
     apply_f_values,
     apply_j_values,
     convolve,
-    dense_apply_j,
     j_error_bound,
     kernel_spectrum,
     range_factor,
@@ -273,9 +272,19 @@ def small_grid(kind, sizes, half_length):
     return grid, make_quadrature(grid, rule)
 
 
-def any_model(kernel_kind, firing_kind, gamma, width):
-    kernel = (exponential_kernel(amplitude=0.7, decay=0.8) if kernel_kind == "exponential"
-              else SynapticKernel("mexican-hat", {"scale": 1.5}))
+KERNEL_KINDS = ["exponential", "mexican-hat", "tabulated"]
+
+
+def any_model(kernel_kind, firing_kind, gamma, width, grid, seed=0):
+    """Tabulated kernels are a signed asymmetric random matrix on ``grid``."""
+    if kernel_kind == "tabulated":
+        n = grid.n_total
+        table = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(n, n))
+        kernel = SynapticKernel("tabulated", {"matrix": table, "nodes": grid.points})
+    elif kernel_kind == "exponential":
+        kernel = exponential_kernel(amplitude=0.7, decay=0.8)
+    else:
+        kernel = SynapticKernel("mexican-hat", {"scale": 1.5})
     mode = "gain-field" if firing_kind == "linear" else "well-posed"
     return ModelSpec(kernel, FiringRate(firing_kind), LearningKernel("gaussian", {"width": width}),
                      gamma=gamma, mode=mode)
@@ -288,9 +297,8 @@ def random_field(n, seed, span, width, on_nodes):
     u = 0.3 + span * rng.uniform(size=n)
     if span > 0:
         u[rng.permutation(n)[:2]] = 0.3, 0.3 + span
-    factor = range_factor(u, width)
-    if on_nodes and factor is not None:
-        nodes = 0.3 + 0.5 * span + width * factor.pivots
+    if on_nodes:
+        nodes = 0.3 + 0.5 * span + width * range_factor(u, width).pivots
         nodes = nodes[(nodes >= 0.3) & (nodes <= 0.3 + span)]
         picks = rng.permutation(n)[: min(n, nodes.size)]
         u[picks] = nodes[: picks.size]
@@ -307,7 +315,7 @@ fast_j_cases = dict(
     kind=st.sampled_from(GRID_KINDS),
     sizes=st.lists(st.integers(3, 120), min_size=2, max_size=2),
     half_length=st.floats(1.0, 10.0),
-    kernel_kind=st.sampled_from(["exponential", "mexican-hat"]),
+    kernel_kind=st.sampled_from(KERNEL_KINDS),
     firing_kind=st.sampled_from(FIRING_KINDS),
     gamma=st.floats(0.0, 4.0),
     width=st.floats(0.25, 4.0),
@@ -321,7 +329,7 @@ class TestFastJ:
     # every kernel x firing kind x grid kind, the rest drawn
     @pytest.mark.parametrize("kind", GRID_KINDS)
     @pytest.mark.parametrize("firing_kind", FIRING_KINDS)
-    @pytest.mark.parametrize("kernel_kind", ["exponential", "mexican-hat"])
+    @pytest.mark.parametrize("kernel_kind", KERNEL_KINDS)
     @given(**{name: case for name, case in fast_j_cases.items()
               if name not in ("kind", "kernel_kind", "firing_kind")})
     @settings(max_examples=12, deadline=None)
@@ -329,7 +337,7 @@ class TestFastJ:
                                                 firing_kind, gamma, width, span_over_width,
                                                 on_nodes, seed):
         grid, quad = small_grid(kind, sizes, half_length)
-        model = any_model(kernel_kind, firing_kind, gamma, width)
+        model = any_model(kernel_kind, firing_kind, gamma, width, grid, seed)
         op = build_operator(model.kernel, grid, quad)
         u = random_field(grid.n_total, seed, span_over_width * width, width, on_nodes)
         dense = dense_j(model, dense_operator(op), u)
@@ -345,7 +353,7 @@ class TestFastJ:
         # the oracle measures plain distances, so it covers compact grids only
         grid, quad = small_grid(kind, [k % 23 + 3 if kind[0] == 1 else k % 4 for k in sizes],
                                 half_length)
-        model = any_model(kernel_kind, firing_kind, gamma, width)
+        model = any_model(kernel_kind, firing_kind, gamma, width, grid, seed)
         op = build_operator(model.kernel, grid, quad)
         u = random_field(grid.n_total, seed, span_over_width * width, width, on_nodes)
         expected = brute_force_apply_j(model, grid, quad, u)
@@ -354,12 +362,12 @@ class TestFastJ:
             <= bound + rounding_allowance(model, op, u)
 
     @given(kind=st.sampled_from(GRID_KINDS), sizes=st.lists(st.integers(3, 40), min_size=2, max_size=2),
-           kernel_kind=st.sampled_from(["exponential", "mexican-hat"]),
+           kernel_kind=st.sampled_from(KERNEL_KINDS),
            gained=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=100, deadline=None)
     def test_operator_product_matches_matrix(self, kind, sizes, kernel_kind, gained, seed):
         grid, quad = small_grid(kind, sizes, 5.0)
-        model = any_model(kernel_kind, "sigmoid", 0.0, 1.0)
+        model = any_model(kernel_kind, "sigmoid", 0.0, 1.0, grid, seed)
         op = build_operator(model.kernel, grid, quad)
         rng = np.random.default_rng(seed)
         if gained:
@@ -394,10 +402,17 @@ class TestFastJ:
         assert j_error_bound(model, op_201, u) == 0.0
         assert np.array_equal(apply_j_values(model, op_201, u), op_201.apply(model.firing(u)))
 
-    def test_constant_field_is_one_plus_gamma_times_product(self, op_201):
+    def test_constant_field_takes_the_smallest_bucket_within_bound(self, op_201):
+        # a flat field is no special case: g = 1 on every pair, and J is
+        # within its bound of (1 + gamma) W f
         model = make_model(gamma=0.6)
         u = np.full(201, 0.4)
-        assert np.array_equal(apply_j_values(model, op_201, u), 1.6 * op_201.apply(model.firing(u)))
+        assert range_factor(u, 1.0).half_span == 2.0 ** -8
+        dense = dense_j(model, dense_operator(op_201), u)
+        bound = j_error_bound(model, op_201, u)
+        assert 0.0 < bound < 1e-13
+        assert np.max(np.abs(apply_j_values(model, op_201, u) - dense)) \
+            <= bound + rounding_allowance(model, op_201, u)
 
     def test_rank_near_n_stays_on_the_factor_path(self):
         # 37 terms on 61 nodes: no grid size sends an isotropic kernel to a dense formula
@@ -411,14 +426,19 @@ class TestFastJ:
         assert np.max(np.abs(apply_j_values(model, op, u) - expected)) \
             <= j_error_bound(model, op, u) + rounding_allowance(model, op, u)
 
-    def test_tabulated_kernel_takes_dense_formula(self):
+    def test_tabulated_kernel_takes_the_factor_within_bound(self):
         grid = Grid(bounds=[(0.0, 1.0)], npts=[41])
+        quad = make_quadrature(grid)
         kern = SynapticKernel("tabulated", {"matrix": np.full((41, 41), 0.3), "nodes": grid.points})
         model = ModelSpec(kern, FiringRate("sigmoid"), LearningKernel(), gamma=0.5)
-        op = build_operator(kern, grid, make_quadrature(grid))
+        op = build_operator(kern, grid, quad)
         u = np.sin(grid.points[:, 0])
-        assert op.spectrum is None and j_error_bound(model, op, u) == 0.0
-        assert np.array_equal(apply_j_values(model, op, u), dense_apply_j(model, op, u))
+        bound = j_error_bound(model, op, u)
+        assert op.spectrum is None and 0.0 < bound < 1e-13
+        got = apply_j_values(model, op, u)
+        for expected in (dense_j(model, dense_operator(op), u),
+                         brute_force_apply_j(model, grid, quad, u)):
+            assert np.max(np.abs(got - expected)) <= bound + rounding_allowance(model, op, u)
 
     def test_no_dense_matrix_for_isotropic_kernels(self):
         import tracemalloc
@@ -486,7 +506,10 @@ class TestRangeFactor:
         wide = range_factor(np.array([0.0, 3.0]), 1.0)
         assert range_factor(np.array([10.0, 12.9]), 1.0) is wide
         assert range_factor(np.array([0.0, 2.5]), 1.0) is not wide
-        assert range_factor(np.array([0.0, 0.5e-8]), 1.0) is None
+        # flat and nearly flat fields share the smallest bucket, 2^-8 widths
+        narrow = range_factor(np.array([0.0, 0.5e-8]), 1.0)
+        assert range_factor(np.full(5, 0.7), 1.0) is narrow
+        assert narrow.half_span == 2.0 ** -8 and narrow.rank == 3
 
     def test_import_tabulates_no_bucket(self):
         import subprocess
@@ -503,7 +526,7 @@ class TestRangeFactor:
         # the leading terms of a factor are a factor of their own (L^-1 of a
         # leading block is the leading block of L^-1), with their own P-bar
         grid = Grid(bounds=[(-10.0, 10.0)], npts=[301])
-        model = any_model(kernel_kind, "sigmoid", 2.0, 1.0)
+        model = any_model(kernel_kind, "sigmoid", 2.0, 1.0, grid)
         op = build_operator(model.kernel, grid, make_quadrature(grid))
         u = np.random.default_rng(terms).uniform(-3.0, 3.0, size=301)
         full = range_factor(u, 1.0)

@@ -103,7 +103,7 @@ class TestMercer:
     def test_orthonormal_under_quadrature(self, grid_201, quad_201, stationary_state):
         model, u_inf = stationary_state
         eig = mercer_decompose(build_learned_kernel(u_inf, model, grid_201), quad_201)
-        products = gram(eig)
+        products = gram(eig, quad_201.weights)
         assert np.max(np.abs(products - np.eye(products.shape[0]))) < 1e-10
 
     def test_reconstruction_improves_with_rank(self, grid_201, quad_201, stationary_state):
@@ -153,17 +153,15 @@ def learned_on(span_over_width, gamma, boundary="compact", rule="trapezoid", wid
     span = span_over_width * width
     ends = np.array([0.3, 0.3 + span])
     factor = range_factor(ends, width)
-    rank = 0 if factor is None else factor.rank
-    grid = Grid(bounds=[(-5.0, 5.0)], npts=[4 * (rank + 2) + 1], boundary=boundary)
+    grid = Grid(bounds=[(-5.0, 5.0)], npts=[4 * (factor.rank + 2) + 1], boundary=boundary)
     u = 0.3 + span * (0.5 + 0.5 * np.sin(1.3 * grid.points[:, 0] + gamma))
     u[[0, 1]] = ends
-    if factor is not None:
-        nodes = 0.3 + 0.5 * span + width * factor.pivots
-        nodes = nodes[(nodes >= 0.3) & (nodes <= 0.3 + span)]
-        u[2:2 + nodes.size] = nodes
+    nodes = 0.3 + 0.5 * span + width * factor.pivots
+    nodes = nodes[(nodes >= 0.3) & (nodes <= 0.3 + span)]
+    u[2:2 + nodes.size] = nodes
     model = ModelSpec(exponential_kernel(), FiringRate("sigmoid"),
                       LearningKernel("gaussian", {"width": width}), gamma=gamma)
-    return build_learned_kernel(u, model, grid), make_quadrature(grid, rule), rank
+    return build_learned_kernel(u, model, grid), make_quadrature(grid, rule), factor.rank
 
 
 class TestFactorSplit:
@@ -183,7 +181,7 @@ class TestFactorSplit:
         # rounding of both eigensolvers, relative to the largest value
         allowance = 1e-13 * max(abs(oracle[0]), 1.0)
         assert np.max(np.abs(eig.values - oracle[:columns])) <= eig.error_bound + allowance
-        assert np.max(np.abs(gram(eig) - np.eye(columns))) <= 1e-12
+        assert np.max(np.abs(gram(eig, quad.weights) - np.eye(columns))) <= 1e-12
         kernel_bound = eig.error_bound / float(quad.weights.sum())
         recon = np.max(np.abs(reconstruct_kernel(eig) - dense_g(learned)))
         assert recon <= kernel_bound + 1e-13 * (1.0 + gamma)
@@ -202,14 +200,19 @@ class TestFactorSplit:
         assert observed <= bound + 1e-14 * (1.0 + gamma)
         assert bound <= gamma * 5e-14
 
-    def test_flat_field_is_the_exact_constant(self):
+    def test_flat_field_takes_the_smallest_bucket_within_bound(self):
+        # a flat state is no special case: it takes the factor of the
+        # smallest bucket, within the bound of G = 1 + gamma everywhere
         learned, quad, rank = learned_on(0.0, 0.8)
         factor, middle, bound = learned_factor(learned, N_EIGS)
-        assert bound == 0.0 and middle[0] == 1.8 and not middle[1:].any()
-        assert factor.shape == (learned.source.size, N_EIGS) and not factor[:, 1:].any()
+        assert rank == 3 and factor.shape == (learned.source.size, N_EIGS)
+        assert 0.0 < bound <= 0.8 * 5e-14
+        observed = np.max(np.abs((factor * middle) @ factor.T - dense_g(learned)))
+        assert observed <= bound + 1e-14 * 1.8
         eig = mercer_decompose(learned, quad, n_eigs=N_EIGS)
+        oracle = mercer_eigenvalues(dense_g(learned), quad.weights)
         assert eig.values[0] == pytest.approx(1.8 * 10.0, rel=1e-14)
-        assert np.all(eig.values[1:] == 0.0)
+        assert np.max(np.abs(eig.values - oracle[:N_EIGS])) <= eig.error_bound + 1e-13 * oracle[0]
 
     def test_rank_near_n_and_n_eigs_above_n(self):
         # 37 terms on 61 nodes split from the factor like any other grid
@@ -246,8 +249,16 @@ class TestFactorSplit:
         out = tmp_path / "gf"
         assert run("gainfield", cfg, out) == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        assert set(manifest["mercer"]) == {"rank", "eig_error_bound"}
+        mercer = manifest["mercer"]
+        assert set(mercer) == {"rank", "eig_error_bound", "phi_pre_min", "phi_pre_max",
+                               "k_pre_times_one_plus_gamma"}
         assert "manifest.json" not in manifest["checksums"]
+        # the spread of the written phi_pre, and the constant it sits at
+        phi_pre = [float(line.split(",")[-1])
+                   for line in (out / "phi_pre.csv").read_text().splitlines()[1:]]
+        assert (mercer["phi_pre_min"], mercer["phi_pre_max"]) == (min(phi_pre), max(phi_pre))
+        assert mercer["k_pre_times_one_plus_gamma"] == 2.0
+        assert mercer["phi_pre_max"] - mercer["phi_pre_min"] < 1e-12
         written = np.array([float(line.split(",")[1])
                             for line in (out / "eigs.csv").read_text().splitlines()[1:]])
         # LAPACK's dense eigh on the same stationary state
@@ -411,7 +422,7 @@ class TestSchrodingerFD:
     def test_eigenfunctions_orthonormal(self):
         grid = Grid(bounds=[(-20.0, 20.0)], npts=[801])
         eig = schrodinger_fd(square_well(grid.axis_nodes[0], 1.0, 6.0), grid, n_states=2)
-        assert np.max(np.abs(gram(eig) - np.eye(2))) < 1e-10
+        assert np.max(np.abs(gram(eig, make_quadrature(grid).weights) - np.eye(2))) < 1e-10
 
     def test_box_too_small(self):
         grid = Grid(bounds=[(-2.0, 2.0)], npts=[201])
@@ -442,8 +453,7 @@ def tridiagonal_eigenpairs(v, grid, n_states):
     vectors = np.zeros((v.size - 2, len(energies)))
     for j, energy in enumerate(energies):
         vectors[:, j] = hamiltonian.eigenvector(energy, vectors[:, :j])
-    return EigenSystem(values=np.array(energies), functions=_on_grid(vectors, dx),
-                       weights=np.full(v.size, dx))
+    return EigenSystem(values=np.array(energies), functions=_on_grid(vectors, dx))
 
 
 class TestTridiagonalSolver:
@@ -465,7 +475,7 @@ class TestTridiagonalSolver:
         # one state more than asked, for the gap above the last one
         values, vectors, norm = fd_schrodinger_eigenpairs(v, dx, min(k + 1, n - 2))
         assert np.max(np.abs(eig.values - values[:k])) <= 1e-12 * norm
-        assert np.max(np.abs(gram(eig) - np.eye(k))) <= 1e-10
+        assert np.max(np.abs(gram(eig, np.full(n, dx)) - np.eye(k))) <= 1e-10
         unit = eig.functions[1:-1] * math.sqrt(dx)
         eps = np.finfo(float).eps
         for j in range(k):
@@ -496,7 +506,7 @@ class TestTridiagonalSolver:
         values, _, norm = fd_schrodinger_eigenpairs(v, grid.spacing[0], 4)
         assert values[1] - values[0] < np.finfo(float).eps * norm
         assert np.max(np.abs(eig.values - values)) <= 1e-12 * norm
-        assert np.max(np.abs(gram(eig) - np.eye(4))) <= 1e-10
+        assert np.max(np.abs(gram(eig, make_quadrature(grid).weights) - np.eye(4))) <= 1e-10
 
     @given(n=st.integers(3, 200), kind=st.sampled_from(["rough", "smooth", "shallow"]),
            seed=st.integers(0, 2 ** 32 - 1))

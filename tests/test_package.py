@@ -133,6 +133,23 @@ def test_operator_is_built_only_in_cli_run():
     assert _callers("build_operator") == [("cli.py", "run")]
 
 
+def test_operator_storage_is_read_only_by_the_operator():
+    # W is the rule for a product: its spectrum or matrix is read only in
+    # DiscreteOperator's methods and build_operator, so J, its bound and the
+    # constants take one path for every kernel
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = {id(sub) for node in ast.walk(tree)
+                   if isinstance(node, ast.ClassDef) and node.name == "DiscreteOperator"
+                   or isinstance(node, ast.FunctionDef) and node.name == "build_operator"
+                   for sub in ast.walk(node)}
+        found += [f"{path.name}:{node.lineno} .{node.attr}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in ("spectrum", "matrix")
+                  and id(node) not in allowed]
+    assert found == []
+
+
 # Defaults that no package call sets, on purpose: the test seam of
 # parse_config, main's argv, and the command options that reach cmd_*
 # through run's **options.
