@@ -5,15 +5,18 @@ constants, validate.  ``run`` dispatches every command but validate from a
 name -> ``cmd_*`` table.  ``run`` builds the run's one discrete operator
 and computes the constants from it; each ``cmd_*`` takes the config, the
 output directory, the operator when it integrates the model, and the
-constants (schrodinger, which reads no model, gets neither), plus its own
-options.  Every run that writes artifacts owns its output directory
-exclusively, emits CSV series plus a manifest.json with the full config
-echo, the computed constants and contraction data (not for
-schrodinger), wall time, peak RSS, the run's minor page faults, and a
-checksum per emitted file.  The manifest is written even when the run
-fails, with an error section.  ``constants`` may run without an output
-directory; it then only prints.  Study rows run serially; ``--threads`` is
-accepted for compatibility and ignored.
+constants (schrodinger, which reads no model, gets neither), and reads its
+settings from ``cfg.document`` alone.  ``main`` sets the config keys of the
+flags ``--seed``, ``--method``, ``--well`` and ``--lambda`` over the file
+and the ``NF_`` overrides and walks the document again, so a flag error
+exits 2 before anything is written and the config echo is the run's.
+Every run that writes artifacts owns its output directory exclusively,
+emits CSV series plus a manifest.json with the full config echo, the
+computed constants and contraction data (not for schrodinger), wall time,
+peak RSS, the run's minor page faults, and a checksum per emitted file.
+The manifest is written even when the run fails, with an error section.
+``constants`` may run without an output directory; it then only prints.
+Study rows run serially; ``--threads`` is accepted and ignored.
 
 Exit codes: 0 success, 1 numerical failure (a NeuralFieldError or
 FloatingPointError), 2 config error.  Any other exception is a bug: it
@@ -34,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import RunConfig, build_config, check_section, initial_state, parse_config
+from .config import RunConfig, build_config, initial_state, parse_config
 from .discretization import Grid, build_operator, make_quadrature
 from .errors import NeuralFieldError, OutputLockedError, ParseError, SchemaError
 from .experiments import (
@@ -144,11 +147,10 @@ def cmd_simulate(cfg: RunConfig, out_dir, op, constants):
     }
 
 
-def cmd_stationary(cfg: RunConfig, out_dir, op, constants, method=None):
+def cmd_stationary(cfg: RunConfig, out_dir, op, constants):
     u0 = initial_state(cfg)
     section = cfg.document["stationary"]
-    method = method or section["method"]
-    if method == "fp":
+    if section["method"] == "fp":
         result = _fixed_point(cfg, op, u0, constants)
     else:
         result = stationary_via_flow(cfg.model, op, u0, t_max=section["t_max"],
@@ -172,7 +174,7 @@ def cmd_gainfield(cfg: RunConfig, out_dir, op, constants):
     stationary = _fixed_point(cfg, op, u0, constants)
     learned = build_learned_kernel(stationary.u_inf, cfg.model, cfg.grid)
     eig = mercer_decompose(learned, cfg.quadrature, n_eigs=section["n_eigs"])
-    phi_pre = presynaptic_gain(eig, k_pre=section["k_pre"])
+    phi_pre = presynaptic_gain(learned, k_pre=section["k_pre"])
 
     n_eigs = min(section["n_eigs"], eig.values.shape[0])
     write_csv(Path(out_dir) / "eigs.csv", ["i", "sigma_i"],
@@ -191,8 +193,7 @@ def cmd_gainfield(cfg: RunConfig, out_dir, op, constants):
     # nondecreasing f >= 0, J(u) <= (1 + gamma) W f(u) and the gained
     # exp-euler map is monotone, so by induction plastic <= gained at every
     # step when phi_pre >= 1 + gamma, i.e. K_pre >= 1 (phi_pre is K_pre
-    # (1 + gamma) up to the split's rounding, recorded under "mercer");
-    # reported, not asserted
+    # (1 + gamma), recorded under "mercer"); reported, not asserted
     probe_cfg = SolverConfig(method="exp-euler", dt=0.1, t_end=5.0)
     plastic = solve_global(cfg.model, op, u0, probe_cfg, constants)
     gained = simulate_gainfield(op, phi_pre, cfg.model.firing, u0, probe_cfg)
@@ -206,24 +207,14 @@ def cmd_gainfield(cfg: RunConfig, out_dir, op, constants):
         "stationary_residual": stationary.residual_sup,
         "stationary_iterations": stationary.iterations,
         "mercer": {"rank": len(eig.values), "eig_error_bound": eig.error_bound,
-                   "phi_pre_min": float(phi_pre.min()), "phi_pre_max": float(phi_pre.max()),
                    "k_pre_times_one_plus_gamma": section["k_pre"] * (1.0 + cfg.model.gamma)},
         "crosscheck": report.to_json(),
         "exploratory": exploratory,
     }
 
 
-def cmd_schrodinger(cfg: RunConfig, out_dir, well=None, lam=None):
-    section = dict(cfg.document["schrodinger"])
-    if well is not None:
-        try:
-            section["half_width"], section["height"] = (float(part) for part in well.split(","))
-        except ValueError:
-            raise SchemaError(["--well: expected 'half_width,height'"]) from None
-    if lam is not None:
-        section["lambda"] = lam
-    # the options bypass the config walk, so they meet its rules here
-    check_section("schrodinger", section)
+def cmd_schrodinger(cfg: RunConfig, out_dir):
+    section = cfg.document["schrodinger"]
     half_width, height, lam = section["half_width"], section["height"], section["lambda"]
     grid = Grid(bounds=[(-section["box"], section["box"])], npts=[section["nodes"]])
     potential = square_well(grid.axis_nodes[0], half_width, height)
@@ -315,12 +306,8 @@ def cmd_constants(cfg: RunConfig, out_dir, constants):
     return {"constants_report": payload}
 
 
-def run(command: str, cfg: RunConfig, out_dir, study_name=None, **options) -> int:
-    """Dispatch a validated config; writes a manifest whenever out_dir is set.
-
-    ``options`` are the command's own keywords (``method`` for stationary,
-    ``well`` and ``lam`` for schrodinger).
-    """
+def run(command: str, cfg: RunConfig, out_dir, study_name=None) -> int:
+    """Dispatch a validated config; writes a manifest whenever out_dir is set."""
     # built per call, so the table holds the module's current cmd_* bindings
     commands = {
         "simulate": cmd_simulate,
@@ -345,7 +332,7 @@ def run(command: str, cfg: RunConfig, out_dir, study_name=None, **options) -> in
                 op = build_operator(cfg.model.kernel, cfg.grid, cfg.quadrature)
                 constants = compute_constants(cfg.model, op)
                 args = (constants,) if command == "constants" else (op, constants)
-            extra = commands[command](cfg, out, *args, **options)
+            extra = commands[command](cfg, out, *args)
         except SchemaError as exc:
             error = {"type": "SchemaError", "violations": exc.violations}
             for violation in exc.violations:
@@ -392,14 +379,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _flag_keys(args) -> dict:
+    """{(section, key): value} of each flag given; section "" is the document root."""
+    keys = {("", "seed"): args.seed,
+            ("stationary", "method"): getattr(args, "method", None),
+            ("schrodinger", "lambda"): getattr(args, "lam", None)}
+    if getattr(args, "well", None) is not None:
+        try:
+            half_width, height = (float(part) for part in args.well.split(","))
+        except ValueError:
+            raise SchemaError(["--well: expected 'half_width,height'"]) from None
+        keys["schrodinger", "half_width"], keys["schrodinger", "height"] = half_width, height
+    return {path: value for path, value in keys.items() if value is not None}
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
 
     try:
-        if args.config is not None:
-            cfg = parse_config(args.config)
-        else:
-            cfg = build_config({})
+        cfg = parse_config(args.config) if args.config is not None else build_config({})
+        # flags come last: set over the file and NF_, then walked once more
+        flags = _flag_keys(args)
+        for (section, key), value in flags.items():
+            (cfg.document[section] if section else cfg.document)[key] = value
+        if flags:
+            cfg = build_config(cfg.document, environ={})
     except (ParseError, SchemaError) as exc:
         if isinstance(exc, SchemaError):
             for violation in exc.violations:
@@ -407,10 +411,6 @@ def main(argv=None) -> int:
         else:
             print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-
-    if args.seed is not None:
-        cfg.document["seed"] = args.seed
-        cfg = build_config(cfg.document)
 
     if args.command == "validate":
         print("config ok")
@@ -420,9 +420,8 @@ def main(argv=None) -> int:
         print("error: --out is required for this command", file=sys.stderr)
         return EXIT_CONFIG
 
-    options = {key: getattr(args, key) for key in ("method", "well", "lam") if hasattr(args, key)}
     try:
-        return run(args.command, cfg, args.out, study_name=getattr(args, "name", None), **options)
+        return run(args.command, cfg, args.out, study_name=getattr(args, "name", None))
     except OutputLockedError as exc:
         # lock contention surfaces here, before any manifest can exist
         print(f"error: {exc}", file=sys.stderr)

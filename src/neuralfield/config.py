@@ -255,14 +255,6 @@ def build_config(user_doc: dict, environ=None) -> RunConfig:
     return cfg
 
 
-def check_section(name: str, section: dict) -> None:
-    """Raise SchemaError unless ``section`` passes the rules of ``SCHEMA[name]``."""
-    violations = []
-    _walk(SCHEMA[name], section, (name,), {}, violations)
-    if violations:
-        raise SchemaError(violations)
-
-
 def parse_config(path, environ=None) -> RunConfig:
     """Load a JSON config file and validate it."""
     try:

@@ -165,7 +165,6 @@ def _axis_weights(n: int, h: float, rule: str, boundary: str) -> np.ndarray:
 class Quadrature:
     """Positive weights turning sums over nodes into integrals over the domain."""
 
-    rule: str
     weights: np.ndarray
     grid: Grid
 
@@ -190,7 +189,7 @@ def make_quadrature(grid: Grid, rule: str = "trapezoid") -> Quadrature:
         for n, h in zip(grid.npts, grid.spacing)
     ]
     weights = per_axis[0] if grid.dimension == 1 else np.outer(per_axis[0], per_axis[1]).ravel()
-    return Quadrature(rule=rule, weights=weights, grid=grid)
+    return Quadrature(weights=weights, grid=grid)
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,9 +10,9 @@ ones included, from the factor J uses: G ~ F M F^T with F = [1, N], N the
 Newton basis of u_inf's :class:`~.discretization.RangeFactor`, and
 M = diag(1, gamma I), PSD by construction (gamma = 0 leaves F = [1]); then
 a thin QR in O(n r^2).  Its residual check reads G r + 1 rows at a time.
-The diagonal part of the split is the pre-synaptic gain field, an array of
-phi_pre(y) = K_pre * sum_i sigma_i phi_i(y)^2 that the gain-field probe
-takes.
+The split's diagonal sum_i sigma_i phi_i(y)^2 is G(y, y); the pre-synaptic
+gain phi_pre(y) = K_pre G(y, y) that the gain-field probe takes is read
+from G's closed form.
 
 For gain fields of the form (k^2 - V)/lambda together with the exponential
 kernel exp(-lambda |x - y|) / (2 lambda), the stationary equation is
@@ -164,17 +164,16 @@ def mercer_decompose(kernel: LearnedKernel, quad: Quadrature, n_eigs: int = 0) -
                        error_bound=bound * float(quad.weights.sum()))
 
 
-def presynaptic_gain(eig: EigenSystem, k_pre: float = 1.0) -> np.ndarray:
-    """phi_pre(y) = K_pre * sum_i sigma_i |phi_i(y)|^2.
+def presynaptic_gain(kernel: LearnedKernel, k_pre: float = 1.0) -> np.ndarray:
+    """phi_pre(y) = K_pre G(y, y) = K_pre (1 + gamma g(0)) at every node.
 
-    At the factor's rank this equals K_pre times the kernel diagonal (to the
-    split's error bound).  Eigenvalues below zero (roundoff residue of the
-    PSD check) are clipped so the gain stays nonnegative.
+    The Mercer sum K_pre sum_i sigma_i phi_i(y)^2 equals this to the split's
+    error bound; the closed form has no rounding spread across nodes.
     """
     if k_pre <= 0:
         raise ValueError("k_pre must be positive")
-    sigma = np.clip(eig.values, 0.0, None)
-    return k_pre * ((eig.functions * eig.functions) * sigma[None, :]).sum(axis=1)
+    diagonal = kernel.learning.in_place(kernel.source - kernel.source)
+    return k_pre * (1.0 + kernel.coupling * diagonal)
 
 
 def simulate_gainfield(op: DiscreteOperator, phi_pre: np.ndarray, firing: FiringRate,

@@ -90,7 +90,6 @@ class PicardSegment:
     trajectory: Trajectory
     iterations: int
     update_norms: tuple
-    contraction_bound: float
 
 
 @dataclass(frozen=True)
@@ -205,7 +204,6 @@ def picard_segment(model: ModelSpec, op: DiscreteOperator, state0: FieldState,
                 trajectory=traj,
                 iterations=iteration,
                 update_norms=tuple(update_norms),
-                contraction_bound=q,
             )
     raise MaxIterExceededError(
         f"picard iteration did not reach tol={cfg.picard_tol:.3g} in "

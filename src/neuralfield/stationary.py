@@ -108,36 +108,17 @@ def find_stationary_fp(model: ModelSpec, op: DiscreteOperator, u_init: FieldStat
 def _anderson_correction(du: list, df: list, f: np.ndarray, damping: float):
     """(dU + a dF) c for the c minimising ||f - dF c||_2 over the window.
 
-    c comes from a thin QR of dF by Gram-Schmidt, each column orthogonalised
-    twice (Giraud et al., Numer. Math. 101, 2005).  The columns are held as
-    rows and every product is an elementwise product and sum: the first BLAS
-    or LAPACK call of a process pages in library code (with OpenBLAS about
-    0.15 MB for ``@``, 0.9 MB for np.linalg.qr and solve), and in
-    ``gainfield`` this runs before the peak RSS.  While R is too
-    ill-conditioned to solve, the oldest pair leaves the window; an emptied
-    window gives 0, the damped step.
+    c comes from a thin QR of dF.  While R is too ill-conditioned to solve,
+    the oldest pair leaves the window; an emptied window gives 0, the damped
+    step.
     """
     while df:
         rows = np.array(df)
-        k = len(rows)
-        q = np.zeros_like(rows)
-        r = np.zeros((k, k))
-        for i in range(k):
-            v = rows[i]
-            for _ in range(2):
-                c = (q[:i] * v).sum(axis=1)
-                v = v - (c[:, None] * q[:i]).sum(axis=0)
-                r[:i, i] += c
-            r[i, i] = math.sqrt((v * v).sum())
-            if r[i, i] > 0.0:
-                q[i] = v / r[i, i]
+        q, r = np.linalg.qr(rows.T)
         diag = np.abs(np.diagonal(r))
         if diag.min() > ANDERSON_RCOND * diag.max():
-            rhs = (q * f).sum(axis=1)
-            coeffs = np.zeros(k)
-            for i in reversed(range(k)):
-                coeffs[i] = (rhs[i] - (r[i, i + 1:] * coeffs[i + 1:]).sum()) / r[i, i]
-            return (coeffs[:, None] * (np.array(du) + damping * rows)).sum(axis=0)
+            coeffs = np.linalg.solve(r, q.T @ f)
+            return coeffs @ (np.array(du) + damping * rows)
         del du[0], df[0]
     return 0.0
 

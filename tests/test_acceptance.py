@@ -235,7 +235,7 @@ def test_09_mercer(grid_201, quad_201, op_201, bump_201):
         matrix = learned_matrix(fp.u_inf, 0.5, model.learning.params["width"])
         assert np.max(np.abs(reconstruct_kernel(eig) - matrix)) < 1e-8
         assert eig.values[-1] >= -1e-8 * eig.values[0]
-        phi_pre = presynaptic_gain(eig, k_pre=1.0)
+        phi_pre = presynaptic_gain(learned, k_pre=1.0)
         assert np.max(np.abs(phi_pre - np.diag(matrix))) < 1e-8
 
 

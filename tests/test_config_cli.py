@@ -306,8 +306,7 @@ class TestIO:
                 pass
 
 
-MERCER_KEYS = {"rank", "eig_error_bound", "phi_pre_min", "phi_pre_max",
-               "k_pre_times_one_plus_gamma"}
+MERCER_KEYS = {"rank", "eig_error_bound", "k_pre_times_one_plus_gamma"}
 
 
 def small_sim_doc(t_end=2.0):
@@ -557,11 +556,13 @@ class TestRun:
         assert report["within_bound"]
 
     def test_schrodinger_standalone(self, tmp_path):
-        cfg = build_config({"schrodinger": {"nodes": 1001, "n_states": 2}}, environ={})
+        doc = {"schrodinger": {"nodes": 1001, "n_states": 2, "half_width": 1.5, "height": 3.0,
+                               "lambda": 1.0}}
         out = tmp_path / "sch"
-        assert run("schrodinger", cfg, out, well="1,2", lam=1.0) == 0
+        assert run("schrodinger", build_config(doc, environ={}), out) == 0
         payload = json.loads((out / "schrodinger.json").read_text())
-        assert payload["half_width"] == 1.0 and payload["height"] == 2.0
+        assert payload["half_width"] == 1.5 and payload["height"] == 3.0
+        assert payload["lambda"] == 1.0
         assert len(payload["energies"]) >= 1
 
     def test_study_contraction_verdict(self, tmp_path):
@@ -640,12 +641,18 @@ class TestRun:
         (["--lambda", "nan"], "schrodinger.lambda"),
     ])
     def test_schrodinger_options_meet_the_schema(self, tmp_path, capsys, argv, key):
+        # a flag is a config key: a bad value is refused before the run starts
         out = tmp_path / "sch"
         assert main(["schrodinger", "--out", str(out), *argv]) == 2
         assert f"config error: {key}: must be" in capsys.readouterr().err
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["error"]["type"] == "SchemaError"
-        assert not (out / "schrodinger.json").exists()
+        assert not out.exists()
+
+    @pytest.mark.parametrize("well", ["1", "1,2,3", "a,b", ""])
+    def test_malformed_well_is_a_config_error(self, tmp_path, capsys, well):
+        out = tmp_path / "sch"
+        assert main(["schrodinger", "--out", str(out), "--well", well]) == 2
+        assert "config error: --well: expected 'half_width,height'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestMainEntry:
@@ -729,6 +736,46 @@ class TestMainEntry:
         assert main(["simulate", "--config", path, "--out", str(out), "--seed", "777"]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 777
+        assert manifest["config"]["seed"] == 777
+
+    def test_negative_seed_flag_exits_2(self, capsys):
+        assert main(["constants", "--seed", "-1"]) == 2
+        assert "config error: seed: must be a nonnegative integer" in capsys.readouterr().err
+
+    def test_manifest_echoes_the_schrodinger_flags(self, tmp_path):
+        doc = {"schrodinger": {"nodes": 401, "n_states": 2}}
+        out = tmp_path / "sch"
+        assert main(["schrodinger", "--config", write_config(tmp_path, doc), "--out", str(out),
+                     "--well", "1.5,3", "--lambda", "2"]) == 0
+        echo = json.loads((out / "manifest.json").read_text())["config"]["schrodinger"]
+        payload = json.loads((out / "schrodinger.json").read_text())
+        assert (echo["half_width"], echo["height"], echo["lambda"]) == (1.5, 3.0, 2.0)
+        assert (payload["half_width"], payload["height"], payload["lambda"]) == (1.5, 3.0, 2.0)
+
+    def test_manifest_echoes_the_method_flag(self, tmp_path):
+        doc = {"grid": {"nodes": [101]}, "model": {"gamma": 0.4}, "stationary": {"t_max": 50.0}}
+        out = tmp_path / "stat"
+        assert main(["stationary", "--config", write_config(tmp_path, doc), "--out", str(out),
+                     "--method", "flow"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["stationary"]["method"] == "flow"
+        assert manifest["stationary"]["method"] == "flow"
+
+    def test_flags_win_over_environment_overrides(self, tmp_path, monkeypatch):
+        # defaults < config file < NF_ variables < flags, in the run and in its echo
+        monkeypatch.setenv("NF_SEED", "3")
+        monkeypatch.setenv("NF_SCHRODINGER_LAMBDA", "3")
+        monkeypatch.setenv("NF_SCHRODINGER_HEIGHT", "4")
+        doc = {"seed": 1, "schrodinger": {"nodes": 401, "n_states": 1, "height": 5.0}}
+        out = tmp_path / "sch"
+        assert main(["schrodinger", "--config", write_config(tmp_path, doc), "--out", str(out),
+                     "--seed", "5", "--lambda", "2"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        payload = json.loads((out / "schrodinger.json").read_text())
+        assert manifest["seed"] == manifest["config"]["seed"] == 5
+        assert manifest["config"]["schrodinger"]["lambda"] == payload["lambda"] == 2.0
+        # no flag names the height, so NF_ wins over the file
+        assert manifest["config"]["schrodinger"]["height"] == payload["height"] == 4.0
 
     def test_console_entry_point(self, tmp_path):
         # module execution path used by scripts and docs

@@ -121,14 +121,19 @@ class TestPresynapticGain:
         grid = Grid(bounds=[(0.0, 1.0)], npts=[51])
         quad = make_quadrature(grid)
         ones = build_learned_kernel(np.linspace(0.0, 2.0, 51), make_model(gamma=0.0), grid)
-        phi_pre = presynaptic_gain(mercer_decompose(ones, quad), k_pre=1.0)
+        split_diagonal = np.diag(reconstruct_kernel(mercer_decompose(ones, quad)))
+        assert np.allclose(split_diagonal, 1.0, atol=1e-9)
+        phi_pre = presynaptic_gain(ones, k_pre=1.0)
         assert np.allclose(phi_pre, 1.0, atol=1e-9)
 
     def test_full_rank_sum_equals_diagonal(self, grid_201, quad_201, stationary_state):
         model, u_inf = stationary_state
         learned = build_learned_kernel(u_inf, model, grid_201)
         eig = mercer_decompose(learned, quad_201)
-        phi_pre = presynaptic_gain(eig, k_pre=1.0)
+        # the split's own identity: sum_i sigma_i phi_i(y)^2 = G(y, y)
+        split_diagonal = np.diag(reconstruct_kernel(eig))
+        assert np.max(np.abs(split_diagonal - np.diag(dense_g(learned)))) < 1e-8
+        phi_pre = presynaptic_gain(learned, k_pre=1.0)
         assert np.max(np.abs(phi_pre - np.diag(dense_g(learned)))) < 1e-8
         # the learned kernel diagonal is 1 + gamma everywhere
         assert np.allclose(phi_pre, 1.5, atol=1e-8)
@@ -136,9 +141,9 @@ class TestPresynapticGain:
 
     def test_k_pre_scales(self, grid_201, quad_201, stationary_state):
         model, u_inf = stationary_state
-        eig = mercer_decompose(build_learned_kernel(u_inf, model, grid_201), quad_201)
-        g1 = presynaptic_gain(eig, k_pre=1.0)
-        g2 = presynaptic_gain(eig, k_pre=2.0)
+        learned = build_learned_kernel(u_inf, model, grid_201)
+        g1 = presynaptic_gain(learned, k_pre=1.0)
+        g2 = presynaptic_gain(learned, k_pre=2.0)
         assert np.allclose(g2, 2.0 * g1, rtol=1e-14)
 
 
@@ -185,7 +190,10 @@ class TestFactorSplit:
         kernel_bound = eig.error_bound / float(quad.weights.sum())
         recon = np.max(np.abs(reconstruct_kernel(eig) - dense_g(learned)))
         assert recon <= kernel_bound + 1e-13 * (1.0 + gamma)
-        phi_pre = presynaptic_gain(eig, k_pre=2.0)
+        # the split's diagonal sum_i sigma_i phi_i(y)^2 against G(y, y)
+        split_diagonal = np.diag(reconstruct_kernel(eig))
+        assert np.max(np.abs(2.0 * split_diagonal - 2.0 * np.diag(dense_g(learned)))) <= 1e-12
+        phi_pre = presynaptic_gain(learned, k_pre=2.0)
         assert np.max(np.abs(phi_pre - 2.0 * np.diag(dense_g(learned)))) <= 1e-12
 
     @pytest.mark.parametrize("gamma", [0.5, 2.0])
@@ -250,15 +258,13 @@ class TestFactorSplit:
         assert run("gainfield", cfg, out) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         mercer = manifest["mercer"]
-        assert set(mercer) == {"rank", "eig_error_bound", "phi_pre_min", "phi_pre_max",
-                               "k_pre_times_one_plus_gamma"}
+        assert set(mercer) == {"rank", "eig_error_bound", "k_pre_times_one_plus_gamma"}
         assert "manifest.json" not in manifest["checksums"]
-        # the spread of the written phi_pre, and the constant it sits at
+        # the written phi_pre is the constant K_pre (1 + gamma) at every node
         phi_pre = [float(line.split(",")[-1])
                    for line in (out / "phi_pre.csv").read_text().splitlines()[1:]]
-        assert (mercer["phi_pre_min"], mercer["phi_pre_max"]) == (min(phi_pre), max(phi_pre))
         assert mercer["k_pre_times_one_plus_gamma"] == 2.0
-        assert mercer["phi_pre_max"] - mercer["phi_pre_min"] < 1e-12
+        assert set(phi_pre) == {2.0}
         written = np.array([float(line.split(",")[1])
                             for line in (out / "eigs.csv").read_text().splitlines()[1:]])
         # LAPACK's dense eigh on the same stationary state

@@ -133,6 +133,12 @@ def test_operator_is_built_only_in_cli_run():
     assert _callers("build_operator") == [("cli.py", "run")]
 
 
+def test_config_is_walked_only_by_build_config():
+    # one validation entry point: files, NF_ variables and flags all reach
+    # the run through build_config, so nothing checks a section on the side
+    assert set(_callers("_walk")) == {("config.py", "build_config"), ("config.py", "_walk")}
+
+
 def test_operator_storage_is_read_only_by_the_operator():
     # W is the rule for a product: its spectrum or matrix is read only in
     # DiscreteOperator's methods and build_operator, so J, its bound and the
@@ -151,12 +157,8 @@ def test_operator_storage_is_read_only_by_the_operator():
 
 
 # Defaults that no package call sets, on purpose: the test seam of
-# parse_config, main's argv, and the command options that reach cmd_*
-# through run's **options.
-DEFAULTS_SET_OUTSIDE_CALLS = {
-    "parse_config.environ", "main.argv", "cmd_stationary.method", "cmd_schrodinger.well",
-    "cmd_schrodinger.lam",
-}
+# parse_config and main's argv.
+DEFAULTS_SET_OUTSIDE_CALLS = {"parse_config.environ", "main.argv"}
 
 
 def test_every_default_is_set_by_some_package_call():
@@ -165,6 +167,7 @@ def test_every_default_is_set_by_some_package_call():
     trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))]
     calls = [node for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Call)]
     unset = []
+    seen = set()
     for tree in trees:
         methods = {id(sub): node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
                    for sub in node.body if isinstance(sub, ast.FunctionDef)}
@@ -181,6 +184,7 @@ def test_every_default_is_set_by_some_package_call():
             defaulted += [(None, p.arg) for p, d in zip(args.kwonlyargs, args.kw_defaults)
                           if d is not None]
             for index, name in defaulted:
+                seen.add(f"{func.name}.{name}")
                 if f"{func.name}.{name}" in DEFAULTS_SET_OUTSIDE_CALLS:
                     continue
                 if not any(_called_name(call) == callee and (
@@ -190,3 +194,5 @@ def test_every_default_is_set_by_some_package_call():
                         for call in calls):
                     unset.append(f"{func.name}.{name}")
     assert unset == []
+    # every exemption still names a defaulted parameter, so none outlives its reason
+    assert DEFAULTS_SET_OUTSIDE_CALLS - seen == set()
