@@ -72,7 +72,7 @@ def _coordinate_header(grid: Grid):
 
 
 def _write_field_csv(path, grid: Grid, values, name="u"):
-    write_csv(path, _coordinate_header(grid) + [name], node_rows(grid.points.tolist(), values))
+    write_csv(path, _coordinate_header(grid) + [name], node_rows(grid.points, values))
 
 
 def _segment(cfg: RunConfig, constants) -> dict:
@@ -125,7 +125,7 @@ def cmd_simulate(cfg: RunConfig, out_dir, op, constants):
     traj = solve_global(cfg.model, op, u0, cfg.solver, constants)
     report = monitor_bounds(traj, constants, cfg.model)
 
-    nodes = [[i, *point] for i, point in enumerate(cfg.grid.points.tolist())]
+    nodes = np.column_stack([np.arange(cfg.grid.n_total), cfg.grid.points])
     write_csv(Path(out_dir) / "trajectory.csv",
               ["t", "node_index"] + _coordinate_header(cfg.grid) + ["u"],
               node_rows(nodes, traj.values, traj.times))

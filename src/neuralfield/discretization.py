@@ -4,10 +4,11 @@ A grid turns the compact domain into nodes, a quadrature rule turns
 integrals into weighted sums, and the operator applies the synaptic kernel
 W[i, j] = w(x_i, x_j) * q_j.  On the uniform grid an isotropic kernel
 depends only on the node lag, so W @ v is a convolution computed by FFT:
-Toeplitz (zero-padded) on compact axes, circulant on periodic axes, block
-Toeplitz or block circulant in 2-D.  Only tabulated kernels have a dense
-matrix.  How W is stored is private to :class:`DiscreteOperator` and
-:func:`build_operator`; everything else applies it through ``apply``.
+Toeplitz on compact axes, embedded in the smallest fast circulant of length
+>= 2n - 2 with the input zero-padded, circulant on periodic axes, the block
+forms in 2-D.  Only tabulated kernels have a dense matrix.  How W is
+stored is private to :class:`DiscreteOperator` and :func:`build_operator`;
+everything else applies it through ``apply``.
 
 The state-dependent plasticity factor [1 + gamma * g(u_i - u_j)] is applied
 at evaluation time and never baked into W, so one operator serves every
@@ -108,23 +109,21 @@ class Grid:
     @cached_property
     def fft_shape(self) -> tuple:
         """FFT lattice of the node-lag convolution: the node count on
-        periodic axes, a fast length >= 2n - 1 on compact (zero-padded) axes."""
+        periodic axes, a fast length >= 2n - 2 on compact (zero-padded) axes."""
         if self.boundary == "periodic":
             return self.npts
-        return tuple(_fft_length(2 * n - 1) for n in self.npts)
+        return tuple(_fft_length(2 * n - 2) for n in self.npts)
 
     def lag_distance(self) -> np.ndarray:
-        """Length of every node lag: lags -(n-1)..n-1 on compact axes, the
-        minimal images of lags 0..n-1 on periodic axes, one array axis per
-        grid axis."""
+        """Length min(k, m - k) h of the lag at FFT index k, m the lattice
+        length, one array axis per grid axis: the minimal image on periodic
+        axes, lag k or -(m - k) on compact ones, where the even kernel lets
+        lags n - 1 and -(n - 1) share an index."""
         sq = 0.0
-        for ax, (n, h) in enumerate(zip(self.npts, self.spacing)):
-            if self.boundary == "periodic":
-                lag = np.minimum(np.arange(n), n - np.arange(n))
-            else:
-                lag = np.abs(np.arange(1 - n, n))
+        for ax, (m, h) in enumerate(zip(self.fft_shape, self.spacing)):
+            lag = np.minimum(np.arange(m), m - np.arange(m))
             shape = [1] * self.dimension
-            shape[ax] = lag.shape[0]
+            shape[ax] = m
             sq = sq + ((lag * h) ** 2).reshape(shape)
         return np.sqrt(sq)
 
@@ -225,25 +224,16 @@ def kernel_matrix(kernel: SynapticKernel, grid: Grid) -> np.ndarray:
 
 
 def kernel_spectrum(profile, grid: Grid) -> np.ndarray:
-    """Real FFT of a radial profile sampled at every node lag of the grid.
-
-    Lag k on an axis of n nodes sits at FFT index k mod m (m the FFT
-    length); on periodic axes that is the minimal image, on compact axes the
-    m - (2n - 1) indices between lags n - 1 and -(n - 1) are zero padding.
-    """
-    column = profile(grid.lag_distance())
-    if grid.boundary == "compact":
-        pad = [(0, m - (2 * n - 1)) for n, m in zip(grid.npts, grid.fft_shape)]
-        column = np.roll(np.pad(column, pad), [1 - n for n in grid.npts],
-                         axis=tuple(range(grid.dimension)))
-    return np.fft.rfftn(column, axes=tuple(range(grid.dimension)))
+    """Real FFT of a radial profile sampled at every lag of the grid's FFT
+    lattice (:meth:`Grid.lag_distance`)."""
+    return np.fft.rfftn(profile(grid.lag_distance()), axes=tuple(range(grid.dimension)))
 
 
 # Flat buffers, one per slot, that J's large temporaries are viewed into.
-# Each grows to the largest request and is kept, so a steady-state J call
-# neither allocates nor frees pages (freed pages went back to the kernel
-# and were faulted in again by the next call).  The package evaluates J on
-# one thread; concurrent calls would share these buffers.
+# Each is kept, and regrown to at least twice its size when outgrown, so a
+# steady-state J call neither allocates nor frees pages (freed pages went
+# back to the kernel and were faulted in again by the next call).  The
+# package evaluates J on one thread; concurrent calls would share them.
 _WORKSPACES: dict = {}
 
 
@@ -253,7 +243,8 @@ def _workspace(slot: str, shape: tuple, dtype=float) -> np.ndarray:
     size = math.prod(shape)
     buffer = _WORKSPACES.get(slot)
     if buffer is None or buffer.size < size:
-        buffer = _WORKSPACES[slot] = np.empty(size, dtype)
+        grown = size if buffer is None else max(size, 2 * buffer.size)
+        buffer = _WORKSPACES[slot] = np.empty(grown, dtype)
     return buffer[:size].reshape(shape)
 
 
@@ -496,21 +487,26 @@ def apply_j_values(model: ModelSpec, op: DiscreteOperator, values: np.ndarray) -
 
     J = W f + gamma * sum_k N_k(u) * W(N_k(u) f) with the :class:`RangeFactor`
     of u, the r + 1 products in one batched ``op.apply`` (FFT or dense), on
-    every operator; gamma = 0 gives W f.
+    every operator; gamma = 0 gives W f.  ``values`` is one field (n,) or a
+    stack (T, n) of them, one batched product at gamma = 0, a row loop else.
     """
-    if values.shape != (op.grid.n_total,):
+    if values.ndim not in (1, 2) or values.shape[-1] != op.grid.n_total:
         raise ValueError(f"state has {values.shape} values, grid has {op.grid.n_total} nodes")
     rates = model.firing(values)
     if model.gamma == 0.0:
         return op.apply(rates)
     width = model.learning.params["width"]
-    factor = range_factor(values, width)
-    basis = factor.basis(values, width)
-    columns = _workspace("columns", (factor.rank + 1, values.shape[0]))
-    columns[0] = rates
-    np.multiply(basis, rates[None, :], out=columns[1:])
-    products = op.apply(columns)
-    return products[0] + model.gamma * np.multiply(basis, products[1:], out=basis).sum(axis=0)
+    out = np.empty_like(rates)
+    for u, f, row in zip(np.atleast_2d(values), np.atleast_2d(rates), np.atleast_2d(out)):
+        factor = range_factor(u, width)
+        basis = factor.basis(u, width)
+        columns = _workspace("columns", (factor.rank + 1, u.shape[0]))
+        columns[0] = f
+        np.multiply(basis, f[None, :], out=columns[1:])
+        products = op.apply(columns)
+        np.add(products[0], model.gamma * np.multiply(basis, products[1:], out=basis).sum(axis=0),
+               out=row)
+    return out
 
 
 def apply_f_values(model: ModelSpec, op: DiscreteOperator, values: np.ndarray) -> np.ndarray:

@@ -1,10 +1,10 @@
 """Atomic file output, checksums, and the output-directory lock.
 
 All floating-point values are written with 17 significant digits so files
-round-trip exactly and reruns can be compared checksum to checksum.  Small
-tables are formatted cell by cell (:func:`fmt`), node tables from arrays
-(:func:`node_rows`); ``"%.17g" % v`` and ``f"{v:.17g}"`` give the same
-bytes, so both paths write the same file.  Files are written to a temporary
+round-trip exactly and reruns can be compared checksum to checksum.  Files
+are bytes: small tables formatted cell by cell (:func:`fmt`) and encoded,
+node tables formatted from arrays by ``b"%.17g"`` (:func:`node_rows`), the
+same characters as ``f"{v:.17g}"``.  Files are written to a temporary
 sibling and renamed into place, so a crash never leaves a partial artifact
 behind.
 """
@@ -30,12 +30,12 @@ def fmt(value) -> str:
     return str(value)
 
 
-def atomic_write_text(path, chunks) -> None:
-    """Write the str ``chunks`` to ``path`` through a temporary sibling."""
+def atomic_write(path, chunks) -> None:
+    """Write the bytes ``chunks`` to ``path`` through a temporary sibling."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        with os.fdopen(fd, "wb") as fh:
             fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
@@ -45,38 +45,39 @@ def atomic_write_text(path, chunks) -> None:
 
 
 def node_rows(nodes, values, times=None):
-    """Text blocks of the CSV rows ``[t,]<node cells>,<value>``, one per time.
+    """Bytes blocks of the CSV rows ``[t,]<node cells>,<value>``, one per time.
 
-    ``nodes`` holds the leading numeric cells of each node's row, ``values``
-    the (T, n) values at ``times``, or n values when ``times`` is None.
-    Node cells and times are formatted once; a time slice's values by one
-    ``%.17g`` format.
+    ``nodes`` is the (n, k) array of the leading cells of each node's row,
+    printed by ``%.17g``, so integral values below 2**53 print as integers;
+    ``values`` the (T, n) values at ``times``, or n values when ``times`` is None.
+    All node cells go into one template by one ``%`` format; each time
+    slice stamps its time on every line and fills in its values by one more.
     """
-    body = [",".join(map(fmt, cells)) + ",%.17g" for cells in nodes]
+    line = b"%.17g," * nodes.shape[1] + b"%%.17g"
+    block = b"\n".join([line] * nodes.shape[0]) % tuple(nodes.ravel().tolist())
     if times is None:
-        yield "\n".join(body) % tuple(values.tolist())
+        yield block % tuple(values.tolist())
         return
-    template = "\n".join("%s," + row for row in body)
     for t, row in zip(times.tolist(), values):
-        cells = [fmt(t)] * (2 * len(body))
-        cells[1::2] = row.tolist()
-        yield template % tuple(cells)
+        stamp = b"%.17g," % t
+        yield (stamp + block.replace(b"\n", b"\n" + stamp)) % tuple(row.tolist())
 
 
 def write_csv(path, header, rows) -> None:
-    """Rows are cell lists, formatted by :func:`fmt`, or text blocks of
+    """Rows are cell lists, formatted by :func:`fmt`, or bytes blocks of
     already formatted lines such as :func:`node_rows` yields; each is
     written as it comes, so a generator of rows is never held whole."""
     def lines():
-        yield ",".join(header) + "\n"
+        yield (",".join(header) + "\n").encode()
         for row in rows:
-            yield (row if isinstance(row, str) else ",".join(fmt(cell) for cell in row)) + "\n"
+            block = row if isinstance(row, bytes) else ",".join(fmt(cell) for cell in row).encode()
+            yield block + b"\n"
 
-    atomic_write_text(path, lines())
+    atomic_write(path, lines())
 
 
 def write_json(path, payload) -> None:
-    atomic_write_text(path, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
+    atomic_write(path, [(json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()])
 
 
 def sha256_file(path) -> str:

@@ -151,12 +151,12 @@ def picard_map(model: ModelSpec, op: DiscreteOperator, fields: np.ndarray, dt: f
 
     ``fields`` holds U at the lattice times t_0 < ... < t_N, spaced dt
     apart, one row each; the integral is the composite trapezoid rule.
-    ``first_rhs``, when given, is F(U(t_0)) and is not evaluated again.
+    F is evaluated on rows 1..N as one stack.  ``first_rhs``, when given,
+    is F(U(t_0)) and is not evaluated again.
     """
     rhs = np.empty_like(fields)
     rhs[0] = apply_f_values(model, op, fields[0]) if first_rhs is None else first_rhs
-    for n in range(1, fields.shape[0]):
-        rhs[n] = apply_f_values(model, op, fields[n])
+    rhs[1:] = apply_f_values(model, op, fields[1:])
     out = np.empty_like(fields)
     out[0] = u0
     out[1:] = u0 + np.cumsum(0.5 * dt * (rhs[1:] + rhs[:-1]), axis=0)

@@ -16,7 +16,7 @@ from neuralfield.config import (
 from neuralfield.errors import ParseError, SchemaError
 from neuralfield.discretization import Grid, build_operator
 from neuralfield.gainfield import schrodinger_fd, square_well
-from neuralfield.io import atomic_write_text, fmt, node_rows, output_lock, sha256_file, write_csv
+from neuralfield.io import atomic_write, fmt, node_rows, output_lock, sha256_file, write_csv
 from neuralfield.model import compute_constants
 from neuralfield.solver import solve_global
 from neuralfield.stationary import find_stationary_fp
@@ -219,20 +219,20 @@ class TestIO:
 
     def test_atomic_write_replaces(self, tmp_path):
         p = tmp_path / "x.txt"
-        atomic_write_text(p, ["one"])
-        atomic_write_text(p, (part for part in ("t", "w", "o")))
+        atomic_write(p, [b"one"])
+        atomic_write(p, (part for part in (b"t", b"w", b"o")))
         assert p.read_text() == "two"
 
     def test_failed_stream_leaves_the_old_file(self, tmp_path):
         p = tmp_path / "x.txt"
-        atomic_write_text(p, ["kept"])
+        atomic_write(p, [b"kept"])
 
         def chunks():
-            yield "partial"
+            yield b"partial"
             raise ValueError("stream broke")
 
         with pytest.raises(ValueError, match="stream broke"):
-            atomic_write_text(p, chunks())
+            atomic_write(p, chunks())
         assert p.read_text() == "kept" and not list(tmp_path.glob("*.tmp"))
 
     def test_write_csv_consumes_rows_as_a_stream(self, tmp_path, monkeypatch):
@@ -240,7 +240,7 @@ class TestIO:
         from neuralfield import io
 
         seen = []
-        real = io.atomic_write_text
+        real = io.atomic_write
 
         def spy(path, chunks):
             real(path, (seen.append(chunk) or chunk for chunk in chunks))
@@ -248,9 +248,9 @@ class TestIO:
         def rows():
             for k in range(3):
                 assert len(seen) == k + 1  # the header and the rows so far
-                yield f"{k},{k}"
+                yield f"{k},{k}".encode()
 
-        monkeypatch.setattr(io, "atomic_write_text", spy)
+        monkeypatch.setattr(io, "atomic_write", spy)
         io.write_csv(tmp_path / "t.csv", ["a", "b"], rows())
         assert (tmp_path / "t.csv").read_text() == "a,b\n0,0\n1,1\n2,2\n"
 
@@ -275,7 +275,7 @@ class TestIO:
 
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("n_times", [None, 1, 4])
-    def test_node_rows_match_per_cell_fmt(self, tmp_path, dim, n_times):
+    def test_node_rows_match_per_cell_fmt(self, dim, n_times):
         special = [-0.0, 5e-324, 3.0, float(2**53 + 1), 1e16, 0.1, 1.0 / 3.0,
                    math.nan, math.inf, -math.inf]
         n = len(special)
@@ -284,18 +284,14 @@ class TestIO:
         values = np.array([np.roll(special, k) * (-1.0) ** k for k in range(n_times or 1)])
         pts = list(points)
         if n_times is None:
-            header = ["x", "y"][:dim] + ["u"]
             expected = [list(pts[i]) + [values[0, i]] for i in range(n)]
-            fast = node_rows(points.tolist(), values[0])
+            fast = node_rows(points, values[0])
         else:
-            header = ["t", "node_index"] + ["x", "y"][:dim] + ["u"]
             times = np.array([0.0, 5e-324, 0.1, 1.0 / 3.0])[:n_times]
             expected = [[times[k], i] + list(pts[i]) + [values[k, i]]
                         for k in range(n_times) for i in range(n)]
-            fast = node_rows([[i, *p] for i, p in enumerate(points.tolist())], values, times)
-        write_csv(tmp_path / "cells.csv", header, expected)
-        write_csv(tmp_path / "arrays.csv", header, fast)
-        assert (tmp_path / "arrays.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
+            fast = node_rows(np.column_stack([np.arange(n), points]), values, times)
+        assert b"\n".join(fast) == "\n".join(",".join(map(fmt, row)) for row in expected).encode()
 
     def test_lock_of_live_process_still_blocks(self, tmp_path):
         out = tmp_path / "run"

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from neuralfield import (
@@ -57,6 +57,19 @@ class TestGrid:
         assert np.array_equal(g.points[4], [0.0, 2.0])
         assert np.array_equal(g.points[5], [0.5, 0.0])
         assert g.volume == 2.0
+
+    @pytest.mark.parametrize("npts, lattice", [([3], (4,)), ([38], (75,)), ([401], (800,)),
+                                               ([41, 41], (80, 80)), ([9, 14], (16, 27))])
+    def test_compact_lattice_is_the_smallest_even_embedding(self, npts, lattice):
+        # lags -(n-1)..n-1 need m >= 2n - 2: lags n - 1 and -(n - 1) may
+        # share index n - 1, where the even kernel takes the same value
+        g = Grid(bounds=[(0.0, 1.0), (0.0, 2.0)][:len(npts)], npts=npts)
+        assert g.fft_shape == lattice
+        d = g.lag_distance()
+        assert d.shape == lattice
+        index, h = (0,) * (len(npts) - 1), g.spacing[-1]
+        for k in range(npts[-1]):  # lag k at index k, lag -k at index m - k
+            assert d[index + (k,)] == d[index + (-k,)] == pytest.approx(k * h)
 
     def test_periodic_minimal_image(self):
         g = Grid(bounds=[(0.0, 10.0)], npts=[10], boundary="periodic")
@@ -213,6 +226,9 @@ class TestApplyJ:
         model = make_model()
         with pytest.raises(ValueError, match="nodes"):
             apply_j_values(model, op_201, np.zeros(100))
+        for shape in [(2, 3, 201), (4, 100), ()]:  # a 3-D stack, a short last axis, a scalar
+            with pytest.raises(ValueError, match="nodes"):
+                apply_j_values(model, op_201, np.zeros(shape))
 
     def test_rotation_equivariance_on_ring(self):
         # gamma = 0 input term commutes with grid rotations on a periodic ring
@@ -364,6 +380,16 @@ class TestFastJ:
     @given(kind=st.sampled_from(GRID_KINDS), sizes=st.lists(st.integers(3, 40), min_size=2, max_size=2),
            kernel_kind=st.sampled_from(KERNEL_KINDS),
            gained=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    # n = 3 (a lattice of 4) and n = 38, where 2n - 2 = 74 is not 5-smooth
+    # and the lattice of 75 is odd, on the compact lines and squares
+    @example(kind=(1, "compact", "trapezoid"), sizes=[3, 3], kernel_kind="exponential",
+             gained=False, seed=0)
+    @example(kind=(1, "compact", "trapezoid"), sizes=[38, 3], kernel_kind="mexican-hat",
+             gained=True, seed=1)
+    @example(kind=(2, "compact", "trapezoid"), sizes=[0, 0], kernel_kind="mexican-hat",
+             gained=False, seed=2)
+    @example(kind=(2, "compact", "trapezoid"), sizes=[17, 0], kernel_kind="exponential",
+             gained=True, seed=3)
     @settings(max_examples=100, deadline=None)
     def test_operator_product_matches_matrix(self, kind, sizes, kernel_kind, gained, seed):
         grid, quad = small_grid(kind, sizes, 5.0)
@@ -377,6 +403,24 @@ class TestFastJ:
         scale = np.max(np.abs(matrix) @ np.abs(v.T))
         assert np.max(np.abs(op.apply(v) - (matrix @ v.T).T)) <= 1e-14 * scale
         assert np.max(np.abs(op.abs_apply(v[0]) - np.abs(matrix) @ np.abs(v[0]))) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("gamma", [0.0, 1.0])
+    @pytest.mark.parametrize("kernel_kind", KERNEL_KINDS)
+    @pytest.mark.parametrize("kind", GRID_KINDS)
+    def test_stack_equals_row_by_row_bitwise(self, kind, kernel_kind, gamma):
+        grid, quad = small_grid(kind, [37, 12], 4.0)
+        model = any_model(kernel_kind, "sigmoid", gamma, 1.0, grid, seed=7)
+        op = build_operator(model.kernel, grid, quad)
+        rng = np.random.default_rng(grid.n_total)
+        for rows in (1, 4, 9):
+            stack = rng.uniform(-2.0, 3.0, size=(rows, grid.n_total))
+            stack[0] = 0.5  # a flat field among varied ones
+            j = apply_j_values(model, op, stack)
+            f = apply_f_values(model, op, stack)
+            assert j.shape == f.shape == stack.shape
+            for u, j_row, f_row in zip(stack, j, f):
+                assert np.array_equal(j_row, apply_j_values(model, op, u))
+                assert np.array_equal(f_row, apply_f_values(model, op, u))
 
     def test_gain_scaled_matrix_is_lazy_product(self):
         grid = Grid(bounds=[(0.0, 1.0)], npts=[41])

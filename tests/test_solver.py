@@ -27,6 +27,7 @@ from neuralfield.solver import (
     BoundReport,
     SolverConfig,
     monitor_bounds,
+    picard_map,
     picard_segment,
     solve_global,
     step,
@@ -94,6 +95,34 @@ class TestPicardSegment:
         seg = picard_segment(model, op_201, bump_201, rho, cfg, constants)
         cap = math.ceil(math.log(cfg.picard_tol / seg.update_norms[0]) / math.log(q)) + 5
         assert seg.iterations <= cap
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5])
+    def test_one_j_call_per_sweep(self, monkeypatch, op_201, bump_201, gamma):
+        from neuralfield import discretization
+
+        model = make_model(gamma=gamma)
+        real = discretization.apply_j_values
+        calls = []
+
+        def spy(model, op, values):
+            calls.append(values.shape)
+            return real(model, op, values)
+
+        monkeypatch.setattr(discretization, "apply_j_values", spy)
+        u0 = bump_201.values
+        fields = np.tile(u0, (9, 1))
+        picard_map(model, op_201, fields, 0.05, u0)
+        assert calls == [(201,), (8, 201)]
+        calls.clear()
+        picard_map(model, op_201, fields, 0.05, u0, first_rhs=np.zeros(201))
+        assert calls == [(8, 201)]
+        # a segment takes F(u0) once, then one stacked call per sweep
+        calls.clear()
+        constants = constants_of(model, op_201)
+        rho = max_segment_length(constants, gamma)
+        cfg = SolverConfig(method="picard", dt=rho / 8, t_end=rho)
+        seg = picard_segment(model, op_201, bump_201, rho, cfg, constants)
+        assert calls == [(201,)] + [(8, 201)] * seg.iterations
 
     def test_non_contractive_segment_rejected(self, op_201, bump_201):
         model = make_model(gamma=1.0)
