@@ -4,17 +4,23 @@ Subcommands: simulate, stationary, gainfield, schrodinger, study <name>,
 constants, validate.  ``run`` dispatches every command but validate from a
 name -> ``cmd_*`` table.  ``run`` builds the run's one discrete operator
 and computes the constants from it; each ``cmd_*`` takes the config, the
-output directory, the operator when it integrates the model, and the
-constants (schrodinger, which reads no model, gets neither), and reads its
-settings from ``cfg.document`` alone.  ``main`` sets the config keys of the
+operator when it integrates the model, and the constants (schrodinger,
+which reads no model, gets neither), reads its settings from
+``cfg.document`` alone, writes no file, and returns ``(artifacts,
+extra)``: ``artifacts`` maps a file name to a JSON payload (a dict) or a
+CSV ``(header, rows)`` pair, whose rows may be a generator, and ``extra``
+holds the command's manifest entries.  ``main`` sets the config keys of the
 flags ``--seed``, ``--method``, ``--well`` and ``--lambda`` over the file
 and the ``NF_`` overrides and walks the document again, so a flag error
 exits 2 before anything is written and the config echo is the run's.
-Every run that writes artifacts owns its output directory exclusively,
-emits CSV series plus a manifest.json with the full config echo, the
-computed constants and contraction data (not for schrodinger), wall time,
-peak RSS, the run's minor page faults, and a checksum per emitted file.
-The manifest is written even when the run fails, with an error section.
+Every run that writes artifacts owns its output directory exclusively.
+``run`` alone writes the artifacts, once the command has returned them,
+then a manifest.json with the full config echo, the computed constants
+and contraction data (not for schrodinger), wall time, peak RSS, the
+run's minor page faults, and the sha256 of each artifact it wrote, taken
+as the bytes were written.  The manifest is written even when the run
+fails, with an error section; a failed command writes no artifact.  Files
+that an earlier run left in the directory stay there and are not listed.
 ``constants`` may run without an output directory; it then only prints.
 Study rows run serially; ``--threads`` is accepted and ignored.
 
@@ -32,7 +38,6 @@ import time
 from contextlib import nullcontext
 from dataclasses import replace
 from functools import partial
-from pathlib import Path
 
 import numpy as np
 
@@ -55,7 +60,7 @@ from .gainfield import (
     simulate_gainfield,
     square_well,
 )
-from .io import fmt, node_rows, output_lock, sha256_file, write_csv, write_json
+from .io import fmt, node_rows, output_lock, write_csv, write_json
 from .model import compute_constants, contraction_factor
 from .solver import SolverConfig, monitor_bounds, segment_length, solve_global
 from .stationary import find_stationary_fp, stationary_via_flow
@@ -71,8 +76,9 @@ def _coordinate_header(grid: Grid):
     return ["x"] if grid.dimension == 1 else ["x", "y"]
 
 
-def _write_field_csv(path, grid: Grid, values, name="u"):
-    write_csv(path, _coordinate_header(grid) + [name], node_rows(grid.points, values))
+def _field_csv(grid: Grid, values, name="u"):
+    """The ``(header, rows)`` of a field's one-value-per-node CSV."""
+    return _coordinate_header(grid) + [name], node_rows(grid.points, values)
 
 
 def _segment(cfg: RunConfig, constants) -> dict:
@@ -82,7 +88,7 @@ def _segment(cfg: RunConfig, constants) -> dict:
 
 
 def _emit_manifest(out_dir, command, cfg: RunConfig | None, started, faults_before,
-                   extra=None, error=None, constants=None):
+                   checksums, extra=None, error=None, constants=None):
     usage = resource.getrusage(resource.RUSAGE_SELF)
     manifest = {
         "command": command,
@@ -91,6 +97,7 @@ def _emit_manifest(out_dir, command, cfg: RunConfig | None, started, faults_befo
         # the process peak (ru_maxrss is in KiB on Linux) and this run's faults
         "peak_rss_mb": usage.ru_maxrss / 1024.0,
         "minor_page_faults": usage.ru_minflt - faults_before,
+        "checksums": checksums,
     }
     if cfg is not None:
         manifest["config"] = cfg.document
@@ -102,13 +109,7 @@ def _emit_manifest(out_dir, command, cfg: RunConfig | None, started, faults_befo
         manifest.update(extra)
     if error is not None:
         manifest["error"] = error
-    checksums = {}
-    for path in sorted(Path(out_dir).iterdir()):
-        if path.name in ("manifest.json", ".lock") or path.suffix == ".tmp":
-            continue
-        checksums[path.name] = sha256_file(path)
-    manifest["checksums"] = checksums
-    write_json(Path(out_dir) / "manifest.json", manifest)
+    write_json(out_dir / "manifest.json", manifest)
 
 
 def _fixed_point(cfg: RunConfig, op, u0, constants):
@@ -120,22 +121,21 @@ def _fixed_point(cfg: RunConfig, op, u0, constants):
                               tol=section["tol"], max_iter=section["max_iter"])
 
 
-def cmd_simulate(cfg: RunConfig, out_dir, op, constants):
+def cmd_simulate(cfg: RunConfig, op, constants):
     u0 = initial_state(cfg)
     traj = solve_global(cfg.model, op, u0, cfg.solver, constants)
     report = monitor_bounds(traj, constants, cfg.model)
 
     nodes = np.column_stack([np.arange(cfg.grid.n_total), cfg.grid.points])
-    write_csv(Path(out_dir) / "trajectory.csv",
-              ["t", "node_index"] + _coordinate_header(cfg.grid) + ["u"],
-              node_rows(nodes, traj.values, traj.times))
-
     bound_rows = [
         [traj.times[n], report.sup_per_time[n], report.bound_theoretical, report.min_per_time[n]]
         for n in range(len(traj))
     ]
-    write_csv(Path(out_dir) / "bounds.csv", ["t", "sup_u", "bound", "min_u"], bound_rows)
     return {
+        "trajectory.csv": (["t", "node_index"] + _coordinate_header(cfg.grid) + ["u"],
+                           node_rows(nodes, traj.values, traj.times)),
+        "bounds.csv": (["t", "sup_u", "bound", "min_u"], bound_rows),
+    }, {
         "bound_report": {
             "sup_observed": report.sup_observed,
             "bound": report.bound_theoretical,
@@ -147,7 +147,7 @@ def cmd_simulate(cfg: RunConfig, out_dir, op, constants):
     }
 
 
-def cmd_stationary(cfg: RunConfig, out_dir, op, constants):
+def cmd_stationary(cfg: RunConfig, op, constants):
     u0 = initial_state(cfg)
     section = cfg.document["stationary"]
     if section["method"] == "fp":
@@ -155,7 +155,6 @@ def cmd_stationary(cfg: RunConfig, out_dir, op, constants):
     else:
         result = stationary_via_flow(cfg.model, op, u0, t_max=section["t_max"],
                                      settle_tol=section["settle_tol"], dt=section["dt"])
-    _write_field_csv(Path(out_dir) / "u_inf.csv", cfg.grid, result.u_inf)
     payload = {
         "method": result.method,
         "residual": result.residual_sup,
@@ -164,11 +163,11 @@ def cmd_stationary(cfg: RunConfig, out_dir, op, constants):
         # existence is only guaranteed for gamma * Cw < 1; surface the product
         "gamma_times_cw": cfg.model.gamma * constants.kernel_l1_sup,
     }
-    write_json(Path(out_dir) / "stationary.json", payload)
-    return {"stationary": payload}
+    return ({"u_inf.csv": _field_csv(cfg.grid, result.u_inf), "stationary.json": payload},
+            {"stationary": payload})
 
 
-def cmd_gainfield(cfg: RunConfig, out_dir, op, constants):
+def cmd_gainfield(cfg: RunConfig, op, constants):
     u0 = initial_state(cfg)
     section = cfg.document["gainfield"]
     stationary = _fixed_point(cfg, op, u0, constants)
@@ -176,18 +175,12 @@ def cmd_gainfield(cfg: RunConfig, out_dir, op, constants):
     eig = mercer_decompose(learned, cfg.quadrature, n_eigs=section["n_eigs"])
     phi_pre = presynaptic_gain(learned, k_pre=section["k_pre"])
 
-    n_eigs = min(section["n_eigs"], eig.values.shape[0])
-    write_csv(Path(out_dir) / "eigs.csv", ["i", "sigma_i"],
-              [[i, eig.values[i]] for i in range(n_eigs)])
-    _write_field_csv(Path(out_dir) / "phi_pre.csv", cfg.grid, phi_pre, "phi")
-
     lam = section["lambda"]
     box = section["crosscheck_box"]
     n_nodes = section["crosscheck_nodes"]
     cross_grid = Grid(bounds=[(-box, box)], npts=[n_nodes])
     cross_quad = make_quadrature(cross_grid, "trapezoid")
     report = schrodinger_cross_check(lam, section["half_width"], cross_grid, cross_quad)
-    write_json(Path(out_dir) / "crosscheck.json", report.to_json())
 
     # exploratory: frozen-gain run against the plastic run.  For w >= 0 and a
     # nondecreasing f >= 0, J(u) <= (1 + gamma) W f(u) and the gained
@@ -203,7 +196,12 @@ def cmd_gainfield(cfg: RunConfig, out_dir, op, constants):
         "sup_diff_gain_vs_plastic": float(np.max(np.abs(gained.values - plastic.values))),
         "fraction_gain_above_plastic_late": above,
     }
+    n_eigs = min(section["n_eigs"], eig.values.shape[0])
     return {
+        "eigs.csv": (["i", "sigma_i"], [[i, eig.values[i]] for i in range(n_eigs)]),
+        "phi_pre.csv": _field_csv(cfg.grid, phi_pre, "phi"),
+        "crosscheck.json": report.to_json(),
+    }, {
         "stationary_residual": stationary.residual_sup,
         "stationary_iterations": stationary.iterations,
         "mercer": {"rank": len(eig.values), "eig_error_bound": eig.error_bound,
@@ -213,15 +211,12 @@ def cmd_gainfield(cfg: RunConfig, out_dir, op, constants):
     }
 
 
-def cmd_schrodinger(cfg: RunConfig, out_dir):
+def cmd_schrodinger(cfg: RunConfig):
     section = cfg.document["schrodinger"]
     half_width, height, lam = section["half_width"], section["height"], section["lambda"]
     grid = Grid(bounds=[(-section["box"], section["box"])], npts=[section["nodes"]])
     potential = square_well(grid.axis_nodes[0], half_width, height)
     eig = schrodinger_fd(potential, grid, n_states=section["n_states"])
-    write_csv(Path(out_dir) / "eigs.csv", ["i", "energy"],
-              [[i, eig.values[i]] for i in range(eig.values.shape[0])])
-    _write_field_csv(Path(out_dir) / "ground_state.csv", grid, eig.functions[:, 0])
     payload = {
         "half_width": half_width,
         "height": height,
@@ -230,8 +225,11 @@ def cmd_schrodinger(cfg: RunConfig, out_dir):
     if lam is not None:
         payload["lambda"] = lam
         payload["base_gain_for_consistency"] = [float(e) + lam * lam for e in eig.values]
-    write_json(Path(out_dir) / "schrodinger.json", payload)
-    return {"schrodinger": payload}
+    return {
+        "eigs.csv": (["i", "energy"], [[i, eig.values[i]] for i in range(eig.values.shape[0])]),
+        "ground_state.csv": _field_csv(grid, eig.functions[:, 0]),
+        "schrodinger.json": payload,
+    }, {"schrodinger": payload}
 
 
 def _study_initials(cfg: RunConfig, names):
@@ -246,7 +244,7 @@ def _study_initials(cfg: RunConfig, names):
     return out
 
 
-def cmd_study(cfg: RunConfig, out_dir, op, constants, study_name):
+def cmd_study(cfg: RunConfig, op, constants, study_name):
     u0 = initial_state(cfg)
     section = cfg.document["study"]
 
@@ -255,33 +253,30 @@ def cmd_study(cfg: RunConfig, out_dir, op, constants, study_name):
         solver_cfg = SolverConfig(method=s["method"], dt=s["dt"], t_end=s["t_end"])
         result = plasticity_limit_study(cfg.model, op, s["gamma_list"], u0, solver_cfg,
                                         slack=s["slack"])
-        csv_name = "plasticity-limit.csv"
     elif study_name == "dependence":
         s = section["dependence"]
         result = continuous_dependence_study(cfg.model, op, u0, s["eps_list"], constants,
                                              rho=s["rho"], dt=s["dt"],
                                              slack_coeff=s["slack_coeff"])
-        csv_name = "dependence.csv"
     elif study_name == "contraction":
         s = section["contraction"]
         result = contraction_measure(cfg.model, op, constants, rho=s["rho"],
                                      n_pairs=s["n_pairs"], seed=cfg.seed,
                                      time_steps=s["time_steps"], slack=s["slack"])
-        csv_name = "contraction.csv"
     elif study_name == "l1":
         s = section["l1"]
         initials = _study_initials(cfg, s["initials"])
         solver_cfg = SolverConfig(method="exp-euler", dt=s["dt"], t_end=s["t_end"])
         model = cfg.model if s["gamma"] is None else replace(cfg.model, gamma=s["gamma"])
         result = l1_bound_study(model, op, initials, solver_cfg, constants, slack=s["slack"])
-        csv_name = "l1.csv"
     else:
         raise SchemaError([f"study: unknown study {study_name!r}"])
 
+    artifacts = {}
     if result.rows:
         header = list(result.rows[0].keys())
-        write_csv(Path(out_dir) / csv_name, header,
-                  [[("" if row[k] is None else row[k]) for k in header] for row in result.rows])
+        artifacts[f"{study_name}.csv"] = (
+            header, [[("" if row[k] is None else row[k]) for k in header] for row in result.rows])
     verdict = {"pass": result.passed, "worst_margin": result.worst_margin}
     fit = result.fit or {}
     if "slope" in fit:
@@ -290,24 +285,23 @@ def cmd_study(cfg: RunConfig, out_dir, op, constants, study_name):
     if "max_ratio" in fit:
         verdict["max_ratio"] = fit["max_ratio"]
         verdict["q"] = fit["q"]
-    write_json(Path(out_dir) / "verdict.json", verdict)
-    return {"verdict": verdict}
+    artifacts["verdict.json"] = verdict
+    return artifacts, {"verdict": verdict}
 
 
-def cmd_constants(cfg: RunConfig, out_dir, constants):
+def cmd_constants(cfg: RunConfig, constants):
     payload = {"constants": constants.to_json(), "gamma": cfg.model.gamma,
                **_segment(cfg, constants)}
     for key, value in payload["constants"].items():
         print(f"{key}: {value if isinstance(value, str) else fmt(float(value))}")
     print(f"rho: {fmt(payload['rho'])}")
     print(f"q: {fmt(payload['q'])}")
-    if out_dir is not None:
-        write_json(Path(out_dir) / "constants.json", payload)
-    return {"constants_report": payload}
+    return {"constants.json": payload}, {"constants_report": payload}
 
 
 def run(command: str, cfg: RunConfig, out_dir, study_name=None) -> int:
-    """Dispatch a validated config; writes a manifest whenever out_dir is set."""
+    """Dispatch a validated config; when out_dir is set, write the command's
+    artifacts and then a manifest of the run, listing what it wrote."""
     # built per call, so the table holds the module's current cmd_* bindings
     commands = {
         "simulate": cmd_simulate,
@@ -320,6 +314,7 @@ def run(command: str, cfg: RunConfig, out_dir, study_name=None) -> int:
     started = time.perf_counter()
     faults_before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     constants = extra = error = None
+    checksums = {}
     status = EXIT_OK
     with output_lock(out_dir) if out_dir is not None else nullcontext() as out:
         try:
@@ -332,7 +327,11 @@ def run(command: str, cfg: RunConfig, out_dir, study_name=None) -> int:
                 op = build_operator(cfg.model.kernel, cfg.grid, cfg.quadrature)
                 constants = compute_constants(cfg.model, op)
                 args = (constants,) if command == "constants" else (op, constants)
-            extra = commands[command](cfg, out, *args)
+            artifacts, extra = commands[command](cfg, *args)
+            if out is not None:
+                for name, artifact in artifacts.items():
+                    checksums[name] = (write_json(out / name, artifact) if isinstance(artifact, dict)
+                                       else write_csv(out / name, *artifact))
         except SchemaError as exc:
             error = {"type": "SchemaError", "violations": exc.violations}
             for violation in exc.violations:
@@ -343,7 +342,7 @@ def run(command: str, cfg: RunConfig, out_dir, study_name=None) -> int:
             print(f"numerical failure: {exc}", file=sys.stderr)
             status = EXIT_NUMERICAL
         if out is not None:
-            _emit_manifest(out, command, cfg, started, faults_before, extra=extra,
+            _emit_manifest(out, command, cfg, started, faults_before, checksums, extra=extra,
                            error=error, constants=constants)
     verdict = (extra or {}).get("verdict")
     if verdict is not None and not verdict["pass"]:

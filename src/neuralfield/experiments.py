@@ -26,7 +26,6 @@ from .solver import SolverConfig, picard_map, solve_global
 class StudyResult:
     """Parameter table with measured and theoretical values per row."""
 
-    name: str
     rows: list
     slack: float
     passed: bool
@@ -46,12 +45,11 @@ def _loglog_fit(x, y) -> dict:
     return {"slope": float(slope), "r2": r2}
 
 
-def _assemble(name, rows, slack, fit=None) -> StudyResult:
+def _assemble(rows, slack, fit=None) -> StudyResult:
     margins = [row["margin"] for row in rows if row.get("margin") is not None]
     worst = min(margins) if margins else math.inf
     passed = all(row["pass"] for row in rows)
-    return StudyResult(name=name, rows=rows, slack=slack, passed=passed,
-                       worst_margin=worst, fit=fit)
+    return StudyResult(rows=rows, slack=slack, passed=passed, worst_margin=worst, fit=fit)
 
 
 def plasticity_limit_study(model: ModelSpec, op: DiscreteOperator, gamma_list,
@@ -87,7 +85,7 @@ def plasticity_limit_study(model: ModelSpec, op: DiscreteOperator, gamma_list,
         row["pass"] = bool(ok)
         row["margin"] = None if i == 0 else rows[i - 1]["distance"] + slack - row["distance"]
     fit = _loglog_fit(gammas, distances)
-    return _assemble("plasticity-limit", rows, slack, fit=fit)
+    return _assemble(rows, slack, fit=fit)
 
 
 def continuous_dependence_study(model: ModelSpec, op: DiscreteOperator, u0: FieldState,
@@ -130,7 +128,7 @@ def continuous_dependence_study(model: ModelSpec, op: DiscreteOperator, u0: Fiel
             "pass": bool(ok),
             "margin": bound - ratio,
         })
-    return _assemble("dependence", rows, slack)
+    return _assemble(rows, slack)
 
 
 def contraction_measure(model: ModelSpec, op: DiscreteOperator, constants: TheoryConstants,
@@ -170,7 +168,7 @@ def contraction_measure(model: ModelSpec, op: DiscreteOperator, constants: Theor
     for row in rows:
         row["pass"] = bool(row["ratio"] <= bound)
         row["margin"] = bound - row["ratio"]
-    result = _assemble("contraction", rows, slack)
+    result = _assemble(rows, slack)
     result.fit = {"q": q, "rho": rho, "max_ratio": worst}
     return result
 
@@ -201,4 +199,4 @@ def l1_bound_study(model: ModelSpec, op: DiscreteOperator, u0_list, cfg: SolverC
             "pass": bool(sup_l1 <= bound),
             "margin": bound - sup_l1,
         })
-    return _assemble("l1", rows, slack)
+    return _assemble(rows, slack)

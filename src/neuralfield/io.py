@@ -1,4 +1,4 @@
-"""Atomic file output, checksums, and the output-directory lock.
+"""Atomic file output with its checksum, and the output-directory lock.
 
 All floating-point values are written with 17 significant digits so files
 round-trip exactly and reruns can be compared checksum to checksum.  Files
@@ -6,7 +6,7 @@ are bytes: small tables formatted cell by cell (:func:`fmt`) and encoded,
 node tables formatted from arrays by ``b"%.17g"`` (:func:`node_rows`), the
 same characters as ``f"{v:.17g}"``.  Files are written to a temporary
 sibling and renamed into place, so a crash never leaves a partial artifact
-behind.
+behind, and hashed as they are written: each writer returns the sha256.
 """
 
 from __future__ import annotations
@@ -30,18 +30,26 @@ def fmt(value) -> str:
     return str(value)
 
 
-def atomic_write(path, chunks) -> None:
-    """Write the bytes ``chunks`` to ``path`` through a temporary sibling."""
+def atomic_write(path, chunks) -> str:
+    """Write the bytes ``chunks`` to ``path`` through a temporary sibling;
+    returns their sha256.  The file gets the mode ``open`` would give it."""
     path = Path(path)
+    digest = hashlib.sha256()
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.writelines(chunks)
+            for chunk in chunks:
+                digest.update(chunk)
+                fh.write(chunk)
+            umask = os.umask(0)  # mkstemp made it 0600; give it the mode open gives
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
         raise
+    return digest.hexdigest()
 
 
 def node_rows(nodes, values, times=None):
@@ -63,29 +71,22 @@ def node_rows(nodes, values, times=None):
         yield (stamp + block.replace(b"\n", b"\n" + stamp)) % tuple(row.tolist())
 
 
-def write_csv(path, header, rows) -> None:
+def write_csv(path, header, rows) -> str:
     """Rows are cell lists, formatted by :func:`fmt`, or bytes blocks of
     already formatted lines such as :func:`node_rows` yields; each is
-    written as it comes, so a generator of rows is never held whole."""
+    written as it comes, so a generator of rows is never held whole.
+    Returns the file's sha256."""
     def lines():
         yield (",".join(header) + "\n").encode()
         for row in rows:
             block = row if isinstance(row, bytes) else ",".join(fmt(cell) for cell in row).encode()
             yield block + b"\n"
 
-    atomic_write(path, lines())
+    return atomic_write(path, lines())
 
 
-def write_json(path, payload) -> None:
-    atomic_write(path, [(json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()])
-
-
-def sha256_file(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+def write_json(path, payload) -> str:
+    return atomic_write(path, [(json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()])
 
 
 def _holder_is_dead(lock_path) -> bool:

@@ -76,9 +76,9 @@ class FiringRate:
         """Sup of |f'| in closed form for every built-in kind."""
         p = self.params
         if self.kind == "sigmoid":
-            return p["slope"] / 4.0
+            return abs(p["slope"]) / 4.0
         if self.kind == "scaled-arctan":
-            return p["scale"] / math.pi
+            return abs(p["scale"]) / math.pi
         if self.kind == "linear":
             return 1.0
         return abs(p["slope"])

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -16,7 +17,7 @@ from neuralfield.config import (
 from neuralfield.errors import ParseError, SchemaError
 from neuralfield.discretization import Grid, build_operator
 from neuralfield.gainfield import schrodinger_fd, square_well
-from neuralfield.io import atomic_write, fmt, node_rows, output_lock, sha256_file, write_csv
+from neuralfield.io import atomic_write, fmt, node_rows, output_lock, write_csv
 from neuralfield.model import compute_constants
 from neuralfield.solver import solve_global
 from neuralfield.stationary import find_stationary_fp
@@ -235,6 +236,28 @@ class TestIO:
             atomic_write(p, chunks())
         assert p.read_text() == "kept" and not list(tmp_path.glob("*.tmp"))
 
+    def test_atomic_write_returns_the_sha256_of_the_file(self, tmp_path):
+        p = tmp_path / "x.bin"
+        digest = atomic_write(p, (bytes([k]) * 1000 for k in range(256)))
+        assert digest == hashlib.sha256(p.read_bytes()).hexdigest()
+        written = write_csv(tmp_path / "t.csv", ["a"], [[0.1]])
+        assert written == hashlib.sha256(b"a\n0.10000000000000001\n").hexdigest()
+
+    def test_artifacts_follow_the_umask(self, tmp_path):
+        # the files of a run get the mode that open() gives a new file
+        old = os.umask(0o022)
+        try:
+            out = tmp_path / "sch"
+            cfg = build_config({"schrodinger": {"nodes": 101, "n_states": 1}}, environ={})
+            assert run("schrodinger", cfg, out) == 0
+            with open(out / "plain.txt", "w"):
+                pass
+        finally:
+            os.umask(old)
+        expected = (out / "plain.txt").stat().st_mode
+        for name in ("eigs.csv", "ground_state.csv", "schrodinger.json", "manifest.json"):
+            assert (out / name).stat().st_mode == expected, name
+
     def test_write_csv_consumes_rows_as_a_stream(self, tmp_path, monkeypatch):
         # each row is written before the next is made: no whole-file string
         from neuralfield import io
@@ -327,7 +350,7 @@ class TestRun:
         assert isinstance(manifest["minor_page_faults"], int) and manifest["minor_page_faults"] >= 0
         # checksums match the files on disk
         for name, digest in manifest["checksums"].items():
-            assert sha256_file(out / name) == digest
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
         header = (out / "trajectory.csv").read_text().splitlines()[0]
         assert header == "t,node_index,x,u"
 
@@ -605,6 +628,22 @@ class TestRun:
         assert run("gainfield", build_config(doc, environ={}), out) == 1
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["error"]["type"] == "NoBoundStateError"
+        # a failed command writes no artifact, though its spectrum was computed
+        assert sorted(path.name for path in out.iterdir()) == ["manifest.json"]
+        assert manifest["checksums"] == {}
+
+    def test_manifest_lists_only_what_its_run_wrote(self, tmp_path):
+        # a reused directory keeps the older files, but the manifest vouches
+        # only for the artifacts of its own run
+        cfg = build_config(small_sim_doc(), environ={})
+        out = tmp_path / "shared"
+        assert run("simulate", cfg, out) == 0
+        assert run("stationary", cfg, out) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest["checksums"]) == {"u_inf.csv", "stationary.json"}
+        assert (out / "trajectory.csv").exists()
+        for name, digest in manifest["checksums"].items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("command", ["stationary", "gainfield"])
     def test_fixed_point_on_periodic_grid_is_a_config_error(self, tmp_path, command):
@@ -619,7 +658,7 @@ class TestRun:
     def test_unexpected_error_propagates_and_unlocks(self, tmp_path, monkeypatch, bug):
         import neuralfield.cli as cli
 
-        def broken(cfg, out_dir, op, constants):
+        def broken(cfg, op, constants):
             raise bug("a bug, not a numerical failure")
 
         monkeypatch.setattr(cli, "cmd_simulate", broken)
@@ -692,6 +731,22 @@ class TestMainEntry:
         assert payload["q"] < 1.0
         assert payload["constants"]["firing_lipschitz"] == 0.25
 
+    @pytest.mark.parametrize("firing, lipschitz", [
+        ({"kind": "sigmoid", "params": {"slope": -1.0, "threshold": 0.0}}, 0.25),
+        ({"kind": "scaled-arctan", "params": {"scale": -2.0}}, 2.0 / math.pi),
+    ])
+    def test_decreasing_firing_runs(self, tmp_path, capsys, firing, lipschitz):
+        # a bounded, C^1, decreasing f passes validate, so it must run too
+        doc = small_sim_doc()
+        doc["model"]["firing"] = firing
+        path = write_config(tmp_path, doc)
+        assert main(["validate", "--config", path]) == 0
+        assert main(["simulate", "--config", path, "--out", str(tmp_path / "sim")]) == 0
+        assert main(["constants", "--config", path, "--out", str(tmp_path / "c")]) == 0
+        for report in (tmp_path / "sim" / "manifest.json", tmp_path / "c" / "constants.json"):
+            constants = json.loads(report.read_text())["constants"]
+            assert constants["firing_lipschitz"] == pytest.approx(lipschitz, rel=1e-15)
+
     def test_only_lock_contention_exits_1_from_main(self, tmp_path, monkeypatch):
         import neuralfield.cli as cli
 
@@ -701,7 +756,7 @@ class TestMainEntry:
         assert main(["constants", "--out", str(out)]) == 1
         (out / ".lock").unlink()
 
-        def broken(cfg, out_dir, constants):
+        def broken(cfg, constants):
             raise RuntimeError("a bug, not lock contention")
 
         monkeypatch.setattr(cli, "cmd_constants", broken)

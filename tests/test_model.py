@@ -71,6 +71,10 @@ class TestFiringRate:
         ("scaled-arctan", {"scale": 2.0}),
         ("piecewise-linear-clamped", {"slope": 1.2, "threshold": 0.0}),
         ("linear", {}),
+        # decreasing f: sup |f'| takes |slope| or |scale|
+        ("sigmoid", {"slope": -1.0, "threshold": 0.0}),
+        ("scaled-arctan", {"scale": -2.0}),
+        ("piecewise-linear-clamped", {"slope": -0.8, "threshold": 0.3}),
     ])
     def test_lipschitz_constant_holds_on_samples(self, kind, params):
         f = FiringRate(kind, params)

@@ -133,6 +133,20 @@ def test_operator_is_built_only_in_cli_run():
     assert _callers("build_operator") == [("cli.py", "run")]
 
 
+def test_artifacts_are_written_only_by_cli_run():
+    # each command returns its artifacts; run writes them and then the
+    # manifest, so the manifest lists exactly the files of its run
+    assert _callers("write_csv") == [("cli.py", "run")]
+    assert sorted(_callers("write_json")) == [("cli.py", "_emit_manifest"), ("cli.py", "run")]
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    commands = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")]
+    assert len(commands) == 6
+    # no output directory: a command sees the config, operator and constants
+    assert {arg.arg for func in commands for arg in func.args.args} == {
+        "cfg", "op", "constants", "study_name"}
+
+
 def test_config_is_walked_only_by_build_config():
     # one validation entry point: files, NF_ variables and flags all reach
     # the run through build_config, so nothing checks a section on the side
