@@ -2,25 +2,22 @@
 
 Subcommands: simulate, stationary, gainfield, schrodinger, study <name>,
 constants, validate.  ``run`` dispatches every command but validate from a
-name -> ``cmd_*`` table.  ``run`` builds the run's one discrete operator
-and computes the constants from it; each ``cmd_*`` takes the config, the
+name -> ``cmd_*`` table, builds the run's one discrete operator and
+computes the constants from it.  Each ``cmd_*`` takes the config, the
 operator when it integrates the model, and the constants (schrodinger,
-which reads no model, gets neither), reads its settings from
-``cfg.document`` alone, writes no file, and returns ``(artifacts,
-extra)``: ``artifacts`` maps a file name to a JSON payload (a dict) or a
-CSV ``(header, rows)`` pair, whose rows may be a generator, and ``extra``
-holds the command's manifest entries.  ``main`` sets the config keys of the
-flags ``--seed``, ``--method``, ``--well`` and ``--lambda`` over the file
-and the ``NF_`` overrides and walks the document again, so a flag error
-exits 2 before anything is written and the config echo is the run's.
-Every run that writes artifacts owns its output directory exclusively.
-``run`` alone writes the artifacts, once the command has returned them,
-then a manifest.json with the full config echo, the computed constants
-and contraction data (not for schrodinger), wall time, peak RSS, the
-run's minor page faults, and the sha256 of each artifact it wrote, taken
-as the bytes were written.  The manifest is written even when the run
-fails, with an error section; a failed command writes no artifact.  Files
-that an earlier run left in the directory stay there and are not listed.
+which reads no model, gets neither), reads ``cfg.document`` alone, writes
+no file, and returns ``(artifacts, extra)``: file name -> JSON payload (a
+dict) or CSV ``(header, rows)``, rows possibly a generator; ``extra`` goes
+into the manifest.  ``main`` sets the config keys of the flags ``--seed``,
+``--method``, ``--well`` and ``--lambda`` over the file and the ``NF_``
+overrides and walks the document again, so a flag error exits 2 before
+anything is written and the config echo is the run's.
+A run with an output directory owns it exclusively; ``run`` alone writes
+the artifacts, then a manifest.json with the config echo, the constants
+and contraction data (not for schrodinger), wall time, peak RSS, minor
+page faults, and the sha256 of each artifact, taken as it was written.
+The manifest is written even when the command fails, with an error
+section, and is then the only file written; older files are not listed.
 ``constants`` may run without an output directory; it then only prints.
 Study rows run serially; ``--threads`` is accepted and ignored.
 
@@ -77,7 +74,6 @@ def _coordinate_header(grid: Grid):
 
 
 def _field_csv(grid: Grid, values, name="u"):
-    """The ``(header, rows)`` of a field's one-value-per-node CSV."""
     return _coordinate_header(grid) + [name], node_rows(grid.points, values)
 
 
@@ -300,8 +296,7 @@ def cmd_constants(cfg: RunConfig, constants):
 
 
 def run(command: str, cfg: RunConfig, out_dir, study_name=None) -> int:
-    """Dispatch a validated config; when out_dir is set, write the command's
-    artifacts and then a manifest of the run, listing what it wrote."""
+    """Dispatch a validated config; with out_dir, write its artifacts, then a manifest."""
     # built per call, so the table holds the module's current cmd_* bindings
     commands = {
         "simulate": cmd_simulate,

@@ -6,7 +6,7 @@ are bytes: small tables formatted cell by cell (:func:`fmt`) and encoded,
 node tables formatted from arrays by ``b"%.17g"`` (:func:`node_rows`), the
 same characters as ``f"{v:.17g}"``.  Files are written to a temporary
 sibling and renamed into place, so a crash never leaves a partial artifact
-behind, and hashed as they are written: each writer returns the sha256.
+behind.  Writers hash as they write; :func:`sha256_file` re-reads a file.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import contextlib
 import hashlib
 import json
 import os
-import tempfile
 from pathlib import Path
 
 from .errors import OutputLockedError
@@ -35,15 +34,14 @@ def atomic_write(path, chunks) -> str:
     returns their sha256.  The file gets the mode ``open`` would give it."""
     path = Path(path)
     digest = hashlib.sha256()
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    # unique under the caller's output lock; the kernel applies the umask
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             for chunk in chunks:
                 digest.update(chunk)
                 fh.write(chunk)
-            umask = os.umask(0)  # mkstemp made it 0600; give it the mode open gives
-            os.umask(umask)
-            os.fchmod(fd, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -87,6 +85,14 @@ def write_csv(path, header, rows) -> str:
 
 def write_json(path, payload) -> str:
     return atomic_write(path, [(json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()])
+
+
+def sha256_file(path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def _holder_is_dead(lock_path) -> bool:

@@ -17,7 +17,7 @@ from neuralfield.config import (
 from neuralfield.errors import ParseError, SchemaError
 from neuralfield.discretization import Grid, build_operator
 from neuralfield.gainfield import schrodinger_fd, square_well
-from neuralfield.io import atomic_write, fmt, node_rows, output_lock, write_csv
+from neuralfield.io import atomic_write, fmt, node_rows, output_lock, sha256_file, write_csv
 from neuralfield.model import compute_constants
 from neuralfield.solver import solve_global
 from neuralfield.stationary import find_stationary_fp
@@ -239,7 +239,7 @@ class TestIO:
     def test_atomic_write_returns_the_sha256_of_the_file(self, tmp_path):
         p = tmp_path / "x.bin"
         digest = atomic_write(p, (bytes([k]) * 1000 for k in range(256)))
-        assert digest == hashlib.sha256(p.read_bytes()).hexdigest()
+        assert digest == sha256_file(p) == hashlib.sha256(p.read_bytes()).hexdigest()
         written = write_csv(tmp_path / "t.csv", ["a"], [[0.1]])
         assert written == hashlib.sha256(b"a\n0.10000000000000001\n").hexdigest()
 
@@ -350,7 +350,7 @@ class TestRun:
         assert isinstance(manifest["minor_page_faults"], int) and manifest["minor_page_faults"] >= 0
         # checksums match the files on disk
         for name, digest in manifest["checksums"].items():
-            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+            assert sha256_file(out / name) == digest
         header = (out / "trajectory.csv").read_text().splitlines()[0]
         assert header == "t,node_index,x,u"
 
@@ -643,7 +643,7 @@ class TestRun:
         assert set(manifest["checksums"]) == {"u_inf.csv", "stationary.json"}
         assert (out / "trajectory.csv").exists()
         for name, digest in manifest["checksums"].items():
-            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+            assert sha256_file(out / name) == digest
 
     @pytest.mark.parametrize("command", ["stationary", "gainfield"])
     def test_fixed_point_on_periodic_grid_is_a_config_error(self, tmp_path, command):

@@ -71,8 +71,10 @@ def test_commands_run_without_loading_numpy_random(tmp_path):
     _run_commands_then_check_unloaded(tmp_path, "numpy.random")
 
 
-# Oracles that acceptance tests read; no command needs them.
-TEST_ORACLES = {"j_error_bound"}
+# Oracles that acceptance tests read; no command needs them.  sha256_file
+# re-hashes an artifact on disk against its manifest entry (a run hashes as
+# it writes), and the benchmark's tracer hooks it by name.
+TEST_ORACLES = {"j_error_bound", "sha256_file"}
 
 
 def test_every_definition_is_referenced_outside_init():
@@ -138,6 +140,8 @@ def test_artifacts_are_written_only_by_cli_run():
     # manifest, so the manifest lists exactly the files of its run
     assert _callers("write_csv") == [("cli.py", "run")]
     assert sorted(_callers("write_json")) == [("cli.py", "_emit_manifest"), ("cli.py", "run")]
+    # and no artifact is read back to be hashed
+    assert _callers("sha256_file") == []
     tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
     commands = [node for node in tree.body
                 if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")]
