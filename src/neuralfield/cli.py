@@ -34,7 +34,7 @@ import sys
 import time
 from contextlib import nullcontext
 from dataclasses import replace
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -346,7 +346,11 @@ def run(command: str, cfg: RunConfig, out_dir, study_name=None) -> int:
     return status
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument tree, built once per process: argparse runs its help
+    strings through ``gettext``, which searches the locale directories on
+    every build."""
     parser = argparse.ArgumentParser(prog="neuralfield",
                                      description="Neural field simulation and bound verification")
     parser.add_argument("--version", action="version", version=__version__)

@@ -16,7 +16,14 @@ gamma.  The gaussian g takes its pivoted-Cholesky (Newton-basis) factor
 g(a - b) ~ sum_k N_k(a) N_k(b), tabulated once per span bucket at first use
 and stopped where the power function is below 1e-14, so J costs r + 1
 operator products at the gaussian's numerical rank r, on every operator;
-gamma = 0 is the only bypass.
+gamma = 0 is the only bypass.  J passes those products to the operator in
+chunks of rows and adds the terms in k order, so it is bitwise that of one
+whole batch.  A chunk's spectrum stays within ``CHUNK_BYTES`` = 512 KB:
+of the 256-512 KB swept, the budget with the fewest chunks, whose J was
+within 4% of one whole batch on 41 x 41 nodes and no slower on 81 x 81
+(19-24% faster on 256 x 256).  With the simulate-2d benchmark config, a
+256 x 256 ``simulate`` to t = 5 peaks at 140 MB instead of 268 MB, and a
+512 x 512 one to t = 1 at 316 MB instead of 619 MB.
 
 Results are bit-reproducible at a fixed BLAS thread count: FFTs and numpy
 reductions use a fixed order, and the dense products of tabulated kernels
@@ -236,6 +243,14 @@ def kernel_spectrum(profile, grid: Grid) -> np.ndarray:
 # package evaluates J on one thread; concurrent calls would share them.
 _WORKSPACES: dict = {}
 
+# J's batched products go through ``op.apply`` in chunks of rows
+# (:attr:`DiscreteOperator.chunk_rows`): as many as keep a chunk's spectrum
+# within CHUNK_BYTES, and at least CHUNK_LINES last-axis lines, because
+# numpy builds an FFT plan on every call at about the cost of one line's
+# transform, so chunks of one or two 1-D rows would double J's FFT time.
+CHUNK_BYTES = 512 * 1024
+CHUNK_LINES = 32
+
 
 def _workspace(slot: str, shape: tuple, dtype=float) -> np.ndarray:
     """A ``shape`` view into the buffer of ``slot``; its contents are
@@ -248,14 +263,18 @@ def _workspace(slot: str, shape: tuple, dtype=float) -> np.ndarray:
     return buffer[:size].reshape(shape)
 
 
-def convolve(spectrum: np.ndarray, grid: Grid, v: np.ndarray) -> np.ndarray:
+def convolve(spectrum: np.ndarray, grid: Grid, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """sum_j c(x_i - x_j) v_j for the kernel c whose spectrum is given.
 
-    The last axis of v runs over the grid nodes; leading axes are a batch.
-    The transforms are those of ``irfftn(rfftn(v, s) * spectrum, s)``, one
-    axis at a time in workspaces: in 2-D the axis-0 pair runs in place over
-    the zero-padded rows, and only the n0 rows kept afterwards take the
-    last-axis inverse.  Returns a new array.
+    The last axis of v runs over the grid nodes; leading axes are a batch,
+    transformed whole (J passes its batches in chunks of
+    :attr:`DiscreteOperator.chunk_rows`, each within ``CHUNK_BYTES`` of
+    spectrum).  The transforms are those of
+    ``irfftn(rfftn(v, s) * spectrum, s)``, one axis at a time in
+    workspaces: in 2-D the axis-0 pair runs in place over the zero-padded
+    rows, and only the n0 rows kept afterwards take the last-axis inverse.
+    Returns a new array, or writes ``out``, a C-contiguous array of v's
+    shape, and returns it.
     """
     batch = v.shape[:-1]
     fields = v.reshape(batch + grid.npts)
@@ -272,7 +291,10 @@ def convolve(spectrum: np.ndarray, grid: Grid, v: np.ndarray) -> np.ndarray:
         np.fft.ifft(transform, axis=-2, out=transform)
     image = _workspace("real", batch + grid.npts[:-1] + (m_last,))
     np.fft.irfft(kept, m_last, axis=-1, out=image)
-    return image[..., :grid.npts[-1]].copy().reshape(v.shape)
+    if out is None:
+        return image[..., :grid.npts[-1]].copy().reshape(v.shape)
+    np.copyto(out.reshape(fields.shape), image[..., :grid.npts[-1]])
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,11 +327,22 @@ class DiscreteOperator:
         out = np.multiply(v, self.quadrature.weights, out=_workspace("weighted", v.shape))
         return out if self.gain is None else np.multiply(out, self.gain, out=out)
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        """W @ v over the last axis of v; leading axes are a batch."""
+    def apply(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """W @ v over the last axis of v; leading axes are a batch.  Writes
+        ``out`` (C-contiguous, v's shape) when given."""
         if self.spectrum is None:
-            return np.einsum("ij,...j->...i", self.matrix, v)
-        return convolve(self.spectrum, self.grid, self._weighted(v))
+            return np.einsum("ij,...j->...i", self.matrix, v, out=out)
+        return convolve(self.spectrum, self.grid, self._weighted(v), out)
+
+    @cached_property
+    def chunk_rows(self) -> int:
+        """Rows per chunk of a batch: as many as fit ``CHUNK_BYTES`` of
+        spectrum, and enough for ``CHUNK_LINES`` last-axis transforms.  A
+        dense operator counts its product row and has no transforms."""
+        if self.spectrum is None:
+            return max(1, CHUNK_BYTES // (8 * self.grid.n_total))
+        lines = self.grid.n_total // self.grid.npts[-1]
+        return max(CHUNK_BYTES // self.spectrum.nbytes, -(-CHUNK_LINES // lines))
 
     @cached_property
     def _abs_spectrum(self) -> np.ndarray:
@@ -486,26 +519,43 @@ def apply_j_values(model: ModelSpec, op: DiscreteOperator, values: np.ndarray) -
     """Nonlinear input term: sum_j W[i,j] * (1 + gamma*g(u_i - u_j)) * f(u_j).
 
     J = W f + gamma * sum_k N_k(u) * W(N_k(u) f) with the :class:`RangeFactor`
-    of u, the r + 1 products in one batched ``op.apply`` (FFT or dense), on
-    every operator; gamma = 0 gives W f.  ``values`` is one field (n,) or a
-    stack (T, n) of them, one batched product at gamma = 0, a row loop else.
+    of u, on every operator; gamma = 0 gives W f.  ``values`` is one field
+    (n,) or a stack (T, n) of them; at gamma = 0 the rows of the stack, and
+    else the columns N_0 f, ..., N_(r-1) f, f of each field, go through
+    ``op.apply`` ``op.chunk_rows`` at a time (a chunk's spectrum within
+    ``CHUNK_BYTES`` = 512 KB, see the module docstring), in order.  Each
+    chunk's sum over k starts from the sum so far, so the terms add in k
+    order and J is bitwise that of one whole batch.
     """
     if values.ndim not in (1, 2) or values.shape[-1] != op.grid.n_total:
         raise ValueError(f"state has {values.shape} values, grid has {op.grid.n_total} nodes")
     rates = model.firing(values)
-    if model.gamma == 0.0:
-        return op.apply(rates)
-    width = model.learning.params["width"]
     out = np.empty_like(rates)
+    chunk = op.chunk_rows
+    if model.gamma == 0.0:
+        stack, image = np.atleast_2d(rates), np.atleast_2d(out)
+        for start in range(0, stack.shape[0], chunk):
+            op.apply(stack[start:start + chunk], image[start:start + chunk])
+        return out
+    width = model.learning.params["width"]
     for u, f, row in zip(np.atleast_2d(values), np.atleast_2d(rates), np.atleast_2d(out)):
         factor = range_factor(u, width)
         basis = factor.basis(u, width)
-        columns = _workspace("columns", (factor.rank + 1, u.shape[0]))
-        columns[0] = f
-        np.multiply(basis, f[None, :], out=columns[1:])
-        products = op.apply(columns)
-        np.add(products[0], model.gamma * np.multiply(basis, products[1:], out=basis).sum(axis=0),
-               out=row)
+        for start in range(0, factor.rank + 1, chunk):
+            stop = min(start + chunk, factor.rank + 1)
+            terms = min(stop, factor.rank) - start  # the chunk's N_k; the last chunk ends with f
+            columns = _workspace("columns", (stop - start, u.shape[0]))
+            np.multiply(basis[start:start + terms], f, out=columns[:terms])
+            columns[terms:] = f
+            # row 0 carries the sum over the earlier chunks
+            products = _workspace("products", (stop - start + 1, u.shape[0]))
+            op.apply(columns, products[1:])
+            plastic = products[1:terms + 1]
+            np.multiply(basis[start:start + terms], plastic, out=plastic)
+            if start:
+                products[0] = row
+            np.add.reduce(products[0 if start else 1:terms + 1], axis=0, out=row)
+        np.add(products[-1], np.multiply(row, model.gamma, out=row), out=row)
     return out
 
 

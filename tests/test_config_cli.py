@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -788,6 +789,36 @@ class TestMainEntry:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 777
         assert manifest["config"]["seed"] == 777
+
+    def test_parser_is_built_once_per_process(self, monkeypatch, capsys):
+        from neuralfield import cli
+
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def spy(self, *args, **kwargs):
+            if kwargs.get("prog") == "neuralfield":
+                built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+        cli._build_parser.cache_clear()
+        try:
+            outcomes = []
+            for _ in range(2):
+                codes = [main(["constants", "--seed", "-1"])]
+                with pytest.raises(SystemExit) as exc:
+                    main(["simulate", "--bogus"])
+                codes.append(exc.value.code)
+                outcomes.append((codes, capsys.readouterr()))
+        finally:
+            cli._build_parser.cache_clear()
+        assert len(built) == 1
+        assert outcomes[0] == outcomes[1]
+        codes, (out, err) = outcomes[0]
+        assert codes == [2, 2] and out == ""
+        assert "config error: seed: must be a nonnegative integer" in err
+        assert "unrecognized arguments: --bogus" in err
 
     def test_negative_seed_flag_exits_2(self, capsys):
         assert main(["constants", "--seed", "-1"]) == 2

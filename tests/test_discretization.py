@@ -422,6 +422,33 @@ class TestFastJ:
                 assert np.array_equal(j_row, apply_j_values(model, op, u))
                 assert np.array_equal(f_row, apply_f_values(model, op, u))
 
+    @pytest.mark.parametrize("rows", [1, 4])
+    @pytest.mark.parametrize("gamma", [0.0, 1.0])
+    @pytest.mark.parametrize("kernel_kind", KERNEL_KINDS)
+    @pytest.mark.parametrize("kind", GRID_KINDS)
+    def test_chunks_equal_one_whole_batch_bitwise(self, monkeypatch, kind, kernel_kind, gamma,
+                                                  rows):
+        # one column per chunk (the last chunk is f alone), and chunks of 4
+        # that split the basis rows and the stack
+        grid, quad = small_grid(kind, [37, 12], 4.0)
+        model = any_model(kernel_kind, "sigmoid", gamma, 1.0, grid, seed=7)
+        stack = np.random.default_rng(grid.n_total).uniform(-2.0, 3.0, size=(6, grid.n_total))
+        stack[0] = 0.5
+        monkeypatch.setattr(discretization, "CHUNK_LINES", 1)
+        monkeypatch.setattr(discretization, "CHUNK_BYTES", 2 ** 62)
+        whole = build_operator(model.kernel, grid, quad)
+        assert whole.chunk_rows > stack.shape[0] + range_factor(stack[1], 1.0).rank
+        row_bytes = 8 * grid.n_total if whole.spectrum is None else whole.spectrum.nbytes
+        monkeypatch.setattr(discretization, "CHUNK_BYTES", rows * row_bytes)
+        chunked = build_operator(model.kernel, grid, quad)
+        assert chunked.chunk_rows == rows
+        assert range_factor(stack[1], 1.0).rank + 1 > rows
+        for values in (stack, stack[1]):
+            assert np.array_equal(apply_j_values(model, chunked, values),
+                                  apply_j_values(model, whole, values))
+            assert np.array_equal(apply_f_values(model, chunked, values),
+                                  apply_f_values(model, whole, values))
+
     def test_gain_scaled_matrix_is_lazy_product(self):
         grid = Grid(bounds=[(0.0, 1.0)], npts=[41])
         kern = SynapticKernel("tabulated", {"matrix": np.full((41, 41), 0.3), "nodes": grid.points})
@@ -623,6 +650,21 @@ class TestWorkspaces:
         first_conv[:] = np.nan
         assert np.array_equal(apply_j_values(model, op, u), kept_j)
         assert np.array_equal(convolve(op.spectrum, op.grid, np.vstack([u, -u])), kept_conv)
+
+    def test_chunk_workspaces_stay_within_twice_the_budget(self, monkeypatch):
+        # the whole 81 x 81 batch has 4.6 MB of spectrum; a grown slot is at
+        # most twice its largest request
+        monkeypatch.setattr(discretization, "_WORKSPACES", {})
+        model = make_model(gamma=1.0)
+        grid = Grid(bounds=[(-5.0, 5.0), (-5.0, 5.0)], npts=[81, 81])
+        op = build_operator(model.kernel, grid, make_quadrature(grid))
+        u = 4.0 * np.exp(-np.sum(grid.points ** 2, axis=1) / 4.0) - 1.0
+        budget = discretization.CHUNK_BYTES
+        assert (range_factor(u, 1.0).rank + 1) * op.spectrum.nbytes > 8 * budget
+        for _ in range(2):
+            apply_j_values(model, op, u)
+        for slot in ("weighted", "spectrum", "real", "columns", "products"):
+            assert discretization._WORKSPACES[slot].nbytes <= 2 * budget, slot
 
     @pytest.mark.parametrize("shape", [(401,), (41, 41)])
     def test_steady_state_j_allocates_less_than_one_spectrum_stack(self, shape):
