@@ -5,8 +5,13 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neuralfield.cli import main, run
 from neuralfield.config import (
@@ -16,12 +21,23 @@ from neuralfield.config import (
     parse_config,
 )
 from neuralfield.errors import ParseError, SchemaError
+from neuralfield import discretization, io
 from neuralfield.discretization import Grid, build_operator
 from neuralfield.gainfield import schrodinger_fd, square_well
-from neuralfield.io import atomic_write, fmt, node_rows, output_lock, sha256_file, write_csv
+from neuralfield.io import (atomic_write, fmt, g17_cells, node_rows, output_lock, sha256_file,
+                            write_csv)
 from neuralfield.model import compute_constants
 from neuralfield.solver import solve_global
 from neuralfield.stationary import find_stationary_fp
+
+
+# the edges of %.17g's fixed notation, and half-even ties of both parities
+EDGE_VALUES = [9.9999999999999991e-05, 0.0001, 99999999999999984.0, 1e17,
+               1234567890123456.25, 1234567890123456.75]
+
+
+def percent_g(values):
+    return [b"%.17g" % x for x in np.asarray(values, dtype=float).ravel().tolist()]
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -301,7 +317,7 @@ class TestIO:
     @pytest.mark.parametrize("n_times", [None, 1, 4])
     def test_node_rows_match_per_cell_fmt(self, dim, n_times):
         special = [-0.0, 5e-324, 3.0, float(2**53 + 1), 1e16, 0.1, 1.0 / 3.0,
-                   math.nan, math.inf, -math.inf]
+                   math.nan, math.inf, -math.inf, *EDGE_VALUES]
         n = len(special)
         coords = [np.linspace(-2.5, 1.0, n), -np.geomspace(1e-3, 7.0, n)]
         points = np.column_stack(coords[:dim])
@@ -316,6 +332,77 @@ class TestIO:
                         for k in range(n_times) for i in range(n)]
             fast = node_rows(np.column_stack([np.arange(n), points]), values, times)
         assert b"\n".join(fast) == "\n".join(",".join(map(fmt, row)) for row in expected).encode()
+
+    @pytest.mark.parametrize("per_chunk", [1, 3])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_node_rows_in_chunks_equal_one_whole_batch(self, monkeypatch, dim, per_chunk):
+        # chunks of one or three values split the node cells and every time slice
+        n = 11
+        points = np.column_stack([np.linspace(-2.5, 1.0, n), -np.geomspace(1e-3, 7.0, n)][:dim])
+        nodes = np.column_stack([np.arange(n), points])
+        values = np.random.default_rng(dim).uniform(-2.0, 2.0, (5, n))
+        values[1, :len(EDGE_VALUES)] = EDGE_VALUES
+        values[2, :4] = [math.nan, -math.inf, 5e-324, -0.0]
+        times = np.linspace(0.0, 0.4, 5)
+        monkeypatch.setattr(discretization, "CHUNK_BYTES", 2 ** 62)
+        whole = b"".join(node_rows(nodes, values, times))
+        sizes = []
+        real = io._g17_chunk
+        monkeypatch.setattr(io, "_g17_chunk", lambda x: sizes.append(x.size) or real(x))
+        monkeypatch.setattr(discretization, "CHUNK_BYTES", per_chunk * io._VALUE_BYTES)
+        assert b"".join(node_rows(nodes, values, times)) == whole
+        assert max(sizes) == per_chunk and sum(sizes) == nodes.size + times.size + values.size
+
+    def test_g17_cells_equal_percent_g(self):
+        rng = np.random.default_rng(17)
+        bits = rng.integers(0, 2 ** 64, 10 ** 6, dtype=np.uint64).view(np.float64)
+        spread = rng.choice([-1.0, 1.0], 10 ** 6) * 10.0 ** rng.uniform(-4.0, 17.0, 10 ** 6)
+        powers = [10.0 ** k for k in range(-6, 19)]
+        around = [np.nextafter(p, toward) for p in powers for toward in (0.0, math.inf)]
+        for values in (bits, spread, powers + around + EDGE_VALUES):
+            assert g17_cells(values) == percent_g(values)
+        assert g17_cells(EDGE_VALUES[-2:]) == [b"1234567890123456.2", b"1234567890123456.8"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(), max_size=40))
+    def test_g17_cells_equal_percent_g_on_any_floats(self, values):
+        assert g17_cells(values) == percent_g(values)
+
+    def test_g17_cells_warn_about_nothing(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cells = g17_cells([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324])
+        assert cells == [b"0", b"-0", b"nan", b"inf", b"-inf", b"4.9406564584124654e-324"]
+
+    def test_g17_cells_temporaries_stay_within_the_budget(self):
+        values = np.random.default_rng(5).uniform(-1.0, 1.0, 20 * discretization.CHUNK_BYTES
+                                                  // io._VALUE_BYTES)
+        g17_cells(values[:10])  # builds the tables
+        tracemalloc.start()
+        try:
+            cells = g17_cells(values)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(cells) == values.size
+        assert peak - kept <= discretization.CHUNK_BYTES
+
+    def test_stale_temp_file_of_a_killed_run_is_replaced(self, tmp_path):
+        # a killed run of the same pid left it; containers often reuse the pid
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / f"trajectory.csv.{os.getpid()}.tmp").write_bytes(b"partial")
+        assert main(["simulate", "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert "trajectory.csv" in manifest["checksums"]
+        assert not list(out.glob("*.tmp"))
+
+    def test_planted_temp_link_is_not_followed(self, tmp_path):
+        target = tmp_path / "elsewhere.txt"
+        target.write_text("kept")
+        (tmp_path / f"x.txt.{os.getpid()}.tmp").symlink_to(target)
+        atomic_write(tmp_path / "x.txt", [b"new"])
+        assert target.read_text() == "kept" and (tmp_path / "x.txt").read_text() == "new"
 
     def test_lock_of_live_process_still_blocks(self, tmp_path):
         out = tmp_path / "run"
