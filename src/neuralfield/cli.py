@@ -16,6 +16,7 @@ A run with an output directory owns it exclusively; ``run`` alone writes
 the artifacts, then a manifest.json with the config echo, the constants
 and contraction data (not for schrodinger), wall time, peak RSS, minor
 page faults, and the sha256 of each artifact, taken as it was written.
+A picard ``simulate`` also lists each segment's q, sweeps and update norms.
 The manifest is written even when the command fails, with an error
 section, and is then the only file written; older files are not listed.
 ``constants`` may run without an output directory; it then only prints.
@@ -33,7 +34,7 @@ import resource
 import sys
 import time
 from contextlib import nullcontext
-from dataclasses import replace
+from dataclasses import asdict, replace
 from functools import cache, partial
 
 import numpy as np
@@ -127,11 +128,7 @@ def cmd_simulate(cfg: RunConfig, op, constants):
         [traj.times[n], report.sup_per_time[n], report.bound_theoretical, report.min_per_time[n]]
         for n in range(len(traj))
     ]
-    return {
-        "trajectory.csv": (["t", "node_index"] + _coordinate_header(cfg.grid) + ["u"],
-                           node_rows(nodes, traj.values, traj.times)),
-        "bounds.csv": (["t", "sup_u", "bound", "min_u"], bound_rows),
-    }, {
+    extra = {
         "bound_report": {
             "sup_observed": report.sup_observed,
             "bound": report.bound_theoretical,
@@ -141,6 +138,13 @@ def cmd_simulate(cfg: RunConfig, op, constants):
             "positivity_violations": report.positivity_violations,
         }
     }
+    if traj.picard_segments:
+        extra["picard_segments"] = [asdict(seg) for seg in traj.picard_segments]
+    return {
+        "trajectory.csv": (["t", "node_index"] + _coordinate_header(cfg.grid) + ["u"],
+                           node_rows(nodes, traj.values, traj.times)),
+        "bounds.csv": (["t", "sup_u", "bound", "min_u"], bound_rows),
+    }, extra
 
 
 def cmd_stationary(cfg: RunConfig, op, constants):

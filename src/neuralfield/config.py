@@ -297,4 +297,4 @@ def initial_state(cfg: RunConfig, kind: str | None = None, params: dict | None =
             a, b = cfg.grid.bounds[0]
             split = 0.5 * (a + b)
         values = np.where(x < float(split), float(merged["high"]), float(merged["low"]))
-    return FieldState(values=values, time=0.0)
+    return FieldState(values)

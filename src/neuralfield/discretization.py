@@ -8,7 +8,10 @@ Toeplitz on compact axes, embedded in the smallest fast circulant of length
 >= 2n - 2 with the input zero-padded, circulant on periodic axes, the block
 forms in 2-D.  Only tabulated kernels have a dense matrix.  How W is
 stored is private to :class:`DiscreteOperator` and :func:`build_operator`;
-everything else applies it through ``apply``.
+everything else applies it through ``apply``.  The q_j may be any positive
+measure on the nodes: the gain-field probe's kernel w(x, y) phi(y) is w
+under the weights q_j phi_j.  A :class:`FieldState` is a run's initial
+field; every run starts at t = 0.
 
 The state-dependent plasticity factor [1 + gamma * g(u_i - u_j)] is applied
 at evaluation time and never baked into W, so one operator serves every
@@ -35,7 +38,7 @@ large (r = 37 on 61 x 61 nodes).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -200,10 +203,9 @@ def make_quadrature(grid: Grid, rule: str = "trapezoid") -> Quadrature:
 
 @dataclass(frozen=True, eq=False)
 class FieldState:
-    """Field values sampled on the grid nodes at one time instant."""
+    """Initial field values sampled on the grid nodes; every run starts at t = 0."""
 
     values: np.ndarray
-    time: float = 0.0
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -212,8 +214,6 @@ class FieldState:
         object.__setattr__(self, "values", v)
         if not np.all(np.isfinite(v)):
             raise ValueError("field state contains non-finite values")
-        if self.time < 0:
-            raise ValueError("time must be nonnegative")
 
 
 def kernel_matrix(kernel: SynapticKernel, grid: Grid) -> np.ndarray:
@@ -299,33 +299,31 @@ def convolve(spectrum: np.ndarray, grid: Grid, v: np.ndarray, out: np.ndarray | 
 
 @dataclass(frozen=True, eq=False)
 class DiscreteOperator:
-    """The kernel-times-weights operator W[i, j] = w(x_i, x_j) * q_j * gain_j.
+    """The kernel-times-weights operator W[i, j] = w(x_i, x_j) * q_j.
 
     Isotropic kernels carry the cached spectrum of their node-lag
     convolution and never form W: reading their ``matrix`` raises
     ValueError.  Tabulated kernels (``spectrum`` None) are applied through
-    the dense ``matrix``, built on first access.
+    the dense ``matrix``, built on first access.  The weights q_j are those
+    of any positive measure on the nodes, not only the quadrature rule's: a
+    kernel w(x, y) phi(y) is ``w`` under the weights q_j phi_j.
     """
 
     kernel: SynapticKernel
     grid: Grid
     quadrature: Quadrature
     spectrum: np.ndarray | None = field(default=None, repr=False)
-    gain: np.ndarray | None = field(default=None, repr=False)
 
     @cached_property
     def matrix(self) -> np.ndarray:
         m = kernel_matrix(self.kernel, self.grid) * self.quadrature.weights[None, :]
-        if self.gain is not None:
-            m = m * self.gain[None, :]
         if not np.all(np.isfinite(m)):
             raise ValueError("operator matrix contains non-finite entries")
         m.flags.writeable = False
         return m
 
     def _weighted(self, v: np.ndarray) -> np.ndarray:
-        out = np.multiply(v, self.quadrature.weights, out=_workspace("weighted", v.shape))
-        return out if self.gain is None else np.multiply(out, self.gain, out=out)
+        return np.multiply(v, self.quadrature.weights, out=_workspace("weighted", v.shape))
 
     def apply(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """W @ v over the last axis of v; leading axes are a batch.  Writes
@@ -353,13 +351,6 @@ class DiscreteOperator:
         if self.spectrum is None:
             return np.einsum("ij,...j->...i", np.abs(self.matrix), np.abs(v))
         return convolve(self._abs_spectrum, self.grid, np.abs(self._weighted(v)))
-
-    def scaled_by_gain(self, gain: np.ndarray) -> "DiscreteOperator":
-        """Operator for the effective kernel w(x, y) * gain(y)."""
-        gain = np.asarray(gain, dtype=float)
-        if gain.shape != (self.grid.n_total,):
-            raise ValueError("gain must have one value per grid node")
-        return replace(self, gain=gain if self.gain is None else self.gain * gain)
 
 
 def build_operator(kernel: SynapticKernel, grid: Grid, quad: Quadrature) -> DiscreteOperator:

@@ -114,7 +114,7 @@ def continuous_dependence_study(model: ModelSpec, op: DiscreteOperator, u0: Fiel
     rows = []
     for eps in eps_list:
         eps = float(eps)
-        perturbed = FieldState(u0.values + eps * delta, time=u0.time)
+        perturbed = FieldState(u0.values + eps * delta)
         other = solve_global(model, op, perturbed, cfg)
         growth = float(np.max(np.abs(other.values - base.values)))
         ratio = growth / eps if eps > 0 else 0.0

@@ -25,7 +25,7 @@ cross-check below verifies that equivalence end to end on a grid for a
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -181,14 +181,16 @@ def simulate_gainfield(op: DiscreteOperator, phi_pre: np.ndarray, firing: Firing
     """Evolve the field under the effective kernel w(x, y) * phi_pre(y).
 
     Plasticity stays off (gamma = 0): the learned structure is frozen into
-    the gain, which only the operator carries; the model keeps the raw
-    kernel.  ``solve_global`` gets no constants, so it refuses picard, whose
-    constants would describe the raw kernel.  Gain-field mode admits the
-    linear firing rate.
+    the gain, taken as the measure phi_pre(y) dy, so the operator is ``op``
+    under the quadrature weights q_j phi_pre_j (phi_pre must be positive);
+    the model keeps the raw kernel.  ``solve_global`` gets no constants, so
+    it refuses picard, whose constants would describe the raw kernel.
+    Gain-field mode admits the linear firing rate.
     """
     model = ModelSpec(kernel=op.kernel, firing=firing, learning=LearningKernel(),
                       gamma=0.0, mode="gain-field")
-    return solve_global(model, op.scaled_by_gain(phi_pre), u0, cfg)
+    measure = Quadrature(op.quadrature.weights * phi_pre, op.grid)
+    return solve_global(model, replace(op, quadrature=measure), u0, cfg)
 
 
 def greens_convolve(lam: float, grid: Grid, values: np.ndarray) -> np.ndarray:
@@ -214,10 +216,14 @@ class _Tridiagonal:
     def __init__(self, diag: np.ndarray, off: float):
         self.diag = diag.tolist()
         self.off = off
-        self.norm = float(np.max(np.abs(diag))) + 2.0 * abs(off)
+        # each row's off-diagonal radius: an end row has one neighbour, a
+        # single row none
+        index = np.arange(diag.size)
+        radius = abs(off) * (np.minimum(index, 1) + np.minimum(index[::-1], 1))
+        self.norm = float(np.max(np.abs(diag) + radius))
         # Gershgorin discs hold the spectrum
-        self.lower = float(diag.min()) - 2.0 * abs(off)
-        self.upper = float(diag.max()) + 2.0 * abs(off)
+        self.lower = float(np.min(diag - radius))
+        self.upper = float(np.max(diag + radius))
         self.pivmin = np.finfo(float).tiny * max(1.0, off * off)
 
     def count_below(self, shift: float) -> int:

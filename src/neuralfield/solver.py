@@ -12,10 +12,13 @@ provided:
   points; the sup bound and positivity are preserved for any step size.
 * ``rk4``: classical fourth-order reference integrator.
 
-The two single-step methods are :func:`step`, which also checks that the
-new state is finite; :func:`solve_global` and the flow stationary solver
-both step through it.  Only picard reads the theory constants, which the
-caller computes once per run and passes in.
+:func:`solve_global` lays a run out once, as segments of one time lattice
+in one array of values, and walks them in one loop: :func:`picard_segment`
+solves a picard segment in place on its rows, and the single-step methods
+march theirs with :func:`step`, which also checks that the new state is
+finite (the flow stationary solver steps through it too).  Only picard
+reads the theory constants, which the caller computes once per run and
+passes in.
 
 Every run can be audited against the sup bound max{||u0||, (1+gamma)*Cw}
 and the positivity property through :func:`monitor_bounds`.
@@ -64,13 +67,11 @@ class SolverConfig:
 
 
 class Trajectory:
-    """Field states at increasing times, stored as a (T, n) matrix."""
+    """Field states at increasing times, stored as a (T, n) matrix, with the
+    :class:`PicardSegment` of each picard segment (none for the other methods).
+    Only :func:`solve_global` builds one, from its own lattice arrays."""
 
-    def __init__(self, times, values, picard_segments=None):
-        times = np.asarray(times, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if values.shape[0] != times.shape[0]:
-            raise ValueError("one state per time is required")
+    def __init__(self, times: np.ndarray, values: np.ndarray, picard_segments: list):
         if np.any(np.diff(times) <= 0):
             raise ValueError("times must be strictly increasing")
         times.flags.writeable = False
@@ -85,9 +86,10 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class PicardSegment:
-    """Diagnostics of one fixed-point segment."""
+    """Diagnostics of one fixed-point segment: its contraction factor q, the
+    sweeps taken and the update norm of each."""
 
-    trajectory: Trajectory
+    q: float
     iterations: int
     update_norms: tuple
 
@@ -163,48 +165,44 @@ def picard_map(model: ModelSpec, op: DiscreteOperator, fields: np.ndarray, dt: f
     return out
 
 
-def picard_segment(model: ModelSpec, op: DiscreteOperator, state0: FieldState,
-                   rho: float, cfg: SolverConfig, constants: TheoryConstants) -> PicardSegment:
-    """Solve one segment [t0, t0 + rho] by fixed-point iteration.
+def picard_segment(model: ModelSpec, op: DiscreteOperator, fields: np.ndarray, dt: float,
+                   cfg: SolverConfig, constants: TheoryConstants) -> PicardSegment:
+    """Solve one segment by fixed-point iteration, in place in ``fields``.
 
-    The iterate maps the whole time-discretized segment at once,
-    U_new = picard_map(U_old) with the segment's initial state.  Successive
-    update norms (sup over nodes and segment times) contract geometrically
-    at rate bounded by the segment's contraction factor.
+    ``fields`` holds the segment's lattice, rows t_0 < ... < t_N spaced dt
+    apart, with the initial state in row 0.  The iterate maps the whole
+    segment at once, U_new = picard_map(U_old), from a start constant in
+    time; the converged iterate is written to rows 1..N.  Successive update
+    norms (sup over nodes and segment times) contract geometrically at a
+    rate bounded by q, the contraction factor of the segment length N dt.
 
-    Raises NonContractiveError when the factor is >= 1 and
-    MaxIterExceededError when the tolerance is not met.
+    Raises NonContractiveError when q >= 1, MaxIterExceededError when the
+    tolerance is not met, and NumericalInstabilityError, stamped with the
+    segment's end time N dt counted from its start, when an iterate is not
+    finite.
     """
-    if rho <= 0:
-        raise ValueError("segment length must be positive")
-    q = contraction_factor(constants, model.gamma, rho)
+    n_steps = fields.shape[0] - 1
+    length = dt * n_steps
+    q = contraction_factor(constants, model.gamma, length)
     if q >= 1.0:
         raise NonContractiveError(
-            f"contraction factor {q:.6g} >= 1 for segment length {rho:.6g}; shrink the segment"
+            f"contraction factor {q:.6g} >= 1 for segment length {length:.6g}; shrink the segment"
         )
 
-    n_steps = max(1, round(rho / cfg.dt))
-    dt = rho / n_steps
-    times = state0.time + dt * np.arange(n_steps + 1)
-    u0 = state0.values
-
     # initial iterate: u0 constant in time; row 0 stays u0, so F(u0) is taken once
+    u0 = fields[0]
     current = np.tile(u0, (n_steps + 1, 1))
     first_rhs = apply_f_values(model, op, u0)
     update_norms = []
     for iteration in range(1, cfg.picard_max_iter + 1):
         new = picard_map(model, op, current, dt, u0, first_rhs=first_rhs)
-        check_finite(new, float(times[-1]), "picard iterate")
+        check_finite(new, length, "picard iterate")
         update = float(np.max(np.abs(new - current)))
         update_norms.append(update)
         current = new
         if update < cfg.picard_tol:
-            traj = Trajectory(times, current)
-            return PicardSegment(
-                trajectory=traj,
-                iterations=iteration,
-                update_norms=tuple(update_norms),
-            )
+            fields[1:] = current[1:]
+            return PicardSegment(q=q, iterations=iteration, update_norms=tuple(update_norms))
     raise MaxIterExceededError(
         f"picard iteration did not reach tol={cfg.picard_tol:.3g} in "
         f"{cfg.picard_max_iter} iterations (last update {update_norms[-1]:.3g})"
@@ -218,47 +216,45 @@ def segment_length(cfg: SolverConfig, constants: TheoryConstants, gamma: float) 
 
 def solve_global(model: ModelSpec, op: DiscreteOperator, state0: FieldState,
                  cfg: SolverConfig, constants: TheoryConstants | None = None) -> Trajectory:
-    """Integrate over [t0, t0 + t_end], chaining segments with exact handoff.
+    """Integrate over [0, t_end] on one time lattice, one segment at a time.
 
-    The picard method repeats the segment solve with the previous segment's
-    final state as initial data; the single-step methods advance on a uniform
-    time lattice.  States are handed across seams without copying or
-    re-evaluation, so the joint values are bitwise identical.  Only picard
+    The run is laid out once: its segments, each of n = round(L / dt) >= 1
+    steps of L / n, and one array of times and one of values for all of
+    them.  Picard cuts [0, t_end] into segments of the picard length and
+    solves each in place on its rows; exp-euler and rk4 march their one
+    segment with :func:`step`.  A segment starts on the row its predecessor
+    ended on, so seams are neither copied nor re-evaluated.  Only picard
     reads ``constants``; it raises ValueError without them.
     """
-    if cfg.method == "picard":
+    picard = cfg.method == "picard"
+    lengths = [cfg.t_end]
+    if picard:
         if constants is None:
             raise ValueError("picard needs the theory constants for its segment length")
         rho = segment_length(cfg, constants, model.gamma)
-        segments = []
-        pieces_t = []
-        pieces_u = []
-        state = state0
+        lengths = []
         remaining = cfg.t_end
-        first = True
         while remaining > 1e-12:
-            seg_len = min(rho, remaining)
-            seg = picard_segment(model, op, state, seg_len, cfg, constants)
-            segments.append(seg)
-            traj = seg.trajectory
-            skip = 0 if first else 1  # seam state already recorded
-            pieces_t.append(traj.times[skip:])
-            pieces_u.append(traj.values[skip:])
-            state = FieldState(traj.values[-1], float(traj.times[-1]))
-            remaining -= seg_len
-            first = False
-        times = np.concatenate(pieces_t)
-        values = np.vstack(pieces_u)
-        return Trajectory(times, values, picard_segments=segments)
+            lengths.append(min(rho, remaining))
+            remaining -= lengths[-1]
+    steps = [max(1, round(length / cfg.dt)) for length in lengths]
 
-    n_steps = max(1, round(cfg.t_end / cfg.dt))
-    dt = cfg.t_end / n_steps
-    values = np.empty((n_steps + 1, op.grid.n_total))
+    times = np.zeros(sum(steps) + 1)
+    values = np.empty((times.shape[0], op.grid.n_total))
     values[0] = state0.values
-    times = state0.time + dt * np.arange(n_steps + 1)
-    for n in range(n_steps):
-        values[n + 1] = step(model, op, values[n], dt, cfg.method, float(times[n + 1]))
-    return Trajectory(times, values)
+    segments = []
+    start = 0
+    for length, n_steps in zip(lengths, steps):
+        dt = length / n_steps
+        stop = start + n_steps
+        times[start:stop + 1] = times[start] + dt * np.arange(n_steps + 1)
+        if picard:
+            segments.append(picard_segment(model, op, values[start:stop + 1], dt, cfg, constants))
+        else:
+            for n in range(start, stop):
+                values[n + 1] = step(model, op, values[n], dt, cfg.method, float(times[n + 1]))
+        start = stop
+    return Trajectory(times, values, picard_segments=segments)
 
 
 def monitor_bounds(traj: Trajectory, constants: TheoryConstants, model: ModelSpec) -> BoundReport:

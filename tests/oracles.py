@@ -98,10 +98,9 @@ def kernel_table(kernel, grid):
 
 
 def dense_operator(op):
-    """The dense W[i, j] = w(x_i, x_j) q_j gain_j of an operator, from
+    """The dense W[i, j] = w(x_i, x_j) q_j of an operator, from
     :func:`kernel_table`."""
-    w = kernel_table(op.kernel, op.grid) * op.quadrature.weights[None, :]
-    return w if op.gain is None else w * op.gain[None, :]
+    return kernel_table(op.kernel, op.grid) * op.quadrature.weights[None, :]
 
 
 def dense_j(model, matrix, u):

@@ -442,6 +442,25 @@ class TestRun:
         header = (out / "trajectory.csv").read_text().splitlines()[0]
         assert header == "t,node_index,x,u"
 
+    def test_picard_simulate_manifest_lists_segments(self, tmp_path):
+        # one entry per segment, each converged at a rate within criterion
+        # 4's slack of its q; other methods list none
+        doc = small_sim_doc(t_end=1.0)
+        doc["solver"].update(method="picard", dt=0.02, picard_tol=1e-10)
+        out = tmp_path / "picard"
+        assert run("simulate", build_config(doc, environ={}), out) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        segments = manifest["picard_segments"]
+        assert len(segments) == math.ceil(1.0 / manifest["rho"] - 1e-9) > 1
+        for seg in segments:
+            norms = seg["update_norms"]
+            assert seg["iterations"] == len(norms) >= 1
+            assert norms[-1] < 1e-10
+            assert all(b / a <= seg["q"] + 0.1 for a, b in zip(norms, norms[1:]))
+        assert set(manifest["checksums"]) == {"trajectory.csv", "bounds.csv"}
+        run("simulate", build_config(small_sim_doc(), environ={}), tmp_path / "euler")
+        assert "picard_segments" not in json.loads((tmp_path / "euler" / "manifest.json").read_text())
+
     def test_manifest_constants_match_fresh_computation(self, tmp_path):
         cfg = build_config(small_sim_doc(), environ={})
         out = tmp_path / "sim"

@@ -326,11 +326,15 @@ class TestSimulateGainfield:
         gained = simulate_gainfield(op_201, np.ones(201), model.firing, bump_201, cfg)
         assert np.array_equal(plain.values, gained.values)
 
-    def test_zero_gain_is_pure_decay(self, op_201, bump_201):
+    def test_vanishing_gain_is_pure_decay(self, op_201, bump_201):
+        # the gain is a measure, so it is positive: a vanishing one leaves
+        # the decay, a zero one is refused
         cfg = SolverConfig(method="exp-euler", dt=0.1, t_end=2.0)
-        traj = simulate_gainfield(op_201, np.zeros(201), FiringRate("sigmoid"), bump_201, cfg)
+        traj = simulate_gainfield(op_201, np.full(201, 1e-20), FiringRate("sigmoid"), bump_201, cfg)
         expected = np.exp(-traj.times)[:, None] * bump_201.values[None, :]
         assert np.max(np.abs(traj.values - expected)) < 1e-12
+        with pytest.raises(ValueError, match="positive"):
+            simulate_gainfield(op_201, np.zeros(201), FiringRate("sigmoid"), bump_201, cfg)
 
     def test_gain_vs_plastic_run_reported_not_asserted(self, grid_201, op_201, bump_201):
         # exploratory comparison between the frozen-gain equation and the
@@ -471,6 +475,9 @@ class TestTridiagonalSolver:
     @settings(max_examples=40, deadline=None)
     @example(n=2001, n_states=6, kind="shallow", half_box=20.0, seed=1)
     @example(n=2001, n_states=6, kind="rough", half_box=5.0, seed=2)
+    # one interior row: its norm has no off-diagonal term, so bisecting to
+    # the width of an interior row's norm missed eps ||T||
+    @example(n=3, n_states=1, kind="smooth", half_box=1.0, seed=249)
     def test_against_lapack(self, n, n_states, kind, half_box, seed):
         grid = Grid(bounds=[(-half_box, half_box)], npts=[n])
         dx = grid.spacing[0]

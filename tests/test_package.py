@@ -135,6 +135,11 @@ def test_operator_is_built_only_in_cli_run():
     assert _callers("build_operator") == [("cli.py", "run")]
 
 
+def test_trajectory_is_built_only_in_solve_global():
+    # one lattice, one array: segments solve in place in the run's rows
+    assert _callers("Trajectory") == [("solver.py", "solve_global")]
+
+
 def test_artifacts_are_written_only_by_cli_run():
     # each command returns its artifacts; run writes them and then the
     # manifest, so the manifest lists exactly the files of its run

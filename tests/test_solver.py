@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -45,6 +46,15 @@ def ring_setup(n=200, gamma=0.0):
     return grid, op, model
 
 
+def segment_lattice(u0, rho, dt):
+    """A picard segment's rows t_0 .. t_N, N = round(rho / dt), with u0 in
+    row 0, and its step rho / N."""
+    n_steps = max(1, round(rho / dt))
+    fields = np.empty((n_steps + 1, np.size(u0)))
+    fields[0] = u0
+    return fields, rho / n_steps
+
+
 class TestPicardSegment:
     def test_zero_firing_matches_trapezoid_decay(self, op_201):
         # with no input the fixed point is the trapezoid discretization of
@@ -52,25 +62,26 @@ class TestPicardSegment:
         model = ModelSpec(exponential_kernel(), zero_firing(), LearningKernel(), gamma=0.0)
         rho, dt = 0.4, 0.025
         cfg = SolverConfig(method="picard", dt=dt, t_end=rho, picard_tol=1e-13)
-        u0 = FieldState(np.full(201, 0.8))
-        seg = picard_segment(model, op_201, u0, rho, cfg, constants_of(model, op_201))
+        fields, dt = segment_lattice(np.full(201, 0.8), rho, cfg.dt)
+        picard_segment(model, op_201, fields, dt, cfg, constants_of(model, op_201))
         n_steps = round(rho / dt)
         cn = crank_nicolson_decay(0.8, dt, n_steps)
-        assert np.max(np.abs(seg.trajectory.values - cn[:, None])) < 1e-11
-        exact = 0.8 * np.exp(-seg.trajectory.times)
-        assert np.max(np.abs(seg.trajectory.values[:, 0] - exact)) < 0.1 * dt ** 2
+        assert np.max(np.abs(fields - cn[:, None])) < 1e-11
+        exact = 0.8 * np.exp(-dt * np.arange(n_steps + 1))
+        assert np.max(np.abs(fields[:, 0] - exact)) < 0.1 * dt ** 2
 
     def test_uniform_ring_matches_scalar_ode(self):
         grid, op, model = ring_setup(gamma=0.0)
         constants = compute_constants(model, op)
         rho = max_segment_length(constants, 0.0)
         cfg = SolverConfig(method="picard", dt=rho / 64, t_end=rho, picard_tol=1e-12)
-        seg = picard_segment(model, op, FieldState(np.full(200, 0.3)), rho, cfg, constants)
+        fields, dt = segment_lattice(np.full(200, 0.3), rho, cfg.dt)
+        picard_segment(model, op, fields, dt, cfg, constants)
         # stays uniform
-        assert np.max(np.ptp(seg.trajectory.values, axis=1)) < 1e-12
+        assert np.max(np.ptp(fields, axis=1)) < 1e-12
         reference = scalar_ode_solution(dense_operator(op)[0].sum(), model.firing, 0.3,
-                                        seg.trajectory.times)
-        assert np.max(np.abs(seg.trajectory.values[:, 0] - reference)) < 1e-6
+                                        dt * np.arange(fields.shape[0]))
+        assert np.max(np.abs(fields[:, 0] - reference)) < 1e-6
 
     def test_update_ratios_below_contraction_bound(self, op_201):
         model = make_model(gamma=1.0)
@@ -79,9 +90,10 @@ class TestPicardSegment:
         q = contraction_factor(constants, model.gamma, rho)
         assert q == pytest.approx(0.3215, abs=1e-3)
         rng = np.random.default_rng(99)
-        u0 = FieldState(rng.uniform(-1.5, 1.5, size=201))
         cfg = SolverConfig(method="picard", dt=rho / 10, t_end=rho, picard_tol=1e-11)
-        seg = picard_segment(model, op_201, u0, rho, cfg, constants)
+        fields, dt = segment_lattice(rng.uniform(-1.5, 1.5, size=201), rho, cfg.dt)
+        seg = picard_segment(model, op_201, fields, dt, cfg, constants)
+        assert seg.q == pytest.approx(q, rel=1e-12)
         ratios = [b / a for a, b in zip(seg.update_norms, seg.update_norms[1:])]
         assert ratios, "expected at least two updates"
         assert max(ratios) <= 0.42  # q + 0.1 slack
@@ -92,7 +104,8 @@ class TestPicardSegment:
         rho = max_segment_length(constants, model.gamma)
         q = contraction_factor(constants, model.gamma, rho)
         cfg = SolverConfig(method="picard", dt=rho / 16, t_end=rho, picard_tol=1e-10)
-        seg = picard_segment(model, op_201, bump_201, rho, cfg, constants)
+        fields, dt = segment_lattice(bump_201.values, rho, cfg.dt)
+        seg = picard_segment(model, op_201, fields, dt, cfg, constants)
         cap = math.ceil(math.log(cfg.picard_tol / seg.update_norms[0]) / math.log(q)) + 5
         assert seg.iterations <= cap
 
@@ -121,39 +134,50 @@ class TestPicardSegment:
         constants = constants_of(model, op_201)
         rho = max_segment_length(constants, gamma)
         cfg = SolverConfig(method="picard", dt=rho / 8, t_end=rho)
-        seg = picard_segment(model, op_201, bump_201, rho, cfg, constants)
+        fields, dt = segment_lattice(u0, rho, cfg.dt)
+        seg = picard_segment(model, op_201, fields, dt, cfg, constants)
         assert calls == [(201,)] + [(8, 201)] * seg.iterations
 
     def test_non_contractive_segment_rejected(self, op_201, bump_201):
         model = make_model(gamma=1.0)
         cfg = SolverConfig(method="picard", dt=0.05, t_end=1.0)
+        fields, dt = segment_lattice(bump_201.values, 5.0, cfg.dt)
         with pytest.raises(NonContractiveError):
-            picard_segment(model, op_201, bump_201, 5.0, cfg, constants_of(model, op_201))
+            picard_segment(model, op_201, fields, dt, cfg, constants_of(model, op_201))
 
     def test_max_iterations_exceeded(self, op_201, bump_201):
         model = make_model(gamma=0.5)
         cfg = SolverConfig(method="picard", dt=0.01, t_end=0.1, picard_tol=1e-14,
                            picard_max_iter=2)
+        fields, dt = segment_lattice(bump_201.values, 0.1, cfg.dt)
         with pytest.raises(MaxIterExceededError):
-            picard_segment(model, op_201, bump_201, 0.1, cfg, constants_of(model, op_201))
+            picard_segment(model, op_201, fields, dt, cfg, constants_of(model, op_201))
 
 
 class TestSolveGlobal:
     def test_picard_segment_handoff_bitwise(self, op_201, bump_201):
+        # a 5-segment run equals five 1-segment runs, each started from the
+        # previous run's final row; rho is a power of two, so the segment
+        # lengths are exact and every run takes the same step
         model = make_model(gamma=0.5)
         constants = compute_constants(model, op_201)
-        rho = max_segment_length(constants, model.gamma)
+        rho = 2.0 ** math.floor(math.log2(max_segment_length(constants, model.gamma)))
         cfg = SolverConfig(method="picard", dt=rho / 8, t_end=5 * rho,
                            segment_rho=rho, picard_tol=1e-11)
         traj = solve_global(model, op_201, bump_201, cfg, constants)
         assert len(traj.picard_segments) == 5
+        # seam states recorded once
+        assert len(traj) == 5 * 8 + 1
         assert np.all(np.diff(traj.times) > 0)
-        # seam states recorded once, bitwise equal to the segment finals
-        offset = 0
-        for seg in traj.picard_segments:
-            seam = offset + len(seg.trajectory) - 1
-            assert np.array_equal(traj.values[seam], seg.trajectory.values[-1])
-            offset = seam
+        state = bump_201
+        one = replace(cfg, t_end=rho)
+        for k, seg in enumerate(traj.picard_segments):
+            run = solve_global(model, op_201, state, one, constants)
+            rows = slice(8 * k, 8 * k + 9)
+            assert np.array_equal(traj.values[rows], run.values)
+            assert np.array_equal(traj.times[rows], traj.times[8 * k] + run.times)
+            assert run.picard_segments[0].update_norms == seg.update_norms
+            state = FieldState(run.values[-1])
 
     def test_constants_read_by_picard_only(self, op_201, bump_201):
         # the caller computes the constants once per run; picard alone needs them
