@@ -28,11 +28,11 @@ within 4% of one whole batch on 41 x 41 nodes and no slower on 81 x 81
 256 x 256 ``simulate`` to t = 5 peaks at 140 MB instead of 268 MB, and a
 512 x 512 one to t = 1 at 316 MB instead of 619 MB.
 
-Results are bit-reproducible at a fixed BLAS thread count: FFTs and numpy
-reductions use a fixed order, and the dense products of tabulated kernels
-are BLAS-free ``einsum`` loops.  The basis product L^-1 g(s - X) of J is a
-BLAS matmul, whose rounding can change with the thread count once r^2 n is
-large (r = 37 on 61 x 61 nodes).
+Results are bit-reproducible across BLAS thread counts: FFTs and numpy
+reductions use a fixed order, the dense products of tabulated kernels are
+BLAS-free ``einsum`` loops, and the basis product L^-1 g(s - X) of J goes
+to BLAS in column blocks small enough to run on one thread
+(``BASIS_PRODUCT_SIZE``).
 """
 
 from __future__ import annotations
@@ -368,6 +368,11 @@ def build_operator(kernel: SynapticKernel, grid: Grid, quad: Quadrature) -> Disc
 
 
 PLASTICITY_TOL = 1e-14
+# RangeFactor.basis multiplies L^-1 by column blocks of at most this many
+# multiply-adds (r^2 per column): OpenBLAS runs a GEMM of m n k <= 65,536 *
+# GEMM_MULTITHREAD_THRESHOLD (4) on one thread, so the blocks round the same
+# at every BLAS thread count.
+BASIS_PRODUCT_SIZE = 262_144
 # One factor per bucket of half-spans 2^(k/4) learning widths, k >= -32,
 # tabulated at its first use; narrower fields, flat ones included, take
 # bucket -32.
@@ -419,7 +424,11 @@ class RangeFactor:
         diff = np.subtract(s[None, :], self.pivots[:, None], out=_workspace("differences", shape))
         np.multiply(diff, diff, out=diff)
         np.exp(np.negative(diff, out=diff), out=diff)
-        return np.matmul(self.inverse, diff, out=_workspace("basis", shape))
+        basis = _workspace("basis", shape)
+        step = max(1, BASIS_PRODUCT_SIZE // self.rank ** 2)
+        for start in range(0, shape[1], step):
+            np.matmul(self.inverse, diff[:, start:start + step], out=basis[:, start:start + step])
+        return basis
 
     @cached_property
     def power_bound(self) -> float:
@@ -491,19 +500,6 @@ def range_factor(values: np.ndarray, width: float) -> RangeFactor:
     if factor is None:
         factor = _FACTORS[bucket] = _tabulate(2.0 ** (bucket / 4))
     return factor
-
-
-def j_error_bound(model: ModelSpec, op: DiscreteOperator, values: np.ndarray) -> float:
-    """A-priori bound on |J(u) - J_exact(u)| from the plasticity factor.
-
-    gamma * P-bar * max_i sum_j |W[i,j] f(u_j)|, with P-bar the
-    :attr:`RangeFactor.power_bound` of u's factor; rounding is not
-    included.  Zero at gamma = 0, where J is W f.
-    """
-    if model.gamma == 0.0:
-        return 0.0
-    scale = float(np.max(op.abs_apply(model.firing(values))))
-    return model.gamma * range_factor(values, model.learning.params["width"]).power_bound * scale
 
 
 def apply_j_values(model: ModelSpec, op: DiscreteOperator, values: np.ndarray) -> np.ndarray:

@@ -16,11 +16,16 @@ Files are written to a temporary sibling and renamed into place, so a crash
 never leaves a partial artifact behind; the temporary file a killed run of
 the same pid left is replaced.  Writers hash as they write;
 :func:`sha256_file` re-reads a file.
+
+A run owns its output directory by an ``flock`` on ``<out>/.lock``
+(:func:`output_lock`).  The kernel releases it when the run exits, killed
+or not, so no pid is recorded and a dead run's directory is free at once.
 """
 
 from __future__ import annotations
 
 import contextlib
+import fcntl
 import functools
 import hashlib
 import json
@@ -284,44 +289,31 @@ def sha256_file(path) -> str:
     return digest.hexdigest()
 
 
-def _holder_is_dead(lock_path) -> bool:
-    """True when the lock file names a process that no longer exists."""
-    try:
-        os.kill(int(Path(lock_path).read_text()), 0)
-    except ProcessLookupError:
-        return True
-    except (OSError, ValueError, OverflowError):
-        pass  # unreadable, still being written, or a live process of another user
-    return False
-
-
 @contextlib.contextmanager
 def output_lock(out_dir):
-    """Exclusive ownership of an output directory via a lock file.
-
-    A lock whose recorded pid is dead was left by a killed run and is taken
-    over.
-    """
+    """Exclusive ownership of an output directory: an ``flock`` on its
+    ``.lock``, which the kernel drops when the holder exits, however it
+    exits, so a killed run leaves nothing to take over."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     lock_path = out_dir / ".lock"
-    for attempt in range(2):
+    while True:
+        fd = os.open(lock_path, os.O_CREAT | os.O_RDWR | os.O_NOFOLLOW, 0o666)
         try:
-            fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            break
-        except FileExistsError:
-            if attempt == 0 and _holder_is_dead(lock_path):
-                with contextlib.suppress(FileNotFoundError):
-                    os.unlink(lock_path)
-                continue
-            raise OutputLockedError(
-                f"output directory {out_dir} is locked by another run "
-                f"(remove {lock_path} if that run is dead)"
-            ) from None
-    try:
-        os.write(fd, str(os.getpid()).encode())
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            os.close(fd)
+            raise OutputLockedError(f"output directory {out_dir} is locked by another run") from None
+        with contextlib.suppress(FileNotFoundError):
+            # a run that finished in between may have unlinked the file now held
+            if os.path.samestat(os.fstat(fd), os.stat(lock_path, follow_symlinks=False)):
+                break
         os.close(fd)
+    try:
         yield out_dir
     finally:
+        # unlinked while held: a run that opened it meanwhile finds, once it
+        # locks it, that the path no longer names it, and retries
         with contextlib.suppress(OSError):
             os.unlink(lock_path)
+        os.close(fd)

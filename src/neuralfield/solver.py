@@ -266,19 +266,21 @@ def monitor_bounds(traj: Trajectory, constants: TheoryConstants, model: ModelSpe
     """
     if len(traj) == 0:
         raise ValueError("trajectory is empty")
-    u0_vals = traj.values[0]
-    sup_u0 = float(np.max(np.abs(u0_vals))) if u0_vals.size else 0.0
-    bound = max(sup_u0, (1.0 + model.gamma) * constants.kernel_l1_sup)
-    sup_per_time = np.max(np.abs(traj.values), axis=1)
+    # no temporary the size of the trajectory: max |u| is the larger of |max u|, |min u|
     min_per_time = np.min(traj.values, axis=1)
+    sup_per_time = np.maximum(np.abs(np.max(traj.values, axis=1)), np.abs(min_per_time))
+    min_observed = float(min_per_time.min())
+    bound = max(float(sup_per_time[0]), (1.0 + model.gamma) * constants.kernel_l1_sup)
 
-    applicable = model.kernel.positive and bool(np.all(u0_vals >= 0.0))
-    violations = int(np.count_nonzero(traj.values < POSITIVITY_TOL)) if applicable else 0
+    applicable = model.kernel.positive and bool(min_per_time[0] >= 0.0)
+    violations = 0
+    if applicable and min_observed < POSITIVITY_TOL:
+        violations = int(np.count_nonzero(traj.values < POSITIVITY_TOL))
 
     return BoundReport(
         sup_observed=float(sup_per_time.max()),
         bound_theoretical=bound,
-        min_observed=float(min_per_time.min()),
+        min_observed=min_observed,
         positivity_applicable=applicable,
         positivity_violations=violations,
         sup_per_time=sup_per_time,

@@ -3,7 +3,8 @@
 Everything here is deliberately naive: pure-Python loops, dense n x n
 operators built from closed forms, dense reference integrators, and
 bisection on closed-form equations.  None of it shares
-code with the paths under test.
+code with the paths under test, except :func:`j_error_bound`, the a-priori
+bound that J's tests hold it to, which reads the package's range factor.
 """
 
 import math
@@ -11,6 +12,8 @@ import math
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import eigh, eigh_tridiagonal
+
+from neuralfield.discretization import range_factor
 
 
 def _kernel(kernel, x, y, index):
@@ -64,6 +67,19 @@ def brute_force_apply_j(model, grid, quad, u):
             acc += term
         out.append(acc)
     return np.array(out)
+
+
+def j_error_bound(model, op, values):
+    """A-priori bound on |J(u) - J_exact(u)| from the plasticity factor.
+
+    gamma * P-bar * max_i sum_j |W[i,j] f(u_j)|, with P-bar the
+    ``RangeFactor.power_bound`` of u's factor; rounding is not included.
+    Zero at gamma = 0, where J is W f.
+    """
+    if model.gamma == 0.0:
+        return 0.0
+    scale = float(np.max(op.abs_apply(model.firing(values))))
+    return model.gamma * range_factor(values, model.learning.params["width"]).power_bound * scale
 
 
 def fft_convolve(spectrum, grid, v):

@@ -1,8 +1,10 @@
 import argparse
+import contextlib
 import hashlib
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -40,10 +42,49 @@ def percent_g(values):
     return [b"%.17g" % x for x in np.asarray(values, dtype=float).ravel().tolist()]
 
 
+HOLD_LOCK = """import sys
+from neuralfield.io import output_lock
+with output_lock(sys.argv[1]):
+    print("held", flush=True)
+    sys.stdin.read()
+"""
+
+
+@contextlib.contextmanager
+def lock_holder(out):
+    """A second process that holds ``out``'s output lock until its stdin
+    closes at the end of the block."""
+    with subprocess.Popen([sys.executable, "-c", HOLD_LOCK, str(out)], text=True,
+                          stdin=subprocess.PIPE, stdout=subprocess.PIPE) as holder:
+        try:
+            assert holder.stdout.readline() == "held\n"
+            yield holder
+        finally:
+            holder.stdin.close()
+            assert holder.wait(timeout=30) in (0, -signal.SIGKILL)
+
+
 def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def manifests_at_blas_threads(tmp_path, command, doc, threads):
+    """The manifest of one CLI run of ``doc`` per BLAS thread count in
+    ``threads``, each in a fresh process."""
+    path = write_config(tmp_path, doc)
+    manifests = []
+    for k, count in enumerate(threads):
+        out = tmp_path / f"blas-{k}"
+        result = subprocess.run(
+            [sys.executable, "-m", "neuralfield.cli", command, "--config", path, "--out", str(out)],
+            capture_output=True, text=True,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": count, "OMP_NUM_THREADS": count},
+        )
+        assert result.returncode == 0, result.stderr
+        manifests.append(json.loads((out / "manifest.json").read_text()))
+    return manifests
 
 
 class TestSchema:
@@ -404,13 +445,42 @@ class TestIO:
         atomic_write(tmp_path / "x.txt", [b"new"])
         assert target.read_text() == "kept" and (tmp_path / "x.txt").read_text() == "new"
 
-    def test_lock_of_live_process_still_blocks(self, tmp_path):
+    def test_live_holder_in_another_process_blocks(self, tmp_path):
+        out = tmp_path / "run"
+        with lock_holder(out):
+            assert main(["constants", "--out", str(out)]) == 1
+            assert [path.name for path in out.iterdir()] == [".lock"]
+
+    def test_killed_holder_frees_the_directory_at_once(self, tmp_path):
+        out = tmp_path / "run"
+        with lock_holder(out) as holder:
+            holder.kill()
+            holder.wait()
+            assert (out / ".lock").exists()  # left behind, but no one holds it
+            assert main(["constants", "--out", str(out)]) == 0
+        assert not (out / ".lock").exists()
+
+    def test_lock_file_naming_a_live_pid_does_not_block(self, tmp_path):
         out = tmp_path / "run"
         out.mkdir()
-        (out / ".lock").write_text(str(os.getpid()))
-        with pytest.raises(RuntimeError, match="locked"):
-            with output_lock(out):
-                pass
+        with subprocess.Popen([sys.executable, "-c", "import sys; sys.stdin.read()"],
+                              stdin=subprocess.PIPE) as live:
+            (out / ".lock").write_text(str(live.pid))
+            assert main(["constants", "--out", str(out)]) == 0
+            live.stdin.close()
+        assert (out / "constants.json").exists() and not (out / ".lock").exists()
+
+    def test_planted_lock_link_is_not_followed(self, tmp_path):
+        target = tmp_path / "elsewhere.txt"
+        target.write_text("kept")
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / ".lock").symlink_to(target)
+        result = subprocess.run([sys.executable, "-m", "neuralfield.cli", "constants",
+                                 "--out", str(out)], capture_output=True, text=True)
+        assert result.returncode != 0 and "OSError" in result.stderr
+        assert target.read_text() == "kept" and (out / ".lock").is_symlink()
+        assert [path.name for path in out.iterdir()] == [".lock"]
 
 
 MERCER_KEYS = {"rank", "eig_error_bound", "k_pre_times_one_plus_gamma"}
@@ -498,34 +568,15 @@ class TestRun:
         assert sums[0] == sums[1]
 
     def test_checksums_independent_of_blas_threads(self, tmp_path):
-        path = write_config(tmp_path, {**small_sim_doc(t_end=0.5), "grid": {"nodes": [201]}})
-        sums = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"blas-{threads}"
-            result = subprocess.run(
-                [sys.executable, "-m", "neuralfield.cli", "simulate",
-                 "--config", path, "--out", str(out)],
-                capture_output=True, text=True,
-                env={**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads},
-            )
-            assert result.returncode == 0, result.stderr
-            sums.append(json.loads((out / "manifest.json").read_text())["checksums"])
+        doc = {**small_sim_doc(t_end=0.5), "grid": {"nodes": [201]}}
+        manifests = manifests_at_blas_threads(tmp_path, "simulate", doc, ("1", "2"))
+        sums = [manifest["checksums"] for manifest in manifests]
         assert sums[0] == sums[1]
 
     def test_gainfield_checksums_independent_of_blas_threads_and_reruns(self, tmp_path):
-        path = write_config(tmp_path, {"grid": {"nodes": [201]},
-                                       "gainfield": {"crosscheck_nodes": 801}})
+        doc = {"grid": {"nodes": [201]}, "gainfield": {"crosscheck_nodes": 801}}
         sums = []
-        for run_name, threads in (("a", "1"), ("b", "2"), ("c", "1")):
-            out = tmp_path / f"blas-{run_name}"
-            result = subprocess.run(
-                [sys.executable, "-m", "neuralfield.cli", "gainfield",
-                 "--config", path, "--out", str(out)],
-                capture_output=True, text=True,
-                env={**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads},
-            )
-            assert result.returncode == 0, result.stderr
-            manifest = json.loads((out / "manifest.json").read_text())
+        for manifest in manifests_at_blas_threads(tmp_path, "gainfield", doc, ("1", "2", "1")):
             assert set(manifest["mercer"]) == MERCER_KEYS
             sums.append({name: manifest["checksums"][name] for name in ("eigs.csv", "phi_pre.csv")})
         assert sums[0] == sums[1] == sums[2]
@@ -538,21 +589,20 @@ class TestRun:
             "initial": {"kind": "gaussian-bump",
                         "params": {"amplitude": 0.5, "center": [-1.0, 0.5], "width": 1.5}},
         }
-        path = write_config(tmp_path, doc)
         sums = []
-        for run_name, threads in (("a", "1"), ("b", "2"), ("c", "1")):
-            out = tmp_path / f"blas-{run_name}"
-            result = subprocess.run(
-                [sys.executable, "-m", "neuralfield.cli", "simulate",
-                 "--config", path, "--out", str(out)],
-                capture_output=True, text=True,
-                env={**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads},
-            )
-            assert result.returncode == 0, result.stderr
-            manifest = json.loads((out / "manifest.json").read_text())
+        for manifest in manifests_at_blas_threads(tmp_path, "simulate", doc, ("1", "2", "1")):
             assert manifest["constants"]["method"] == "row-sum"
             sums.append(manifest["checksums"])
         assert sums[0] == sums[1] == sums[2]
+
+    def test_large_2d_checksums_independent_of_blas_threads(self, tmp_path):
+        # r = 37 basis functions on 61 x 61 nodes: one product L^-1 g(s - X)
+        # of r^2 n multiply-adds would go to OpenBLAS's threaded GEMM
+        doc = {"grid": {"bounds": [[-10.0, 10.0], [-10.0, 10.0]], "nodes": [61, 61]},
+               "solver": {"method": "exp-euler", "dt": 0.1, "t_end": 3.0}}
+        manifests = manifests_at_blas_threads(tmp_path, "simulate", doc, ("1", "2"))
+        sums = [manifest["checksums"] for manifest in manifests]
+        assert sums[0] == sums[1]
 
     def test_tabulated_checksums_independent_of_blas_threads_and_reruns(self, tmp_path):
         # J's r + 1 dense products go through einsum: a GEMM (v @ W.T) here
@@ -566,18 +616,8 @@ class TestRun:
                                     "params": {"matrix": table.tolist(), "nodes": x.tolist()}},
                          "gamma": 1.0},
                "solver": {"dt": 0.1, "t_end": 2.0}}
-        path = write_config(tmp_path, doc)
-        sums = []
-        for run_name, threads in (("a", "1"), ("b", "2"), ("c", "1")):
-            out = tmp_path / f"blas-{run_name}"
-            result = subprocess.run(
-                [sys.executable, "-m", "neuralfield.cli", "simulate",
-                 "--config", path, "--out", str(out)],
-                capture_output=True, text=True,
-                env={**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads},
-            )
-            assert result.returncode == 0, result.stderr
-            sums.append(json.loads((out / "manifest.json").read_text())["checksums"])
+        manifests = manifests_at_blas_threads(tmp_path, "simulate", doc, ("1", "2", "1"))
+        sums = [manifest["checksums"] for manifest in manifests]
         assert sums[0] == sums[1] == sums[2]
 
     @pytest.mark.parametrize("command, doc", [
@@ -858,10 +898,8 @@ class TestMainEntry:
         import neuralfield.cli as cli
 
         out = tmp_path / "o"
-        out.mkdir()
-        (out / ".lock").write_text(str(os.getpid()))
-        assert main(["constants", "--out", str(out)]) == 1
-        (out / ".lock").unlink()
+        with lock_holder(out):
+            assert main(["constants", "--out", str(out)]) == 1
 
         def broken(cfg, constants):
             raise RuntimeError("a bug, not lock contention")

@@ -25,13 +25,12 @@ from neuralfield.discretization import (
     apply_f_values,
     apply_j_values,
     convolve,
-    j_error_bound,
     kernel_spectrum,
     range_factor,
 )
 from neuralfield.model import FIRING_KINDS
 from conftest import exponential_kernel, make_model, zero_firing
-from oracles import brute_force_apply_j, dense_j, dense_operator, fft_convolve
+from oracles import brute_force_apply_j, dense_j, dense_operator, fft_convolve, j_error_bound
 
 
 class TestGrid:

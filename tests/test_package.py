@@ -74,7 +74,7 @@ def test_commands_run_without_loading_numpy_random(tmp_path):
 # Oracles that acceptance tests read; no command needs them.  sha256_file
 # re-hashes an artifact on disk against its manifest entry (a run hashes as
 # it writes), and the benchmark's tracer hooks it by name.
-TEST_ORACLES = {"j_error_bound", "sha256_file"}
+TEST_ORACLES = {"sha256_file"}
 
 
 def test_every_definition_is_referenced_outside_init():

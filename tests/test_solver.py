@@ -24,9 +24,12 @@ from neuralfield.errors import (
     NonContractiveError,
     NumericalInstabilityError,
 )
+from neuralfield.model import TheoryConstants
 from neuralfield.solver import (
+    POSITIVITY_TOL,
     BoundReport,
     SolverConfig,
+    Trajectory,
     monitor_bounds,
     picard_map,
     picard_segment,
@@ -295,18 +298,39 @@ class TestStationaryFixedPointOfSteppers:
         assert np.max(np.abs(small - result.u_inf)) < 1e-12
 
 
+UNIT_CONSTANTS = TheoryConstants(kernel_l1_sup=1.0, firing_lipschitz=0.25, learning_lipschitz=0.85)
+
+
 class TestMonitorBounds:
     def test_bound_formula(self, op_201):
-        from neuralfield.model import TheoryConstants
-
         model = make_model(gamma=1.0)
-        constants = TheoryConstants(kernel_l1_sup=1.0, firing_lipschitz=0.25,
-                                    learning_lipschitz=0.85)
         cfg = SolverConfig(method="exp-euler", dt=0.1, t_end=1.0)
         traj = solve_global(model, op_201, FieldState(np.full(201, 0.2)), cfg)
-        report = monitor_bounds(traj, constants, model)
+        report = monitor_bounds(traj, UNIT_CONSTANTS, model)
         assert report.bound_theoretical == 2.0  # max(0.2, (1 + 1) * 1)
         assert report.within_bound
+
+    def test_sup_and_violations_equal_their_whole_array_forms(self):
+        values = np.array([[0.0, 0.5, -0.0], [-2.0, 1.0, -1e-9], [0.3, -0.25, 3.0]])
+        report = monitor_bounds(Trajectory(np.arange(3.0), values, []), UNIT_CONSTANTS,
+                                make_model(gamma=1.0))
+        assert np.array_equal(report.sup_per_time, np.max(np.abs(values), axis=1))
+        assert report.positivity_applicable and report.min_observed == -2.0
+        assert report.positivity_violations == np.count_nonzero(values < POSITIVITY_TOL) == 3
+
+    def test_allocates_no_trajectory_sized_temporary(self):
+        import tracemalloc
+
+        values = np.random.default_rng(3).uniform(0.0, 1.0, size=(200, 4000))
+        traj = Trajectory(np.arange(200.0), values, [])
+        tracemalloc.start()
+        try:
+            report = monitor_bounds(traj, UNIT_CONSTANTS, make_model(gamma=1.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < values.nbytes / 4
+        assert report.positivity_applicable and report.positivity_violations == 0
 
     def test_positivity_clean_for_excitatory_kernel(self, op_201, bump_201):
         model = make_model(gamma=1.0)
