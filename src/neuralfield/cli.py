@@ -16,15 +16,18 @@ A run with an output directory owns it exclusively; ``run`` alone writes
 the artifacts, then a manifest.json with the config echo, the constants
 and contraction data (not for schrodinger), wall time, peak RSS, minor
 page faults, and the sha256 of each artifact, taken as it was written.
-A picard ``simulate`` also lists each segment's q, sweeps and update norms.
+A picard ``simulate`` also lists each segment's q, sweeps and update norms;
+``stationary`` and ``gainfield`` list the stationary solve's residual
+history.  A study writes its rows as a CSV and its verdict as returned.
 The manifest is written even when the command fails, with an error
 section, and is then the only file written; older files are not listed.
 ``constants`` may run without an output directory; it then only prints.
 Study rows run serially; ``--threads`` is accepted and ignored.
 
 Exit codes: 0 success, 1 numerical failure (a NeuralFieldError or
-FloatingPointError), 2 config error.  Any other exception is a bug: it
-propagates with its traceback once the output lock is released.
+FloatingPointError), a failed study verdict or lock contention, 2 config
+error, 3 a bug: any other exception, whose traceback goes to stderr once
+the output lock is released.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ import argparse
 import resource
 import sys
 import time
+import traceback
 from contextlib import nullcontext
 from dataclasses import asdict, replace
 from functools import cache, partial
@@ -68,6 +72,7 @@ STUDY_NAMES = ("plasticity-limit", "dependence", "contraction", "l1")
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
 EXIT_CONFIG = 2
+EXIT_BUG = 3
 
 
 def _coordinate_header(grid: Grid):
@@ -100,7 +105,7 @@ def _emit_manifest(out_dir, command, cfg: RunConfig | None, started, faults_befo
         manifest["config"] = cfg.document
         manifest["seed"] = cfg.seed
     if constants is not None:
-        manifest["constants"] = constants.to_json()
+        manifest["constants"] = asdict(constants)
         manifest.update(_segment(cfg, constants))
     if extra:
         manifest.update(extra)
@@ -164,7 +169,7 @@ def cmd_stationary(cfg: RunConfig, op, constants):
         "gamma_times_cw": cfg.model.gamma * constants.kernel_l1_sup,
     }
     return ({"u_inf.csv": _field_csv(cfg.grid, result.u_inf), "stationary.json": payload},
-            {"stationary": payload})
+            {"stationary": payload, "stationary_history": result.history})
 
 
 def cmd_gainfield(cfg: RunConfig, op, constants):
@@ -180,7 +185,7 @@ def cmd_gainfield(cfg: RunConfig, op, constants):
     n_nodes = section["crosscheck_nodes"]
     cross_grid = Grid(bounds=[(-box, box)], npts=[n_nodes])
     cross_quad = make_quadrature(cross_grid, "trapezoid")
-    report = schrodinger_cross_check(lam, section["half_width"], cross_grid, cross_quad)
+    crosscheck = schrodinger_cross_check(lam, section["half_width"], cross_grid, cross_quad)
 
     # exploratory: frozen-gain run against the plastic run.  For w >= 0 and a
     # nondecreasing f >= 0, J(u) <= (1 + gamma) W f(u) and the gained
@@ -200,13 +205,14 @@ def cmd_gainfield(cfg: RunConfig, op, constants):
     return {
         "eigs.csv": (["i", "sigma_i"], [[i, eig.values[i]] for i in range(n_eigs)]),
         "phi_pre.csv": _field_csv(cfg.grid, phi_pre, "phi"),
-        "crosscheck.json": report.to_json(),
+        "crosscheck.json": crosscheck,
     }, {
         "stationary_residual": stationary.residual_sup,
         "stationary_iterations": stationary.iterations,
+        "stationary_history": stationary.history,
         "mercer": {"rank": len(eig.values), "eig_error_bound": eig.error_bound,
                    "k_pre_times_one_plus_gamma": section["k_pre"] * (1.0 + cfg.model.gamma)},
-        "crosscheck": report.to_json(),
+        "crosscheck": crosscheck,
         "exploratory": exploratory,
     }
 
@@ -233,15 +239,8 @@ def cmd_schrodinger(cfg: RunConfig):
 
 
 def _study_initials(cfg: RunConfig, names):
-    out = []
-    for name in names:
-        if name == "zero":
-            out.append(("zero", initial_state(cfg, kind="zero", params={})))
-        elif name == "step":
-            out.append(("step", initial_state(cfg, kind="step", params={})))
-        else:
-            out.append(("initial", initial_state(cfg)))
-    return out
+    return [(name, initial_state(cfg, kind=name, params={})) if name in ("zero", "step")
+            else ("initial", initial_state(cfg)) for name in names]
 
 
 def cmd_study(cfg: RunConfig, op, constants, study_name):
@@ -251,46 +250,36 @@ def cmd_study(cfg: RunConfig, op, constants, study_name):
     if study_name == "plasticity-limit":
         s = section["plasticity"]
         solver_cfg = SolverConfig(method=s["method"], dt=s["dt"], t_end=s["t_end"])
-        result = plasticity_limit_study(cfg.model, op, s["gamma_list"], u0, solver_cfg,
-                                        slack=s["slack"])
+        rows, verdict = plasticity_limit_study(cfg.model, op, s["gamma_list"], u0,
+                                               solver_cfg, slack=s["slack"])
     elif study_name == "dependence":
         s = section["dependence"]
-        result = continuous_dependence_study(cfg.model, op, u0, s["eps_list"], constants,
-                                             rho=s["rho"], dt=s["dt"],
-                                             slack_coeff=s["slack_coeff"])
+        rows, verdict = continuous_dependence_study(cfg.model, op, u0, s["eps_list"],
+                                                    constants, rho=s["rho"], dt=s["dt"],
+                                                    slack_coeff=s["slack_coeff"])
     elif study_name == "contraction":
         s = section["contraction"]
-        result = contraction_measure(cfg.model, op, constants, rho=s["rho"],
-                                     n_pairs=s["n_pairs"], seed=cfg.seed,
-                                     time_steps=s["time_steps"], slack=s["slack"])
+        rows, verdict = contraction_measure(cfg.model, op, constants, rho=s["rho"],
+                                            n_pairs=s["n_pairs"], seed=cfg.seed,
+                                            time_steps=s["time_steps"], slack=s["slack"])
     elif study_name == "l1":
         s = section["l1"]
         initials = _study_initials(cfg, s["initials"])
         solver_cfg = SolverConfig(method="exp-euler", dt=s["dt"], t_end=s["t_end"])
         model = cfg.model if s["gamma"] is None else replace(cfg.model, gamma=s["gamma"])
-        result = l1_bound_study(model, op, initials, solver_cfg, constants, slack=s["slack"])
+        rows, verdict = l1_bound_study(model, op, initials, solver_cfg, constants,
+                                       slack=s["slack"])
     else:
         raise SchemaError([f"study: unknown study {study_name!r}"])
 
-    artifacts = {}
-    if result.rows:
-        header = list(result.rows[0].keys())
-        artifacts[f"{study_name}.csv"] = (
-            header, [[("" if row[k] is None else row[k]) for k in header] for row in result.rows])
-    verdict = {"pass": result.passed, "worst_margin": result.worst_margin}
-    fit = result.fit or {}
-    if "slope" in fit:
-        verdict["fitted_slope"] = fit["slope"]
-        verdict["r2"] = fit["r2"]
-    if "max_ratio" in fit:
-        verdict["max_ratio"] = fit["max_ratio"]
-        verdict["q"] = fit["q"]
-    artifacts["verdict.json"] = verdict
+    artifacts = {"verdict.json": verdict}
+    if rows:
+        artifacts[f"{study_name}.csv"] = (list(rows[0]), [list(row.values()) for row in rows])
     return artifacts, {"verdict": verdict}
 
 
 def cmd_constants(cfg: RunConfig, constants):
-    payload = {"constants": constants.to_json(), "gamma": cfg.model.gamma,
+    payload = {"constants": asdict(constants), "gamma": cfg.model.gamma,
                **_segment(cfg, constants)}
     for key, value in payload["constants"].items():
         print(f"{key}: {value if isinstance(value, str) else fmt(float(value))}")
@@ -428,6 +417,10 @@ def main(argv=None) -> int:
         # lock contention surfaces here, before any manifest can exist
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except Exception:
+        # unclassified, so a bug or an environment fault; the lock is released
+        traceback.print_exc()
+        return EXIT_BUG
 
 
 if __name__ == "__main__":

@@ -175,7 +175,6 @@ class Quadrature:
     """Positive weights turning sums over nodes into integrals over the domain."""
 
     weights: np.ndarray
-    grid: Grid
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -198,7 +197,7 @@ def make_quadrature(grid: Grid, rule: str = "trapezoid") -> Quadrature:
         for n, h in zip(grid.npts, grid.spacing)
     ]
     weights = per_axis[0] if grid.dimension == 1 else np.outer(per_axis[0], per_axis[1]).ravel()
-    return Quadrature(weights=weights, grid=grid)
+    return Quadrature(weights=weights)
 
 
 @dataclass(frozen=True, eq=False)

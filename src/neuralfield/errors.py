@@ -36,10 +36,6 @@ class NumericalInstabilityError(NeuralFieldError):
 class NotPSDError(NeuralFieldError):
     """Kernel matrix failed the positive-semidefiniteness check."""
 
-    def __init__(self, message, min_eigenvalue=None):
-        self.min_eigenvalue = min_eigenvalue
-        super().__init__(message)
-
 
 class BoxTooSmallError(NeuralFieldError):
     """Eigenfunction has not decayed at the boundary of the computational box."""
@@ -47,10 +43,6 @@ class BoxTooSmallError(NeuralFieldError):
 
 class NoBoundStateError(NeuralFieldError):
     """Well-depth bisection bracket contains no solution."""
-
-    def __init__(self, message, bracket=None):
-        self.bracket = bracket
-        super().__init__(message)
 
 
 class OutputLockedError(NeuralFieldError, RuntimeError):

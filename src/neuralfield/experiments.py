@@ -3,16 +3,20 @@
 Each study runs instances, records measured quantities next to the
 theoretical bound, and fails loudly whenever measured exceeds bound plus the
 declared slack: the bounds are theorems, so a violation means a bug in the
-implementation, not noise to be tolerated.  Rows run serially, and every
-field is stepped by :mod:`.solver`: the trajectories by ``solve_global``,
-the contraction study's integrated map by ``picard_map``.  The theory
-constants and each ``SolverConfig`` come from the caller, built once per run.
+implementation, not noise to be tolerated.  A study returns ``(rows,
+verdict)``: its CSV rows, dicts with the same keys in the same order, and
+its ``verdict.json`` payload: ``pass`` (every row passed), ``worst_margin``
+(the smallest bound + slack - measured) and the study's fit, if any.  Rows
+run serially, and every field is stepped by :mod:`.solver`: the
+trajectories by ``solve_global``, the contraction study's integrated map by
+``picard_map``.  The theory constants and each ``SolverConfig`` come from
+the caller, built once per run.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -20,17 +24,6 @@ from .discretization import DiscreteOperator, FieldState
 from .errors import NonContractiveError
 from .model import ModelSpec, TheoryConstants, contraction_factor, max_segment_length
 from .solver import SolverConfig, picard_map, solve_global
-
-
-@dataclass
-class StudyResult:
-    """Parameter table with measured and theoretical values per row."""
-
-    rows: list
-    slack: float
-    passed: bool
-    worst_margin: float
-    fit: dict | None = None
 
 
 def _loglog_fit(x, y) -> dict:
@@ -42,25 +35,25 @@ def _loglog_fit(x, y) -> dict:
     ss_res = float(np.sum((ly - predicted) ** 2))
     ss_tot = float(np.sum((ly - ly.mean()) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return {"slope": float(slope), "r2": r2}
+    return {"fitted_slope": float(slope), "r2": r2}
 
 
-def _assemble(rows, slack, fit=None) -> StudyResult:
-    margins = [row["margin"] for row in rows if row.get("margin") is not None]
-    worst = min(margins) if margins else math.inf
-    passed = all(row["pass"] for row in rows)
-    return StudyResult(rows=rows, slack=slack, passed=passed, worst_margin=worst, fit=fit)
+def _verdict(rows, **fit) -> dict:
+    """The ``verdict.json`` payload of a study's rows and fit."""
+    margins = [row["margin"] for row in rows if row["margin"] is not None]
+    return {"pass": all(row["pass"] for row in rows),
+            "worst_margin": min(margins, default=math.inf), **fit}
 
 
 def plasticity_limit_study(model: ModelSpec, op: DiscreteOperator, gamma_list,
                            u0: FieldState, cfg: SolverConfig,
-                           slack: float = 0.0) -> StudyResult:
+                           slack: float = 0.0) -> tuple:
     """Distance to the plasticity-free solution as gamma shrinks.
 
     All runs share the grid, the initial state and the single-step method
     of ``cfg``, so d(gamma) = sup over nodes and times of |u_gamma - u_0|
     isolates the gamma dependence.  d must shrink monotonically with gamma
-    and fit a log-log slope near 1.
+    and fit a log-log slope near 1 (``fitted_slope``, with its ``r2``).
     """
     gammas = [float(g) for g in gamma_list]
     if any(g <= 0 for g in gammas):
@@ -84,13 +77,12 @@ def plasticity_limit_study(model: ModelSpec, op: DiscreteOperator, gamma_list,
         ok = i == 0 or row["distance"] <= rows[i - 1]["distance"] + slack
         row["pass"] = bool(ok)
         row["margin"] = None if i == 0 else rows[i - 1]["distance"] + slack - row["distance"]
-    fit = _loglog_fit(gammas, distances)
-    return _assemble(rows, slack, fit=fit)
+    return rows, _verdict(rows, **_loglog_fit(gammas, distances))
 
 
 def continuous_dependence_study(model: ModelSpec, op: DiscreteOperator, u0: FieldState,
                                 eps_list, constants: TheoryConstants, rho: float | None = None,
-                                dt: float = 1e-3, slack_coeff: float = 10.0) -> StudyResult:
+                                dt: float = 1e-3, slack_coeff: float = 10.0) -> tuple:
     """Perturbation growth over one segment against the constant 1/(1-q).
 
     Runs pairs from u0 and u0 + eps * delta with a fixed smooth unit-sup
@@ -128,19 +120,19 @@ def continuous_dependence_study(model: ModelSpec, op: DiscreteOperator, u0: Fiel
             "pass": bool(ok),
             "margin": bound - ratio,
         })
-    return _assemble(rows, slack)
+    return rows, _verdict(rows)
 
 
 def contraction_measure(model: ModelSpec, op: DiscreteOperator, constants: TheoryConstants,
                         rho: float | None = None, n_pairs: int = 200, seed: int = 0,
-                        time_steps: int = 8, slack: float = 0.01) -> StudyResult:
+                        time_steps: int = 8, slack: float = 0.01) -> tuple:
     """Monte-Carlo estimate of the solution-operator contraction ratio.
 
     Applies the solver's integrated map A (:func:`.solver.picard_map`, the
     time-trapezoid of F) to random bounded space-time field pairs and
-    compares the worst ratio ||A u1 - A u2|| / ||u1 - u2|| against the
-    theoretical factor plus declared slack.  Pairs with zero separation
-    are skipped.
+    compares the worst ratio ||A u1 - A u2|| / ||u1 - u2|| (``max_ratio``)
+    against the theoretical factor ``q`` plus declared slack.  Pairs with
+    zero separation are skipped.
     """
     if rho is None:
         rho = max_segment_length(constants, model.gamma)
@@ -168,13 +160,11 @@ def contraction_measure(model: ModelSpec, op: DiscreteOperator, constants: Theor
     for row in rows:
         row["pass"] = bool(row["ratio"] <= bound)
         row["margin"] = bound - row["ratio"]
-    result = _assemble(rows, slack)
-    result.fit = {"q": q, "rho": rho, "max_ratio": worst}
-    return result
+    return rows, _verdict(rows, q=q, max_ratio=worst)
 
 
 def l1_bound_study(model: ModelSpec, op: DiscreteOperator, u0_list, cfg: SolverConfig,
-                   constants: TheoryConstants, slack: float = 1e-6) -> StudyResult:
+                   constants: TheoryConstants, slack: float = 1e-6) -> tuple:
     """sup over time of the quadrature L1 norm against ||u0||_1 + Cw |Omega|.
 
     Discontinuous initial data (step functions) are legitimate inputs here;
@@ -199,4 +189,4 @@ def l1_bound_study(model: ModelSpec, op: DiscreteOperator, u0_list, cfg: SolverC
             "pass": bool(sup_l1 <= bound),
             "margin": bound - sup_l1,
         })
-    return _assemble(rows, slack)
+    return rows, _verdict(rows)

@@ -138,9 +138,7 @@ def mercer_decompose(kernel: LearnedKernel, quad: Quadrature, n_eigs: int = 0) -
     if bottom < -MERCER_TOL * max(top, 1.0):
         raise NotPSDError(
             f"kernel is not positive semidefinite: min eigenvalue {bottom:.6g} "
-            f"against max {top:.6g}",
-            min_eigenvalue=bottom,
-        )
+            f"against max {top:.6g}")
     functions = vectors / sqrt_w[:, None]
 
     # validate against G: (G phi)(x_i) = sum_j q_j G_ij phi_j, G from its closed
@@ -157,9 +155,7 @@ def mercer_decompose(kernel: LearnedKernel, quad: Quadrature, n_eigs: int = 0) -
     scale = max(top, 1.0)
     if residual > MERCER_TOL * scale:
         raise NotPSDError(
-            f"eigendecomposition residual {residual:.3g} exceeds {MERCER_TOL:.1g} * ||G||",
-            min_eigenvalue=bottom,
-        )
+            f"eigendecomposition residual {residual:.3g} exceeds {MERCER_TOL:.1g} * ||G||")
     return EigenSystem(values=eigenvalues, functions=functions,
                        error_bound=bound * float(quad.weights.sum()))
 
@@ -189,7 +185,7 @@ def simulate_gainfield(op: DiscreteOperator, phi_pre: np.ndarray, firing: Firing
     """
     model = ModelSpec(kernel=op.kernel, firing=firing, learning=LearningKernel(),
                       gamma=0.0, mode="gain-field")
-    measure = Quadrature(op.quadrature.weights * phi_pre, op.grid)
+    measure = Quadrature(op.quadrature.weights * phi_pre)
     return solve_global(model, replace(op, quadrature=measure), u0, cfg)
 
 
@@ -361,32 +357,8 @@ def schrodinger_fd(potential: np.ndarray, grid: Grid, n_states: int = 1) -> Eige
     return EigenSystem(values=np.array(eigenvalues), functions=_on_grid(vectors, dx))
 
 
-@dataclass(frozen=True)
-class CrossCheckReport:
-    """Self-consistent well depth and the residual of the integral form."""
-
-    lam: float
-    v0: float
-    k_squared: float
-    energy: float
-    residual_l2: float
-    rayleigh_quotient: float
-    bisection_iterations: int
-
-    def to_json(self) -> dict:
-        return {
-            "lambda": self.lam,
-            "V0": self.v0,
-            "k2": self.k_squared,
-            "E": self.energy,
-            "residual_l2": self.residual_l2,
-            "rayleigh_quotient": self.rayleigh_quotient,
-            "bisection_iterations": self.bisection_iterations,
-        }
-
-
 def schrodinger_cross_check(lam: float, half_width: float, grid: Grid,
-                            quad: Quadrature) -> CrossCheckReport:
+                            quad: Quadrature) -> dict:
     """Verify the stationary equation against the eigenproblem route.
 
     Finds the well depth V0 solving V0 = E0(V0) + lambda^2 by bisection
@@ -406,6 +378,9 @@ def schrodinger_cross_check(lam: float, half_width: float, grid: Grid,
     bound-state energy) to lambda^2 plus one more than the infinite well's
     ground energy.  Raises NoBoundStateError when it contains no solution,
     e.g. when the box is narrower than the well, so no node lies outside it.
+
+    Returns the ``crosscheck.json`` payload: ``lambda``, ``V0``, ``k2``,
+    ``E``, ``residual_l2``, ``rayleigh_quotient``, ``bisection_iterations``.
     """
     if lam <= 0:
         raise ValueError("lambda must be positive")
@@ -424,9 +399,7 @@ def schrodinger_cross_check(lam: float, half_width: float, grid: Grid,
     if bound_below(lo) or not bound_below(hi):
         raise NoBoundStateError(
             f"no self-consistent well depth in [{lo:.6g}, {hi:.6g}]: V0 - E0(V0) - "
-            "lambda^2 does not change sign from negative to positive",
-            bracket=(lo, hi),
-        )
+            "lambda^2 does not change sign from negative to positive")
     iterations = 0
     while hi - lo > BISECTION_TOL and iterations < BISECTION_MAX_ITER:
         mid = 0.5 * (lo + hi)
@@ -451,12 +424,12 @@ def schrodinger_cross_check(lam: float, half_width: float, grid: Grid,
     hamiltonian = -second + potential * psi
     rayleigh = float(np.sum(psi * hamiltonian) / np.sum(psi * psi))
 
-    return CrossCheckReport(
-        lam=lam,
-        v0=v0,
-        k_squared=v0,
-        energy=v0 - lam * lam,
-        residual_l2=residual_l2,
-        rayleigh_quotient=rayleigh,
-        bisection_iterations=iterations,
-    )
+    return {
+        "lambda": lam,
+        "V0": v0,
+        "k2": v0,
+        "E": v0 - lam * lam,
+        "residual_l2": residual_l2,
+        "rayleigh_quotient": rayleigh,
+        "bisection_iterations": iterations,
+    }

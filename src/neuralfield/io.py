@@ -40,7 +40,9 @@ from .errors import OutputLockedError
 
 
 def fmt(value) -> str:
-    """One CSV cell; floats at 17 significant digits."""
+    """One CSV cell; floats at 17 significant digits, None empty."""
+    if value is None:
+        return ""
     if isinstance(value, bool):
         return str(value).lower()
     if isinstance(value, float):

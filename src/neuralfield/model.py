@@ -15,9 +15,12 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
+
+if TYPE_CHECKING:  # discretization imports this module
+    from .discretization import DiscreteOperator
 
 FIRING_KINDS = ("sigmoid", "scaled-arctan", "linear", "piecewise-linear-clamped")
 LEARNING_KINDS = ("gaussian",)
@@ -250,14 +253,6 @@ class TheoryConstants:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
 
-    def to_json(self) -> dict:
-        return {
-            "kernel_l1_sup": self.kernel_l1_sup,
-            "firing_lipschitz": self.firing_lipschitz,
-            "learning_lipschitz": self.learning_lipschitz,
-            "method": self.method,
-        }
-
 
 def _analytic_l1_sup(kernel: SynapticKernel, grid) -> float | None:
     """Closed-form sup_x integral of |w(x, .)| over the grid's domain, if known."""
@@ -273,7 +268,7 @@ def _analytic_l1_sup(kernel: SynapticKernel, grid) -> float | None:
     return (amp / lam) * (2.0 - 2.0 * math.exp(-lam * (b - a) / 2.0))
 
 
-def compute_constants(model: ModelSpec, op) -> TheoryConstants:
+def compute_constants(model: ModelSpec, op: DiscreteOperator) -> TheoryConstants:
     """Compute the estimate constants for a model and its discrete operator.
 
     The 1-D exponential kernel takes its closed-form Cw and reads only

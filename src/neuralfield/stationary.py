@@ -33,7 +33,7 @@ class StationaryResult:
     iterations: int
     method: str
     converged: bool
-    history: tuple = ()
+    history: tuple  # (iteration or t, residual sup) pairs, in the manifest
 
 
 def find_stationary_fp(model: ModelSpec, op: DiscreteOperator, u_init: FieldState,

@@ -123,10 +123,10 @@ def test_03_contraction():
         for gamma in (0.0, 0.5, 1.0):
             model = ModelSpec(exponential_kernel(), FiringRate("sigmoid"),
                               LearningKernel(), gamma=gamma)
-            study = contraction_measure(model, op, compute_constants(model, op), n_pairs=200,
-                                        seed=1234, slack=0.01)
-            assert study.passed
-            assert study.fit["max_ratio"] <= study.fit["q"] + 0.01
+            _, verdict = contraction_measure(model, op, compute_constants(model, op),
+                                             n_pairs=200, seed=1234, slack=0.01)
+            assert verdict["pass"]
+            assert verdict["max_ratio"] <= verdict["q"] + 0.01
         elapsed = time.time() - started
         assert elapsed < 30.0, f"contraction suite took {elapsed:.1f}s"
 
@@ -157,13 +157,13 @@ def test_05_annulling_plasticity(op_201, bump_201):
                           LearningKernel(), gamma=1.0)
         cfg = SolverConfig(method="rk4", dt=0.05, t_end=10.0)
         started = time.time()
-        study = plasticity_limit_study(model, op_201, [0.4, 0.2, 0.1, 0.05, 0.025],
-                                       bump_201, cfg)
+        rows, verdict = plasticity_limit_study(model, op_201, [0.4, 0.2, 0.1, 0.05, 0.025],
+                                               bump_201, cfg)
         elapsed = time.time() - started
-        distances = [row["distance"] for row in study.rows]
+        distances = [row["distance"] for row in rows]
         assert all(b < a for a, b in zip(distances, distances[1:]))
-        assert study.fit["slope"] == pytest.approx(1.0, abs=0.15)
-        assert study.fit["r2"] > 0.99
+        assert verdict["fitted_slope"] == pytest.approx(1.0, abs=0.15)
+        assert verdict["r2"] > 0.99
         assert elapsed < 120.0, f"study took {elapsed:.1f}s"
 
 
@@ -171,12 +171,14 @@ def test_06_continuous_dependence(op_201, bump_201):
     with criterion(6, "continuous-dependence"):
         model = ModelSpec(exponential_kernel(), FiringRate("sigmoid"),
                           LearningKernel(), gamma=1.0)
-        study = continuous_dependence_study(model, op_201, bump_201, [0.2, 0.1, 0.05],
-                                            constants_of(model, op_201), dt=1e-3)
-        assert study.passed
-        q = study.rows[0]["q"]
-        for row in study.rows:
-            assert row["measured_ratio"] <= 1.0 / (1.0 - q) + study.slack / row["eps"]
+        rows, verdict = continuous_dependence_study(model, op_201, bump_201, [0.2, 0.1, 0.05],
+                                                    constants_of(model, op_201), dt=1e-3,
+                                                    slack_coeff=10.0)
+        assert verdict["pass"]
+        q = rows[0]["q"]
+        slack = 10.0 * 1e-3 * 1e-3  # slack_coeff * dt^2
+        for row in rows:
+            assert row["measured_ratio"] <= 1.0 / (1.0 - q) + slack / row["eps"]
 
 
 @pytest.fixture(scope="module")
@@ -218,9 +220,9 @@ def test_08_l1_bound():
             model = ModelSpec(exponential_kernel(), FiringRate("sigmoid"),
                               LearningKernel(), gamma=gamma)
             cfg = SolverConfig(method="exp-euler", dt=0.05, t_end=20.0)
-            study = l1_bound_study(model, op, initials, cfg, compute_constants(model, op),
-                                   slack=1e-6)
-            assert study.passed, [row for row in study.rows if not row["pass"]]
+            rows, verdict = l1_bound_study(model, op, initials, cfg,
+                                           compute_constants(model, op), slack=1e-6)
+            assert verdict["pass"], [row for row in rows if not row["pass"]]
 
 
 def test_09_mercer(grid_201, quad_201, op_201, bump_201):
@@ -253,10 +255,10 @@ def test_10_schrodinger_correspondence():
         for n in (2001, 4001):
             grid = Grid(bounds=[(-20.0, 20.0)], npts=[n])
             reports[n] = schrodinger_cross_check(1.0, 1.0, grid, make_quadrature(grid))
-        assert reports[2001].residual_l2 < 1e-3
-        assert 3.0 <= reports[2001].residual_l2 / reports[4001].residual_l2 <= 5.0
+        assert reports[2001]["residual_l2"] < 1e-3
+        assert 3.0 <= reports[2001]["residual_l2"] / reports[4001]["residual_l2"] <= 5.0
         for report in reports.values():
-            assert abs(report.rayleigh_quotient - (report.k_squared - 1.0)) < 1e-6
+            assert abs(report["rayleigh_quotient"] - (report["k2"] - 1.0)) < 1e-6
         elapsed = time.time() - started
         assert elapsed < 30.0, f"schrodinger suite took {elapsed:.1f}s"
 

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -478,7 +479,7 @@ class TestIO:
         (out / ".lock").symlink_to(target)
         result = subprocess.run([sys.executable, "-m", "neuralfield.cli", "constants",
                                  "--out", str(out)], capture_output=True, text=True)
-        assert result.returncode != 0 and "OSError" in result.stderr
+        assert result.returncode == 3 and "OSError" in result.stderr
         assert target.read_text() == "kept" and (out / ".lock").is_symlink()
         assert [path.name for path in out.iterdir()] == [".lock"]
 
@@ -538,7 +539,7 @@ class TestRun:
         manifest = json.loads((out / "manifest.json").read_text())
         echoed = build_config(manifest["config"], environ={})
         op = build_operator(echoed.model.kernel, echoed.grid, echoed.quadrature)
-        fresh = compute_constants(echoed.model, op).to_json()
+        fresh = asdict(compute_constants(echoed.model, op))
         assert manifest["constants"] == fresh
 
     def test_2d_simulate_within_row_sum_bound(self, tmp_path):
@@ -894,7 +895,7 @@ class TestMainEntry:
             constants = json.loads(report.read_text())["constants"]
             assert constants["firing_lipschitz"] == pytest.approx(lipschitz, rel=1e-15)
 
-    def test_only_lock_contention_exits_1_from_main(self, tmp_path, monkeypatch):
+    def test_only_lock_contention_exits_1_from_main(self, tmp_path, monkeypatch, capsys):
         import neuralfield.cli as cli
 
         out = tmp_path / "o"
@@ -905,8 +906,10 @@ class TestMainEntry:
             raise RuntimeError("a bug, not lock contention")
 
         monkeypatch.setattr(cli, "cmd_constants", broken)
-        with pytest.raises(RuntimeError, match="a bug"):
-            main(["constants", "--out", str(out)])
+        capsys.readouterr()
+        assert main(["constants", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "RuntimeError: a bug, not lock contention" in err
         assert not (out / ".lock").exists()
 
     def test_unknown_study_name_exits_config_error(self, tmp_path):

@@ -400,7 +400,7 @@ class TestFastJ:
         if gained:
             # the gain is a measure: the weights times a positive factor
             gain = rng.uniform(0.5, 2.0, size=grid.n_total)
-            op = replace(op, quadrature=Quadrature(quad.weights * gain, grid))
+            op = replace(op, quadrature=Quadrature(quad.weights * gain))
         v = rng.standard_normal((3, grid.n_total))
         matrix = dense_operator(op)
         scale = np.max(np.abs(matrix) @ np.abs(v.T))
@@ -460,7 +460,7 @@ class TestFastJ:
         quad = make_quadrature(grid)
         op = build_operator(kern, grid, quad)
         gain = np.linspace(0.5, 1.5, 41)
-        scaled = replace(op, quadrature=Quadrature(quad.weights * gain, grid))
+        scaled = replace(op, quadrature=Quadrature(quad.weights * gain))
         assert "matrix" not in scaled.__dict__
         assert np.array_equal(scaled.matrix, dense_operator(scaled))
         assert np.allclose(scaled.matrix, op.matrix * gain[None, :], rtol=1e-15, atol=0.0)

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -35,7 +38,7 @@ from neuralfield.gainfield import (
     square_well,
 )
 from neuralfield.solver import SolverConfig, solve_global
-from neuralfield.stationary import find_stationary_fp
+from neuralfield.stationary import ANDERSON_WINDOW, find_stationary_fp
 
 from conftest import constants_of, exponential_kernel, make_model
 from oracles import (fd_schrodinger_eigenpairs, finite_well_ground_energy, gram, greens_identity_check,
@@ -552,19 +555,19 @@ class TestCrossCheck:
         # the found depth satisfies V0 = E0(V0) + lambda^2 to bisection accuracy
         report = reports[2001]
         grid = Grid(bounds=[(-20.0, 20.0)], npts=[2001])
-        pot = square_well(grid.axis_nodes[0], 1.0, report.v0)
+        pot = square_well(grid.axis_nodes[0], 1.0, report["V0"])
         ground = schrodinger_fd(pot, grid, n_states=1).values[0]
-        assert abs(report.v0 - ground - 1.0) < 1e-8
+        assert abs(report["V0"] - ground - 1.0) < 1e-8
 
     def test_integral_residual_and_order(self, reports):
-        assert reports[2001].residual_l2 < 1e-3
-        ratio = reports[2001].residual_l2 / reports[4001].residual_l2
+        assert reports[2001]["residual_l2"] < 1e-3
+        ratio = reports[2001]["residual_l2"] / reports[4001]["residual_l2"]
         assert 3.0 <= ratio <= 5.0
 
     def test_energy_relation(self, reports):
         for report in reports.values():
-            assert report.energy == report.k_squared - 1.0
-            assert abs(report.rayleigh_quotient - report.energy) < 1e-6
+            assert report["E"] == report["k2"] - 1.0
+            assert abs(report["rayleigh_quotient"] - report["E"]) < 1e-6
 
     def test_no_bound_state_below_lambda_squared(self):
         # a box narrower than the well leaves no node outside it: the zero
@@ -573,3 +576,45 @@ class TestCrossCheck:
         grid = Grid(bounds=[(-0.5, 0.5)], npts=[101])
         with pytest.raises(NoBoundStateError):
             schrodinger_cross_check(1.0, 1.0, grid, make_quadrature(grid))
+
+
+# A fresh process: an Anderson solve at n = 4001 whose steps QR-solve a
+# 4001 x 5 window, then the split of its learned kernel at learning width
+# 0.1, which tabulates a new range-factor bucket (its gemv and inv) and
+# multiplies q @ small, 4001 x r by r x r.  Prints the digest of every
+# result, the iterations and r.
+BLAS_PROBE = """
+import hashlib
+import numpy as np
+from neuralfield import (FieldState, FiringRate, Grid, LearningKernel, ModelSpec,
+                         SynapticKernel, build_operator, compute_constants, make_quadrature)
+from neuralfield.gainfield import build_learned_kernel, mercer_decompose
+from neuralfield.stationary import find_stationary_fp
+grid = Grid(bounds=[(-10.0, 10.0)], npts=[4001])
+quad = make_quadrature(grid)
+model = ModelSpec(SynapticKernel("exponential", {}), FiringRate("sigmoid"),
+                  LearningKernel("gaussian", {"width": 0.1}), gamma=0.5)
+op = build_operator(model.kernel, grid, quad)
+x = grid.points[:, 0]
+fp = find_stationary_fp(model, op, FieldState(0.5 * np.exp(-x * x / 4.0)),
+                        compute_constants(model, op))
+eig = mercer_decompose(build_learned_kernel(fp.u_inf, model, grid), quad)
+digest = hashlib.sha256(fp.u_inf.tobytes() + np.array(fp.history).tobytes())
+digest.update(eig.values.tobytes() + eig.functions.tobytes())
+print(digest.hexdigest(), fp.iterations, len(eig.values))
+"""
+
+
+def test_split_and_anderson_steps_independent_of_blas_threads():
+    # OpenBLAS threads a GEMM above 65,536 x 4 multiply-adds
+    outputs = []
+    for count in ("1", "2"):
+        result = subprocess.run([sys.executable, "-c", BLAS_PROBE], capture_output=True, text=True,
+                                env={**os.environ, "OPENBLAS_NUM_THREADS": count,
+                                     "OMP_NUM_THREADS": count})
+        assert result.returncode == 0, result.stderr
+        outputs.append(result.stdout)
+    assert outputs[0] == outputs[1]
+    _, iterations, pairs = outputs[0].split()
+    assert int(iterations) > ANDERSON_WINDOW + 1  # the window filled
+    assert 4001 * int(pairs) ** 2 > 4 * 65536

@@ -219,3 +219,69 @@ def test_every_default_is_set_by_some_package_call():
     assert unset == []
     # every exemption still names a defaulted parameter, so none outlives its reason
     assert DEFAULTS_SET_OUTSIDE_CALLS - seen == set()
+
+
+# Dataclasses the manifest writes whole through dataclasses.asdict, and the
+# call that dumps each: every field of theirs is read, by its name as a key.
+DUMPED = {"asdict(constants)": "TheoryConstants", "asdict(seg)": "PicardSegment"}
+
+
+def _class_of(annotation, classes):
+    """The package dataclass an annotation names, ``X`` or ``X | None``."""
+    if isinstance(annotation, ast.BinOp):
+        return _class_of(annotation.left, classes) or _class_of(annotation.right, classes)
+    return annotation.id if isinstance(annotation, ast.Name) and annotation.id in classes else None
+
+
+def test_every_dataclass_field_is_read():
+    # a field nothing reads is data computed to be dropped.  A read is
+    # ``x.field`` anywhere in the package where x is not known to be of
+    # another class: x's class comes from a parameter annotation, ``self``,
+    # or the annotation of the field it was read from.  Reads in the class's
+    # own methods count: an operator's storage is read only there
+    # (test_operator_storage_is_read_only_by_the_operator)
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    defs = {node.name: node for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef) and any(
+                "dataclass" in ast.unparse(d) for d in node.decorator_list)}
+    classes = {name: {item.target.id: item.annotation for item in node.body
+                      if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)}
+               for name, node in defs.items()}
+
+    def class_of(expr, env):
+        if isinstance(expr, ast.Name):
+            return env.get(expr.id)
+        if isinstance(expr, ast.Attribute):
+            owner = class_of(expr.value, env)
+            if owner is not None and expr.attr in classes[owner]:
+                return _class_of(classes[owner][expr.attr], classes)
+        return None
+
+    receivers = {}  # id of an attribute read -> (node, its receiver's class)
+    dumped = set()
+    for tree in trees.values():
+        owners = {id(sub): node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                  for sub in node.body if isinstance(sub, ast.FunctionDef)}
+        scopes = [(tree, {})]
+        for func in ast.walk(tree):  # outer functions first, so inner ones override
+            if isinstance(func, ast.FunctionDef):
+                params = func.args.posonlyargs + func.args.args + func.args.kwonlyargs
+                env = {p.arg: _class_of(p.annotation, classes) for p in params if p.annotation}
+                if owners.get(id(func)) in classes and params:
+                    env[params[0].arg] = owners[id(func)]
+                scopes.append((func, env))
+        for scope, env in scopes:
+            for node in ast.walk(scope):
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    receivers[id(node)] = (node, class_of(node.value, env))
+                if isinstance(node, ast.Call) and _called_name(node) == "asdict":
+                    dumped.add(ast.unparse(node))
+    assert dumped == set(DUMPED)
+
+    unread = []
+    for name, fields in classes.items():
+        read = {node.attr for node, owner in receivers.values() if owner in (None, name)}
+        if name not in DUMPED.values():
+            unread += [f"{name}.{field}" for field in fields if field not in read]
+    assert unread == []
