@@ -16,9 +16,8 @@ A run with an output directory owns it exclusively; ``run`` alone writes
 the artifacts, then a manifest.json with the config echo, the constants
 and contraction data (not for schrodinger), wall time, peak RSS, minor
 page faults, and the sha256 of each artifact, taken as it was written.
-A picard ``simulate`` also lists each segment's q, sweeps and update norms;
-``stationary`` and ``gainfield`` list the stationary solve's residual
-history.  A study writes its rows as a CSV and its verdict as returned.
+A picard ``simulate`` also lists each segment's q, sweeps and update norms,
+``stationary`` and ``gainfield`` the stationary solve's residual history.
 The manifest is written even when the command fails, with an error
 section, and is then the only file written; older files are not listed.
 ``constants`` may run without an output directory; it then only prints.
@@ -36,7 +35,6 @@ import argparse
 import resource
 import sys
 import time
-import traceback
 from contextlib import nullcontext
 from dataclasses import asdict, replace
 from functools import cache, partial
@@ -239,8 +237,15 @@ def cmd_schrodinger(cfg: RunConfig):
 
 
 def _study_initials(cfg: RunConfig, names):
-    return [(name, initial_state(cfg, kind=name, params={})) if name in ("zero", "step")
-            else ("initial", initial_state(cfg)) for name in names]
+    out = []
+    for name in names:
+        if name == "zero":
+            out.append(("zero", initial_state(cfg, kind="zero", params={})))
+        elif name == "step":
+            out.append(("step", initial_state(cfg, kind="step", params={})))
+        else:
+            out.append(("initial", initial_state(cfg)))
+    return out
 
 
 def cmd_study(cfg: RunConfig, op, constants, study_name):
@@ -417,8 +422,8 @@ def main(argv=None) -> int:
         # lock contention surfaces here, before any manifest can exist
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except Exception:
-        # unclassified, so a bug or an environment fault; the lock is released
+    except Exception:  # unclassified: a bug or an environment fault; the lock is released
+        import traceback  # loaded only here, off every run's import path
         traceback.print_exc()
         return EXIT_BUG
 

@@ -4,10 +4,10 @@ Each study runs instances, records measured quantities next to the
 theoretical bound, and fails loudly whenever measured exceeds bound plus the
 declared slack: the bounds are theorems, so a violation means a bug in the
 implementation, not noise to be tolerated.  A study returns ``(rows,
-verdict)``: its CSV rows, dicts with the same keys in the same order, and
-its ``verdict.json`` payload: ``pass`` (every row passed), ``worst_margin``
-(the smallest bound + slack - measured) and the study's fit, if any.  Rows
-run serially, and every field is stepped by :mod:`.solver`: the
+verdict)``, the payloads ``study`` writes: the CSV rows, dicts with the same
+keys in the same order, and ``verdict.json``: ``pass`` (every row passed),
+``worst_margin`` (the least bound + slack - measured) and the fit, if any.
+Rows run serially, and every field is stepped by :mod:`.solver`: the
 trajectories by ``solve_global``, the contraction study's integrated map by
 ``picard_map``.  The theory constants and each ``SolverConfig`` come from
 the caller, built once per run.
@@ -143,7 +143,6 @@ def contraction_measure(model: ModelSpec, op: DiscreteOperator, constants: Theor
     dt = rho / time_steps
 
     rows = []
-    worst = 0.0
     for index in range(n_pairs):
         u1 = rng.uniform(-amplitude, amplitude, size=(time_steps + 1, n))
         u2 = rng.uniform(-amplitude, amplitude, size=(time_steps + 1, n))
@@ -153,14 +152,12 @@ def contraction_measure(model: ModelSpec, op: DiscreteOperator, constants: Theor
         # the u0 term cancels in the difference A(u1) - A(u2)
         image_gap = float(np.max(np.abs(picard_map(model, op, u1, dt, 0.0)
                                         - picard_map(model, op, u2, dt, 0.0))))
-        ratio = image_gap / separation
-        worst = max(worst, ratio)
-        rows.append({"pair": index, "ratio": ratio})
+        rows.append({"pair": index, "ratio": image_gap / separation})
     bound = q + slack
     for row in rows:
         row["pass"] = bool(row["ratio"] <= bound)
         row["margin"] = bound - row["ratio"]
-    return rows, _verdict(rows, q=q, max_ratio=worst)
+    return rows, _verdict(rows, q=q, max_ratio=max((row["ratio"] for row in rows), default=0.0))
 
 
 def l1_bound_study(model: ModelSpec, op: DiscreteOperator, u0_list, cfg: SolverConfig,

@@ -378,9 +378,7 @@ def schrodinger_cross_check(lam: float, half_width: float, grid: Grid,
     bound-state energy) to lambda^2 plus one more than the infinite well's
     ground energy.  Raises NoBoundStateError when it contains no solution,
     e.g. when the box is narrower than the well, so no node lies outside it.
-
-    Returns the ``crosscheck.json`` payload: ``lambda``, ``V0``, ``k2``,
-    ``E``, ``residual_l2``, ``rayleigh_quotient``, ``bisection_iterations``.
+    Returns the ``crosscheck.json`` payload.
     """
     if lam <= 0:
         raise ValueError("lambda must be positive")
