@@ -13,11 +13,13 @@ into the manifest.  ``main`` sets the config keys of the flags ``--seed``,
 overrides and walks the document again, so a flag error exits 2 before
 anything is written and the config echo is the run's.
 A run with an output directory owns it exclusively; ``run`` alone writes
-the artifacts, then a manifest.json with the config echo, the constants
-and contraction data (not for schrodinger), wall time, peak RSS, minor
-page faults, and the sha256 of each artifact, taken as it was written.
+the artifacts, then a manifest.json with the config echo (a tabulated
+kernel's tables as their shape and sha256), the constants and contraction
+data (not for schrodinger), wall time, peak RSS, minor page faults, and the
+sha256 of each artifact, taken as it was written.
 A picard ``simulate`` also lists each segment's q, sweeps and update norms,
-``stationary`` and ``gainfield`` the stationary solve's residual history.
+``stationary`` and ``gainfield`` the stationary solve's residual history,
+``gainfield`` the sizes of the cross-check's condensed probe matrix.
 The manifest is written even when the command fails, with an error
 section, and is then the only file written; older files are not listed.
 ``constants`` may run without an output directory; it then only prints.
@@ -32,6 +34,7 @@ the output lock is released.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import resource
 import sys
 import time
@@ -87,6 +90,21 @@ def _segment(cfg: RunConfig, constants) -> dict:
     return {"rho": rho, "q": contraction_factor(constants, cfg.model.gamma, rho)}
 
 
+def _config_echo(cfg: RunConfig) -> dict:
+    """The config document as the manifest echoes it.  A tabulated kernel's
+    ``matrix`` and ``nodes`` become ``{"shape", "sha256"}``, the digest of
+    their little-endian float64 values in C order, not n^2 numbers."""
+    kernel = cfg.model.kernel
+    if kernel.kind != "tabulated":
+        return cfg.document
+    model = cfg.document["model"]
+    params = dict(model["kernel"]["params"])
+    for key in ("matrix", "nodes"):
+        table = np.ascontiguousarray(kernel.params[key], dtype="<f8")
+        params[key] = {"shape": list(table.shape), "sha256": hashlib.sha256(table).hexdigest()}
+    return {**cfg.document, "model": {**model, "kernel": {**model["kernel"], "params": params}}}
+
+
 def _emit_manifest(out_dir, command, cfg: RunConfig | None, started, faults_before,
                    checksums, extra=None, error=None, constants=None):
     usage = resource.getrusage(resource.RUSAGE_SELF)
@@ -100,7 +118,7 @@ def _emit_manifest(out_dir, command, cfg: RunConfig | None, started, faults_befo
         "checksums": checksums,
     }
     if cfg is not None:
-        manifest["config"] = cfg.document
+        manifest["config"] = _config_echo(cfg)
         manifest["seed"] = cfg.seed
     if constants is not None:
         manifest["constants"] = asdict(constants)
@@ -183,7 +201,8 @@ def cmd_gainfield(cfg: RunConfig, op, constants):
     n_nodes = section["crosscheck_nodes"]
     cross_grid = Grid(bounds=[(-box, box)], npts=[n_nodes])
     cross_quad = make_quadrature(cross_grid, "trapezoid")
-    crosscheck = schrodinger_cross_check(lam, section["half_width"], cross_grid, cross_quad)
+    crosscheck, condensed = schrodinger_cross_check(lam, section["half_width"], cross_grid,
+                                                    cross_quad)
 
     # exploratory: frozen-gain run against the plastic run.  For w >= 0 and a
     # nondecreasing f >= 0, J(u) <= (1 + gamma) W f(u) and the gained
@@ -211,6 +230,8 @@ def cmd_gainfield(cfg: RunConfig, op, constants):
         "mercer": {"rank": len(eig.values), "eig_error_bound": eig.error_bound,
                    "k_pre_times_one_plus_gamma": section["k_pre"] * (1.0 + cfg.model.gamma)},
         "crosscheck": crosscheck,
+        # the probes' matrix sizes; manifest only, crosscheck.json is checksummed
+        "crosscheck_condensed": condensed,
         "exploratory": exploratory,
     }
 

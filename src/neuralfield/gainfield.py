@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -204,42 +205,69 @@ class _Tridiagonal:
     the negative pivots of the LDL^T factorization of T - shift (Sylvester's
     law of inertia), with pivots smaller than ``pivmin`` taken as -pivmin
     so a zero pivot neither divides by zero nor flips the count (Barth,
-    Martin & Wilkinson, Numer. Math. 9, 1967).  ``eigenvalues`` bisects the
-    lowest of them on those counts; ``eigenvector`` runs inverse iteration
-    with the same factorization as a Thomas solve.
+    Martin & Wilkinson, Numer. Math. 9, 1967).  ``negative_pivots`` yields
+    them one at a time, so a caller that needs only "at least one" stops at
+    the first.  ``eigenvalues`` bisects the lowest eigenvalues on those
+    counts; ``eigenvector`` runs inverse iteration with the factorization's
+    ``pivots`` as a Thomas solve.  Those pivots also eliminate the
+    depth-independent exterior of the cross-check's well
+    (:class:`_CondensedWell`).
     """
 
     def __init__(self, diag: np.ndarray, off: float):
         self.diag = diag.tolist()
         self.off = off
-        # each row's off-diagonal radius: an end row has one neighbour, a
-        # single row none
-        index = np.arange(diag.size)
-        radius = abs(off) * (np.minimum(index, 1) + np.minimum(index[::-1], 1))
-        self.norm = float(np.max(np.abs(diag) + radius))
-        # Gershgorin discs hold the spectrum
-        self.lower = float(np.min(diag - radius))
-        self.upper = float(np.max(diag + radius))
         self.pivmin = np.finfo(float).tiny * max(1.0, off * off)
 
-    def count_below(self, shift: float) -> int:
-        count = 0
+    def _radius(self) -> np.ndarray:
+        """Each row's off-diagonal radius: an end row has one neighbour, a
+        single row none."""
+        index = np.arange(len(self.diag))
+        return abs(self.off) * (np.minimum(index, 1) + np.minimum(index[::-1], 1))
+
+    @cached_property
+    def norm(self) -> float:
+        """||T|| in the infinity norm, taken on first use: a Sturm count,
+        the cross-check's probe, needs none."""
+        return float(np.max(np.abs(self.diag) + self._radius()))
+
+    def negative_pivots(self, shift: float):
+        """The negative pivots of T - shift, in row order, under the
+        ``pivmin`` rule."""
         off_sq = self.off * self.off
         pivmin = self.pivmin
         pivot = math.inf  # the first row has no off-diagonal term
         for a in self.diag:
             pivot = a - shift - off_sq / pivot
             if pivot <= pivmin:
-                count += 1
                 if pivot > -pivmin:
                     pivot = -pivmin
-        return count
+                yield pivot
+
+    def count_below(self, shift: float) -> int:
+        return sum(1 for _ in self.negative_pivots(shift))
+
+    def pivots(self, shift: float) -> list:
+        """The pivots of T - shift = L D L^T from the first row on, each of
+        magnitude below eps ||T|| raised to that size, its sign kept."""
+        floor = np.finfo(float).eps * self.norm
+        off_sq = self.off * self.off
+        pivots = []
+        pivot = math.inf
+        for a in self.diag:
+            pivot = a - shift - off_sq / pivot
+            if abs(pivot) < floor:
+                pivot = math.copysign(floor, pivot)
+            pivots.append(pivot)
+        return pivots
 
     def eigenvalues(self, k: int) -> list:
         """The k lowest eigenvalues, ascending, each bisected to a bracket of
         width 2 eps ||T||; every count also narrows the brackets above."""
-        lo = [self.lower] * k
-        hi = [self.upper] * k
+        # Gershgorin discs hold the spectrum
+        diag, radius = np.array(self.diag), self._radius()
+        lo = [float(np.min(diag - radius))] * k
+        hi = [float(np.max(diag + radius))] * k
         width = 2.0 * np.finfo(float).eps * self.norm
         for j in range(k):
             while hi[j] - lo[j] > width:
@@ -266,15 +294,7 @@ class _Tridiagonal:
         close to this one above a shallow well) by Gram-Schmidt.  The sign is
         left to :func:`_on_grid`.
         """
-        floor = np.finfo(float).eps * self.norm
-        off_sq = self.off * self.off
-        pivots = []
-        pivot = math.inf
-        for a in self.diag:
-            pivot = a - shift - off_sq / pivot
-            if abs(pivot) < floor:
-                pivot = math.copysign(floor, pivot)
-            pivots.append(pivot)
+        pivots = self.pivots(shift)
         # multipliers of the unit lower factor L, T - shift = L D L^T
         mult = [self.off / d for d in pivots[:-1]]
         golden = (math.sqrt(5.0) - 1.0) / 2.0
@@ -303,6 +323,71 @@ def _hamiltonian(potential_values: np.ndarray, dx: float) -> _Tridiagonal:
     """-d^2/dx^2 + V by three-point differences on the interior nodes
     (Dirichlet ends); ``potential_values`` holds V on the full grid."""
     return _Tridiagonal(2.0 / (dx * dx) + potential_values[1:-1], -1.0 / (dx * dx))
+
+
+class _CondensedWell:
+    """The cross-check's probed matrix H(v0) - (v0 - lambda^2) on the
+    interior nodes, with the well's exterior eliminated once.
+
+    With T the three-point -d^2/dx^2 and ``well`` the unit-depth square well
+    on the full grid, the matrix is T + lambda^2 - v0 D, D = diag(1 - well).
+    Where D = 0 (the exterior) its rows are two constant chains T + lambda^2
+    that no depth changes.  Each chain is factored once from its box end
+    toward the well (LDL^T pivots p_k; both chains share one diagonal, so
+    one pivot run serves both) and leaves the single correction -b^2/p on
+    the end row of the core next to it, b = -1/dx^2 the off-diagonal entry;
+    the core spans the rows from the first to the last with D > 0.  The
+    corrected core is the Schur complement of the chains, and the chains
+    are positive definite (diagonally dominant), so by Haynsworth's inertia
+    additivity (Linear Algebra Appl. 1, 1968) the core has exactly as many
+    negative pivots as the whole matrix.  A depth's probe is one Sturm count
+    on the core; an eigenvector of the core extends to the exterior by the
+    chains' back substitution x_k = -b x_(k +- 1) / p_k.  ``first`` and
+    ``last`` count the exterior rows left and right of the core, ``inside``
+    holds D on the core's rows.
+    """
+
+    def __init__(self, well: np.ndarray, lam: float, dx: float):
+        inside = 1.0 - well[1:-1]  # D on the interior nodes: 1 inside, 1/2 on an edge node
+        rows = np.flatnonzero(inside > 0.0)
+        if rows.size == 0:
+            raise NoBoundStateError(
+                "no interior node lies inside the well: T + lambda^2 is positive definite at "
+                "every depth, so no depth has a bound state")
+        self.first, stop = int(rows[0]), int(rows[-1]) + 1
+        self.last = inside.size - stop  # exterior rows right of the core
+        self.off = -1.0 / (dx * dx)
+        self.inside = inside[self.first:stop]
+        exterior = 2.0 / (dx * dx) + lam * lam  # the diagonal where D = 0
+        chain = max(self.first, self.last)
+        pivots = np.array(_Tridiagonal(np.full(chain, exterior), self.off).pivots(0.0)
+                          if chain else [])
+        # one step of each chain's back substitution: x_k / x_(k +- 1), box end last
+        self.left_decay = -self.off / pivots[:self.first][::-1]
+        self.right_decay = -self.off / pivots[:self.last][::-1]
+        # T + lambda^2 on the core with the chains' corrections on its end rows
+        self.base = np.full(self.inside.size, exterior)
+        if self.first:
+            self.base[0] -= self.off * self.off / pivots[self.first - 1]
+        if self.last:
+            self.base[-1] -= self.off * self.off / pivots[self.last - 1]
+
+    def core(self, v0: float) -> _Tridiagonal:
+        """The corrected core at depth v0, unshifted: its inertia is that of
+        H(v0) - (v0 - lambda^2)."""
+        return _Tridiagonal(self.base - v0 * self.inside, self.off)
+
+    def bound_below(self, v0: float) -> bool:
+        """E0(v0) < v0 - lambda^2: some pivot of the probed matrix is negative."""
+        return next(self.core(v0).negative_pivots(0.0), None) is not None
+
+    def ground_state(self, v0: float) -> np.ndarray:
+        """Unit vector on the interior nodes for the eigenvalue of H(v0) nearest
+        v0 - lambda^2: inverse iteration on the core, extended outward."""
+        core = self.core(v0).eigenvector(0.0, np.zeros((self.inside.size, 0)))
+        ground = np.concatenate([(core[0] * np.cumprod(self.left_decay))[::-1], core,
+                                 core[-1] * np.cumprod(self.right_decay)])
+        return ground / np.linalg.norm(ground)
 
 
 def _check_decay(ground: np.ndarray, potential_values: np.ndarray) -> None:
@@ -358,7 +443,7 @@ def schrodinger_fd(potential: np.ndarray, grid: Grid, n_states: int = 1) -> Eige
 
 
 def schrodinger_cross_check(lam: float, half_width: float, grid: Grid,
-                            quad: Quadrature) -> dict:
+                            quad: Quadrature) -> tuple:
     """Verify the stationary equation against the eigenproblem route.
 
     Finds the well depth V0 solving V0 = E0(V0) + lambda^2 by bisection
@@ -370,15 +455,22 @@ def schrodinger_cross_check(lam: float, half_width: float, grid: Grid,
     the Rayleigh quotient.
 
     Each bisection probe needs only the sign of V0 - lambda^2 - E0(V0): it is
-    positive exactly when the Sturm count of the well's Hamiltonian below
-    V0 - lambda^2 is at least one.  The ground state at the final V0 comes
-    from inverse iteration shifted at V0 - lambda^2.
+    positive exactly when H(V0) - (V0 - lambda^2) has a negative pivot.
+    That matrix is T + lambda^2 - V0 D with D = 0 outside the well, so its
+    exterior is eliminated once (:class:`_CondensedWell`); by Haynsworth's
+    inertia additivity each probe counts pivots on the well's core alone (101
+    of 1,999 interior rows on the default grid) and stops at the first
+    negative one.  The ground state at the final V0 comes from inverse
+    iteration on the core, extended through the exterior's stored pivots and
+    normalised over all interior nodes.
 
     The bracket runs from just above lambda^2 (E must be a positive
     bound-state energy) to lambda^2 plus one more than the infinite well's
     ground energy.  Raises NoBoundStateError when it contains no solution,
-    e.g. when the box is narrower than the well, so no node lies outside it.
-    Returns the ``crosscheck.json`` payload.
+    e.g. when the box is narrower than the well, so no node lies outside it,
+    or when no interior node lies inside the well.
+    Returns the ``crosscheck.json`` payload and the condensation's sizes,
+    ``{"core_nodes", "exterior_nodes": [left, right]}``.
     """
     if lam <= 0:
         raise ValueError("lambda must be positive")
@@ -389,26 +481,24 @@ def schrodinger_cross_check(lam: float, half_width: float, grid: Grid,
     dx = grid.spacing[0]
     # the unit-depth well; depth v0 scales it exactly
     well = square_well(nodes, half_width, 1.0)
+    condensed = _CondensedWell(well, lam, dx)
 
-    def bound_below(v0: float) -> bool:
-        """E0(v0) < v0 - lambda^2; no decay guard, shallow wells are legal here."""
-        return _hamiltonian(v0 * well, dx).count_below(v0 - lam * lam) >= 1
-
-    if bound_below(lo) or not bound_below(hi):
+    # no decay guard while bisecting: shallow wells are legal here
+    if condensed.bound_below(lo) or not condensed.bound_below(hi):
         raise NoBoundStateError(
             f"no self-consistent well depth in [{lo:.6g}, {hi:.6g}]: V0 - E0(V0) - "
             "lambda^2 does not change sign from negative to positive")
     iterations = 0
     while hi - lo > BISECTION_TOL and iterations < BISECTION_MAX_ITER:
         mid = 0.5 * (lo + hi)
-        if bound_below(mid):
+        if condensed.bound_below(mid):
             hi = mid
         else:
             lo = mid
         iterations += 1
     v0 = 0.5 * (lo + hi)
 
-    ground = _hamiltonian(v0 * well, dx).eigenvector(v0 - lam * lam, np.zeros((nodes.size - 2, 0)))
+    ground = condensed.ground_state(v0)
     _check_decay(ground, well)
     psi = _on_grid(ground[:, None], dx)[:, 0]
     potential = v0 * well
@@ -430,4 +520,4 @@ def schrodinger_cross_check(lam: float, half_width: float, grid: Grid,
         "residual_l2": residual_l2,
         "rayleigh_quotient": rayleigh,
         "bisection_iterations": iterations,
-    }
+    }, {"core_nodes": condensed.inside.size, "exterior_nodes": [condensed.first, condensed.last]}

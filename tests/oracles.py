@@ -203,6 +203,18 @@ def fd_schrodinger_eigenpairs(potential, dx, k):
     return values, vectors, float(rows.max())
 
 
+def square_well_fd_ground(nodes, dx, half_width, depth):
+    """Ground energy and unit interior vector of the three-point
+    -d^2/dx^2 + V on the full matrix, by LAPACK through
+    :func:`fd_schrodinger_eigenpairs`.  V is the square well of ``depth``,
+    built here from its definition: 0 on |x| < half_width, ``depth``
+    outside, ``depth / 2`` on a node within 1e-12 of an edge."""
+    edge = np.abs(nodes) - half_width
+    potential = np.where(np.abs(edge) <= 1e-12, 0.5 * depth, np.where(edge < 0.0, 0.0, depth))
+    values, vectors, _ = fd_schrodinger_eigenpairs(potential, dx, 1)
+    return float(values[0]), vectors[:, 0]
+
+
 def crank_nicolson_decay(u0, dt, n_steps):
     """Trapezoid-in-time discretization of u' = -u."""
     factor = (1.0 - 0.5 * dt) / (1.0 + 0.5 * dt)

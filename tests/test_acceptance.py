@@ -254,7 +254,7 @@ def test_10_schrodinger_correspondence():
         reports = {}
         for n in (2001, 4001):
             grid = Grid(bounds=[(-20.0, 20.0)], npts=[n])
-            reports[n] = schrodinger_cross_check(1.0, 1.0, grid, make_quadrature(grid))
+            reports[n], _ = schrodinger_cross_check(1.0, 1.0, grid, make_quadrature(grid))
         assert reports[2001]["residual_l2"] < 1e-3
         assert 3.0 <= reports[2001]["residual_l2"] / reports[4001]["residual_l2"] <= 5.0
         for report in reports.values():

@@ -768,6 +768,33 @@ class TestRun:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["error"]["type"] == "NonContractiveError"
 
+    def test_gainfield_manifest_records_the_condensed_crosscheck(self, tmp_path):
+        # each bisection probe counts pivots on the well's 101 rows, not on
+        # all 1,999 interior rows of the default cross-check grid
+        out = tmp_path / "gf"
+        assert run("gainfield", build_config({}, environ={}), out) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["crosscheck_condensed"] == {"core_nodes": 101, "exterior_nodes": [949, 949]}
+        cross = json.loads((out / "crosscheck.json").read_text())
+        assert set(cross) == {"lambda", "V0", "k2", "E", "residual_l2", "rayleigh_quotient",
+                              "bisection_iterations"}
+
+    def test_tabulated_manifest_echoes_digests_of_the_tables(self, tmp_path):
+        n = 401
+        x = np.linspace(-10.0, 10.0, n)
+        table = np.exp(-np.abs(np.subtract.outer(x, x)))
+        doc = {"grid": {"nodes": [n]},
+               "model": {"kernel": {"kind": "tabulated",
+                                    "params": {"matrix": table.tolist(), "nodes": x.tolist()}}},
+               "solver": {"dt": 0.1, "t_end": 0.5}}
+        out = tmp_path / "sim"
+        assert run("simulate", build_config(doc, environ={}), out) == 0
+        assert (out / "manifest.json").stat().st_size < 100_000
+        params = json.loads((out / "manifest.json").read_text())["config"]["model"]["kernel"]["params"]
+        assert params == {
+            "matrix": {"shape": [n, n], "sha256": hashlib.sha256(table.tobytes()).hexdigest()},
+            "nodes": {"shape": [n], "sha256": hashlib.sha256(x.tobytes()).hexdigest()}}
+
     def test_crosscheck_box_narrower_than_the_well_is_a_numerical_failure(self, tmp_path):
         # no node lies outside the well, so no depth in the bracket binds a state
         doc = {"grid": {"nodes": [101]},

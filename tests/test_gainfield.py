@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from neuralfield import (
@@ -26,6 +26,7 @@ from neuralfield.discretization import range_factor
 from neuralfield.errors import BoxTooSmallError, NoBoundStateError, NotPSDError
 from neuralfield.gainfield import (
     EigenSystem,
+    _CondensedWell,
     _hamiltonian,
     _on_grid,
     build_learned_kernel,
@@ -42,7 +43,7 @@ from neuralfield.stationary import ANDERSON_WINDOW, find_stationary_fp
 
 from conftest import constants_of, exponential_kernel, make_model
 from oracles import (fd_schrodinger_eigenpairs, finite_well_ground_energy, gram, greens_identity_check,
-                     learned_matrix, mercer_eigenvalues, reconstruct_kernel)
+                     learned_matrix, mercer_eigenvalues, reconstruct_kernel, square_well_fd_ground)
 
 
 @pytest.fixture(scope="module")
@@ -546,7 +547,7 @@ def reports():
     out = {}
     for n in (2001, 4001):
         grid = Grid(bounds=[(-20.0, 20.0)], npts=[n])
-        out[n] = schrodinger_cross_check(1.0, 1.0, grid, make_quadrature(grid))
+        out[n], _ = schrodinger_cross_check(1.0, 1.0, grid, make_quadrature(grid))
     return out
 
 
@@ -574,8 +575,62 @@ class TestCrossCheck:
         # potential's ground energy pi^2 exceeds every depth of the bracket
         # minus lambda^2, so no depth lies in it
         grid = Grid(bounds=[(-0.5, 0.5)], npts=[101])
+        well = square_well(grid.axis_nodes[0], 1.0, 1.0)
+        # no exterior to eliminate: the core is the whole interior
+        condensed = _CondensedWell(well, 1.0, grid.spacing[0])
+        assert (condensed.inside.size, condensed.first, condensed.last) == (99, 0, 0)
         with pytest.raises(NoBoundStateError):
             schrodinger_cross_check(1.0, 1.0, grid, make_quadrature(grid))
+
+    def test_well_narrower_than_one_spacing_has_no_core(self):
+        # 2,000 nodes on [-20, 20] put none at 0: the well holds no node, and
+        # T + lambda^2 binds no state at any depth
+        grid = Grid(bounds=[(-20.0, 20.0)], npts=[2000])
+        assert np.all(square_well(grid.axis_nodes[0], 0.005, 1.0) == 1.0)
+        with pytest.raises(NoBoundStateError):
+            schrodinger_cross_check(1.0, 0.005, grid, make_quadrature(grid))
+
+    # box 40: half-widths 0.5 and 1.3 fall between nodes at 401 and 2,001
+    # nodes, on nodes at 4,001; 1.0 is on a node at every size
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("half_width", [0.5, 1.0, 1.3])
+    @pytest.mark.parametrize("n", [401, 2001, 4001])
+    def test_against_lapack(self, n, half_width, lam):
+        grid = Grid(bounds=[(-40.0, 40.0)], npts=[n])
+        nodes, dx = grid.axis_nodes[0], grid.spacing[0]
+        report, _ = schrodinger_cross_check(lam, half_width, grid, make_quadrature(grid))
+        energy, vector = square_well_fd_ground(nodes, dx, half_width, report["V0"])
+        assert abs(report["V0"] - energy - lam * lam) <= 1e-8
+        assert abs(report["rayleigh_quotient"] - energy) <= 1e-8
+        # the ground state the cross-check takes at V0, against LAPACK's
+        psi = _CondensedWell(square_well(nodes, half_width, 1.0), lam, dx).ground_state(report["V0"])
+        assert np.max(np.abs(psi - vector * np.sign(vector @ psi))) <= 1e-9
+
+    @given(n=st.integers(3, 300), half_width=st.floats(0.05, 3.0), depth=st.floats(0.1, 50.0),
+           half_box=st.floats(0.5, 10.0), center=st.floats(-1.0, 1.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_core_count_is_the_inertia(self, n, half_width, depth, half_box, center, seed):
+        # H(v0) - (v0 - lambda^2) for shifts v0 - lambda^2 drawn around each
+        # bound state; an off-centre box gives exteriors of unequal length,
+        # one of them possibly empty
+        grid = Grid(bounds=[((center - 1.0) * half_box, (center + 1.0) * half_box)], npts=[n])
+        dx = grid.spacing[0]
+        well = square_well(grid.axis_nodes[0], half_width, 1.0)
+        assume(np.any(well[1:-1] < 1.0))
+        full = _hamiltonian(depth * well, dx)
+        values, _, _ = fd_schrodinger_eigenpairs(depth * well, dx, n - 2)
+        rng = np.random.default_rng(seed)
+        for value in values[values < depth]:
+            for offset in rng.choice([-1.0, 1.0], 4) * 10.0 ** rng.uniform(-8.0, 0.0, 4):
+                if value + offset >= depth:
+                    continue
+                lam = math.sqrt(depth - (value + offset))
+                shift = depth - lam * lam
+                if np.min(np.abs(values - shift) / np.maximum(np.abs(values), 1.0)) <= 1e-9:
+                    continue
+                core = _CondensedWell(well, lam, dx).core(depth)
+                assert core.count_below(0.0) == full.count_below(shift) == np.sum(values < shift)
 
 
 # A fresh process: an Anderson solve at n = 4001 whose steps QR-solve a
