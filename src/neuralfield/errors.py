@@ -42,7 +42,7 @@ class BoxTooSmallError(NeuralFieldError):
 
 
 class NoBoundStateError(NeuralFieldError):
-    """Well-depth bisection bracket contains no solution."""
+    """The self-consistent well depth lies outside its bracket, or no depth binds a state."""
 
 
 class OutputLockedError(NeuralFieldError, RuntimeError):

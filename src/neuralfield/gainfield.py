@@ -38,11 +38,10 @@ from .solver import SolverConfig, Trajectory, solve_global
 
 # relative tolerance of the split's PSD check and of its residual against G
 MERCER_TOL = 1e-8
-# largest ground-state magnitude at the box ends, relative to its peak
+# largest ground-state magnitude near the box ends, relative to its peak
 DECAY_TOL = 1e-6
-# bisection of the cross-check's well depth: bracket width and step cap
-BISECTION_TOL = 1e-8
-BISECTION_MAX_ITER = 200
+# the share of the box on each side where the ground state must have decayed
+DECAY_MARGIN = 0.05
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,63 +197,60 @@ def greens_convolve(lam: float, grid: Grid, values: np.ndarray) -> np.ndarray:
 
 
 class _Tridiagonal:
-    """Symmetric tridiagonal matrix T with diagonal ``diag`` and every
-    off-diagonal entry equal to ``off``: Sturm counts and inverse iteration.
+    """Symmetric tridiagonal matrix T with diagonal ``diag`` and off-diagonal
+    ``off`` (one entry per adjacent row pair): Sturm counts and inverse
+    iteration.
 
     ``count_below(shift)`` is the number of eigenvalues below ``shift``:
     the negative pivots of the LDL^T factorization of T - shift (Sylvester's
     law of inertia), with pivots smaller than ``pivmin`` taken as -pivmin
     so a zero pivot neither divides by zero nor flips the count (Barth,
-    Martin & Wilkinson, Numer. Math. 9, 1967).  ``negative_pivots`` yields
-    them one at a time, so a caller that needs only "at least one" stops at
-    the first.  ``eigenvalues`` bisects the lowest eigenvalues on those
-    counts; ``eigenvector`` runs inverse iteration with the factorization's
-    ``pivots`` as a Thomas solve.  Those pivots also eliminate the
-    depth-independent exterior of the cross-check's well
-    (:class:`_CondensedWell`).
+    Martin & Wilkinson, Numer. Math. 9, 1967).  ``eigenvalues`` bisects the
+    lowest eigenvalues on those counts; ``eigenvector`` runs inverse
+    iteration with the factorization's ``pivots`` as a Thomas solve.  Those
+    pivots also eliminate the depth-independent exterior of the
+    cross-check's well (:class:`_CondensedWell`).
     """
 
-    def __init__(self, diag: np.ndarray, off: float):
-        self.diag = diag.tolist()
-        self.off = off
-        self.pivmin = np.finfo(float).tiny * max(1.0, off * off)
+    def __init__(self, diag: np.ndarray, off: np.ndarray):
+        self.diag = diag
+        self.off = off.tolist()
+        # each row's diagonal entry and squared entry left of it, none on the first
+        off_sq = [0.0] + (off * off).tolist()
+        self.rows = list(zip(diag.tolist(), off_sq))
+        self.pivmin = np.finfo(float).tiny * max(1.0, max(off_sq))
 
     def _radius(self) -> np.ndarray:
         """Each row's off-diagonal radius: an end row has one neighbour, a
         single row none."""
-        index = np.arange(len(self.diag))
-        return abs(self.off) * (np.minimum(index, 1) + np.minimum(index[::-1], 1))
+        off = np.abs(self.off)
+        return np.concatenate([off, [0.0]]) + np.concatenate([[0.0], off])
 
     @cached_property
     def norm(self) -> float:
-        """||T|| in the infinity norm, taken on first use: a Sturm count,
-        the cross-check's probe, needs none."""
+        """||T|| in the infinity norm, taken on first use: a Sturm count
+        needs none."""
         return float(np.max(np.abs(self.diag) + self._radius()))
 
-    def negative_pivots(self, shift: float):
-        """The negative pivots of T - shift, in row order, under the
-        ``pivmin`` rule."""
-        off_sq = self.off * self.off
+    def count_below(self, shift: float) -> int:
         pivmin = self.pivmin
+        count = 0
         pivot = math.inf  # the first row has no off-diagonal term
-        for a in self.diag:
+        for a, off_sq in self.rows:
             pivot = a - shift - off_sq / pivot
             if pivot <= pivmin:
                 if pivot > -pivmin:
                     pivot = -pivmin
-                yield pivot
-
-    def count_below(self, shift: float) -> int:
-        return sum(1 for _ in self.negative_pivots(shift))
+                count += 1
+        return count
 
     def pivots(self, shift: float) -> list:
         """The pivots of T - shift = L D L^T from the first row on, each of
         magnitude below eps ||T|| raised to that size, its sign kept."""
         floor = np.finfo(float).eps * self.norm
-        off_sq = self.off * self.off
         pivots = []
         pivot = math.inf
-        for a in self.diag:
+        for a, off_sq in self.rows:
             pivot = a - shift - off_sq / pivot
             if abs(pivot) < floor:
                 pivot = math.copysign(floor, pivot)
@@ -265,7 +261,7 @@ class _Tridiagonal:
         """The k lowest eigenvalues, ascending, each bisected to a bracket of
         width 2 eps ||T||; every count also narrows the brackets above."""
         # Gershgorin discs hold the spectrum
-        diag, radius = np.array(self.diag), self._radius()
+        diag, radius = self.diag, self._radius()
         lo = [float(np.min(diag - radius))] * k
         hi = [float(np.max(diag + radius))] * k
         width = 2.0 * np.finfo(float).eps * self.norm
@@ -296,9 +292,9 @@ class _Tridiagonal:
         """
         pivots = self.pivots(shift)
         # multipliers of the unit lower factor L, T - shift = L D L^T
-        mult = [self.off / d for d in pivots[:-1]]
+        mult = [e / d for e, d in zip(self.off, pivots)]
         golden = (math.sqrt(5.0) - 1.0) / 2.0
-        x = 2.0 * np.modf(np.arange(1, len(self.diag) + 1) * golden)[0] - 1.0
+        x = 2.0 * np.modf(np.arange(1, self.diag.size + 1) * golden)[0] - 1.0
         # a shift within eps ||T|| of the eigenvalue damps every other
         # component by eps ||T|| / gap per step; three steps leave none
         for _ in range(3):
@@ -322,29 +318,33 @@ class _Tridiagonal:
 def _hamiltonian(potential_values: np.ndarray, dx: float) -> _Tridiagonal:
     """-d^2/dx^2 + V by three-point differences on the interior nodes
     (Dirichlet ends); ``potential_values`` holds V on the full grid."""
-    return _Tridiagonal(2.0 / (dx * dx) + potential_values[1:-1], -1.0 / (dx * dx))
+    diag = 2.0 / (dx * dx) + potential_values[1:-1]
+    return _Tridiagonal(diag, np.full(diag.size - 1, -1.0 / (dx * dx)))
 
 
 class _CondensedWell:
-    """The cross-check's probed matrix H(v0) - (v0 - lambda^2) on the
-    interior nodes, with the well's exterior eliminated once.
+    """The cross-check's depth problem on the well's core: the depths v0 at
+    which H(v0) - (v0 - lambda^2) is singular are the eigenvalues of the
+    symmetric tridiagonal ``core``.
 
     With T the three-point -d^2/dx^2 and ``well`` the unit-depth square well
-    on the full grid, the matrix is T + lambda^2 - v0 D, D = diag(1 - well).
-    Where D = 0 (the exterior) its rows are two constant chains T + lambda^2
-    that no depth changes.  Each chain is factored once from its box end
-    toward the well (LDL^T pivots p_k; both chains share one diagonal, so
-    one pivot run serves both) and leaves the single correction -b^2/p on
-    the end row of the core next to it, b = -1/dx^2 the off-diagonal entry;
-    the core spans the rows from the first to the last with D > 0.  The
-    corrected core is the Schur complement of the chains, and the chains
-    are positive definite (diagonally dominant), so by Haynsworth's inertia
-    additivity (Linear Algebra Appl. 1, 1968) the core has exactly as many
-    negative pivots as the whole matrix.  A depth's probe is one Sturm count
-    on the core; an eigenvector of the core extends to the exterior by the
-    chains' back substitution x_k = -b x_(k +- 1) / p_k.  ``first`` and
-    ``last`` count the exterior rows left and right of the core, ``inside``
-    holds D on the core's rows.
+    on the full grid, that matrix is T + lambda^2 - v0 D on the interior
+    nodes, D = diag(1 - well).  Where D = 0 (the exterior) its rows are two
+    constant chains T + lambda^2 that no depth changes.  Each chain is
+    factored once from its box end toward the well (LDL^T pivots p_k; both
+    chains share one diagonal, so one pivot run serves both) and leaves the
+    single correction -b^2/p on the end row of the core next to it, b =
+    -1/dx^2 the off-diagonal entry; the core spans the rows from the first
+    to the last with D > 0.  The corrected core A is the Schur complement of
+    the chains, and the chains are positive definite (diagonally dominant),
+    so by Haynsworth's inertia additivity (Linear Algebra Appl. 1, 1968)
+    A - v0 D_c has exactly as many negative eigenvalues as the whole matrix,
+    D_c the core's part of D.  By Sylvester's law of inertia that is the
+    number of eigenvalues below v0 of ``core`` = D_c^{-1/2} A D_c^{-1/2}.
+    An eigenvector y of ``core`` gives x = D_c^{-1/2} y on the core, which
+    :meth:`extend` carries to the exterior by the chains' back substitution
+    x_k = -b x_(k +- 1) / p_k.  ``first`` and ``last`` count the exterior
+    rows left and right of the core.
     """
 
     def __init__(self, well: np.ndarray, lam: float, dx: float):
@@ -356,35 +356,28 @@ class _CondensedWell:
                 "every depth, so no depth has a bound state")
         self.first, stop = int(rows[0]), int(rows[-1]) + 1
         self.last = inside.size - stop  # exterior rows right of the core
-        self.off = -1.0 / (dx * dx)
-        self.inside = inside[self.first:stop]
+        off = -1.0 / (dx * dx)
+        inside = inside[self.first:stop]
         exterior = 2.0 / (dx * dx) + lam * lam  # the diagonal where D = 0
         chain = max(self.first, self.last)
-        pivots = np.array(_Tridiagonal(np.full(chain, exterior), self.off).pivots(0.0)
+        pivots = np.array(_Tridiagonal(np.full(chain, exterior), np.full(chain - 1, off)).pivots(0.0)
                           if chain else [])
         # one step of each chain's back substitution: x_k / x_(k +- 1), box end last
-        self.left_decay = -self.off / pivots[:self.first][::-1]
-        self.right_decay = -self.off / pivots[:self.last][::-1]
-        # T + lambda^2 on the core with the chains' corrections on its end rows
-        self.base = np.full(self.inside.size, exterior)
+        self.left_decay = -off / pivots[:self.first][::-1]
+        self.right_decay = -off / pivots[:self.last][::-1]
+        # A: T + lambda^2 on the core with the chains' corrections on its end rows
+        base = np.full(inside.size, exterior)
         if self.first:
-            self.base[0] -= self.off * self.off / pivots[self.first - 1]
+            base[0] -= off * off / pivots[self.first - 1]
         if self.last:
-            self.base[-1] -= self.off * self.off / pivots[self.last - 1]
+            base[-1] -= off * off / pivots[self.last - 1]
+        self.scale = 1.0 / np.sqrt(inside)  # D_c^{-1/2}
+        self.core = _Tridiagonal(base / inside, off / np.sqrt(inside[:-1] * inside[1:]))
 
-    def core(self, v0: float) -> _Tridiagonal:
-        """The corrected core at depth v0, unshifted: its inertia is that of
-        H(v0) - (v0 - lambda^2)."""
-        return _Tridiagonal(self.base - v0 * self.inside, self.off)
-
-    def bound_below(self, v0: float) -> bool:
-        """E0(v0) < v0 - lambda^2: some pivot of the probed matrix is negative."""
-        return next(self.core(v0).negative_pivots(0.0), None) is not None
-
-    def ground_state(self, v0: float) -> np.ndarray:
-        """Unit vector on the interior nodes for the eigenvalue of H(v0) nearest
-        v0 - lambda^2: inverse iteration on the core, extended outward."""
-        core = self.core(v0).eigenvector(0.0, np.zeros((self.inside.size, 0)))
+    def extend(self, vector: np.ndarray) -> np.ndarray:
+        """Unit vector on the interior nodes from an eigenvector of ``core``:
+        D_c^{-1/2} ``vector`` on the core, extended outward."""
+        core = self.scale * vector
         ground = np.concatenate([(core[0] * np.cumprod(self.left_decay))[::-1], core,
                                  core[-1] * np.cumprod(self.right_decay)])
         return ground / np.linalg.norm(ground)
@@ -392,16 +385,20 @@ class _CondensedWell:
 
 def _check_decay(ground: np.ndarray, potential_values: np.ndarray) -> None:
     """Raise BoxTooSmallError when the ground state has not decayed to
-    ``DECAY_TOL`` of its peak at the ends of the box."""
+    ``DECAY_TOL`` of its peak over the outer ``DECAY_MARGIN`` of the box on
+    each side.  A margin of the box, not the end nodes, which the Dirichlet
+    walls pull toward zero in proportion to dx, keeps the verdict the same
+    on every grid."""
     # a constant potential has no well to confine the state: the Dirichlet
     # walls are the physics and no boundary decay is expected
     if np.ptp(potential_values) == 0:
         return
     ground = np.abs(ground)
-    edge = max(ground[0], ground[-1])
+    margin = max(1, math.ceil(DECAY_MARGIN * ground.size))
+    edge = max(ground[:margin].max(), ground[-margin:].max())
     if edge > DECAY_TOL * ground.max():
         raise BoxTooSmallError(
-            f"ground state magnitude at the boundary is {edge / ground.max():.3g} "
+            f"ground state magnitude near the boundary is {edge / ground.max():.3g} "
             "of its peak; enlarge the box"
         )
 
@@ -446,29 +443,29 @@ def schrodinger_cross_check(lam: float, half_width: float, grid: Grid,
                             quad: Quadrature) -> tuple:
     """Verify the stationary equation against the eigenproblem route.
 
-    Finds the well depth V0 solving V0 = E0(V0) + lambda^2 by bisection
-    (E0 is the finite-difference ground energy of the square well of that
-    depth), sets the base gain k^2 = V0 so the gain profile P = k^2 - V has
-    compact support, and checks that the ground state is a fixed point of
+    Finds the well depth V0 solving V0 = E0(V0) + lambda^2 (E0 is the
+    finite-difference ground energy of the square well of that depth), sets
+    the base gain k^2 = V0 so the gain profile P = k^2 - V has compact
+    support, and checks that the ground state is a fixed point of
     u -> G_lambda * (P u) in the quadrature L2 norm.  The relation
     E = k^2 - lambda^2 then holds by construction and is re-verified through
     the Rayleigh quotient.
 
-    Each bisection probe needs only the sign of V0 - lambda^2 - E0(V0): it is
-    positive exactly when H(V0) - (V0 - lambda^2) has a negative pivot.
-    That matrix is T + lambda^2 - V0 D with D = 0 outside the well, so its
-    exterior is eliminated once (:class:`_CondensedWell`); by Haynsworth's
-    inertia additivity each probe counts pivots on the well's core alone (101
-    of 1,999 interior rows on the default grid) and stops at the first
-    negative one.  The ground state at the final V0 comes from inverse
-    iteration on the core, extended through the exterior's stored pivots and
+    V0 is an eigenvalue, not a root: at V0 the matrix H(V0) - (V0 - lambda^2)
+    = T + lambda^2 - V0 D, D = 0 outside the well, is singular and has no
+    negative eigenvalue.  Its exterior is eliminated once and the core
+    scaled by D_c^{-1/2} (:class:`_CondensedWell`, 101 of 1,999 interior
+    rows on the default grid), so V0 is the lowest eigenvalue of that
+    symmetric tridiagonal matrix, bisected on Sturm counts to 2 eps of its
+    norm as :func:`schrodinger_fd` does.  The ground state is its inverse
+    iteration vector, extended through the exterior's stored pivots and
     normalised over all interior nodes.
 
-    The bracket runs from just above lambda^2 (E must be a positive
-    bound-state energy) to lambda^2 plus one more than the infinite well's
-    ground energy.  Raises NoBoundStateError when it contains no solution,
-    e.g. when the box is narrower than the well, so no node lies outside it,
-    or when no interior node lies inside the well.
+    V0 must lie in (lambda^2 + 1e-6, lambda^2 + (pi / (2 half_width))^2 + 1]:
+    just above lambda^2 (E must be a positive bound-state energy) up to one
+    more than the infinite well's ground energy.  Raises NoBoundStateError
+    when it does not, e.g. when the box is narrower than the well, so no
+    node lies outside it, or when no interior node lies inside the well.
     Returns the ``crosscheck.json`` payload and the condensation's sizes,
     ``{"core_nodes", "exterior_nodes": [left, right]}``.
     """
@@ -482,23 +479,13 @@ def schrodinger_cross_check(lam: float, half_width: float, grid: Grid,
     # the unit-depth well; depth v0 scales it exactly
     well = square_well(nodes, half_width, 1.0)
     condensed = _CondensedWell(well, lam, dx)
+    core = condensed.core
 
-    # no decay guard while bisecting: shallow wells are legal here
-    if condensed.bound_below(lo) or not condensed.bound_below(hi):
+    v0 = core.eigenvalues(1)[0]
+    if not lo < v0 <= hi:
         raise NoBoundStateError(
-            f"no self-consistent well depth in [{lo:.6g}, {hi:.6g}]: V0 - E0(V0) - "
-            "lambda^2 does not change sign from negative to positive")
-    iterations = 0
-    while hi - lo > BISECTION_TOL and iterations < BISECTION_MAX_ITER:
-        mid = 0.5 * (lo + hi)
-        if condensed.bound_below(mid):
-            hi = mid
-        else:
-            lo = mid
-        iterations += 1
-    v0 = 0.5 * (lo + hi)
-
-    ground = condensed.ground_state(v0)
+            f"the self-consistent well depth {v0:.6g} lies outside ({lo:.6g}, {hi:.6g}]")
+    ground = condensed.extend(core.eigenvector(v0, np.zeros((core.diag.size, 0))))
     _check_decay(ground, well)
     psi = _on_grid(ground[:, None], dx)[:, 0]
     potential = v0 * well
@@ -519,5 +506,4 @@ def schrodinger_cross_check(lam: float, half_width: float, grid: Grid,
         "E": v0 - lam * lam,
         "residual_l2": residual_l2,
         "rayleigh_quotient": rayleigh,
-        "bisection_iterations": iterations,
-    }, {"core_nodes": condensed.inside.size, "exterior_nodes": [condensed.first, condensed.last]}
+    }, {"core_nodes": core.diag.size, "exterior_nodes": [condensed.first, condensed.last]}

@@ -232,37 +232,45 @@ def g17_cells(values) -> list:
 
 
 def node_rows(nodes, values, times=None):
-    """Bytes blocks of the CSV rows ``[t,]<node cells>,<value>``, one per time.
+    """Bytes blocks of the CSV rows ``[t,]<node cells>,<value>``, each of
+    whole lines, to be joined by newlines.
 
     ``nodes`` is the (n, k) array of the leading cells of each node's row,
     printed as ``%.17g`` prints them, so integral values below 2**53 print as
     integers; ``values`` the (T, n) values at ``times``, or n values when
     ``times`` is None.  Every cell comes from :func:`g17_cells`, a chunk of
-    values at a time: the node cells go into one template, a chunk of nodes
-    at a time, so their cells never all exist at once; the values of as many
+    values at a time: the node cells go into one template per chunk of
+    nodes, so their cells never all exist at once.  The values of as many
     time slices as fit a chunk are formatted together, then each slice
     stamps its time on every line and fills in its values by one more ``%``
-    format.
+    format, one block per slice.  A slice larger than a chunk fills the
+    templates one at a time instead, one block per node chunk.
     """
     n = len(nodes)
     line = b"%s," * nodes.shape[1] + b"%%s"
-    block = b"\n".join(b"\n".join([line] * len(part)) % tuple(g17_cells(part))
-                       for part in np.array_split(nodes, _sections(nodes)) if len(part))
-    if times is None:
-        yield block % tuple(g17_cells(values))
+    parts = [len(part) for part in np.array_split(nodes, _sections(nodes)) if len(part)]
+    stops = np.cumsum(parts).tolist()
+    templates = [b"\n".join([line] * (stop - start)) % tuple(g17_cells(nodes[start:stop]))
+                 for start, stop in zip([0] + stops, stops)]
+    slices = np.reshape(values, (-1, n))
+    stamps = [b""] if times is None else [t + b"," for t in g17_cells(times)]
+    if _sections(slices[0]) > 1:
+        for stamp, row in zip(stamps, slices):
+            for template, start, stop in zip(templates, [0] + stops, stops):
+                yield _stamped(template, stamp) % tuple(g17_cells(row[start:stop]))
         return
-    stamps, first = g17_cells(times), 0
-    for part in np.array_split(values, _sections(values)):
+    block, first = b"\n".join(templates), 0
+    for part in np.array_split(slices, _sections(slices)):
         # the cells of a part are gone before the next part makes its own
-        yield from _stamped(block, stamps[first:first + len(part)], g17_cells(part), n)
+        cells = g17_cells(part)
+        for i, stamp in enumerate(stamps[first:first + len(part)]):
+            yield _stamped(block, stamp) % tuple(cells[i * n:(i + 1) * n])
         first += len(part)
 
 
-def _stamped(block, stamps, cells, n):
-    """``block`` filled in with each time slice's n cells, its stamp on every line."""
-    for i, t in enumerate(stamps):
-        stamp = t + b","
-        yield (stamp + block.replace(b"\n", b"\n" + stamp)) % tuple(cells[i * n:(i + 1) * n])
+def _stamped(block, stamp):
+    """``block`` with ``stamp`` leading every line."""
+    return stamp + block.replace(b"\n", b"\n" + stamp) if stamp else block
 
 
 def write_csv(path, header, rows) -> str:

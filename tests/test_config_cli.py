@@ -378,7 +378,8 @@ class TestIO:
     @pytest.mark.parametrize("per_chunk", [1, 3])
     @pytest.mark.parametrize("dim", [1, 2])
     def test_node_rows_in_chunks_equal_one_whole_batch(self, monkeypatch, dim, per_chunk):
-        # chunks of one or three values split the node cells and every time slice
+        # chunks of one or three values split the node cells and every time
+        # slice; blocks are whole lines, joined by newlines as write_csv does
         n = 11
         points = np.column_stack([np.linspace(-2.5, 1.0, n), -np.geomspace(1e-3, 7.0, n)][:dim])
         nodes = np.column_stack([np.arange(n), points])
@@ -387,12 +388,12 @@ class TestIO:
         values[2, :4] = [math.nan, -math.inf, 5e-324, -0.0]
         times = np.linspace(0.0, 0.4, 5)
         monkeypatch.setattr(discretization, "CHUNK_BYTES", 2 ** 62)
-        whole = b"".join(node_rows(nodes, values, times))
+        whole = b"\n".join(node_rows(nodes, values, times))
         sizes = []
         real = io._g17_chunk
         monkeypatch.setattr(io, "_g17_chunk", lambda x: sizes.append(x.size) or real(x))
         monkeypatch.setattr(discretization, "CHUNK_BYTES", per_chunk * io._VALUE_BYTES)
-        assert b"".join(node_rows(nodes, values, times)) == whole
+        assert b"\n".join(node_rows(nodes, values, times)) == whole
         assert max(sizes) == per_chunk and sum(sizes) == nodes.size + times.size + values.size
 
     def test_g17_cells_equal_percent_g(self):
@@ -428,6 +429,25 @@ class TestIO:
             tracemalloc.stop()
         assert len(cells) == values.size
         assert peak - kept <= discretization.CHUNK_BYTES
+
+    def test_node_rows_of_a_slice_above_one_chunk_stay_within_the_budget(self):
+        # 65,536 nodes, 19 chunks a slice: formatting a whole slice's cells at
+        # once peaked 2.6 MB above what its block keeps
+        n = 65536
+        nodes = np.column_stack([np.arange(n), np.linspace(-1.0, 1.0, n)])
+        values = np.random.default_rng(3).uniform(-1.0, 1.0, (2, n))
+        g17_cells(values[0, :10])  # builds the tables
+        excess = []
+        tracemalloc.start()
+        try:
+            for _ in node_rows(nodes, values, np.array([0.0, 0.5])):
+                kept, peak = tracemalloc.get_traced_memory()
+                excess.append(peak - kept)
+                tracemalloc.reset_peak()
+        finally:
+            tracemalloc.stop()
+        assert max(excess) <= discretization.CHUNK_BYTES
+        assert len(excess) > 2  # the slices came a node chunk at a time
 
     def test_stale_temp_file_of_a_killed_run_is_replaced(self, tmp_path):
         # a killed run of the same pid left it; containers often reuse the pid
@@ -579,7 +599,8 @@ class TestRun:
         sums = []
         for manifest in manifests_at_blas_threads(tmp_path, "gainfield", doc, ("1", "2", "1")):
             assert set(manifest["mercer"]) == MERCER_KEYS
-            sums.append({name: manifest["checksums"][name] for name in ("eigs.csv", "phi_pre.csv")})
+            sums.append({name: manifest["checksums"][name]
+                         for name in ("eigs.csv", "phi_pre.csv", "crosscheck.json")})
         assert sums[0] == sums[1] == sums[2]
 
     def test_2d_checksums_independent_of_blas_threads_and_reruns(self, tmp_path):
@@ -769,15 +790,14 @@ class TestRun:
         assert manifest["error"]["type"] == "NonContractiveError"
 
     def test_gainfield_manifest_records_the_condensed_crosscheck(self, tmp_path):
-        # each bisection probe counts pivots on the well's 101 rows, not on
-        # all 1,999 interior rows of the default cross-check grid
+        # the depth is an eigenvalue of the well's 101-row core, not of all
+        # 1,999 interior rows of the default cross-check grid
         out = tmp_path / "gf"
         assert run("gainfield", build_config({}, environ={}), out) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["crosscheck_condensed"] == {"core_nodes": 101, "exterior_nodes": [949, 949]}
         cross = json.loads((out / "crosscheck.json").read_text())
-        assert set(cross) == {"lambda", "V0", "k2", "E", "residual_l2", "rayleigh_quotient",
-                              "bisection_iterations"}
+        assert set(cross) == {"lambda", "V0", "k2", "E", "residual_l2", "rayleigh_quotient"}
 
     def test_tabulated_manifest_echoes_digests_of_the_tables(self, tmp_path):
         n = 401

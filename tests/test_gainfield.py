@@ -553,7 +553,7 @@ def reports():
 
 class TestCrossCheck:
     def test_consistency_condition(self, reports):
-        # the found depth satisfies V0 = E0(V0) + lambda^2 to bisection accuracy
+        # the found depth satisfies V0 = E0(V0) + lambda^2 to eigensolver accuracy
         report = reports[2001]
         grid = Grid(bounds=[(-20.0, 20.0)], npts=[2001])
         pot = square_well(grid.axis_nodes[0], 1.0, report["V0"])
@@ -578,7 +578,7 @@ class TestCrossCheck:
         well = square_well(grid.axis_nodes[0], 1.0, 1.0)
         # no exterior to eliminate: the core is the whole interior
         condensed = _CondensedWell(well, 1.0, grid.spacing[0])
-        assert (condensed.inside.size, condensed.first, condensed.last) == (99, 0, 0)
+        assert (condensed.core.diag.size, condensed.first, condensed.last) == (99, 0, 0)
         with pytest.raises(NoBoundStateError):
             schrodinger_cross_check(1.0, 1.0, grid, make_quadrature(grid))
 
@@ -600,20 +600,35 @@ class TestCrossCheck:
         nodes, dx = grid.axis_nodes[0], grid.spacing[0]
         report, _ = schrodinger_cross_check(lam, half_width, grid, make_quadrature(grid))
         energy, vector = square_well_fd_ground(nodes, dx, half_width, report["V0"])
-        assert abs(report["V0"] - energy - lam * lam) <= 1e-8
-        assert abs(report["rayleigh_quotient"] - energy) <= 1e-8
+        # V0 is the scaled core's lowest eigenvalue, bisected to 2 eps ||core||
+        condensed = _CondensedWell(square_well(nodes, half_width, 1.0), lam, dx)
+        core = condensed.core
+        tol = 2.0 * np.finfo(float).eps * core.norm
+        assert abs(report["V0"] - energy - lam * lam) <= tol
+        assert abs(report["rayleigh_quotient"] - energy) <= tol
         # the ground state the cross-check takes at V0, against LAPACK's
-        psi = _CondensedWell(square_well(nodes, half_width, 1.0), lam, dx).ground_state(report["V0"])
-        assert np.max(np.abs(psi - vector * np.sign(vector @ psi))) <= 1e-9
+        psi = condensed.extend(core.eigenvector(report["V0"], np.zeros((core.diag.size, 0))))
+        assert np.max(np.abs(psi - vector * np.sign(vector @ psi))) <= 1e-12
+
+    @pytest.mark.parametrize("n", [401, 2001, 4001, 8001])
+    def test_decay_verdict_does_not_depend_on_the_grid(self, n):
+        # lambda = 0.5 in a box of 20: 1.0 from the wall the state is still
+        # 5.4e-5 of its peak on every grid, but the wall pulls the end node
+        # down with dx (5.2e-6 of the peak at 401 nodes, 2.6e-7 at 8,001),
+        # so a guard on the end nodes passed the finer grids
+        grid = Grid(bounds=[(-20.0, 20.0)], npts=[n])
+        with pytest.raises(BoxTooSmallError):
+            schrodinger_cross_check(0.5, 0.5, grid, make_quadrature(grid))
 
     @given(n=st.integers(3, 300), half_width=st.floats(0.05, 3.0), depth=st.floats(0.1, 50.0),
            half_box=st.floats(0.5, 10.0), center=st.floats(-1.0, 1.0),
            seed=st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_core_count_is_the_inertia(self, n, half_width, depth, half_box, center, seed):
-        # H(v0) - (v0 - lambda^2) for shifts v0 - lambda^2 drawn around each
-        # bound state; an off-centre box gives exteriors of unequal length,
-        # one of them possibly empty
+        # the scaled core's eigenvalues below a depth count the negative
+        # eigenvalues of H(depth) - (depth - lambda^2), for shifts
+        # depth - lambda^2 drawn around each bound state; an off-centre box
+        # gives exteriors of unequal length, one of them possibly empty
         grid = Grid(bounds=[((center - 1.0) * half_box, (center + 1.0) * half_box)], npts=[n])
         dx = grid.spacing[0]
         well = square_well(grid.axis_nodes[0], half_width, 1.0)
@@ -629,8 +644,8 @@ class TestCrossCheck:
                 shift = depth - lam * lam
                 if np.min(np.abs(values - shift) / np.maximum(np.abs(values), 1.0)) <= 1e-9:
                     continue
-                core = _CondensedWell(well, lam, dx).core(depth)
-                assert core.count_below(0.0) == full.count_below(shift) == np.sum(values < shift)
+                core = _CondensedWell(well, lam, dx).core
+                assert core.count_below(depth) == full.count_below(shift) == np.sum(values < shift)
 
 
 # A fresh process: an Anderson solve at n = 4001 whose steps QR-solve a
