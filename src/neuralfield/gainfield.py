@@ -207,9 +207,7 @@ class _Tridiagonal:
     so a zero pivot neither divides by zero nor flips the count (Barth,
     Martin & Wilkinson, Numer. Math. 9, 1967).  ``eigenvalues`` bisects the
     lowest eigenvalues on those counts; ``eigenvector`` runs inverse
-    iteration with the factorization's ``pivots`` as a Thomas solve.  Those
-    pivots also eliminate the depth-independent exterior of the
-    cross-check's well (:class:`_CondensedWell`).
+    iteration with the factorization's pivots as a Thomas solve.
     """
 
     def __init__(self, diag: np.ndarray, off: np.ndarray):
@@ -244,26 +242,15 @@ class _Tridiagonal:
                 count += 1
         return count
 
-    def pivots(self, shift: float) -> list:
-        """The pivots of T - shift = L D L^T from the first row on, each of
-        magnitude below eps ||T|| raised to that size, its sign kept."""
-        floor = np.finfo(float).eps * self.norm
-        pivots = []
-        pivot = math.inf
-        for a, off_sq in self.rows:
-            pivot = a - shift - off_sq / pivot
-            if abs(pivot) < floor:
-                pivot = math.copysign(floor, pivot)
-            pivots.append(pivot)
-        return pivots
-
-    def eigenvalues(self, k: int) -> list:
+    def eigenvalues(self, k: int, bracket=None) -> list:
         """The k lowest eigenvalues, ascending, each bisected to a bracket of
-        width 2 eps ||T||; every count also narrows the brackets above."""
-        # Gershgorin discs hold the spectrum
-        diag, radius = self.diag, self._radius()
-        lo = [float(np.min(diag - radius))] * k
-        hi = [float(np.max(diag + radius))] * k
+        width 2 eps ||T||; every count also narrows the brackets above.
+        ``bracket`` is an interval (lo, hi) known to hold all k; by default
+        the Gershgorin discs, which hold the whole spectrum."""
+        if bracket is None:
+            diag, radius = self.diag, self._radius()
+            bracket = float(np.min(diag - radius)), float(np.max(diag + radius))
+        lo, hi = [bracket[0]] * k, [bracket[1]] * k
         width = 2.0 * np.finfo(float).eps * self.norm
         for j in range(k):
             while hi[j] - lo[j] > width:
@@ -290,8 +277,15 @@ class _Tridiagonal:
         close to this one above a shallow well) by Gram-Schmidt.  The sign is
         left to :func:`_on_grid`.
         """
-        pivots = self.pivots(shift)
-        # multipliers of the unit lower factor L, T - shift = L D L^T
+        # the pivots D and multipliers of the unit lower factor L, T - shift = L D L^T
+        floor = np.finfo(float).eps * self.norm
+        pivots = []
+        pivot = math.inf
+        for a, off_sq in self.rows:
+            pivot = a - shift - off_sq / pivot
+            if abs(pivot) < floor:
+                pivot = math.copysign(floor, pivot)
+            pivots.append(pivot)
         mult = [e / d for e, d in zip(self.off, pivots)]
         golden = (math.sqrt(5.0) - 1.0) / 2.0
         x = 2.0 * np.modf(np.arange(1, self.diag.size + 1) * golden)[0] - 1.0
@@ -331,15 +325,18 @@ class _CondensedWell:
     on the full grid, that matrix is T + lambda^2 - v0 D on the interior
     nodes, D = diag(1 - well).  Where D = 0 (the exterior) its rows are two
     constant chains T + lambda^2 that no depth changes.  Each chain is
-    factored once from its box end toward the well (LDL^T pivots p_k; both
-    chains share one diagonal, so one pivot run serves both) and leaves the
-    single correction -b^2/p on the end row of the core next to it, b =
-    -1/dx^2 the off-diagonal entry; the core spans the rows from the first
-    to the last with D > 0.  The corrected core A is the Schur complement of
-    the chains, and the chains are positive definite (diagonally dominant),
-    so by Haynsworth's inertia additivity (Linear Algebra Appl. 1, 1968)
-    A - v0 D_c has exactly as many negative eigenvalues as the whole matrix,
-    D_c the core's part of D.  By Sylvester's law of inertia that is the
+    factored once from its box end toward the well and leaves the single
+    correction -b^2/p on the end row of the core next to it, b = -1/dx^2
+    the off-diagonal entry; the core spans the rows from the first to the
+    last with D > 0.  Both chains share the diagonal a = 2/dx^2 + lambda^2
+    = 2|b| cosh t, t = 2 asinh(lambda dx / 2), so their LDL^T pivots solve
+    p_0 = a, p_k = a - b^2 / p_(k-1) in closed form:
+    p_k = |b| sinh((k + 2) t) / sinh((k + 1) t)
+    = |b| (cosh t + sinh t coth((k + 1) t)).  The corrected core A is the
+    Schur complement of the chains, and the chains are positive definite
+    (diagonally dominant), so by Haynsworth's inertia additivity (Linear
+    Algebra Appl. 1, 1968) A - v0 D_c has exactly as many negative
+    eigenvalues as the whole matrix, D_c the core's part of D.  By Sylvester's law of inertia that is the
     number of eigenvalues below v0 of ``core`` = D_c^{-1/2} A D_c^{-1/2}.
     An eigenvector y of ``core`` gives x = D_c^{-1/2} y on the core, which
     :meth:`extend` carries to the exterior by the chains' back substitution
@@ -359,9 +356,9 @@ class _CondensedWell:
         off = -1.0 / (dx * dx)
         inside = inside[self.first:stop]
         exterior = 2.0 / (dx * dx) + lam * lam  # the diagonal where D = 0
-        chain = max(self.first, self.last)
-        pivots = np.array(_Tridiagonal(np.full(chain, exterior), np.full(chain - 1, off)).pivots(0.0)
-                          if chain else [])
+        t = 2.0 * math.asinh(0.5 * lam * dx)
+        pivots = -off * (math.cosh(t) + math.sinh(t) / np.tanh(
+            t * np.arange(1, max(self.first, self.last) + 1)))
         # one step of each chain's back substitution: x_k / x_(k +- 1), box end last
         self.left_decay = -off / pivots[:self.first][::-1]
         self.right_decay = -off / pivots[:self.last][::-1]
@@ -458,14 +455,16 @@ def schrodinger_cross_check(lam: float, half_width: float, grid: Grid,
     rows on the default grid), so V0 is the lowest eigenvalue of that
     symmetric tridiagonal matrix, bisected on Sturm counts to 2 eps of its
     norm as :func:`schrodinger_fd` does.  The ground state is its inverse
-    iteration vector, extended through the exterior's stored pivots and
+    iteration vector, extended through the exterior chains' pivots and
     normalised over all interior nodes.
 
     V0 must lie in (lambda^2 + 1e-6, lambda^2 + (pi / (2 half_width))^2 + 1]:
     just above lambda^2 (E must be a positive bound-state energy) up to one
-    more than the infinite well's ground energy.  Raises NoBoundStateError
-    when it does not, e.g. when the box is narrower than the well, so no
-    node lies outside it, or when no interior node lies inside the well.
+    more than the infinite well's ground energy.  Two Sturm counts check
+    that, and the bisection starts from that range.  Raises
+    NoBoundStateError when V0 lies outside it, e.g. when the box is
+    narrower than the well, so no node lies outside it, or when no interior
+    node lies inside the well.
     Returns the ``crosscheck.json`` payload and the condensation's sizes,
     ``{"core_nodes", "exterior_nodes": [left, right]}``.
     """
@@ -481,10 +480,11 @@ def schrodinger_cross_check(lam: float, half_width: float, grid: Grid,
     condensed = _CondensedWell(well, lam, dx)
     core = condensed.core
 
-    v0 = core.eigenvalues(1)[0]
-    if not lo < v0 <= hi:
+    if core.count_below(lo) or not core.count_below(hi):
         raise NoBoundStateError(
-            f"the self-consistent well depth {v0:.6g} lies outside ({lo:.6g}, {hi:.6g}]")
+            f"the self-consistent well depth, the lowest eigenvalue of the well's scaled core, "
+            f"lies outside ({lo:.6g}, {hi:.6g}]")
+    v0 = core.eigenvalues(1, (lo, hi))[0]
     ground = condensed.extend(core.eigenvector(v0, np.zeros((core.diag.size, 0))))
     _check_decay(ground, well)
     psi = _on_grid(ground[:, None], dx)[:, 0]

@@ -238,34 +238,23 @@ def node_rows(nodes, values, times=None):
     ``nodes`` is the (n, k) array of the leading cells of each node's row,
     printed as ``%.17g`` prints them, so integral values below 2**53 print as
     integers; ``values`` the (T, n) values at ``times``, or n values when
-    ``times`` is None.  Every cell comes from :func:`g17_cells`, a chunk of
-    values at a time: the node cells go into one template per chunk of
-    nodes, so their cells never all exist at once.  The values of as many
-    time slices as fit a chunk are formatted together, then each slice
-    stamps its time on every line and fills in its values by one more ``%``
-    format, one block per slice.  A slice larger than a chunk fills the
-    templates one at a time instead, one block per node chunk.
+    ``times`` is None.  Every cell comes from :func:`g17_cells`.  The nodes
+    go in blocks of at most half a chunk of nodes, each formatted once into
+    a template; each time slice stamps its time on every line of a block's
+    template and fills in that block's values by one more ``%`` format.
+    Besides its values' cells a fill holds the stamped and the filled copy
+    of the block's lines, about one more value's budget a node, so a block
+    stays within a chunk.
     """
-    n = len(nodes)
     line = b"%s," * nodes.shape[1] + b"%%s"
-    parts = [len(part) for part in np.array_split(nodes, _sections(nodes)) if len(part)]
-    stops = np.cumsum(parts).tolist()
-    templates = [b"\n".join([line] * (stop - start)) % tuple(g17_cells(nodes[start:stop]))
-                 for start, stop in zip([0] + stops, stops)]
-    slices = np.reshape(values, (-1, n))
+    size = max(1, discretization.CHUNK_BYTES // _VALUE_BYTES // 2)
+    starts = range(0, len(nodes), size)
+    templates = [b"\n".join([line] * len(part)) % tuple(g17_cells(part))
+                 for part in (nodes[start:start + size] for start in starts)]
     stamps = [b""] if times is None else [t + b"," for t in g17_cells(times)]
-    if _sections(slices[0]) > 1:
-        for stamp, row in zip(stamps, slices):
-            for template, start, stop in zip(templates, [0] + stops, stops):
-                yield _stamped(template, stamp) % tuple(g17_cells(row[start:stop]))
-        return
-    block, first = b"\n".join(templates), 0
-    for part in np.array_split(slices, _sections(slices)):
-        # the cells of a part are gone before the next part makes its own
-        cells = g17_cells(part)
-        for i, stamp in enumerate(stamps[first:first + len(part)]):
-            yield _stamped(block, stamp) % tuple(cells[i * n:(i + 1) * n])
-        first += len(part)
+    for stamp, row in zip(stamps, np.reshape(values, (-1, len(nodes)))):
+        for template, start in zip(templates, starts):
+            yield _stamped(template, stamp) % tuple(g17_cells(row[start:start + size]))
 
 
 def _stamped(block, stamp):

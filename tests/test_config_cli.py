@@ -431,8 +431,8 @@ class TestIO:
         assert peak - kept <= discretization.CHUNK_BYTES
 
     def test_node_rows_of_a_slice_above_one_chunk_stay_within_the_budget(self):
-        # 65,536 nodes, 19 chunks a slice: formatting a whole slice's cells at
-        # once peaked 2.6 MB above what its block keeps
+        # 65,536 nodes, 19 chunks a slice: the temporaries behind each block,
+        # above what the caller keeps, fit one chunk
         n = 65536
         nodes = np.column_stack([np.arange(n), np.linspace(-1.0, 1.0, n)])
         values = np.random.default_rng(3).uniform(-1.0, 1.0, (2, n))
