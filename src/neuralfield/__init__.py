@@ -13,7 +13,6 @@ from .discretization import (
     apply_f_values,
     apply_j_values,
     build_operator,
-    kernel_matrix,
     make_quadrature,
 )
 from .model import (
@@ -62,7 +61,6 @@ __all__ = [
     "compute_constants",
     "contraction_factor",
     "find_stationary_fp",
-    "kernel_matrix",
     "make_quadrature",
     "max_segment_length",
     "monitor_bounds",

@@ -140,8 +140,7 @@ def _fixed_point(cfg: RunConfig, op, u0, constants):
 
 
 def cmd_simulate(cfg: RunConfig, op, constants):
-    u0 = initial_state(cfg)
-    traj = solve_global(cfg.model, op, u0, cfg.solver, constants)
+    traj = solve_global(cfg.model, op, cfg.initial, cfg.solver, constants)
     report = monitor_bounds(traj, constants, cfg.model)
 
     nodes = np.column_stack([np.arange(cfg.grid.n_total), cfg.grid.points])
@@ -169,7 +168,7 @@ def cmd_simulate(cfg: RunConfig, op, constants):
 
 
 def cmd_stationary(cfg: RunConfig, op, constants):
-    u0 = initial_state(cfg)
+    u0 = cfg.initial
     section = cfg.document["stationary"]
     if section["method"] == "fp":
         result = _fixed_point(cfg, op, u0, constants)
@@ -189,7 +188,7 @@ def cmd_stationary(cfg: RunConfig, op, constants):
 
 
 def cmd_gainfield(cfg: RunConfig, op, constants):
-    u0 = initial_state(cfg)
+    u0 = cfg.initial
     section = cfg.document["gainfield"]
     stationary = _fixed_point(cfg, op, u0, constants)
     learned = build_learned_kernel(stationary.u_inf, cfg.model, cfg.grid)
@@ -258,19 +257,13 @@ def cmd_schrodinger(cfg: RunConfig):
 
 
 def _study_initials(cfg: RunConfig, names):
-    out = []
-    for name in names:
-        if name == "zero":
-            out.append(("zero", initial_state(cfg, kind="zero", params={})))
-        elif name == "step":
-            out.append(("step", initial_state(cfg, kind="step", params={})))
-        else:
-            out.append(("initial", initial_state(cfg)))
-    return out
+    """The run's initial field as ``initial``; ``zero`` and ``step`` at their defaults."""
+    return [(name, cfg.initial if name == "initial" else initial_state(cfg, name, {}))
+            for name in names]
 
 
 def cmd_study(cfg: RunConfig, op, constants, study_name):
-    u0 = initial_state(cfg)
+    u0 = cfg.initial
     section = cfg.document["study"]
 
     if study_name == "plasticity-limit":

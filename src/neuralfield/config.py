@@ -4,8 +4,10 @@
 rule; ``DEFAULT_CONFIG`` is derived from it.  One walk over the table fills
 defaults, applies ``NF_`` environment overrides named by the uppercased key
 path (``NF_MODEL_GAMMA=0.5``, ``NF_SOLVER_PICARD_TOL=1e-8``), reports unknown
-keys and checks every leaf.  A section that sets ``kind`` without ``params``
-takes that kind's default params.  Rules tying keys together live only in
+keys and checks every leaf.  A ``params`` section is filled from its kind's
+table of defaults (``KERNEL_DEFAULTS`` for ``model.kernel``, and so on), so
+the echo lists every parameter a run used and ``NF_`` variables reach every
+filled key.  Rules tying keys together live only in
 the model, grid, quadrature and solver constructors, whose errors become
 violations too.
 """
@@ -23,7 +25,8 @@ import numpy as np
 from .discretization import (BOUNDARIES, QUADRATURE_RULES, FieldState, Grid, Quadrature,
                              make_quadrature)
 from .errors import ParseError, SchemaError
-from .model import FIRING_KINDS, KERNEL_KINDS, LEARNING_KINDS, MODEL_MODES, ModelSpec
+from .model import (FIRING_DEFAULTS, KERNEL_DEFAULTS, LEARNING_DEFAULTS, MODEL_MODES,
+                    ModelSpec)
 from .solver import SOLVER_METHODS, SolverConfig
 
 ENV_PREFIX = "NF_"
@@ -47,11 +50,13 @@ NODE_COUNT = (lambda x: _is_int(x) and x >= 3, "an integer >= 3")
 SEED = (lambda x: _is_int(x) and x >= 0, "a nonnegative integer")
 PAIR = (lambda x: isinstance(x, list) and len(x) == 2 and all(_is_number(v) for v in x),
         "a pair of numbers [lo, hi]")
-# free-form params, checked by the constructors of their kind
-OPEN = (lambda x: isinstance(x, dict), "an object")
+# a kind's params: its leaf's default is the table of every kind's defaults,
+# and the constructor of the kind checks them
+PARAMS = (lambda x: isinstance(x, dict), "an object")
 
 
 def _one_of(options):
+    options = tuple(options)  # a list given as a kind is then reported, not raised on
     return (lambda x: x in options, f"one of {list(options)}")
 
 
@@ -79,12 +84,12 @@ INITIAL_DEFAULTS = {
 
 SCHEMA = {
     "model": {
-        "kernel": {"kind": ("exponential", _one_of(KERNEL_KINDS)),
-                   "params": ({"amplitude": 0.5, "decay": 1.0}, OPEN)},
-        "firing": {"kind": ("sigmoid", _one_of(FIRING_KINDS)),
-                   "params": ({"slope": 1.0, "threshold": 0.0}, OPEN)},
-        "learning": {"kind": ("gaussian", _one_of(LEARNING_KINDS)),
-                     "params": ({"width": 1.0}, OPEN)},
+        "kernel": {"kind": ("exponential", _one_of(KERNEL_DEFAULTS)),
+                   "params": (KERNEL_DEFAULTS, PARAMS)},
+        "firing": {"kind": ("sigmoid", _one_of(FIRING_DEFAULTS)),
+                   "params": (FIRING_DEFAULTS, PARAMS)},
+        "learning": {"kind": ("gaussian", _one_of(LEARNING_DEFAULTS)),
+                     "params": (LEARNING_DEFAULTS, PARAMS)},
         "gamma": (1.0, NONNEGATIVE),
         "mode": ("well-posed", _one_of(MODEL_MODES)),
     },
@@ -102,8 +107,8 @@ SCHEMA = {
         "picard_tol": (1e-10, POSITIVE),
         "picard_max_iter": (200, COUNT),
     },
-    "initial": {"kind": ("gaussian-bump", _one_of(tuple(INITIAL_DEFAULTS))),
-                "params": (dict(INITIAL_DEFAULTS["gaussian-bump"]), OPEN)},
+    "initial": {"kind": ("gaussian-bump", _one_of(INITIAL_DEFAULTS)),
+                "params": (INITIAL_DEFAULTS, PARAMS)},
     "seed": (12345, SEED),
     "stationary": {
         "method": ("fp", _one_of(("fp", "flow"))),
@@ -186,8 +191,6 @@ def _walk(schema, given, path, env, violations):
         violations.append(f"{'.'.join(path) or '<root>'}: expected an object")
         given = {}
     given = {**given, **_overrides(env, path, schema)}
-    if "kind" in given and "params" in schema and "params" not in given:
-        given["params"] = {}  # the constructors fill the new kind's defaults
     for key in sorted(set(given) - set(schema)):
         violations.append(f"{'.'.join(path + (key,))}: unknown key")
     doc = {}
@@ -197,8 +200,12 @@ def _walk(schema, given, path, env, violations):
             doc[key] = _walk(spec, given.get(key, {}), here, env, violations)
             continue
         default, (predicate, what) = spec
-        value = copy.deepcopy(given.get(key, default))
-        if spec[1] is OPEN and isinstance(value, dict):
+        value = copy.deepcopy(given.get(key, {} if spec[1] is PARAMS else default))
+        if spec[1] is PARAMS and isinstance(value, dict):
+            # the section's kind, walked first, fills its defaults under the
+            # given params; an unknown kind fills none and its rule reports it
+            kind = doc["kind"]
+            value = {**(default.get(kind, {}) if isinstance(kind, str) else {}), **value}
             value.update(_overrides(env, here, value))
         if not predicate(value):
             violations.append(f"{'.'.join(here)}: must be {what}")
@@ -219,6 +226,7 @@ class RunConfig:
     solver: SolverConfig
     seed: int
     document: dict
+    initial: FieldState | None = None
 
 
 def _construct(section, violations, build, *args):
@@ -249,7 +257,7 @@ def build_config(user_doc: dict, environ=None) -> RunConfig:
     if grid is not None:
         cfg.quadrature = _construct("quadrature", violations, make_quadrature, grid,
                                     doc["quadrature"])
-        _construct("initial", violations, initial_state, cfg)
+        cfg.initial = _construct("initial", violations, initial_state, cfg)
     if violations:
         raise SchemaError(violations)
     return cfg

@@ -215,20 +215,6 @@ class FieldState:
             raise ValueError("field state contains non-finite values")
 
 
-def kernel_matrix(kernel: SynapticKernel, grid: Grid) -> np.ndarray:
-    """Raw kernel values w(x_i, x_j) on all node pairs of a tabulated kernel;
-    isotropic kernels are applied by convolution and have none."""
-    if kernel.isotropic:
-        raise ValueError(f"{kernel.kind} kernels are applied by convolution and have no matrix")
-    matrix = kernel.params["matrix"]
-    nodes = kernel.params["nodes"]
-    pts = grid.points
-    sampled = nodes if nodes.ndim == 2 else nodes[:, None]
-    if sampled.shape != pts.shape or not np.allclose(sampled, pts, atol=1e-12):
-        raise ValueError("tabulated kernel was sampled on a different grid")
-    return np.array(matrix, dtype=float)
-
-
 def kernel_spectrum(profile, grid: Grid) -> np.ndarray:
     """Real FFT of a radial profile sampled at every lag of the grid's FFT
     lattice (:meth:`Grid.lag_distance`)."""
@@ -315,7 +301,15 @@ class DiscreteOperator:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        m = kernel_matrix(self.kernel, self.grid) * self.quadrature.weights[None, :]
+        if self.kernel.isotropic:
+            raise ValueError(f"{self.kernel.kind} kernels are applied by convolution and have "
+                             "no matrix")
+        nodes = self.kernel.params["nodes"]
+        sampled = nodes if nodes.ndim == 2 else nodes[:, None]
+        pts = self.grid.points
+        if sampled.shape != pts.shape or not np.allclose(sampled, pts, atol=1e-12):
+            raise ValueError("tabulated kernel was sampled on a different grid")
+        m = self.kernel.params["matrix"] * self.quadrature.weights[None, :]
         if not np.all(np.isfinite(m)):
             raise ValueError("operator matrix contains non-finite entries")
         m.flags.writeable = False

@@ -22,23 +22,24 @@ import numpy as np
 if TYPE_CHECKING:  # discretization imports this module
     from .discretization import DiscreteOperator
 
-FIRING_KINDS = ("sigmoid", "scaled-arctan", "linear", "piecewise-linear-clamped")
-LEARNING_KINDS = ("gaussian",)
-KERNEL_KINDS = ("exponential", "mexican-hat", "tabulated")
 MODEL_MODES = ("well-posed", "gain-field")
 
-_FIRING_DEFAULTS = {
+# The default params of each kind, one table per component; the config
+# fills its params sections from these same tables.
+FIRING_DEFAULTS = {
     "sigmoid": {"slope": 1.0, "threshold": 0.0},
     "scaled-arctan": {"scale": 1.0},
     "linear": {},
     "piecewise-linear-clamped": {"slope": 1.0, "threshold": 0.0},
 }
 
-_KERNEL_DEFAULTS = {
+KERNEL_DEFAULTS = {
     "exponential": {"amplitude": 0.5, "decay": 1.0},
     "mexican-hat": {"scale": 1.0},
     "tabulated": {},
 }
+
+LEARNING_DEFAULTS = {"gaussian": {"width": 1.0}}
 
 
 def _fill_params(kind, params, defaults, what):
@@ -68,7 +69,7 @@ class FiringRate:
     params: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "params", _fill_params(self.kind, self.params, _FIRING_DEFAULTS, "firing rate"))
+        object.__setattr__(self, "params", _fill_params(self.kind, self.params, FIRING_DEFAULTS, "firing rate"))
 
     @property
     def bounded(self) -> bool:
@@ -111,13 +112,7 @@ class LearningKernel:
     params: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in LEARNING_KINDS:
-            raise ValueError(f"unknown learning kernel kind {self.kind!r}")
-        merged = {"width": 1.0}
-        merged.update(self.params or {})
-        extra = set(merged) - {"width"}
-        if extra:
-            raise ValueError(f"learning kernel got unexpected params {sorted(extra)}")
+        merged = _fill_params(self.kind, self.params, LEARNING_DEFAULTS, "learning kernel")
         if merged["width"] <= 0:
             raise ValueError("learning kernel width must be positive")
         object.__setattr__(self, "params", merged)
@@ -154,7 +149,7 @@ class SynapticKernel:
     params: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
-        merged = _fill_params(self.kind, self.params, _KERNEL_DEFAULTS, "synaptic kernel")
+        merged = _fill_params(self.kind, self.params, KERNEL_DEFAULTS, "synaptic kernel")
         if self.kind == "tabulated":
             matrix = np.asarray(merged.get("matrix"), dtype=float)
             nodes = np.asarray(merged.get("nodes"), dtype=float)

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from neuralfield.cli import main, run
 from neuralfield.config import (
     DEFAULT_CONFIG,
+    INITIAL_DEFAULTS,
     build_config,
     initial_state,
     parse_config,
@@ -222,6 +223,11 @@ KIND_SWITCHES = [
     {"initial": {"kind": "step"}},
 ]
 
+# a params section given in part keeps its kind's other defaults
+PARTIAL_PARAMS = {"model": {"kernel": {"kind": "mexican-hat"},
+                            "firing": {"params": {"slope": 2.0}}},
+                  "initial": {"kind": "step"}}
+
 
 class TestSchemaTable:
     def test_default_config_unchanged(self):
@@ -239,16 +245,41 @@ class TestSchemaTable:
         assert cfg.model.kernel.params == {"scale": 1.0}
         cfg = build_config({}, environ={"NF_MODEL_FIRING_KIND": "scaled-arctan"})
         assert cfg.model.firing.params == {"scale": 1.0}
+        # the filled default is a key the NF_ variable can reach
+        cfg = build_config({"model": {"kernel": {"kind": "mexican-hat"}}},
+                           environ={"NF_MODEL_KERNEL_PARAMS_SCALE": "2.0"})
+        assert cfg.model.kernel.params == {"scale": 2.0}
+
+    @pytest.mark.parametrize("doc", KIND_SWITCHES + [PARTIAL_PARAMS])
+    def test_echo_lists_the_params_the_run_used(self, doc):
+        cfg = build_config(doc, environ={})
+        echo = cfg.document
+        for name in ("kernel", "firing", "learning"):
+            assert echo["model"][name]["params"] == getattr(cfg.model, name).params
+        initial = echo["initial"]
+        assert initial["params"].keys() == INITIAL_DEFAULTS[initial["kind"]].keys()
+        rebuilt = initial_state(cfg, initial["kind"], initial["params"])
+        assert np.array_equal(rebuilt.values, cfg.initial.values)
+
+    def test_manifest_echoes_the_filled_params(self, tmp_path):
+        out = tmp_path / "o"
+        assert run("constants", build_config(PARTIAL_PARAMS, environ={}), out) == 0
+        echo = json.loads((out / "manifest.json").read_text())["config"]
+        assert echo["model"]["kernel"]["params"] == {"scale": 1.0}
+        assert echo["model"]["firing"]["params"] == {"slope": 2.0, "threshold": 0.0}
+        assert echo["initial"]["params"] == {"low": 0.0, "high": 1.0, "split": None}
 
     @pytest.mark.parametrize("doc,needle", [
         ({"model": {"kernel": {"params": {"decay": -1}}}}, "model: exponential kernel decay"),
         ({"model": {"firing": {"params": {"slope": 1.0, "gain": 2.0}}}}, "model: firing rate"),
         ({"model": {"firing": {"params": {"slope": "steep"}}}}, "model: firing rate"),
-        ({"model": {"learning": {"params": {"width": "wide"}}}}, "model: "),
+        ({"model": {"learning": {"params": {"width": -1.0}}}}, "model: "),
         ({"initial": {"kind": "zero", "params": {"amplitude": 1.0}}}, "initial: initial kind 'zero'"),
         ({"initial": {"params": {"amplitude": "tall"}}}, "initial: "),
         ({"grid": {"bounds": [[0.0, 1.0]], "nodes": [5, 5]}}, "grid: need one node count"),
         ({"quadrature": "simpson", "grid": {"boundary": "periodic"}}, "quadrature: simpson"),
+        ({"model": {"learning": {"params": {"width": "wide"}}}},
+         "model: learning kernel 'gaussian' params must be numbers"),
     ])
     def test_constructor_errors_exit_2_with_section(self, tmp_path, capsys, doc, needle):
         path = write_config(tmp_path, doc)

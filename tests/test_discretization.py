@@ -28,7 +28,7 @@ from neuralfield.discretization import (
     kernel_spectrum,
     range_factor,
 )
-from neuralfield.model import FIRING_KINDS
+from neuralfield.model import FIRING_DEFAULTS
 from conftest import exponential_kernel, make_model, zero_firing
 from oracles import brute_force_apply_j, dense_j, dense_operator, fft_convolve, j_error_bound
 
@@ -290,6 +290,7 @@ def small_grid(kind, sizes, half_length):
 
 
 KERNEL_KINDS = ["exponential", "mexican-hat", "tabulated"]
+FIRING_KINDS = list(FIRING_DEFAULTS)
 
 
 def any_model(kernel_kind, firing_kind, gamma, width, grid, seed=0):

@@ -214,8 +214,8 @@ class TestConstants:
         abs_apply = discretization.DiscreteOperator.abs_apply
         monkeypatch.setattr(discretization.DiscreteOperator, "abs_apply",
                             lambda op, v: calls.append(op) or abs_apply(op, v))
-        monkeypatch.setattr(discretization, "kernel_matrix",
-                            lambda kernel, grid: pytest.fail("kernel matrix formed"))
+        monkeypatch.setattr(discretization.DiscreteOperator, "matrix",
+                            property(lambda op: pytest.fail("kernel matrix formed")))
         model = ModelSpec(exponential_kernel(), FiringRate("sigmoid"), LearningKernel())
         hat = replace(model, kernel=SynapticKernel("mexican-hat", {"scale": 1.0}))
         for boundary in ("compact", "periodic"):
