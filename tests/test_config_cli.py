@@ -1,4 +1,3 @@
-import argparse
 import contextlib
 import hashlib
 import json
@@ -1015,35 +1014,25 @@ class TestMainEntry:
         assert manifest["seed"] == 777
         assert manifest["config"]["seed"] == 777
 
-    def test_parser_is_built_once_per_process(self, monkeypatch, capsys):
-        from neuralfield import cli
-
-        built = []
-        init = argparse.ArgumentParser.__init__
-
-        def spy(self, *args, **kwargs):
-            if kwargs.get("prog") == "neuralfield":
-                built.append(self)
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
-        cli._build_parser.cache_clear()
-        try:
-            outcomes = []
-            for _ in range(2):
-                codes = [main(["constants", "--seed", "-1"])]
-                with pytest.raises(SystemExit) as exc:
-                    main(["simulate", "--bogus"])
-                codes.append(exc.value.code)
-                outcomes.append((codes, capsys.readouterr()))
-        finally:
-            cli._build_parser.cache_clear()
-        assert len(built) == 1
+    def test_argv_parse_keeps_no_state_and_loads_no_argparse(self, capsys):
+        outcomes = []
+        for _ in range(2):
+            codes = [main(["constants", "--seed", "-1"])]
+            with pytest.raises(SystemExit) as exc:
+                main(["simulate", "--bogus"])
+            codes.append(exc.value.code)
+            outcomes.append((codes, capsys.readouterr()))
         assert outcomes[0] == outcomes[1]
         codes, (out, err) = outcomes[0]
         assert codes == [2, 2] and out == ""
         assert "config error: seed: must be a nonnegative integer" in err
         assert "unrecognized arguments: --bogus" in err
+        # argparse, and the gettext it loads, would cost every run's process
+        loaded = subprocess.run(
+            [sys.executable, "-c", "import sys, neuralfield.cli; "
+             "print(sorted({'argparse', 'gettext'} & set(sys.modules)))"],
+            capture_output=True, text=True, check=True)
+        assert loaded.stdout == "[]\n"
 
     def test_negative_seed_flag_exits_2(self, capsys):
         assert main(["constants", "--seed", "-1"]) == 2
@@ -1094,3 +1083,146 @@ class TestMainEntry:
         )
         assert result.returncode == 0, result.stderr
         assert (tmp_path / "cli-run" / "manifest.json").exists()
+
+
+COMMAND_NAMES = ("simulate", "stationary", "gainfield", "schrodinger", "study", "constants",
+                 "validate")
+CHOOSE_COMMAND = "(choose from " + ", ".join(map(repr, COMMAND_NAMES)) + ")"
+CHOOSE_STUDY = "(choose from 'plasticity-limit', 'dependence', 'contraction', 'l1')"
+
+
+class TestArgv:
+    """The argv rules of ``main``: the accepted forms with the fields they
+    set, and the usage errors, each exit 2 with its message."""
+
+    @pytest.fixture
+    def parsed(self, tmp_path, monkeypatch):
+        """main(argv) -> the fields its run received; "{cfg}" in argv is a
+        config file whose seed is 11."""
+        import neuralfield.cli as cli
+
+        path = write_config(tmp_path, {"seed": 11})
+        calls = []
+        monkeypatch.setattr(cli, "run", lambda command, cfg, out, study_name=None:
+                            calls.append((command, cfg, out, study_name)) or 0)
+
+        def parse(argv):
+            assert main([arg.replace("{cfg}", path) for arg in argv]) == 0
+            (command, cfg, out, name), = calls
+            calls.clear()
+            sch = cfg.document["schrodinger"]
+            return {"command": command, "out": out, "name": name, "seed": cfg.seed,
+                    "method": cfg.document["stationary"]["method"],
+                    "well": (sch["half_width"], sch["height"]), "lambda": sch["lambda"]}
+        return parse
+
+    DEFAULTS = {"out": "o", "name": None, "seed": 12345, "method": "fp", "well": (1.0, 2.0),
+                "lambda": None}
+
+    @pytest.mark.parametrize("argv, fields", [
+        (["simulate", "--out", "o"], {"command": "simulate"}),
+        (["simulate", "--out=o", "--seed=5"], {"command": "simulate", "seed": 5}),
+        (["simulate", "--o", "o", "--se", "5"], {"command": "simulate", "seed": 5}),
+        (["simulate", "--config", "{cfg}", "--out", "o"], {"command": "simulate", "seed": 11}),
+        (["simulate", "--conf={cfg}", "--out", "o"], {"command": "simulate", "seed": 11}),
+        (["simulate", "--out", "a", "--seed", "1", "--out", "o", "--seed", "2"],
+         {"command": "simulate", "seed": 2}),
+        (["simulate", "--out", "o", "--threads", "4", "--thr=2"], {"command": "simulate"}),
+        (["constants", "--out", "o"], {"command": "constants"}),
+        (["constants"], {"command": "constants", "out": None}),
+        (["gainfield", "--seed", "7", "--out", "o"], {"command": "gainfield", "seed": 7}),
+        (["stationary", "--out", "o", "--method", "flow"],
+         {"command": "stationary", "method": "flow"}),
+        (["stationary", "--meth=flow", "--out", "o", "--method", "fp"],
+         {"command": "stationary", "method": "fp"}),
+        (["schrodinger", "--out", "o", "--well", "1.5,3", "--lambda", "2"],
+         {"command": "schrodinger", "well": (1.5, 3.0), "lambda": 2.0}),
+        (["schrodinger", "--out", "o", "--lam=0.5", "--w=2,1"],
+         {"command": "schrodinger", "well": (2.0, 1.0), "lambda": 0.5}),
+        (["study", "l1", "--out", "o"], {"command": "study", "name": "l1"}),
+        (["study", "--out", "o", "contraction"], {"command": "study", "name": "contraction"}),
+        (["study", "--seed", "3", "dependence", "--out", "o"],
+         {"command": "study", "name": "dependence", "seed": 3}),
+        (["study", "--out", "o", "--", "plasticity-limit"],
+         {"command": "study", "name": "plasticity-limit"}),
+    ])
+    def test_accepted_forms(self, parsed, argv, fields):
+        assert parsed(argv) == {**self.DEFAULTS, **fields}
+
+    @pytest.mark.parametrize("argv, prog, message", [
+        ([], "neuralfield", "the following arguments are required: command"),
+        (["--seed", "1"], "neuralfield", "argument command: invalid choice: '1' " + CHOOSE_COMMAND),
+        (["bogus"], "neuralfield", "argument command: invalid choice: 'bogus' " + CHOOSE_COMMAND),
+        (["--", "simulate"], "neuralfield",
+         "argument command: invalid choice: '--' " + CHOOSE_COMMAND),
+        (["study", "--out", "o"], "neuralfield study",
+         "the following arguments are required: name"),
+        (["study", "bogus"], "neuralfield study",
+         "argument name: invalid choice: 'bogus' " + CHOOSE_STUDY),
+        (["stationary", "--method", "x"], "neuralfield stationary",
+         "argument --method: invalid choice: 'x' (choose from 'fp', 'flow')"),
+        (["simulate", "--seed", "x"], "neuralfield simulate",
+         "argument --seed: invalid int value: 'x'"),
+        (["simulate", "--seed="], "neuralfield simulate",
+         "argument --seed: invalid int value: ''"),
+        (["gainfield", "--threads", "two"], "neuralfield gainfield",
+         "argument --threads: invalid int value: 'two'"),
+        (["schrodinger", "--lambda", "q"], "neuralfield schrodinger",
+         "argument --lambda: invalid float value: 'q'"),
+        (["simulate", "--seed"], "neuralfield simulate", "argument --seed: expected one argument"),
+        (["simulate", "--seed", "--", "3"], "neuralfield simulate",
+         "argument --seed: expected one argument"),
+        (["simulate", "--out", "o", "--"], "neuralfield", "unrecognized arguments: --"),
+        (["simulate", "--out", "--seed", "1"], "neuralfield simulate",
+         "argument --out: expected one argument"),
+        (["simulate", "-hx"], "neuralfield simulate",
+         "argument -h/--help: ignored explicit argument 'x'"),
+        (["--version=1"], "neuralfield", "argument --version: ignored explicit argument '1'"),
+        (["simulate", "--method", "fp"], "neuralfield", "unrecognized arguments: --method fp"),
+        (["stationary", "--well", "1,2", "--lambda=2"], "neuralfield",
+         "unrecognized arguments: --well 1,2 --lambda=2"),
+        (["simulate", "--bogus"], "neuralfield", "unrecognized arguments: --bogus"),
+        (["--bogus", "simulate", "-x", "extra"], "neuralfield",
+         "unrecognized arguments: --bogus -x extra"),
+        (["study", "l1", "l1"], "neuralfield", "unrecognized arguments: l1"),
+        (["simulate", "--", "--out", "o"], "neuralfield", "unrecognized arguments: -- --out o"),
+        (["simulate", "--=o"], "neuralfield",
+         "ambiguous option: --=o could match --help, --version"),
+    ])
+    def test_usage_errors_exit_2(self, capsys, argv, prog, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert err.startswith(f"usage: {prog} [-h]")
+        assert err.endswith(f"\n{prog}: error: {message}\n")
+
+    @pytest.mark.parametrize("argv, shown, hidden", [
+        (["-h"], COMMAND_NAMES + ("--version",), ("--config",)),
+        (["--bogus", "--help"], COMMAND_NAMES + ("--version",), ("--config",)),
+        (["simulate", "-h"], ("--config", "--out", "--seed", "--threads"),
+         ("--method", "--well", "--version")),
+        (["stationary", "--he"], ("--config", "--method", "{fp,flow}"), ("--well",)),
+        (["gainfield", "--help"], ("--config", "--threads"), ("--method",)),
+        (["schrodinger", "-h"], ("--seed", "--well", "--lambda"), ("--method",)),
+        (["study", "--help"], ("--out", "{plasticity-limit,dependence,contraction,l1}"),
+         ("--method",)),
+        (["constants", "-h"], ("--config", "--out"), ("--lambda",)),
+        (["validate", "--seed", "1", "-h"], ("--config", "--out"), ("--lambda",)),
+    ])
+    def test_help_exits_0(self, capsys, argv, shown, hidden):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        command = argv[0] if argv[0][0] != "-" else None
+        assert exc.value.code == 0 and err == ""
+        assert out.startswith("usage: neuralfield " + (f"{command} " if command else "") + "[-h]")
+        assert "-h, --help" in out
+        assert all(word in out for word in shown)
+        assert not any(word in out for word in hidden)
+
+    def test_version_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr() == ("0.1.0\n", "")

@@ -141,6 +141,20 @@ class TestPicardSegment:
         seg = picard_segment(model, op_201, fields, dt, cfg, constants)
         assert calls == [(201,)] + [(8, 201)] * seg.iterations
 
+    @pytest.mark.parametrize("rows", [1, 2, 9])
+    def test_picard_map_is_the_cumsum_trapezoid(self, op_201, bump_201, rows):
+        # reference: np.cumsum along time, which the row-by-row sum must match bit for bit
+        from neuralfield.discretization import apply_f_values
+
+        model = make_model(gamma=0.5)
+        u0 = bump_201.values
+        fields = u0 * np.linspace(1.0, 0.6, rows)[:, None]
+        dt = 0.05
+        rhs = apply_f_values(model, op_201, fields)
+        expected = np.vstack([u0, u0 + np.cumsum(0.5 * dt * (rhs[1:] + rhs[:-1]), axis=0)])
+        got = picard_map(model, op_201, fields, dt, u0, first_rhs=rhs[0])
+        assert np.array_equal(got, expected)
+
     def test_non_contractive_segment_rejected(self, op_201, bump_201):
         model = make_model(gamma=1.0)
         cfg = SolverConfig(method="picard", dt=0.05, t_end=1.0)
