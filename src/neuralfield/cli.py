@@ -1,13 +1,12 @@
 """Command-line entry points.
 
 Subcommands: simulate, stationary, gainfield, schrodinger, study <name>,
-constants, validate.  ``parse_args`` reads argv in one pass from the
-option table ``_COMMON_OPTIONS`` / ``_COMMANDS``, with argparse's rules
-and messages but without building a parser: ``--opt value``,
-``--opt=value`` and unique prefixes, options and the study name in any
-order after the command, the last repeat winning; ``-h``, ``--help`` and
-``--version`` exit 0, and a usage error prints the usage line and
-``neuralfield[ <command>]: error: <message>`` and raises SystemExit(2).
+constants, validate, each with its options in the table
+``_COMMON_OPTIONS`` / ``_COMMANDS``.  ``parse_args`` reads the canonical
+form ``COMMAND [NAME] --opt VALUE ...`` (exact option names) from that
+table directly, so a scripted run never loads argparse; any other argv
+(help, ``--version``, prefixes, ``--``, usage errors) goes to the argparse
+tree ``_parser`` builds from the same table.
 ``run`` dispatches every command but validate from a
 name -> ``cmd_*`` table, builds the run's one discrete operator and
 computes the constants from it.  Each ``cmd_*`` takes the config, the
@@ -41,7 +40,6 @@ the output lock is released.
 from __future__ import annotations
 
 import hashlib
-import re
 import resource
 import sys
 import time
@@ -113,7 +111,7 @@ def _config_echo(cfg: RunConfig) -> dict:
     return {**cfg.document, "model": {**model, "kernel": {**model["kernel"], "params": params}}}
 
 
-def _emit_manifest(out_dir, command, cfg: RunConfig | None, started, faults_before,
+def _emit_manifest(out_dir, command, cfg: RunConfig, started, faults_before,
                    checksums, extra=None, error=None, constants=None):
     usage = resource.getrusage(resource.RUSAGE_SELF)
     manifest = {
@@ -124,10 +122,9 @@ def _emit_manifest(out_dir, command, cfg: RunConfig | None, started, faults_befo
         "peak_rss_mb": usage.ru_maxrss / 1024.0,
         "minor_page_faults": usage.ru_minflt - faults_before,
         "checksums": checksums,
+        "config": _config_echo(cfg),
+        "seed": cfg.seed,
     }
-    if cfg is not None:
-        manifest["config"] = _config_echo(cfg)
-        manifest["seed"] = cfg.seed
     if constants is not None:
         manifest["constants"] = asdict(constants)
         manifest.update(_segment(cfg, constants))
@@ -386,190 +383,75 @@ _COMMANDS = {
     "constants": ("print the model constants", {}, None),
     "validate": ("validate a config file", {}, None),
 }
-_HELP = ("-h", "--help")
-_TOP_OPTIONS = (*_HELP, "--version")
 
 
-def _metavar(field, kind) -> str:
-    return "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else field.upper()
-
-
-def _options(command) -> dict:
-    return {**_COMMON_OPTIONS, **_COMMANDS[command][1]}
-
-
-def _prog(command) -> str:
-    return "neuralfield" if command is None else f"neuralfield {command}"
-
-
-def _usage(command) -> str:
-    """The usage line of the program (command None) or a command, wrapped
-    at 78 columns under its first argument."""
-    if command is None:
-        parts = ["[-h]", "[--version]", _metavar(None, tuple(_COMMANDS)), "..."]
-    else:
-        parts = ["[-h]"] + [f"[{option} {_metavar(field, kind)}]"
-                            for option, (field, kind, _) in _options(command).items()]
-        names = _COMMANDS[command][2]
-        if names:
-            parts.append(_metavar(None, names))
-    head = f"usage: {_prog(command)}"
-    lines = [head]
-    for part in parts:
-        if len(lines[-1]) > len(head) and len(lines[-1]) + 1 + len(part) > 78:
-            lines.append(" " * len(head))
-        lines[-1] += " " + part
-    return "\n".join(lines)
-
-
-def _help(command) -> str:
-    sections = {}
-    if command is None:
-        text = _usage(None) + "\n\nNeural field simulation and bound verification"
-        sections["positional arguments"] = [(name, entry[0]) for name, entry in _COMMANDS.items()]
-        options = [("--version", "show program's version number and exit")]
-    else:
-        text = _usage(command)
-        names = _COMMANDS[command][2]
-        if names:
-            sections["positional arguments"] = [("name", "one of " + ", ".join(names))]
-        options = [(f"{option} {_metavar(field, kind)}", about)
-                   for option, (field, kind, about) in _options(command).items()]
-    sections["options"] = [("-h, --help", "show this help message and exit"), *options]
-    width = max(len(name) for rows in sections.values() for name, _ in rows) + 2
-    for heading, rows in sections.items():
-        text += f"\n\n{heading}:" + "".join(f"\n  {name:<{width}}{about}" for name, about in rows)
-    return text
-
-
-def _fail(command, message):
-    """A usage error: the usage line and the message to stderr, exit 2."""
-    sys.stderr.write(f"{_usage(command)}\n{_prog(command)}: error: {message}\n")
-    raise SystemExit(EXIT_CONFIG)
-
-
-def _value(command, label, kind, text):
-    """``text`` as the argument's type, or checked against its choices."""
-    if isinstance(kind, tuple):
-        if text not in kind:
-            choices = ", ".join(map(repr, kind))
-            _fail(command, f"argument {label}: invalid choice: {text!r} (choose from {choices})")
-        return text
-    try:
-        return kind(text)
-    except ValueError:
-        _fail(command, f"argument {label}: invalid {kind.__name__} value: {text!r}")
-
-
-def _option(arg, names, command):
-    """What ``arg`` is among the options ``names``: None for a value; else
-    (the option it selects, None when it selects none; its ``=`` value or,
-    for ``-hX``, X; else None).  A long option may be given by any prefix
-    that selects it alone; a prefix that selects several is an error."""
-    if arg[:1] != "-" or arg == "-":
+def _canonical(argv) -> SimpleNamespace | None:
+    """The namespace argparse returns for ``argv`` when it is in the one form
+    scripts and the benchmark use: the command, then tokens each
+    ``--opt VALUE`` (VALUE not starting with "-") or ``--opt=VALUE`` with an
+    exact option name of the command, or, for ``study``, its one name; each
+    value of its type or among its choices.  Else None: nothing is printed
+    or raised, and ``_parser`` reads the argv."""
+    if not argv or argv[0] not in _COMMANDS:
         return None
-    if arg in names:
-        return arg, None
-    head, eq, value = arg.partition("=")
-    if eq and head in names:
-        return head, value
-    if arg[1] == "-":
-        hits = [name for name in names if name.startswith(head)]
-        value = value if eq else None
-    else:
-        hits, value = [name for name in names if name == arg[:2]], arg[2:]
-    if len(hits) > 1:
-        _fail(command, f"ambiguous option: {arg} could match {', '.join(hits)}")
-    if hits:
-        return hits[0], value
-    # a negative number or a string with a space is a value, not an unknown option
-    if re.fullmatch(r"-\d+|-\d*\.\d+", arg) or " " in arg:
-        return None
-    return None, None
-
-
-def _print_and_exit(name, value, command):
-    """``-h``/``--help`` print the help of ``command``, ``--version`` the version."""
-    if value is not None:
-        label = "--version" if name == "--version" else "-h/--help"
-        _fail(command, f"argument {label}: ignored explicit argument {value!r}")
-    print(__version__ if name == "--version" else _help(command))
-    raise SystemExit(EXIT_OK)
-
-
-def _classify(args, names, command) -> tuple:
-    """(``_option`` of each argument, the index of the first ``--``); every
-    argument after that ``--`` is a value."""
-    end = args.index("--") if "--" in args else len(args)
-    return [_option(arg, names, command) for arg in args[:end]] + [None] * (len(args) - end), end
-
-
-def _parse_command(command, args, extras) -> SimpleNamespace:
-    """The fields of ``command`` from its arguments; unknown ones go to ``extras``."""
-    options = _options(command)
-    names = _COMMANDS[command][2]
-    parsed = SimpleNamespace(**{**dict.fromkeys(field for field, _, _ in options.values()),
-                                "command": command, "threads": 1, "name": None})
-    hits, end = _classify(args, (*_HELP, *options), command)
-    i = 0
-    while i < len(args):
-        if hits[i] is None:
-            # the positional name takes the first value, with the ``--``
-            # beside it; every other value is unknown
-            at = i + (i == end)
-            if names and parsed.name is None and at < len(args):
-                parsed.name = _value(command, "name", names, args[at])
-                i = at + 1 + (at + 1 == end)
-            else:
-                extras.append(args[i])
-                i += 1
+    command = argv[0]
+    _, extra, names = _COMMANDS[command]
+    options = {**_COMMON_OPTIONS, **extra}
+    fields = {**dict.fromkeys(field for field, _, _ in options.values()),
+              "command": command, "threads": 1}
+    args = iter(argv[1:])
+    for arg in args:
+        if arg[:1] != "-":
+            if not names or arg not in names or "name" in fields:
+                return None
+            fields["name"] = arg
             continue
-        option, value = hits[i]
-        if option in _HELP:
-            _print_and_exit(option, value, command)
-        if option is None:
-            extras.append(args[i])
-            i += 1
-            continue
-        i += 1
-        if value is None:
-            if i == end or hits[i] is not None:
-                _fail(command, f"argument {option}: expected one argument")
-            value = args[i]
-            i += 1
+        option, eq, value = arg.partition("=")
+        if option not in options:
+            return None
+        if not eq:
+            value = next(args, None)
+            if value is None or value[:1] == "-":
+                return None
         field, kind, _ = options[option]
-        setattr(parsed, field, _value(command, option, kind, value))
-    if names and parsed.name is None:
-        _fail(command, "the following arguments are required: name")
-    return parsed
-
-
-def parse_args(argv=None) -> SimpleNamespace:
-    """The command and its fields from ``argv`` (default ``sys.argv[1:]``),
-    by the rules in the module docstring.  Only ``-h``, ``--help`` and
-    ``--version`` may come before the command."""
-    argv = sys.argv[1:] if argv is None else list(argv)
-    # every argument is read against the program's options first, so an
-    # ambiguous prefix anywhere is an error before anything runs
-    hits, _ = _classify(argv, _TOP_OPTIONS, None)
-    extras = []
-    for index, hit in enumerate(hits):
-        if hit is None:
-            break
-        option, value = hit
-        if option is None:
-            extras.append(argv[index])
+        if isinstance(kind, tuple):
+            if value not in kind:
+                return None
         else:
-            _print_and_exit(option, value, None)
-    else:
-        index = len(argv)
-    if argv[index:] in ([], ["--"]):
-        _fail(None, "the following arguments are required: command")
-    command = _value(None, "command", tuple(_COMMANDS), argv[index])
-    parsed = _parse_command(command, argv[index + 1:], extras)
-    if extras:
-        _fail(None, "unrecognized arguments: " + " ".join(extras))
-    return parsed
+            try:
+                value = kind(value)
+            except ValueError:
+                return None
+        fields[field] = value
+    if names and "name" not in fields:
+        return None
+    return SimpleNamespace(**fields)
+
+
+def _parser():
+    """The argparse tree of the option table: it reads every argv that
+    ``_canonical`` declines, with argparse's grammar, help and messages."""
+    import argparse  # loaded only off the canonical path
+
+    parser = argparse.ArgumentParser(prog="neuralfield",
+                                     description="Neural field simulation and bound verification")
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (about, extra, names) in _COMMANDS.items():
+        cmd = sub.add_parser(command, help=about)
+        for option, (field, kind, text) in {**_COMMON_OPTIONS, **extra}.items():
+            check = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+            cmd.add_argument(option, dest=field, help=text, **check)
+        if names:
+            cmd.add_argument("name", choices=names)
+        cmd.set_defaults(threads=1)
+    return parser
+
+
+def parse_args(argv=None):
+    """The command and its fields from ``argv`` (default ``sys.argv[1:]``)."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    return _canonical(argv) or _parser().parse_args(argv)
 
 
 def _flag_keys(args) -> dict:

@@ -24,7 +24,7 @@ from neuralfield.config import (
     parse_config,
 )
 from neuralfield.errors import ParseError, SchemaError
-from neuralfield import discretization, io
+from neuralfield import cli, discretization, io
 from neuralfield.discretization import Grid, build_operator
 from neuralfield.gainfield import schrodinger_fd, square_well
 from neuralfield.io import (atomic_write, fmt, g17_cells, node_rows, output_lock, sha256_file,
@@ -1226,3 +1226,32 @@ class TestArgv:
             main(["--version"])
         assert exc.value.code == 0
         assert capsys.readouterr() == ("0.1.0\n", "")
+
+    # every command and study name; each option exact, abbreviated and joined
+    # by "="; values, "--", help, version and unknown tokens
+    TOKENS = (*COMMAND_NAMES, "plasticity-limit", "dependence", "contraction", "l1",
+              "--config", "--out", "--seed", "--threads", "--method", "--well", "--lambda",
+              "--conf", "--o", "--se", "--thr", "--meth", "--w", "--lam",
+              "--config=c", "--out=o", "--out=", "--seed=5", "--seed=-1", "--seed=",
+              "--threads=2", "--method=flow", "--method=x", "--well=1,2", "--lambda=2",
+              "--conf=c", "--se=3", "c", "o", "5", "x", "fp", "flow", "1.5,3", "", "a b",
+              "-1", "--", "-h", "-hx", "--help", "--version", "--=o", "--bogus", "-x")
+    # each option with a value of its kind, of the wrong kind, or a dash; a
+    # prefix and "--" with a value
+    PAIRS = (("--config", "c"), ("--out", "o"), ("--out", ""), ("--out", "a b"),
+             ("--seed", "5"), ("--seed", "-1"), ("--seed", "x"), ("--threads", "2"),
+             ("--method", "flow"), ("--method", "x"), ("--well", "1.5,3"),
+             ("--lambda", "2.5"), ("--lambda", "q"), ("--out", "--"), ("--out", "-h"),
+             ("--o", "o"), ("--meth", "fp"), ("--", "o"))
+    ARGV = st.builds(lambda head, parts: [head, *(token for part in parts for token in part)],
+                     st.sampled_from(COMMAND_NAMES) | st.sampled_from(TOKENS),
+                     st.lists(st.sampled_from(PAIRS) | st.tuples(st.sampled_from(TOKENS)),
+                              max_size=4))
+
+    @settings(max_examples=800, derandomize=True, deadline=None)
+    @given(ARGV)
+    def test_canonical_form_equals_argparse(self, argv):
+        # the direct read either declines or gives argparse's namespace
+        parsed = cli._canonical(argv)
+        if parsed is not None:
+            assert vars(parsed) == vars(cli._parser().parse_args(argv))

@@ -40,9 +40,10 @@ def test_no_module_imports_scipy():
     assert found == []
 
 
-def _run_commands_then_check_unloaded(tmp_path, module):
+def _run_commands_then_check_unloaded(tmp_path, *modules):
     """Runs a tiny ``gainfield`` and ``schrodinger`` through ``cli.main`` in a
-    fresh interpreter; fails if ``module`` is loaded by the import or the runs."""
+    fresh interpreter; fails if any of ``modules`` is loaded by the import or
+    the runs."""
     doc = {"grid": {"nodes": [101]},
            "gainfield": {"crosscheck_nodes": 401},
            "schrodinger": {"nodes": 401, "n_states": 2}}
@@ -51,11 +52,11 @@ def _run_commands_then_check_unloaded(tmp_path, module):
     script = (
         "import sys\n"
         "import neuralfield.cli as cli\n"
-        f"assert {module!r} not in sys.modules, 'import'\n"
+        f"assert not {set(modules)!r} & set(sys.modules), 'import'\n"
         "for command in ('gainfield', 'schrodinger'):\n"
         f"    assert cli.main([command, '--config', {str(config)!r},\n"
         f"                     '--out', {str(tmp_path)!r} + '/' + command]) == 0\n"
-        f"assert {module!r} not in sys.modules, 'run'\n"
+        f"assert not {set(modules)!r} & set(sys.modules), 'run'\n"
     )
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
@@ -69,6 +70,12 @@ def test_commands_run_without_loading_numpy_random(tmp_path):
     # numpy imports numpy.random lazily, and that import (with secrets, hmac
     # and base64) costs about 15 ms of a cold run
     _run_commands_then_check_unloaded(tmp_path, "numpy.random")
+
+
+def test_commands_run_without_loading_argparse(tmp_path):
+    # a scripted argv is read from the option table; argparse and its gettext
+    # cost every run's process about 4 ms
+    _run_commands_then_check_unloaded(tmp_path, "argparse", "gettext")
 
 
 # Oracles that acceptance tests read; no command needs them.  sha256_file
